@@ -129,7 +129,8 @@ fn run_stream(requests: usize, warm: bool) -> (f64, usize, f64) {
     ilp_cfg.bnb.warm_lp_nodes = warm;
     let cfg = StreamConfig { algorithm: Algorithm::Ilp(ilp_cfg), ..Default::default() };
     let started = Instant::now();
-    let out = process_stream_seeded(&network, &catalog, &reqs, &cfg, SEED);
+    let (out, _) =
+        process_stream_seeded(&network, &catalog, &reqs, &cfg, SEED, &mut Recorder::noop());
     let wall = started.elapsed().as_secs_f64();
     let admitted = out.records.iter().filter(|r| r.admitted).count();
     (requests as f64 / wall, admitted, out.records[0].achieved_reliability)

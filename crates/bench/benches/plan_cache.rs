@@ -75,7 +75,7 @@ fn main() {
 
     // Populate the cache with an entry per distinct key (insertion allocates
     // by design — entries own their debit vectors; only lookups must not).
-    let cache = PlanCache::new(CACHE_ENTRIES);
+    let mut cache = PlanCache::new(CACHE_ENTRIES);
     let mut inserted = 0usize;
     for req in &requests {
         let key = PlanKey::for_request(req, L);
@@ -97,7 +97,7 @@ fn main() {
     // Hot path: key build + probe, hit or miss, must not allocate. The
     // validate closure mirrors the engine's cheapest accept (returning a
     // Copy summary) without touching capacity.
-    let warm = |reqs: &[SfcRequest]| {
+    let mut warm = |reqs: &[SfcRequest]| {
         let mut hits = 0u64;
         for req in reqs {
             let key = PlanKey::for_request(req, L);
@@ -107,7 +107,7 @@ fn main() {
         }
         hits
     };
-    warm(&requests); // fault in lazy lock/branch state before counting
+    warm(&requests); // fault in lazy branch state before counting
 
     let before = ALLOCS.load(Relaxed);
     let started = Instant::now();

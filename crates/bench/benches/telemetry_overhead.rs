@@ -1,6 +1,6 @@
 //! Telemetry-overhead gate: windowed observability must be effectively free.
 //!
-//! Runs one fixed request stream through the sequential seeded driver twice —
+//! Runs one fixed request stream through the stream engine twice —
 //! fully untraced, and with windowed telemetry (`stream.window` summaries to
 //! a JSONL sink, sharded metrics always on) — and records both throughputs
 //! plus their ratio into `BENCH_obs.json` at the workspace root. CI gates
@@ -15,9 +15,7 @@ use mecnet::workload::{generate_catalog, generate_network, WorkloadConfig};
 use obs::{MetricsInterval, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use relaug::stream::{
-    process_stream_seeded, process_stream_seeded_observed, Algorithm, MetricsMode, StreamConfig,
-};
+use relaug::stream::{process_stream_seeded, Algorithm, MetricsMode, StreamConfig};
 use serde::{Serialize, Value};
 
 const SEED: u64 = 42;
@@ -54,7 +52,14 @@ fn main() {
         StreamConfig { algorithm: Algorithm::Heuristic(Default::default()), ..Default::default() };
 
     // Warm caches/allocator before timing either side.
-    let _ = process_stream_seeded(&network, &catalog, &requests, &base_cfg, SEED);
+    let _ = process_stream_seeded(
+        &network,
+        &catalog,
+        &requests,
+        &base_cfg,
+        SEED,
+        &mut Recorder::noop(),
+    );
 
     // Windowed telemetry goes to a real JSONL sink (what a bounded
     // million-request run would use). Interleave untraced and windowed reps
@@ -71,20 +76,21 @@ fn main() {
     let mut observation = None;
     for _ in 0..reps {
         let started = Instant::now();
-        let out = process_stream_seeded(&network, &catalog, &requests, &base_cfg, SEED);
+        let (out, _) = process_stream_seeded(
+            &network,
+            &catalog,
+            &requests,
+            &base_cfg,
+            SEED,
+            &mut Recorder::noop(),
+        );
         untraced_best = untraced_best.min(started.elapsed().as_secs_f64());
         assert_eq!(out.records.len(), requests_n);
 
         let mut rec = Recorder::jsonl_file(&trace_path).expect("open trace sink");
         let started = Instant::now();
-        let (out, ob) = process_stream_seeded_observed(
-            &network,
-            &catalog,
-            &requests,
-            &windowed_cfg,
-            SEED,
-            &mut rec,
-        );
+        let (out, ob) =
+            process_stream_seeded(&network, &catalog, &requests, &windowed_cfg, SEED, &mut rec);
         traced_best = traced_best.min(started.elapsed().as_secs_f64());
         assert_eq!(out.records.len(), requests_n);
         assert!(

@@ -5,11 +5,13 @@
 //! erosion.
 //!
 //! Usage: `cargo run -p bench-harness --release --bin stream_exp --
-//! [--trials N] [--seed S] [--requests R] [--trace PATH] [--workers W]
-//! [--batch B] [--metrics-interval N|Xs] [--flight DIR]
-//! [--scenario NAME|PATH] [--commit-order deterministic|relaxed]
-//! [--shards K] [--plan-cache N]` (trials = independent network/stream
-//! pairs).
+//! [--trials N] [--seed S] [--requests R] [--trace PATH]
+//! [--metrics-interval N|Xs] [--flight DIR] [--scenario NAME|PATH]
+//! [--plan-cache N] [--match-engine NAME]` (trials = independent
+//! network/stream pairs). Every stream runs through the sequential engine,
+//! `relaug::stream::process_stream_seeded_sink`; `--workers` is accepted for
+//! flag compatibility with `sim_exp`, and any value above 1 exits with
+//! status 2.
 //!
 //! `--plan-cache N` (default 0 = off) arms the admission plan cache
 //! (`relaug::plancache`): solved plans are memoized by `(source, chain
@@ -22,17 +24,6 @@
 //! stale validations, evictions, hit rates) is appended to the report, and
 //! each algorithm prints a parseable `<algo> plan cache: hit-rate …` line.
 //!
-//! `--commit-order relaxed` switches to the sharded-capacity engine
-//! (`relaug::relaxed`): cloudlets are partitioned into `K` locality shards
-//! (`--shards`, default one per worker), shard-local requests commit
-//! lock-free on their owning worker, and records arrive in completion
-//! order. Every relaxed run is linearization-verified — the commit log is
-//! replayed sequentially and checked against the final atomic residuals —
-//! and the verdict is printed as `<algo> linearization: OK (...)` (a failed
-//! replay aborts the run with a nonzero exit). The scenario table's hash
-//! column switches to the order-insensitive admitted-set hash, and a
-//! per-shard contention table is appended to the report.
-//!
 //! Without `--scenario` the harness runs the toy fixture: one
 //! `WorkloadConfig::default()` network per trial and uniformly random
 //! requests. `--scenario` switches to the scenario-zoo path: the spec (a
@@ -41,58 +32,41 @@
 //! arrivals, diurnal load, flash crowds, popularity-skewed endpoints —
 //! deterministically from the spec seed. In both modes requests are
 //! generated lazily and folded into bounded [`StreamStats`] as records are
-//! committed, so resident memory stays O(dispatch window) regardless of
-//! `--requests`; the run footer reports the process peak RSS as evidence.
+//! produced, so resident memory stays O(1) in `--requests`; the run footer
+//! reports the process peak RSS as evidence. The `record hash` column
+//! (scenario mode) is an order-sensitive FNV-1a fold over every record, so
+//! two runs can be compared for identity without storing the records.
 //!
 //! `--metrics-interval` switches the observed (first) stream of each
 //! algorithm to windowed telemetry: per-request events are suppressed and
 //! one `stream.window` summary is emitted per `N` requests (or `X` wall
 //! seconds), so a million-request trace stays bounded. `--flight DIR` arms
-//! flight recorders: every engine thread keeps a ring of recent raw events,
-//! dumped to `DIR/flight-*.jsonl` on panic or commit hard-error
+//! the flight recorder: the engine keeps a ring of recent raw events,
+//! dumped to `DIR/flight-commit.jsonl` on a commit hard error
 //! (`RELAUG_INJECT_COMMIT_HARD_ERROR=K` injects one at request `K` for
-//! smoke-testing the dump path). A per-worker contention table — solve time
-//! vs job-wait vs commit-wait, plus stale-speculation counts — is printed at
-//! the end of every run.
-//!
-//! `--workers W` (default 1) runs each stream through the speculative
-//! parallel admission pipeline with `W` worker threads; `--workers auto`
-//! resolves to the machine's effective parallelism. At `--workers 1` —
-//! including `auto` on a single-core box, so `auto` never picks the slower
-//! engine — the binary takes a sequential fast path: the seeded stream
-//! driver directly, no channels or snapshots. `--batch B` sets the
-//! requests-per-speculation-batch (default 0 = auto: the dispatch window
-//! split evenly across workers). Results and telemetry are byte-identical across all engine
-//! configurations by construction — the flags only change wall-clock time.
-//! The header line `engine: …` records which path ran (stdout only; it never
-//! appears in the JSONL trace). The `record hash` column (scenario mode) is
-//! an order-sensitive FNV-1a fold over every emitted record, so two runs can
-//! be compared for byte-identity without storing the records.
+//! smoke-testing the dump path).
 //!
 //! `--trace PATH` writes the full telemetry of each algorithm's first stream
 //! as JSONL: exactly one `stream.request` event per request processed (with
-//! admitted/rejected + reason, solver runtime and a residual snapshot), with
-//! the per-request solver events interleaved in arrival order. A telemetry
-//! summary table — including per-request solve-time p50/p95/p99 from the
-//! recorder's in-memory samples — is printed at the end of every run,
-//! traced or not.
+//! admitted/rejected + reason, the secondaries placed and a residual
+//! snapshot), with the per-request solver events interleaved in arrival
+//! order. A telemetry summary table is printed at the end of every run,
+//! traced or not; its p50/p95/p99 columns are log2-bucket upper bounds read
+//! from the observed stream's `solve_ns` histogram, so they are filled in
+//! windowed mode too.
 
 use std::time::Instant;
 
-use bench_harness::{
-    fold_admitted_set_hash, fold_record_hash, HarnessArgs, StreamStats, RECORD_HASH_SEED,
-};
+use bench_harness::{fold_record_hash, HarnessArgs, StreamStats, RECORD_HASH_SEED};
 use expkit::stats::Accumulator;
 use expkit::Table;
 use mecnet::network::MecNetwork;
 use mecnet::request::SfcRequest;
 use mecnet::vnf::VnfCatalog;
 use mecnet::workload::{generate_catalog, generate_network, WorkloadConfig};
-use obs::{MetricsSnapshot, Recorder};
+use obs::Recorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use relaug::parallel::{process_stream_metered_sink, CommitOrder, ParallelConfig};
-use relaug::relaxed::{process_stream_relaxed_reported, RelaxedReport};
 use relaug::stream::{
     process_stream_seeded_sink, Algorithm, FlightSpec, MetricsMode, RequestRecord, StreamConfig,
     StreamObservation,
@@ -100,8 +74,8 @@ use relaug::stream::{
 use scen::{RequestStream, ScenarioSpec};
 
 /// The observability config for the first stream of each algorithm:
-/// `--metrics-interval` switches the pipeline to windowed aggregation,
-/// `--flight` attaches flight rings, and the injection env var arms the
+/// `--metrics-interval` switches the engine to windowed aggregation,
+/// `--flight` attaches a flight ring, and the injection env var arms the
 /// commit hard-error.
 fn observed_config(
     mut cfg: StreamConfig,
@@ -118,76 +92,9 @@ fn observed_config(
     cfg
 }
 
-/// Sum of a snapshot histogram's recorded nanoseconds, as seconds.
-fn hist_s(snap: &MetricsSnapshot, name: &str) -> f64 {
-    snap.hist(name).map(|h| h.sum() as f64 / 1e9).unwrap_or(0.0)
-}
-
-/// Per-worker contention attribution of one observed stream: where each
-/// thread's time went (solving vs waiting) and which workers' speculations
-/// went stale.
-fn contention_table(observations: &[(&str, StreamObservation)]) -> Table {
-    let mut table = Table::new(vec![
-        "algorithm",
-        "role",
-        "solves",
-        "solve time",
-        "job wait",
-        "commit wait",
-        "coord wait",
-        "conflicts",
-    ]);
-    let fmt = expkit::table::fmt_duration_s;
-    for (name, ob) in observations {
-        let p = &ob.pipeline;
-        table.add_row(vec![
-            name.to_string(),
-            "coordinator".into(),
-            format!("{} inline", p.counter("solves")),
-            fmt(hist_s(p, "solve_ns")),
-            "-".into(),
-            "-".into(),
-            fmt(hist_s(p, "coordinator_recv_wait_ns")),
-            "-".into(),
-        ]);
-        for (w, shard) in ob.per_worker.iter().enumerate() {
-            table.add_row(vec![
-                name.to_string(),
-                format!("worker {w}"),
-                format!("{}", shard.counter("solves")),
-                fmt(hist_s(shard, "solve_ns")),
-                fmt(hist_s(shard, "job_wait_ns")),
-                fmt(hist_s(shard, "commit_wait_ns")),
-                "-".into(),
-                format!("{}", shard.counter("speculation.conflicts")),
-            ]);
-        }
-    }
-    table
-}
-
-/// Per-stream fold state the sink writes into as records are produced:
-/// the order-sensitive hash (deterministic engines), the order-insensitive
-/// admitted-set hash (what relaxed runs are compared by), and — relaxed
-/// only — the engine's report with the linearization verdict.
-struct RunArtifacts {
-    hash: u64,
-    set_hash: u64,
-    relaxed: Option<RelaxedReport>,
-}
-
-impl RunArtifacts {
-    fn new() -> RunArtifacts {
-        RunArtifacts { hash: RECORD_HASH_SEED, set_hash: 0, relaxed: None }
-    }
-}
-
-/// Drive one lazy request stream through the configured engine, folding every
-/// committed record into `stats` and the record hashes as it is produced —
-/// nothing is retained per request. Returns the final residual and the
-/// sharded-metrics observation. `--commit-order relaxed` routes through the
-/// sharded-capacity engine with the commit log enabled, so every run is
-/// linearization-verified (the verdict lands in `art.relaxed`).
+/// Drive one lazy request stream through the engine, folding every record
+/// into `stats` and the order-sensitive record hash as it is produced —
+/// nothing is retained per request. Returns the run's metrics.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     network: &MecNetwork,
@@ -195,52 +102,15 @@ fn drive(
     requests: impl IntoIterator<Item = SfcRequest>,
     cfg: StreamConfig,
     seed: u64,
-    args: &HarnessArgs,
     rec: &mut Recorder,
     stats: &mut StreamStats,
-    art: &mut RunArtifacts,
-) -> (Vec<f64>, StreamObservation) {
-    let (hash, set_hash) = (&mut art.hash, &mut art.set_hash);
+    hash: &mut u64,
+) -> StreamObservation {
     let mut on_record = |r: RequestRecord| {
         *hash = fold_record_hash(*hash, &r);
-        *set_hash = fold_admitted_set_hash(*set_hash, &r);
         stats.record(&r);
     };
-    if args.commit_order == CommitOrder::Relaxed {
-        let pcfg = ParallelConfig {
-            stream: cfg,
-            workers: args.workers,
-            seed,
-            commit_order: CommitOrder::Relaxed,
-            shards: args.shards,
-            ..Default::default()
-        };
-        let (residual, ob, report) = process_stream_relaxed_reported(
-            network,
-            catalog,
-            requests,
-            &pcfg,
-            true,
-            rec,
-            &mut on_record,
-        );
-        art.relaxed = Some(report);
-        (residual, ob)
-    } else if args.workers == 1 {
-        process_stream_seeded_sink(network, catalog, requests, &cfg, seed, rec, &mut on_record)
-    } else {
-        let pcfg =
-            ParallelConfig { stream: cfg, workers: args.workers, seed, ..Default::default() };
-        process_stream_metered_sink(
-            network,
-            catalog,
-            requests,
-            &pcfg,
-            args.batch,
-            rec,
-            &mut on_record,
-        )
-    }
+    process_stream_seeded_sink(network, catalog, requests, &cfg, seed, rec, &mut on_record).1
 }
 
 /// Cache-plane attribution of each algorithm's observed stream: what the
@@ -283,39 +153,13 @@ fn plan_cache_table(observations: &[(&str, StreamObservation)]) -> Option<Table>
     Some(table)
 }
 
-/// Per-capacity-shard contention attribution of each algorithm's relaxed
-/// run: where commits landed (local = lock-free path) and what each shard's
-/// conflicts, retries and rejects were.
-fn shard_contention_table(reports: &[(&str, RelaxedReport)]) -> Table {
-    let mut table = Table::new(vec![
-        "algorithm",
-        "shard",
-        "cloudlets",
-        "local commits",
-        "straddle",
-        "conflicts",
-        "retries",
-        "no-placement",
-        "contended",
-        "clamped",
-    ]);
-    for (name, rep) in reports {
-        for row in &rep.contention.shards {
-            table.add_row(vec![
-                name.to_string(),
-                format!("{}", row.shard),
-                format!("{}", row.cloudlets),
-                format!("{}", row.local_commits),
-                format!("{}", row.straddle_commits),
-                format!("{}", row.reserve_conflicts),
-                format!("{}", row.retry_solves),
-                format!("{}", row.rejects_no_placement),
-                format!("{}", row.rejects_contention),
-                format!("{}", row.overcommit_clamped),
-            ]);
-        }
+/// Solve-time quantile `q` of an observed stream, as the upper bound of the
+/// log2 bucket it falls in (`-` when the stream solved nothing).
+fn solve_quantile(ob: &StreamObservation, q: f64) -> String {
+    match ob.pipeline.hist("solve_ns").and_then(|h| h.quantile(q)) {
+        Some(ns) => format!("≤ {}", expkit::table::fmt_duration_s(ns as f64 / 1e9)),
+        None => "-".into(),
     }
-    table
 }
 
 /// The four paper algorithms, filtered for scenario scale: the per-request
@@ -358,6 +202,10 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if args.workers > 1 {
+        eprintln!("stream_exp: --workers must be 1 (the stream engine is sequential)");
+        std::process::exit(2);
+    }
     // Scenario mode: build the zoo topology once, stream lazily from the
     // spec-derived generator. The stream is a pure function of the spec, so
     // one stream per algorithm is the whole experiment — `--trials` is a
@@ -391,25 +239,6 @@ fn main() {
         None => println!(
             "## Stream experiment — {requests_per_stream} requests per stream, {trials} streams\n"
         ),
-    }
-    // Record which engine path the run used. Stdout only — the JSONL trace
-    // stays byte-identical across engine configurations (deterministic
-    // orders; relaxed has no byte-identity to preserve).
-    if args.commit_order == CommitOrder::Relaxed {
-        let shards = if args.shards == 0 { "auto".to_string() } else { format!("{}", args.shards) };
-        println!("engine: relaxed(shards={shards}), workers={}\n", args.workers);
-        if args.metrics_interval.is_some() || args.flight.is_some() {
-            println!(
-                "note: --metrics-interval and --flight are ignored with \
-                 --commit-order relaxed (no sequential order to window or replay)\n"
-            );
-        }
-    } else if args.workers == 1 {
-        println!("engine: sequential\n");
-    } else if args.batch == 0 {
-        println!("engine: batched(batch=auto), workers={}\n", args.workers);
-    } else {
-        println!("engine: batched(batch={}), workers={}\n", args.batch, args.workers);
     }
     if args.plan_cache > 0 {
         println!(
@@ -450,20 +279,15 @@ fn main() {
         })
     });
 
-    // Per-shard metrics of each algorithm's first (observed) stream.
+    // Metrics of each algorithm's first (observed) stream.
     let mut observations: Vec<(&str, StreamObservation)> = Vec::new();
-    // Relaxed runs: each algorithm's report (contention + linearization).
-    let mut relaxed_reports: Vec<(&str, RelaxedReport)> = Vec::new();
-    let relaxed = args.commit_order == CommitOrder::Relaxed;
 
     let algorithms = algorithm_set(scenario.is_some(), requests_per_stream, args.match_engine);
     let mut columns =
         vec!["algorithm", "admitted", "mean rel.", "SLO met", "early rel.", "late rel.", "req/s"];
     if scenario.is_some() {
         columns.push("elapsed");
-        // Completion-order records have no defined order-sensitive hash;
-        // relaxed runs are compared by the admitted-set hash instead.
-        columns.push(if relaxed { "set hash" } else { "record hash" });
+        columns.push("record hash");
     }
     let mut table = Table::new(columns);
     let mut effort = Table::new(vec![
@@ -498,9 +322,8 @@ fn main() {
         let mut late = Accumulator::new();
         let mut rate = Accumulator::new();
         let mut elapsed_s = 0.0;
-        let mut art = RunArtifacts::new();
+        let mut hash = RECORD_HASH_SEED;
         let effort_base = rec.summary();
-        let samples_base = rec.time_samples("stream.solve").len();
         for t in 0..trials {
             let cfg = StreamConfig {
                 algorithm: algorithm.clone(),
@@ -510,12 +333,12 @@ fn main() {
             let mut stats = StreamStats::new();
             // The first stream of each algorithm runs with the full
             // observability config (windowing, flight ring, fault injection)
-            // and yields the sharded-metrics observation for the contention
-            // table; later trials use the no-op recorder. Requests are fed
-            // lazily in both modes — the engine pulls them as its dispatch
-            // window frees up, so the stream is never materialized.
+            // and yields the metrics observation for the telemetry table;
+            // later trials use the no-op recorder. Requests are fed lazily in
+            // both modes — the engine pulls them one at a time, so the stream
+            // is never materialized.
             let start = Instant::now();
-            let (_, ob) = match &scenario {
+            let ob = match &scenario {
                 Some(built) => {
                     let stream = RequestStream::new(built, requests_per_stream as u64);
                     drive(
@@ -524,10 +347,9 @@ fn main() {
                         stream,
                         observed_config(cfg, &args, inject_at),
                         built.spec.seed,
-                        &args,
                         &mut rec,
                         &mut stats,
-                        &mut art,
+                        &mut hash,
                     )
                 }
                 None => {
@@ -544,7 +366,7 @@ fn main() {
                     let cfg = if t == 0 { observed_config(cfg, &args, inject_at) } else { cfg };
                     let mut noop = Recorder::noop();
                     let rec = if t == 0 { &mut rec } else { &mut noop };
-                    drive(&network, &catalog, requests, cfg, seed, &args, rec, &mut stats, &mut art)
+                    drive(&network, &catalog, requests, cfg, seed, rec, &mut stats, &mut hash)
                 }
             };
             let dt = start.elapsed().as_secs_f64();
@@ -578,49 +400,12 @@ fn main() {
         ];
         if scenario.is_some() {
             row.push(expkit::table::fmt_duration_s(elapsed_s));
-            row.push(if relaxed {
-                format!("{:016x}", art.set_hash)
-            } else {
-                format!("{:016x}", art.hash)
-            });
+            row.push(format!("{hash:016x}"));
         }
         table.add_row(row);
-        // Relaxed runs are linearization-verified on every trial; the report
-        // kept here is the last trial's. A failed replay is a correctness
-        // bug — fail the whole run loudly (CI greps for "linearization: OK").
-        if let Some(report) = art.relaxed.take() {
-            let lin = report.linearization.clone().expect("relaxed drive always verifies");
-            if lin.replay_ok {
-                println!(
-                    "{name} linearization: OK (entries={}, max_dev={:.3e}); \
-                     admitted set hash {:016x}; local commit fraction {:.3} \
-                     (static ceiling {:.3}, {} shards)",
-                    lin.entries,
-                    lin.max_deviation,
-                    art.set_hash,
-                    report.contention.local_commit_fraction(),
-                    report.static_local_fraction,
-                    report.num_shards,
-                );
-            } else {
-                eprintln!(
-                    "{name} linearization: FAILED (entries={}, max_dev={:.3e})",
-                    lin.entries, lin.max_deviation,
-                );
-                std::process::exit(1);
-            }
-            relaxed_reports.push((name, report));
-        }
         // Delta of the cumulative telemetry = this algorithm's traced stream.
         let now = rec.summary();
-        let solve_samples = &rec.time_samples("stream.solve")[samples_base..];
-        let pct = |p: f64| {
-            if solve_samples.is_empty() {
-                "-".to_string()
-            } else {
-                expkit::table::fmt_duration_s(expkit::percentile(solve_samples, p))
-            }
-        };
+        let ob = &observations.last().expect("first stream observed").1;
         effort.add_row(vec![
             name.to_string(),
             format!("{}", now.events_emitted - effort_base.events_emitted),
@@ -629,9 +414,9 @@ fn main() {
             expkit::table::fmt_duration_s(
                 now.timing_s("stream.solve") - effort_base.timing_s("stream.solve"),
             ),
-            pct(50.0),
-            pct(95.0),
-            pct(99.0),
+            solve_quantile(ob, 0.50),
+            solve_quantile(ob, 0.95),
+            solve_quantile(ob, 0.99),
         ]);
         let delta = |key: &str| now.counter(key) - effort_base.counter(key);
         let (m_engine, m_fallback, m_rebuild, m_warm) = (
@@ -666,6 +451,7 @@ fn main() {
     println!("{}", table.to_markdown());
     println!("\n### telemetry (first stream per algorithm)\n");
     println!("{}", effort.to_markdown());
+    println!("\np50/p95/p99: log2-bucket upper bounds of the per-request solve time");
     if !matchplane_lines.is_empty() {
         println!("\n### matching plane (first stream per algorithm)\n");
         println!("{}", matchplane.to_markdown());
@@ -674,8 +460,6 @@ fn main() {
             println!("{line}");
         }
     }
-    println!("\n### contention attribution (first stream per algorithm)\n");
-    println!("{}", contention_table(&observations).to_markdown());
     if let Some(cache_table) = plan_cache_table(&observations) {
         println!("\n### plan cache (first stream per algorithm)\n");
         println!("{}", cache_table.to_markdown());
@@ -694,10 +478,6 @@ fn main() {
                 );
             }
         }
-    }
-    if !relaxed_reports.is_empty() {
-        println!("\n### shard contention (relaxed commit order, last stream per algorithm)\n");
-        println!("{}", shard_contention_table(&relaxed_reports).to_markdown());
     }
     if args.metrics_interval.is_some() {
         let windows: u64 = observations.iter().map(|(_, ob)| ob.windows).sum();

@@ -84,9 +84,7 @@ pub fn default_threads() -> usize {
 
 /// Resolution of `--workers auto`: the machine's effective parallelism with
 /// one core left free for the driver. On a single-core (or unknown) machine
-/// this is `1`, which the stream/sim binaries map to their sequential
-/// engines — `auto` therefore never selects the parallel engine where it
-/// would be the slower choice.
+/// this is `1`.
 pub fn auto_workers() -> usize {
     default_threads()
 }
@@ -391,7 +389,7 @@ pub fn render_figure(points: &[PointResult]) -> String {
 }
 
 /// Tiny CLI-flag parser shared by the figure binaries:
-/// `--trials N --seed S --threads T --workers W --batch B --json PATH
+/// `--trials N --seed S --threads T --workers W --json PATH
 /// --greedy --no-ilp --trace PATH --requests N --policy NAME --duration T
 /// --audit-interval T --metrics-interval N|Xs --flight DIR
 /// --scenario NAME|PATH --plan-cache N --match-engine NAME`.
@@ -400,14 +398,10 @@ pub struct HarnessArgs {
     pub trials: usize,
     pub seed: u64,
     pub threads: usize,
-    /// Worker threads for the parallel admission pipeline (`stream_exp`) or
-    /// the per-policy fan-out (`sim_exp`). `1` = sequential. The flag also
-    /// accepts `auto`, which resolves via [`auto_workers`] at parse time.
+    /// Worker threads for the per-policy fan-out (`sim_exp`). `1` =
+    /// sequential; `stream_exp` accepts only `1`. The flag also accepts
+    /// `auto`, which resolves via [`auto_workers`] at parse time.
     pub workers: usize,
-    /// Requests per speculation batch in the parallel pipeline
-    /// (`stream_exp` only). `0` = auto: the dispatch window split evenly
-    /// across workers.
-    pub batch: usize,
     pub json: Option<String>,
     pub greedy: bool,
     pub ilp: bool,
@@ -432,16 +426,9 @@ pub struct HarnessArgs {
     /// the network, catalog and lazy request stream from `scen` instead of
     /// the toy workload fixture.
     pub scenario: Option<String>,
-    /// Commit order for the parallel pipeline (`stream_exp` only):
-    /// `deterministic` (default, byte-identical to sequential) or `relaxed`
-    /// (sharded capacity, shard-local lock-free commits, completion-order
-    /// records verified by linearization replay).
-    pub commit_order: relaug::parallel::CommitOrder,
-    /// Capacity shards for `--commit-order relaxed` (`0` = one per worker).
-    pub shards: usize,
     /// Admission plan-cache capacity in entries (`stream_exp`; `sim_exp`
     /// parses but ignores it). `0` (default) disables the cache and keeps
-    /// the byte-identity guarantees untouched.
+    /// the uncached record hashes untouched.
     pub plan_cache: usize,
     /// Matching engine for the heuristic (`stream_exp`): `incremental`
     /// (default, byte-identical to rebuild), `warm` (cross-round price
@@ -457,7 +444,6 @@ impl Default for HarnessArgs {
             seed: 0xC0FFEE,
             threads: default_threads(),
             workers: 1,
-            batch: 0,
             json: None,
             greedy: false,
             ilp: true,
@@ -469,8 +455,6 @@ impl Default for HarnessArgs {
             metrics_interval: None,
             flight: None,
             scenario: None,
-            commit_order: relaug::parallel::CommitOrder::Deterministic,
-            shards: 0,
             plan_cache: 0,
             match_engine: relaug::heuristic::MatchEngine::default(),
         }
@@ -500,7 +484,6 @@ impl HarnessArgs {
                         v.parse().map_err(|e| format!("{e}"))?
                     };
                 }
-                "--batch" => out.batch = value("--batch")?.parse().map_err(|e| format!("{e}"))?,
                 "--json" => out.json = Some(value("--json")?),
                 "--greedy" => out.greedy = true,
                 "--no-ilp" => out.ilp = false,
@@ -522,20 +505,6 @@ impl HarnessArgs {
                 }
                 "--flight" => out.flight = Some(value("--flight")?),
                 "--scenario" => out.scenario = Some(value("--scenario")?),
-                "--commit-order" => {
-                    out.commit_order = match value("--commit-order")?.as_str() {
-                        "deterministic" => relaug::parallel::CommitOrder::Deterministic,
-                        "relaxed" => relaug::parallel::CommitOrder::Relaxed,
-                        other => {
-                            return Err(format!(
-                                "--commit-order must be deterministic or relaxed, got {other}"
-                            ))
-                        }
-                    }
-                }
-                "--shards" => {
-                    out.shards = value("--shards")?.parse().map_err(|e| format!("{e}"))?
-                }
                 "--plan-cache" => {
                     out.plan_cache = value("--plan-cache")?.parse().map_err(|e| format!("{e}"))?
                 }
@@ -582,8 +551,8 @@ impl HarnessArgs {
     }
 }
 
-/// Bounded-memory aggregator for sink-driven stream runs: the lazy engines
-/// hand each [`RequestRecord`] to a callback instead of materializing a
+/// Bounded-memory aggregator for sink-driven stream runs: the stream engine
+/// hands each [`RequestRecord`] to a callback instead of materializing a
 /// result vector, and this accumulator reproduces the harness table's
 /// statistics — admitted count, mean reliability, SLO rate, early-vs-late
 /// reliability thirds — from O(`cap`) memory. The early/late thirds are
@@ -673,8 +642,8 @@ impl StreamStats {
 }
 
 /// Order-sensitive FNV-1a fold over a [`RequestRecord`]'s observable fields.
-/// Sink-driven benches chain this across the stream to assert byte-identity
-/// between engine configurations without materializing any records.
+/// Sink-driven runs chain this across the stream to compare records between
+/// runs and configurations without materializing any of them.
 pub fn fold_record_hash(mut h: u64, r: &relaug::stream::RequestRecord) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut eat = |v: u64| {
@@ -694,21 +663,6 @@ pub fn fold_record_hash(mut h: u64, r: &relaug::stream::RequestRecord) -> u64 {
 
 /// FNV-1a offset basis — the start value for [`fold_record_hash`] chains.
 pub const RECORD_HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Order-insensitive companion to [`fold_record_hash`] for relaxed-commit
-/// runs, where records reach the sink in completion order and the
-/// order-sensitive hash is undefined: each *admitted* record is hashed
-/// independently from the FNV offset basis and the per-record hashes are
-/// combined with a commutative wrapping sum, so two runs admitting the same
-/// record set hash equal regardless of arrival order. Rejected records are
-/// skipped (the admitted set is what the linearization invariant replays).
-/// Start chains from `0`.
-pub fn fold_admitted_set_hash(acc: u64, r: &relaug::stream::RequestRecord) -> u64 {
-    if !r.admitted {
-        return acc;
-    }
-    acc.wrapping_add(fold_record_hash(RECORD_HASH_SEED, r))
-}
 
 /// Serialize results to pretty JSON.
 pub fn to_json(points: &[PointResult]) -> String {
@@ -804,12 +758,14 @@ mod tests {
         assert!(!args.ilp);
         assert_eq!(args.trace.as_deref(), Some("t.jsonl"));
         assert_eq!(args.requests, Some(200));
-        assert_eq!(args.batch, 0);
-        let batched =
-            HarnessArgs::parse(["--workers", "4", "--batch", "3"].iter().map(|s| s.to_string()))
-                .unwrap();
-        assert_eq!(batched.workers, 4);
-        assert_eq!(batched.batch, 3);
+        let workers = HarnessArgs::parse(["--workers", "4"].iter().map(|s| s.to_string())).unwrap();
+        assert_eq!(workers.workers, 4);
+        for removed in ["--batch", "--commit-order", "--shards"] {
+            assert!(
+                HarnessArgs::parse([removed.to_string(), "2".to_string()].into_iter()).is_err(),
+                "{removed} is not a flag"
+            );
+        }
         let auto = HarnessArgs::parse(["--workers", "auto"].iter().map(|s| s.to_string())).unwrap();
         assert_eq!(auto.workers, auto_workers());
         assert!(auto.workers >= 1);
@@ -873,6 +829,7 @@ mod tests {
     #[test]
     fn stream_stats_matches_outcome_statistics() {
         use mecnet::request::SfcRequest;
+        use obs::Recorder;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         use relaug::stream::{process_stream_seeded, StreamConfig};
@@ -884,7 +841,14 @@ mod tests {
         let requests: Vec<SfcRequest> = (0..60)
             .map(|i| SfcRequest::random(i, &catalog, (3, 5), 0.99, wl.nodes, &mut rng))
             .collect();
-        let out = process_stream_seeded(&network, &catalog, &requests, &StreamConfig::default(), 7);
+        let (out, _) = process_stream_seeded(
+            &network,
+            &catalog,
+            &requests,
+            &StreamConfig::default(),
+            7,
+            &mut Recorder::noop(),
+        );
         let mut stats = StreamStats::new();
         let mut h = RECORD_HASH_SEED;
         for r in &out.records {
@@ -917,18 +881,6 @@ mod tests {
             h3 = fold_record_hash(h3, r);
         }
         assert_ne!(h, h3);
-        // The set hash is order-INsensitive: any permutation folds equal,
-        // and dropping an admitted record changes it.
-        let set_fwd = out.records.iter().fold(0u64, fold_admitted_set_hash);
-        let set_rev = out.records.iter().rev().fold(0u64, fold_admitted_set_hash);
-        assert_eq!(set_fwd, set_rev);
-        let dropped = out
-            .records
-            .iter()
-            .skip_while(|r| !r.admitted)
-            .skip(1)
-            .fold(0u64, fold_admitted_set_hash);
-        assert_ne!(set_fwd, dropped, "admitted records must contribute");
     }
 
     #[test]

@@ -373,7 +373,7 @@ pub fn solve_traced(
 /// [`solve_traced`] reusing the caller's scratch so the stream's exact path
 /// allocates nothing per request: the LP workspace (factorization + eta-file
 /// buffers) is shared across the instance's independent components and across
-/// consecutive requests on the same stream/worker.
+/// consecutive requests on the same stream.
 pub fn solve_scratch(
     inst: &AugmentationInstance,
     cfg: &IlpConfig,

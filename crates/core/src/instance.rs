@@ -86,8 +86,7 @@ impl FunctionSlot {
 ///
 /// `PartialEq` compares every input the solvers read (functions, bins with
 /// exact residuals, `l`, expectation): two equal instances are guaranteed to
-/// produce bit-identical solver runs given equal RNG state — the conflict
-/// check the speculative parallel pipeline relies on.
+/// produce bit-identical solver runs given equal RNG state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AugmentationInstance {
     pub functions: Vec<FunctionSlot>,
@@ -196,10 +195,9 @@ impl AugmentationInstance {
     /// Solutions and metrics are identical in value to the full-bin
     /// construction (eligibility is already `l`-local); what changes is that
     /// the instance stops depending on the residual state of *unrelated*
-    /// cloudlets. The stream pipelines build instances this way so that two
-    /// constructions agree (`==`) exactly when the request-relevant slice of
-    /// the network agrees — the conflict test that lets the parallel engine
-    /// commit speculative solves untouched.
+    /// cloudlets: two constructions agree (`==`) exactly when the
+    /// request-relevant slice of the network agrees. The stream engine
+    /// builds instances this way.
     pub fn new_localized(
         network: &MecNetwork,
         catalog: &VnfCatalog,
@@ -460,8 +458,7 @@ mod tests {
         }
         assert_eq!(local.total_items(), full.total_items());
         // Changing residual outside the neighborhood changes the full
-        // construction but not the localized one — the conflict-check
-        // property the parallel pipeline needs.
+        // construction but not the localized one.
         let mut far = residual.clone();
         far[3] = 100.0;
         let local2 = AugmentationInstance::new_localized(&net, &cat, &req, &placement, &far, 1);

@@ -47,10 +47,8 @@ pub mod heuristic;
 pub mod ilp;
 pub mod instance;
 pub mod montecarlo;
-pub mod parallel;
 pub mod plancache;
 pub mod randomized;
-pub mod relaxed;
 pub mod reliability;
 pub mod report;
 pub mod scratch;

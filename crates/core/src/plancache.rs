@@ -27,8 +27,7 @@
 //! flag: "would the plan fit again on top of its own footprint". A later hit
 //! whose stamps are all unchanged knows those residuals are bit-identical to
 //! the recorded ones, so when `refit` is set it applies the debits with no
-//! feasibility walk at all. Engines that cannot maintain single-writer epochs
-//! (the relaxed pool) leave stamps empty and always take the full
+//! feasibility walk at all. An entry without stamps always takes the full
 //! `try_reserve` revalidation path.
 //!
 //! ## Reject gate
@@ -41,19 +40,17 @@
 //! can host that function and admission must fail — the gate short-circuits
 //! the scan with a sound, permanently-valid rejection.
 //!
-//! The cache is bounded and sharded: a direct-mapped slot array per shard,
+//! The cache is bounded and direct-mapped: one flat slot array,
 //! `O(capacity)` memory, eviction by slot replacement.
 
 use mecnet::graph::NodeId;
 use mecnet::network::NodeEpochs;
 use mecnet::vnf::{VnfCatalog, VnfTypeId};
 use mecnet::SfcRequest;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::reliability::function_reliability;
 
-/// splitmix64 finalizer (same mixer as the stream engines' seed derivation).
+/// splitmix64 finalizer (same mixer as the stream engine's seed derivation).
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -109,8 +106,8 @@ pub struct PlanEntry {
     /// Secondary count per chain position.
     pub counts: Vec<usize>,
     /// Merged `(node, amount)` debits, sorted ascending by node — the shape
-    /// `MecNetwork::try_reserve`/`ShardedCapacity::try_reserve` take, so a
-    /// hit revalidates without converting.
+    /// `MecNetwork::try_reserve` takes, so a hit revalidates without
+    /// converting.
     pub debits: Vec<(NodeId, f64)>,
     pub base_reliability: f64,
     pub achieved_reliability: f64,
@@ -229,30 +226,32 @@ pub enum Probe<R> {
     Stale,
 }
 
-/// Bounded, sharded, direct-mapped plan cache plus the monotone reject-gate
+/// Bounded, direct-mapped plan cache plus the monotone reject-gate
 /// watermark. Memory is `O(capacity)`: one optional slot per cache line, no
 /// chaining, eviction by replacement.
 #[derive(Debug)]
 pub struct PlanCache {
-    shards: Vec<Mutex<Vec<Option<PlanEntry>>>>,
-    slots_per_shard: usize,
+    /// `groups` consecutive runs of `slots_per_group` slots each.
+    slots: Vec<Option<PlanEntry>>,
+    groups: usize,
+    slots_per_group: usize,
     capacity: usize,
-    /// f64 bit pattern of the monotone max-residual upper bound (starts at
-    /// +∞ — nothing can be gate-rejected until a real rejection calibrates
-    /// it).
-    watermark_bits: AtomicU64,
+    /// Monotone max-residual upper bound (starts at +∞ — nothing can be
+    /// gate-rejected until a real rejection calibrates it).
+    watermark: f64,
 }
 
 impl PlanCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "plan cache capacity must be >= 1");
-        let shards = capacity.min(8);
-        let slots_per_shard = capacity.div_ceil(shards);
+        let groups = capacity.min(8);
+        let slots_per_group = capacity.div_ceil(groups);
         PlanCache {
-            shards: (0..shards).map(|_| Mutex::new(vec![None; slots_per_shard])).collect(),
-            slots_per_shard,
+            slots: vec![None; groups * slots_per_group],
+            groups,
+            slots_per_group,
             capacity,
-            watermark_bits: AtomicU64::new(f64::INFINITY.to_bits()),
+            watermark: f64::INFINITY,
         }
     }
 
@@ -261,43 +260,40 @@ impl PlanCache {
         self.capacity
     }
 
-    /// Live entry count (test/diagnostic; locks every shard).
+    /// Live entry count (test/diagnostic).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("plan cache poisoned").iter().flatten().count())
-            .sum()
+        self.slots.iter().flatten().count()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    fn slot_for(&self, key: &PlanKey) -> (usize, usize) {
+    /// Flat slot index: the high hash half picks a group of slots, the low
+    /// half a slot inside it.
+    fn slot_for(&self, key: &PlanKey) -> usize {
         let h = key.hash();
-        let shard = ((h >> 32) as usize) % self.shards.len();
-        let slot = (h as usize) % self.slots_per_shard;
-        (shard, slot)
+        let group = ((h >> 32) as usize) % self.groups;
+        group * self.slots_per_group + (h as usize) % self.slots_per_group
     }
 
     /// Probe for a plan under `key` whose chain equals `chain`, and let
-    /// `validate` re-check it against live state under the shard lock. The
-    /// validator returns `Some(r)` to accept (it has applied the plan;
-    /// it may mutate the entry to re-stamp it) or `None` to reject, which
-    /// removes the entry.
+    /// `validate` re-check it against live state. The validator returns
+    /// `Some(r)` to accept (it has applied the plan; it may mutate the entry
+    /// to re-stamp it) or `None` to reject, which removes the entry.
     pub fn probe<R>(
-        &self,
+        &mut self,
         key: &PlanKey,
         chain: &[VnfTypeId],
         validate: impl FnOnce(&mut PlanEntry) -> Option<R>,
     ) -> Probe<R> {
-        let (shard, slot) = self.slot_for(key);
-        let mut slots = self.shards[shard].lock().expect("plan cache poisoned");
-        match &mut slots[slot] {
+        let i = self.slot_for(key);
+        let slot = &mut self.slots[i];
+        match slot {
             Some(entry) if entry.key == *key && entry.chain == chain => match validate(entry) {
                 Some(r) => Probe::Hit(r),
                 None => {
-                    slots[slot] = None;
+                    *slot = None;
                     Probe::Stale
                 }
             },
@@ -307,46 +303,32 @@ impl PlanCache {
 
     /// Insert (or repopulate) an entry. Returns `true` when a live entry with
     /// a *different* key was displaced — an eviction, as opposed to a refresh.
-    pub fn insert(&self, entry: PlanEntry) -> bool {
-        let (shard, slot) = self.slot_for(&entry.key);
-        let mut slots = self.shards[shard].lock().expect("plan cache poisoned");
-        let evicted = matches!(&slots[slot], Some(prev) if prev.key != entry.key);
-        slots[slot] = Some(entry);
+    pub fn insert(&mut self, entry: PlanEntry) -> bool {
+        let i = self.slot_for(&entry.key);
+        let slot = &mut self.slots[i];
+        let evicted = matches!(slot, Some(prev) if prev.key != entry.key);
+        *slot = Some(entry);
         evicted
     }
 
     /// Current upper bound on the maximum cloudlet residual ( +∞ until the
     /// first full-scan rejection calibrates it).
     pub fn max_residual_watermark(&self) -> f64 {
-        f64::from_bits(self.watermark_bits.load(Ordering::Acquire))
+        self.watermark
     }
 
     /// A request whose largest per-function demand exceeds the watermark
     /// cannot place that function on any cloudlet; admission must fail.
     pub fn gate_rejects(&self, max_demand: f64) -> bool {
-        max_demand > self.max_residual_watermark()
+        max_demand > self.watermark
     }
 
     /// Tighten the watermark after a full-scan rejection measured the current
     /// maximum cloudlet residual. Monotone: only ever lowers the bound, which
     /// is what keeps gate rejections permanently sound on streams whose
     /// residuals never increase.
-    pub fn observe_max_residual(&self, max_residual: f64) {
-        let mut cur = self.watermark_bits.load(Ordering::Acquire);
-        loop {
-            if f64::from_bits(cur) <= max_residual {
-                return;
-            }
-            match self.watermark_bits.compare_exchange_weak(
-                cur,
-                max_residual.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+    pub fn observe_max_residual(&mut self, max_residual: f64) {
+        self.watermark = self.watermark.min(max_residual);
     }
 }
 
@@ -381,7 +363,7 @@ mod tests {
 
     #[test]
     fn probe_roundtrip_hit_miss_and_stale() {
-        let cache = PlanCache::new(16);
+        let mut cache = PlanCache::new(16);
         let k = key(0, 7);
         let chain = vec![VnfTypeId(0)];
         assert_eq!(cache.probe(&k, &chain, |_| Some(1u32)), Probe::<u32>::Miss);
@@ -401,7 +383,7 @@ mod tests {
 
     #[test]
     fn cache_is_bounded_and_evicts_by_replacement() {
-        let cache = PlanCache::new(4);
+        let mut cache = PlanCache::new(4);
         let mut evictions = 0;
         for sig in 0..256u64 {
             if cache.insert(entry(key(0, sig), vec![VnfTypeId(0)])) {
@@ -411,20 +393,20 @@ mod tests {
         assert!(cache.len() <= 4, "live entries exceed capacity");
         assert!(evictions >= 252 - 4, "most inserts must displace a live entry");
         // Refreshing an existing key is not an eviction.
-        let cache = PlanCache::new(4);
+        let mut cache = PlanCache::new(4);
         assert!(!cache.insert(entry(key(0, 1), vec![VnfTypeId(0)])));
         assert!(!cache.insert(entry(key(0, 1), vec![VnfTypeId(0)])));
     }
 
     #[test]
-    fn epoch_stamps_detect_concurrent_commits() {
-        let epochs = NodeEpochs::new(8);
+    fn epoch_stamps_detect_later_commits() {
+        let mut epochs = NodeEpochs::new(8);
         let mut e = entry(key(0, 7), vec![VnfTypeId(0)]);
         assert!(!e.epochs_unchanged(&epochs), "unstamped entries never take the fast path");
         e.stamp(&epochs, |idx| if idx == 1 { 600.0 } else { 100.0 });
         assert!(e.epochs_unchanged(&epochs));
         assert!(e.refit, "600 >= 500 and 100 >= 100");
-        // A concurrent commit on a touched node invalidates the fast path.
+        // A later commit on a touched node invalidates the fast path.
         epochs.bump(1);
         assert!(!e.epochs_unchanged(&epochs));
         // Re-stamping with less headroom clears refit.
@@ -445,7 +427,7 @@ mod tests {
 
     #[test]
     fn watermark_is_monotone_and_gates_rejections() {
-        let cache = PlanCache::new(1);
+        let mut cache = PlanCache::new(1);
         assert!(!cache.gate_rejects(1e12), "uncalibrated watermark rejects nothing");
         cache.observe_max_residual(700.0);
         cache.observe_max_residual(900.0); // stale higher observation: ignored

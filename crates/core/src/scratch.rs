@@ -8,14 +8,15 @@
 //! pins "0 heap allocations per request after warm-up" with a counting global
 //! allocator.
 //!
-//! Ownership rules (also in DESIGN.md "Hot path & batching"):
+//! Ownership rules (also in DESIGN.md "Hot path"):
 //!
-//! * One `SolveScratch` per stream, or per parallel worker — never shared.
+//! * One `SolveScratch` per stream — never shared between threads.
 //! * Buffers carry no information across solves: every solver clears or
 //!   overwrites each buffer before reading it, so solver output is a pure
 //!   function of `(instance, config, RNG state)` regardless of what ran on
-//!   the scratch before. The parallel pipeline's byte-identity tests exercise
-//!   exactly this (worker scratches see different request interleavings).
+//!   the scratch before. `tests/scratch_reuse.rs` pins exactly this: every
+//!   algorithm solves each instance of a mixed-size set on a fresh scratch
+//!   and on one shared scratch in forward and reverse order, bit-equal.
 //! * Growth is high-water-mark only: a buffer grows to the largest instance
 //!   seen and stays there.
 
@@ -23,7 +24,6 @@ use crate::instance::AugmentationInstance;
 use crate::reliability;
 use crate::solution::Augmentation;
 use matching::{Matching, MatchingScratch};
-use mecnet::graph::NodeId;
 
 /// Chain reliability from per-function secondary counts, without building an
 /// [`Augmentation`]. Bit-identical to [`Augmentation::reliability`]: same
@@ -212,18 +212,13 @@ pub struct HeuristicScratch {
     pub batch_b_left: Vec<usize>,
 }
 
-/// Buffers for the stream commit/speculation protocol (demand lists, bin
-/// loads, capacity debits, and a worker-local residual image for batched
-/// speculation).
+/// Buffers for the stream commit step (the admitted request's demand list).
 #[derive(Debug, Clone, Default)]
 pub struct CommitScratch {
     pub demands: Vec<f64>,
-    pub loads: Vec<f64>,
-    pub debits: Vec<(NodeId, f64)>,
-    pub residual: Vec<f64>,
 }
 
-/// All scratch state one stream (or one parallel worker) owns.
+/// All scratch state one stream owns.
 #[derive(Debug, Clone)]
 pub struct SolveScratch {
     pub sol: SolutionScratch,
@@ -267,6 +262,7 @@ impl SolveScratch {
 mod tests {
     use super::*;
     use crate::instance::{Bin, FunctionSlot};
+    use mecnet::graph::NodeId;
     use mecnet::vnf::VnfTypeId;
 
     fn tiny_instance() -> AugmentationInstance {

@@ -12,10 +12,14 @@
 //! 2019/2020, Lin et al. 2020) evaluates, and it exposes the interplay the
 //! single-request experiments cannot: early requests eat the capacity that
 //! late requests would have used for backups.
+//!
+//! [`process_stream_seeded_sink`] is the engine: it pulls requests from a lazy
+//! source in arrival order and hands each [`RequestRecord`] to a sink.
+//! [`process_stream_seeded`] runs it over a slice and collects a
+//! [`StreamOutcome`].
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mecnet::admission::{random_placement_capacity_aware, PrimaryPlacement};
@@ -24,7 +28,9 @@ use mecnet::neighborhood::NeighborhoodIndex;
 use mecnet::network::{MecNetwork, NodeEpochs};
 use mecnet::request::SfcRequest;
 use mecnet::vnf::VnfCatalog;
-use obs::{FlightRecorder, MetricsInterval, MetricsSnapshot, Recorder, ShardedMetrics};
+use obs::{
+    FlightRecorder, MetricsInterval, MetricsShard, MetricsSnapshot, Recorder, ShardedMetrics,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -116,14 +122,13 @@ pub struct StreamConfig {
     /// ladder. `false` reproduces the paper's no-sharing model.
     pub share_backups: bool,
     /// Admission plan-cache capacity in entries; `0` (the default) disables
-    /// the cache and keeps the deterministic byte-identity path untouched.
-    /// When enabled, the seeded engines memoize solved plans keyed by
-    /// `(source, chain signature, threshold bucket, l)` and re-validate every
-    /// hit against live residuals (see [`crate::plancache`]); cached mode is
-    /// oracle-checked, not byte-identical. Incompatible with `share_backups`
-    /// (a cached plan's reliability depends on neighbors' instances there).
-    /// The legacy shared-RNG [`process_stream`] ignores this knob — skipping
-    /// a request's draws would shift every later request's randomness.
+    /// the cache and keeps the uncached records untouched. When enabled, the
+    /// engine memoizes solved plans keyed by `(source, chain signature,
+    /// threshold bucket, l)` and re-validates every hit against live
+    /// residuals (see [`crate::plancache`]); cached mode is oracle-checked,
+    /// not byte-identical to uncached runs. Incompatible with
+    /// `share_backups` (a cached plan's reliability depends on neighbors'
+    /// instances there).
     pub plan_cache: usize,
     /// Differential-oracle hook (test builds of the property suite): on every
     /// cache hit, certify the entry from first principles — cost, reliability
@@ -135,8 +140,8 @@ pub struct StreamConfig {
     /// Telemetry granularity: per-request events (the byte-identity-checked
     /// default) or bounded windowed summaries.
     pub metrics: MetricsMode,
-    /// Attach per-thread flight-recorder rings, dumped to this directory on
-    /// panic or commit hard-error.
+    /// Attach a flight-recorder ring, dumped to this directory on a commit
+    /// hard error.
     pub flight: Option<FlightSpec>,
     /// Testing hook: trigger a commit hard-error (flight dump + panic) when
     /// request position `k` reaches the commit step. Drives the
@@ -164,8 +169,7 @@ impl Default for StreamConfig {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum MetricsMode {
     /// One `stream.request` event per request plus traced solver events —
-    /// unbounded output, byte-identical across worker counts (the mode the
-    /// equivalence tests check).
+    /// unbounded output, byte-identical across runs of the same seed.
     #[default]
     Full,
     /// No per-request events: one `stream.window` summary per interval (plus
@@ -175,10 +179,9 @@ pub enum MetricsMode {
     Windowed(MetricsInterval),
 }
 
-/// Flight-recorder wiring for the stream pipeline: each thread keeps a ring
-/// of its last `capacity` raw events and dumps it to `dir` on failure
-/// (`flight-commit.jsonl` for the coordinator, `flight-worker<i>.jsonl` for
-/// workers).
+/// Flight-recorder wiring for the stream engine: a ring of the last
+/// `capacity` per-request events, dumped to `dir/flight-commit.jsonl` on a
+/// commit hard error.
 #[derive(Debug, Clone)]
 pub struct FlightSpec {
     pub dir: PathBuf,
@@ -202,6 +205,19 @@ pub struct RequestRecord {
     pub achieved_reliability: f64,
     pub met_expectation: bool,
     pub secondaries: usize,
+}
+
+impl RequestRecord {
+    fn rejected(id: usize) -> RequestRecord {
+        RequestRecord {
+            id,
+            admitted: false,
+            base_reliability: 0.0,
+            achieved_reliability: 0.0,
+            met_expectation: false,
+            secondaries: 0,
+        }
+    }
 }
 
 /// Aggregate outcome of a processed stream.
@@ -236,151 +252,18 @@ impl StreamOutcome {
     }
 }
 
-/// Process a request stream against a shared network.
-///
-/// Each request is admitted with capacity-aware random primary placement
-/// (all-or-nothing), augmented with the configured algorithm against the
-/// current residual capacities, and its secondaries' consumption is committed
-/// before the next request is considered. The randomized algorithm's
-/// overcommit is clamped at zero residual (and shows up as unmet
-/// expectations later in the stream, not as negative capacity).
-pub fn process_stream<R: Rng + ?Sized>(
-    network: &MecNetwork,
-    catalog: &VnfCatalog,
-    requests: &[SfcRequest],
-    cfg: &StreamConfig,
-    rng: &mut R,
-) -> StreamOutcome {
-    process_stream_traced(network, catalog, requests, cfg, rng, &mut Recorder::noop())
-}
-
-/// [`process_stream`] with telemetry: emits exactly one `stream.request`
-/// event per request — admitted or rejected (with a reason), the algorithm's
-/// runtime, the secondaries placed and a residual-capacity snapshot after the
-/// request was committed. The per-request solver also runs traced, so its
-/// events interleave in arrival order.
-pub fn process_stream_traced<R: Rng + ?Sized>(
-    network: &MecNetwork,
-    catalog: &VnfCatalog,
-    requests: &[SfcRequest],
-    cfg: &StreamConfig,
-    rng: &mut R,
-    rec: &mut Recorder,
-) -> StreamOutcome {
-    assert!(
-        (0.0..=1.0).contains(&cfg.initial_capacity_fraction),
-        "capacity fraction must be in [0, 1]"
-    );
-    let mut residual = network.residual_capacities(cfg.initial_capacity_fraction);
-    let mut records = Vec::with_capacity(requests.len());
-    let nbhd = network.neighborhood_index(cfg.l);
-    let mut scratch = SolveScratch::new();
-    // Deployed instances per (VNF type, node) — primaries and secondaries of
-    // all previously admitted requests; consulted when sharing is on.
-    let mut deployed: std::collections::HashMap<(usize, usize), usize> =
-        std::collections::HashMap::new();
-    for req in requests {
-        let demands: Vec<f64> = req.sfc.iter().map(|&f| catalog.demand(f)).collect();
-        let Some(placement) =
-            random_placement_capacity_aware(network, req, &demands, &mut residual, rng)
-        else {
-            rec.count("stream.rejected", 1);
-            rec.emit_with(|| {
-                stream_request_event(req.id, &residual)
-                    .with("admitted", false)
-                    .with("reason", "no_primary_placement")
-            });
-            records.push(RequestRecord {
-                id: req.id,
-                admitted: false,
-                base_reliability: 0.0,
-                achieved_reliability: 0.0,
-                met_expectation: false,
-                secondaries: 0,
-            });
-            continue;
-        };
-        let mut inst = AugmentationInstance::new_with_index(
-            network,
-            catalog,
-            req,
-            &placement.locations,
-            &residual,
-            &nbhd,
-        );
-        if cfg.share_backups {
-            for (i, f) in inst.functions.iter_mut().enumerate() {
-                let type_idx = req.sfc[i].index();
-                // Deployed instances only live on cloudlets, so scanning the
-                // index's cloudlet slice equals scanning the whole BFS ball.
-                let shared: usize = nbhd
-                    .cloudlets_within(f.primary)
-                    .iter()
-                    .filter_map(|u| deployed.get(&(type_idx, u.index())))
-                    .sum();
-                f.existing_backups = shared;
-            }
-        }
-        let solve_started = Instant::now();
-        let outcome: Outcome = cfg.algorithm.solve_scratch(&inst, rng, rec, &mut scratch);
-        let solve_elapsed = solve_started.elapsed();
-        rec.record_time("stream.solve", solve_elapsed);
-        rec.time_sample("stream.solve", solve_elapsed);
-        // Commit the secondaries' consumption (clamped at zero: the
-        // randomized algorithm may overcommit).
-        for (bin_idx, &load) in outcome.augmentation.bin_loads(&inst).iter().enumerate() {
-            let node = inst.bins[bin_idx].node.index();
-            residual[node] = (residual[node] - load).max(0.0);
-        }
-        // Record deployed instances for later sharing.
-        for (i, &loc) in req.sfc.iter().zip(&placement.locations) {
-            *deployed.entry((i.index(), loc.index())).or_insert(0) += 1;
-        }
-        for (func, row) in (0..inst.chain_len()).map(|f| (f, outcome.augmentation.placements_of(f)))
-        {
-            let type_idx = req.sfc[func].index();
-            for &(bin_idx, count) in row {
-                let node = inst.bins[bin_idx].node.index();
-                *deployed.entry((type_idx, node)).or_insert(0) += count;
-            }
-        }
-        rec.count("stream.admitted", 1);
-        rec.emit_with(|| {
-            stream_request_event(req.id, &residual)
-                .with("admitted", true)
-                .with("base_reliability", outcome.metrics.base_reliability)
-                .with("achieved_reliability", outcome.metrics.reliability)
-                .with("met_expectation", outcome.metrics.met_expectation)
-                .with("secondaries", outcome.metrics.total_secondaries)
-                .with("solve_s", solve_elapsed.as_secs_f64())
-        });
-        records.push(RequestRecord {
-            id: req.id,
-            admitted: true,
-            base_reliability: outcome.metrics.base_reliability,
-            achieved_reliability: outcome.metrics.reliability,
-            met_expectation: outcome.metrics.met_expectation,
-            secondaries: outcome.metrics.total_secondaries,
-        });
-    }
-    StreamOutcome { records, final_residual: residual }
-}
-
 // ---------------------------------------------------------------------------
-// Seeded pipeline — the machinery shared by the seeded sequential driver and
-// the parallel engine in [`crate::parallel`].
+// Per-request RNG derivation.
 //
-// The legacy `process_stream` threads ONE caller-owned RNG through the
-// admission and solve of every request, which serializes the whole stream by
-// construction. The seeded pipeline instead derives an independent admission
-// RNG and solve RNG per request position `k` from a base seed, so any
-// request's computation is a pure function of (network state it sees, seed,
-// k) — exactly what speculative execution needs to replay bit-identically.
+// The engine derives an independent admission RNG and solve RNG for each
+// request position `k` from a base seed, so a request's computation is a
+// pure function of (network state it sees, seed, k) — never of how much
+// randomness the requests before it consumed.
 // ---------------------------------------------------------------------------
 
 /// Domain-separation salts for the per-request derived RNG streams.
-pub(crate) const ADMIT_SALT: u64 = 0x0041_444d_4954; // "ADMIT"
-pub(crate) const SOLVE_SALT: u64 = 0x0053_4f4c_5645; // "SOLVE"
+const ADMIT_SALT: u64 = 0x0041_444d_4954; // "ADMIT"
+const SOLVE_SALT: u64 = 0x0053_4f4c_5645; // "SOLVE"
 
 /// splitmix64 finalizer — mixes the (seed, k, salt) triple into a seed with
 /// good avalanche so neighboring request positions get unrelated streams.
@@ -392,25 +275,19 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// The RNG for request position `k`'s admission (`ADMIT_SALT`) or solve
-/// (`SOLVE_SALT`) step. Independent per (seed, k, salt), so a worker can
-/// compute request `k` without knowing how much randomness requests `0..k`
-/// consumed.
-pub(crate) fn request_rng(seed: u64, k: usize, salt: u64) -> StdRng {
+/// (`SOLVE_SALT`) step. Independent per (seed, k, salt).
+fn request_rng(seed: u64, k: usize, salt: u64) -> StdRng {
     StdRng::seed_from_u64(splitmix64(splitmix64(seed ^ salt).wrapping_add(k as u64)))
 }
 
-/// Index registry for the pipeline's sharded metrics ([`ShardedMetrics`]):
-/// recording is an array index plus a relaxed atomic op, so these run on the
-/// hot path in every mode. Shard 0 belongs to the coordinator (the only
-/// writer of the authoritative per-request counts); shard `w + 1` belongs to
-/// worker `w`.
+/// Index registry for the engine's metrics ([`ShardedMetrics`] with a single
+/// shard): recording is an array index plus a relaxed atomic op, so these run
+/// on the hot path in every mode.
 pub mod pipeline_metrics {
     pub const COUNTERS: &[&str] = &[
         "requests",
         "admitted",
         "rejected.no_primary_placement",
-        "speculation.hits",
-        "speculation.conflicts",
         "commit.overcommit_clamped",
         "solves",
         "plancache.hits",
@@ -424,65 +301,40 @@ pub mod pipeline_metrics {
     pub const C_REQUESTS: usize = 0;
     pub const C_ADMITTED: usize = 1;
     pub const C_REJECTED: usize = 2;
-    pub const C_SPEC_HITS: usize = 3;
-    pub const C_CONFLICTS: usize = 4;
-    pub const C_OVERCOMMIT: usize = 5;
-    /// Shard 0: inline (conflict-induced) re-solves; worker shards:
-    /// speculative solves.
-    pub const C_SOLVES: usize = 6;
+    pub const C_OVERCOMMIT: usize = 3;
+    /// Fresh solves: every admitted request the plan cache did not serve.
+    pub const C_SOLVES: usize = 4;
     /// Plan-cache hit: a cached plan revalidated against live residuals and
     /// was applied in place of admission + solve.
-    pub const C_PC_HITS: usize = 7;
+    pub const C_PC_HITS: usize = 5;
     /// Subset of hits whose epoch stamps were all unchanged — even the
     /// feasibility re-walk was skipped.
-    pub const C_PC_EPOCH_SKIPS: usize = 8;
+    pub const C_PC_EPOCH_SKIPS: usize = 6;
     /// Request rejected by the monotone max-residual watermark without
     /// scanning candidates.
-    pub const C_PC_REJECT_HITS: usize = 9;
+    pub const C_PC_REJECT_HITS: usize = 7;
     /// Cache probes that found no usable plan.
-    pub const C_PC_MISSES: usize = 10;
+    pub const C_PC_MISSES: usize = 8;
     /// Misses where a candidate existed but failed re-validation.
-    pub const C_PC_VALIDATION_FAILURES: usize = 11;
+    pub const C_PC_VALIDATION_FAILURES: usize = 9;
     /// Entries written after fresh solves.
-    pub const C_PC_INSERTIONS: usize = 12;
+    pub const C_PC_INSERTIONS: usize = 10;
     /// Insertions that displaced a live entry with a different key.
-    pub const C_PC_EVICTIONS: usize = 13;
+    pub const C_PC_EVICTIONS: usize = 11;
 
-    pub const HISTS: &[&str] = &[
-        "solve_ns",
-        "reserve_ns",
-        "commit_ns",
-        "abort_ns",
-        "commit_wait_ns",
-        "coordinator_recv_wait_ns",
-        "job_wait_ns",
-    ];
-    /// Shard 0: authoritative per-request solve time (speculated or inline);
-    /// worker shards: that worker's speculative solve time.
+    pub const HISTS: &[&str] = &["solve_ns", "reserve_ns", "commit_ns"];
+    /// Per-request solve time (fresh solves only).
     pub const H_SOLVE_NS: usize = 0;
-    /// Two-phase `try_reserve` latency at commit (shard 0).
+    /// Two-phase `try_reserve` latency of the secondary debits.
     pub const H_RESERVE_NS: usize = 1;
-    /// Two-phase `commit` latency (shard 0).
+    /// Two-phase `commit` latency of the secondary debits.
     pub const H_COMMIT_NS: usize = 2;
-    /// Two-phase `abort` latency. Registered for schema completeness: the
-    /// admission commit path never aborts (a failed reserve has nothing to
-    /// abort), so this histogram stays empty.
-    pub const H_ABORT_NS: usize = 3;
-    /// Per worker: lag between a speculation finishing and its commit turn
-    /// arriving — the time results sat waiting on the sequencer.
-    pub const H_COMMIT_WAIT_NS: usize = 4;
-    /// Shard 0: coordinator blocked on the result channel with commits
-    /// pending — the "waiting on workers" share of coordinator time.
-    pub const H_COORD_WAIT_NS: usize = 5;
-    /// Per worker: blocked on the job channel — the idle share of worker
-    /// time.
-    pub const H_JOB_WAIT_NS: usize = 6;
 }
 
-/// Coordinator-side flight ring plus its dump destination.
-pub(crate) struct FlightState {
-    pub ring: FlightRecorder,
-    pub path: PathBuf,
+/// Flight ring plus its dump destination.
+struct FlightState {
+    ring: FlightRecorder,
+    path: PathBuf,
 }
 
 /// Windowed-aggregation cursor: per-window bases to diff snapshots against.
@@ -490,43 +342,36 @@ struct WindowTracker {
     interval: MetricsInterval,
     index: u64,
     window_started: Instant,
-    /// Shard-0 `requests` counter at window start, cached as a plain integer
-    /// so the per-request boundary check is one atomic load + compare (no
+    /// `requests` counter at window start, cached as a plain integer so the
+    /// per-request boundary check is one atomic load + compare (no
     /// name-keyed snapshot lookup on the hot path).
     base_requests: u64,
-    /// Coordinator shard at window start (authoritative counts, solve/commit
-    /// latencies).
-    base0: MetricsSnapshot,
-    /// All shards merged at window start (conflicts, worker activity).
-    base_all: MetricsSnapshot,
+    /// Metrics at window start (counts, solve/commit latencies).
+    base: MetricsSnapshot,
     /// Main-recorder counters at window start (solver aggregates: B&B nodes,
     /// pivots) — diffed to report per-window solver effort.
     solver_base: Vec<(String, u64)>,
 }
 
-/// Observability state threaded through the commit path: the sharded metrics
+/// Observability state threaded through the request path: the metrics
 /// (always on — recording is a couple of relaxed atomics), the metrics mode,
-/// and the optional window tracker and coordinator flight ring.
-pub(crate) struct StreamObs {
-    pub metrics: Arc<ShardedMetrics>,
-    /// Per-request events and legacy per-request recorder aggregates
-    /// (`MetricsMode::Full` — the byte-identity path).
-    pub full: bool,
+/// and the optional window tracker and flight ring.
+struct StreamObs {
+    metrics: ShardedMetrics,
+    /// Per-request events and per-request recorder aggregates
+    /// (`MetricsMode::Full`).
+    full: bool,
     window: Option<WindowTracker>,
-    pub flight: Option<FlightState>,
-    pub inject_at: Option<usize>,
+    flight: Option<FlightState>,
+    inject_at: Option<usize>,
     /// Configured plan-cache capacity (0 = off); gates the cache columns in
     /// windowed events and the `plan_cache` block of the observation.
     plan_cache_capacity: usize,
 }
 
 impl StreamObs {
-    fn new(cfg: &StreamConfig, shards: usize) -> StreamObs {
-        let metrics = Arc::new(ShardedMetrics::new(
-            pipeline_metrics::COUNTERS,
-            pipeline_metrics::HISTS,
-            shards,
-        ));
+    fn new(cfg: &StreamConfig) -> StreamObs {
+        let metrics = ShardedMetrics::new(pipeline_metrics::COUNTERS, pipeline_metrics::HISTS, 1);
         let window = match cfg.metrics {
             MetricsMode::Full => None,
             MetricsMode::Windowed(interval) => Some(WindowTracker {
@@ -534,8 +379,7 @@ impl StreamObs {
                 index: 0,
                 window_started: Instant::now(),
                 base_requests: 0,
-                base0: metrics.shard_snapshot(0),
-                base_all: metrics.snapshot(),
+                base: metrics.shard_snapshot(0),
                 solver_base: Vec::new(),
             }),
         };
@@ -552,24 +396,58 @@ impl StreamObs {
         }
     }
 
-    /// Route a per-request event: to the sink in full mode, and always into
-    /// the flight ring if one is attached. The builder only runs when
-    /// someone will observe the event.
-    fn note_event<F: Fn() -> obs::Event>(&mut self, rec: &mut Recorder, build: F) {
+    fn shard(&self) -> &MetricsShard {
+        self.metrics.shard(0)
+    }
+
+    /// Account one finished request and pass its record through: the
+    /// admitted/rejected counters, its `stream.request` event (to the sink
+    /// in full mode, always into the flight ring if one is attached; the
+    /// event is only built when someone will observe it), and the window
+    /// boundary check.
+    fn finish_request(
+        &mut self,
+        rec: &mut Recorder,
+        residual: &[f64],
+        r: RequestRecord,
+    ) -> RequestRecord {
+        use pipeline_metrics::{C_ADMITTED, C_REJECTED};
+        let (counter, name) = if r.admitted {
+            (C_ADMITTED, "stream.admitted")
+        } else {
+            (C_REJECTED, "stream.rejected")
+        };
+        self.shard().incr(counter);
         if self.full {
-            rec.emit_with(&build);
+            rec.count(name, 1);
+        }
+        let build = || {
+            let e = stream_request_event(r.id, residual).with("admitted", r.admitted);
+            if r.admitted {
+                e.with("base_reliability", r.base_reliability)
+                    .with("achieved_reliability", r.achieved_reliability)
+                    .with("met_expectation", r.met_expectation)
+                    .with("secondaries", r.secondaries)
+            } else {
+                e.with("reason", "no_primary_placement")
+            }
+        };
+        if self.full {
+            rec.emit_with(build);
         }
         if let Some(fl) = self.flight.as_mut() {
             fl.ring.push(build());
         }
+        self.after_request(rec);
+        r
     }
 
-    /// Window boundary check, run after every committed request.
+    /// Window boundary check, run after every request.
     fn after_request(&mut self, rec: &mut Recorder) {
         let Some(w) = &self.window else { return };
         let due = match w.interval {
             MetricsInterval::Requests(n) => {
-                self.metrics.shard(0).counter(pipeline_metrics::C_REQUESTS) - w.base_requests >= n
+                self.shard().counter(pipeline_metrics::C_REQUESTS) - w.base_requests >= n
             }
             // Wall-clock windows: cadence is nondeterministic by nature, but
             // window *contents* are still exact counter deltas.
@@ -583,11 +461,9 @@ impl StreamObs {
     /// Cut the current window and emit its `stream.window` summary.
     fn emit_window(&mut self, rec: &mut Recorder, final_window: bool) {
         let Some(w) = self.window.as_mut() else { return };
-        let snap0 = self.metrics.shard_snapshot(0);
-        let snap_all = self.metrics.snapshot();
-        let d0 = snap0.diff(&w.base0);
-        let d_all = snap_all.diff(&w.base_all);
-        let requests = d0.counter("requests");
+        let snap = self.metrics.shard_snapshot(0);
+        let d = snap.diff(&w.base);
+        let requests = d.counter("requests");
         if !(requests > 0 || (final_window && w.index == 0)) {
             // Empty window: emit nothing, just roll the clock forward.
             w.window_started = Instant::now();
@@ -603,10 +479,9 @@ impl StreamObs {
             })
             .collect();
         let elapsed_s = w.window_started.elapsed().as_secs_f64();
-        let q_us = |snap: &MetricsSnapshot, hist: &str, q: f64| {
-            snap.hist(hist).and_then(|h| h.quantile(q)).unwrap_or(0) / 1_000
-        };
-        let solve = d0.hist("solve_ns");
+        let q_us =
+            |hist: &str, q: f64| d.hist(hist).and_then(|h| h.quantile(q)).unwrap_or(0) / 1_000;
+        let solve = d.hist("solve_ns");
         let index = w.index;
         let cache_on = self.plan_cache_capacity > 0;
         rec.emit_with(|| {
@@ -614,106 +489,87 @@ impl StreamObs {
                 .with("window", index)
                 .with("final", final_window)
                 .with("requests", requests)
-                .with("admitted", d0.counter("admitted"))
-                .with("rejected", d0.counter("rejected.no_primary_placement"))
-                .with("speculation_hits", d0.counter("speculation.hits"))
-                .with("conflicts", d_all.counter("speculation.conflicts"))
-                .with("inline_resolves", d0.counter("solves"))
-                .with("overcommit_clamped", d0.counter("commit.overcommit_clamped"))
+                .with("admitted", d.counter("admitted"))
+                .with("rejected", d.counter("rejected.no_primary_placement"))
+                .with("inline_resolves", d.counter("solves"))
+                .with("overcommit_clamped", d.counter("commit.overcommit_clamped"))
                 .with("elapsed_s", elapsed_s)
                 .with(
                     "throughput_rps",
                     if elapsed_s > 0.0 { requests as f64 / elapsed_s } else { 0.0 },
                 )
                 .with("solve_total_s", solve.map(|h| h.sum() as f64 / 1e9).unwrap_or(0.0))
-                .with("solve_p50_us", q_us(&d0, "solve_ns", 0.50))
-                .with("solve_p90_us", q_us(&d0, "solve_ns", 0.90))
-                .with("solve_p99_us", q_us(&d0, "solve_ns", 0.99))
-                .with("reserve_p99_us", q_us(&d0, "reserve_ns", 0.99))
-                .with("commit_p99_us", q_us(&d0, "commit_ns", 0.99))
-                .with("commit_wait_p99_us", q_us(&d_all, "commit_wait_ns", 0.99));
+                .with("solve_p50_us", q_us("solve_ns", 0.50))
+                .with("solve_p90_us", q_us("solve_ns", 0.90))
+                .with("solve_p99_us", q_us("solve_ns", 0.99))
+                .with("reserve_p99_us", q_us("reserve_ns", 0.99))
+                .with("commit_p99_us", q_us("commit_ns", 0.99));
             // Cache columns only exist when the cache is on, so cache-off
-            // windowed output stays byte-identical to the pre-cache schema.
+            // windowed output keeps the pre-cache schema.
             if cache_on {
                 e = e
-                    .with("plancache_hits", d_all.counter("plancache.hits"))
-                    .with("plancache_epoch_skips", d_all.counter("plancache.epoch_skips"))
-                    .with("plancache_reject_hits", d_all.counter("plancache.reject_hits"))
-                    .with("plancache_misses", d_all.counter("plancache.misses"))
+                    .with("plancache_hits", d.counter("plancache.hits"))
+                    .with("plancache_epoch_skips", d.counter("plancache.epoch_skips"))
+                    .with("plancache_reject_hits", d.counter("plancache.reject_hits"))
+                    .with("plancache_misses", d.counter("plancache.misses"))
                     .with(
                         "plancache_validation_failures",
-                        d_all.counter("plancache.validation_failures"),
+                        d.counter("plancache.validation_failures"),
                     );
             }
             e.with("solver", serde::Value::Obj(solver_delta))
         });
-        w.base_requests = snap0.counter("requests");
-        w.base0 = snap0;
-        w.base_all = snap_all;
+        w.base_requests = snap.counter("requests");
+        w.base = snap;
         w.solver_base = solver_now;
         w.window_started = Instant::now();
         w.index += 1;
     }
 
     /// End-of-stream hook: emit the final partial window, then (in windowed
-    /// mode) bulk-load the legacy recorder aggregates from shard 0 so the
+    /// mode) bulk-load the recorder aggregates from the metrics so the
     /// `stream.admitted`/`stream.rejected` counters and the `stream.solve`
     /// timing keep working for summary tables that predate windowing.
-    pub(crate) fn finish(&mut self, rec: &mut Recorder) {
+    fn finish(&mut self, rec: &mut Recorder) {
         self.emit_window(rec, true);
         if !self.full {
-            let snap0 = self.metrics.shard_snapshot(0);
-            let admitted = snap0.counter("admitted");
-            let rejected = snap0.counter("rejected.no_primary_placement");
-            let conflicts = self.metrics.snapshot().counter("speculation.conflicts");
+            let snap = self.metrics.shard_snapshot(0);
+            let admitted = snap.counter("admitted");
+            let rejected = snap.counter("rejected.no_primary_placement");
             if admitted > 0 {
                 rec.count("stream.admitted", admitted);
             }
             if rejected > 0 {
                 rec.count("stream.rejected", rejected);
             }
-            if conflicts > 0 {
-                rec.count("stream.conflicts", conflicts);
-            }
-            if let Some(h) = snap0.hist("solve_ns") {
+            if let Some(h) = snap.hist("solve_ns") {
                 rec.record_time("stream.solve", Duration::from_nanos(h.sum()));
             }
         }
     }
 
-    /// Snapshot the sharded metrics for the caller.
-    pub(crate) fn observation(&self) -> StreamObservation {
+    /// Snapshot the metrics for the caller, with the `plancache.*` counters
+    /// aggregated into the serializable cache report when the cache is on.
+    fn observation(&self) -> StreamObservation {
+        let pipeline = self.metrics.shard_snapshot(0);
+        let plan_cache = (self.plan_cache_capacity > 0).then(|| obs::PlanCacheReport {
+            capacity: self.plan_cache_capacity as u64,
+            hits: pipeline.counter("plancache.hits"),
+            epoch_skips: pipeline.counter("plancache.epoch_skips"),
+            reject_hits: pipeline.counter("plancache.reject_hits"),
+            misses: pipeline.counter("plancache.misses"),
+            validation_failures: pipeline.counter("plancache.validation_failures"),
+            insertions: pipeline.counter("plancache.insertions"),
+            evictions: pipeline.counter("plancache.evictions"),
+        });
         StreamObservation {
-            pipeline: self.metrics.shard_snapshot(0),
-            per_worker: (1..self.metrics.shards())
-                .map(|i| self.metrics.shard_snapshot(i))
-                .collect(),
+            pipeline,
             windows: self.window.as_ref().map(|w| w.index).unwrap_or(0),
-            shard_contention: None,
-            plan_cache: self.plan_cache_report(),
+            plan_cache,
         }
     }
 
-    /// Aggregate the `plancache.*` counters across all shards into the
-    /// serializable cache-plane report (`None` when the cache is off).
-    pub(crate) fn plan_cache_report(&self) -> Option<obs::PlanCacheReport> {
-        (self.plan_cache_capacity > 0).then(|| {
-            let all = self.metrics.snapshot();
-            obs::PlanCacheReport {
-                capacity: self.plan_cache_capacity as u64,
-                hits: all.counter("plancache.hits"),
-                epoch_skips: all.counter("plancache.epoch_skips"),
-                reject_hits: all.counter("plancache.reject_hits"),
-                misses: all.counter("plancache.misses"),
-                validation_failures: all.counter("plancache.validation_failures"),
-                insertions: all.counter("plancache.insertions"),
-                evictions: all.counter("plancache.evictions"),
-            }
-        })
-    }
-
-    /// Dump the coordinator flight ring (if any) and panic — the commit
-    /// hard-error path.
+    /// Dump the flight ring (if any) and panic — the commit hard-error path.
     fn commit_hard_error(&mut self, k: usize, reason: &str) -> ! {
         if let Some(fl) = &self.flight {
             let _ = fl.ring.dump_to_path(reason, &fl.path);
@@ -722,47 +578,35 @@ impl StreamObs {
     }
 }
 
-/// Per-thread metrics snapshots of a processed stream: the coordinator shard
-/// (authoritative per-request counts, commit-path latencies, coordinator
-/// wait) plus one shard per worker (speculative solves, job wait, commit
-/// wait, conflicts attributed to the worker that speculated them). Kept
-/// per-shard rather than merged so solve time is not double-counted between
-/// a worker's speculation and the coordinator's authoritative record.
+/// Metrics of a processed stream: the per-request counts and the solve and
+/// two-phase commit latency histograms ([`pipeline_metrics`]).
 #[derive(Debug, Clone)]
 pub struct StreamObservation {
     pub pipeline: MetricsSnapshot,
-    pub per_worker: Vec<MetricsSnapshot>,
     /// `stream.window` events emitted (0 in full mode).
     pub windows: u64,
-    /// Per-capacity-shard contention attribution — `Some` only for runs of
-    /// the relaxed commit order ([`crate::relaxed`]); the deterministic
-    /// engines have no capacity shards.
-    pub shard_contention: Option<obs::ShardContentionReport>,
     /// Aggregated plan-cache counters — `Some` only when the run had
     /// `plan_cache > 0`.
     pub plan_cache: Option<obs::PlanCacheReport>,
 }
 
-/// Authoritative mutable state the commit step owns: the network residual,
-/// (when sharing is on) the deployed-instance ledger, and the observability
-/// state.
-pub(crate) struct PipelineState {
-    pub residual: Vec<f64>,
+/// Mutable state the engine owns across requests: the network residual,
+/// (when sharing is on) the deployed-instance ledger, the plan cache and the
+/// observability state.
+struct PipelineState {
+    residual: Vec<f64>,
     /// `Some` iff `share_backups`; `(VNF type, node) -> instances`.
-    pub deployed: Option<HashMap<(usize, usize), usize>>,
+    deployed: Option<HashMap<(usize, usize), usize>>,
     /// Admission plan cache, `Some` iff `cfg.plan_cache > 0`.
-    pub cache: Option<Arc<PlanCache>>,
-    /// Per-node commit epochs backing the cache's fast path. Only the
-    /// single-writer commit step ([`commit_request`]) maintains these, so they
-    /// exist exactly when the cache does.
-    pub epochs: Option<NodeEpochs>,
-    pub obs: StreamObs,
+    cache: Option<PlanCache>,
+    /// Per-node commit epochs backing the cache's fast path, maintained by
+    /// [`process_request`]; they exist exactly when the cache does.
+    epochs: Option<NodeEpochs>,
+    obs: StreamObs,
 }
 
 impl PipelineState {
-    /// `shards` counts metric owners: 1 for the sequential driver,
-    /// `workers + 1` for the parallel engine (shard 0 = coordinator).
-    pub(crate) fn new(network: &MecNetwork, cfg: &StreamConfig, shards: usize) -> Self {
+    fn new(network: &MecNetwork, cfg: &StreamConfig) -> Self {
         assert!(
             (0.0..=1.0).contains(&cfg.initial_capacity_fraction),
             "capacity fraction must be in [0, 1]"
@@ -775,45 +619,11 @@ impl PipelineState {
         PipelineState {
             residual: network.residual_capacities(cfg.initial_capacity_fraction),
             deployed: cfg.share_backups.then(HashMap::new),
-            cache: (cfg.plan_cache > 0).then(|| Arc::new(PlanCache::new(cfg.plan_cache))),
+            cache: (cfg.plan_cache > 0).then(|| PlanCache::new(cfg.plan_cache)),
             epochs: (cfg.plan_cache > 0).then(|| NodeEpochs::new(network.num_nodes())),
-            obs: StreamObs::new(cfg, shards),
+            obs: StreamObs::new(cfg),
         }
     }
-}
-
-/// How much solver telemetry a speculation captures.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum TraceLevel {
-    /// No recorder work at all (untraced runs).
-    Off,
-    /// Solver counters only (windowed mode): aggregates like B&B node and
-    /// pivot counts merge into the main recorder at commit, events are
-    /// never materialized.
-    Counters,
-    /// Full solver event capture in a private memory recorder, replayed
-    /// into the main recorder at commit in sequence order.
-    Full,
-}
-
-/// A worker's speculative result for one request, computed against a
-/// capacity snapshot. `placement: None` means the snapshot had no room for
-/// the primaries. The commit step validates the speculation against the
-/// authoritative state and reuses `outcome` only on an exact match.
-pub(crate) struct Speculation {
-    pub placement: Option<PrimaryPlacement>,
-    pub instance: Option<AugmentationInstance>,
-    pub outcome: Option<Outcome>,
-    /// Solver telemetry captured in a private recorder (traced runs only),
-    /// absorbed into the main recorder at commit in sequence order.
-    pub solver_rec: Option<Recorder>,
-    pub solve_elapsed: Duration,
-    /// Metrics shard of the thread that produced this speculation (0 when
-    /// produced inline by the coordinator/sequential driver).
-    pub worker: usize,
-    /// When the producing worker finished the speculation — the commit step
-    /// turns this into commit-wait (sequencer lag) attribution.
-    pub completed_at: Option<Instant>,
 }
 
 /// Build the augmentation instance for an admitted request: localized to the
@@ -852,127 +662,18 @@ fn build_instance(
     inst
 }
 
-/// Speculatively process request `k` against caller-owned local state:
-/// admit (applying the primaries' debits to `residual` in place), build the
-/// instance, solve. Pure in (local state, seed, k) — no shared state is
-/// touched, so workers can run this concurrently and out of order.
-#[allow(clippy::too_many_arguments)]
-fn speculate_local(
-    network: &MecNetwork,
-    catalog: &VnfCatalog,
-    cfg: &StreamConfig,
-    seed: u64,
-    k: usize,
-    req: &SfcRequest,
-    residual: &mut [f64],
-    deployed: Option<&HashMap<(usize, usize), usize>>,
-    trace: TraceLevel,
-    nbhd: &NeighborhoodIndex,
-    scratch: &mut SolveScratch,
-) -> Speculation {
-    let demands = &mut scratch.commit.demands;
-    demands.clear();
-    demands.extend(req.sfc.iter().map(|&f| catalog.demand(f)));
-    let mut admit_rng = request_rng(seed, k, ADMIT_SALT);
-    let Some(placement) =
-        random_placement_capacity_aware(network, req, demands, residual, &mut admit_rng)
-    else {
-        return Speculation {
-            placement: None,
-            instance: None,
-            outcome: None,
-            solver_rec: None,
-            solve_elapsed: Duration::ZERO,
-            worker: 0,
-            completed_at: None,
-        };
-    };
-    let inst = build_instance(network, catalog, req, &placement, residual, nbhd, deployed);
-    let mut solve_rng = request_rng(seed, k, SOLVE_SALT);
-    let mut solver_rec = match trace {
-        TraceLevel::Off => Recorder::noop(),
-        TraceLevel::Counters => Recorder::counters_only(),
-        TraceLevel::Full => Recorder::memory(),
-    };
-    let solve_started = Instant::now();
-    let outcome = cfg.algorithm.solve_scratch(&inst, &mut solve_rng, &mut solver_rec, scratch);
-    Speculation {
-        placement: Some(placement),
-        instance: Some(inst),
-        outcome: Some(outcome),
-        solver_rec: (trace != TraceLevel::Off).then_some(solver_rec),
-        solve_elapsed: solve_started.elapsed(),
-        worker: 0,
-        completed_at: None,
-    }
-}
-
-/// Speculatively process a contiguous batch of requests starting at sequence
-/// position `start` against one state snapshot. Within the batch each request
-/// sees its predecessors' *simulated* commits — the same admission debits,
-/// two-phase secondary debits and deployed-ledger updates the coordinator
-/// will apply, computed on a worker-local copy — so intra-batch speculations
-/// stay valid whenever the snapshot itself does. Correctness never depends on
-/// that: commit-time validation is unchanged, so a stale simulation only
-/// costs an inline re-solve.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn speculate_batch(
-    network: &MecNetwork,
-    catalog: &VnfCatalog,
-    cfg: &StreamConfig,
-    seed: u64,
-    start: usize,
-    reqs: &[SfcRequest],
-    residual_snapshot: &[f64],
-    deployed_snapshot: Option<&HashMap<(usize, usize), usize>>,
-    trace: TraceLevel,
-    nbhd: &NeighborhoodIndex,
-    scratch: &mut SolveScratch,
-) -> Vec<Speculation> {
-    let mut residual = residual_snapshot.to_vec();
-    let mut deployed = deployed_snapshot.cloned();
-    let mut specs = Vec::with_capacity(reqs.len());
-    for (off, req) in reqs.iter().enumerate() {
-        let spec = speculate_local(
-            network,
-            catalog,
-            cfg,
-            seed,
-            start + off,
-            req,
-            &mut residual,
-            deployed.as_ref(),
-            trace,
-            nbhd,
-            scratch,
-        );
-        if let (Some(placement), Some(inst), Some(outcome)) =
-            (&spec.placement, &spec.instance, &spec.outcome)
-        {
-            apply_secondary_debits(network, &mut residual, inst, outcome, None);
-            if let Some(deployed) = deployed.as_mut() {
-                apply_deployed_updates(deployed, req, placement, inst, outcome);
-            }
-        }
-        specs.push(spec);
-    }
-    specs
-}
-
 /// Debit an admitted request's secondary loads against `residual` through the
 /// network's two-phase reserve/commit ledger, falling back to the legacy
 /// clamp-at-zero on overcommit (only the randomized rounding can overcommit).
-/// Shared verbatim by the authoritative commit and the worker-local batch
-/// simulation, so both walk the identical floating-point path. When `timing`
-/// is supplied (the authoritative commit), the `try_reserve`/`commit`
-/// latencies land in its `reserve_ns`/`commit_ns` histograms. Returns whether
-/// the overcommit fallback fired.
+/// The `try_reserve`/`commit` latencies land in `timing`'s
+/// `reserve_ns`/`commit_ns` histograms. Returns whether the overcommit
+/// fallback fired.
 fn apply_secondary_debits(
     network: &MecNetwork,
     residual: &mut [f64],
     inst: &AugmentationInstance,
     outcome: &Outcome,
-    timing: Option<&obs::MetricsShard>,
+    timing: &MetricsShard,
 ) -> bool {
     use pipeline_metrics::{H_COMMIT_NS, H_RESERVE_NS};
     let loads = outcome.augmentation.bin_loads(inst);
@@ -984,16 +685,12 @@ fn apply_secondary_debits(
         .collect();
     let reserve_started = Instant::now();
     let reserved = network.try_reserve(residual, &debits);
-    if let Some(shard) = timing {
-        shard.record_duration(H_RESERVE_NS, reserve_started.elapsed());
-    }
+    timing.record_duration(H_RESERVE_NS, reserve_started.elapsed());
     match reserved {
         Ok(mut reservation) => {
             let commit_started = Instant::now();
             network.commit(&mut reservation).expect("fresh reservation commits");
-            if let Some(shard) = timing {
-                shard.record_duration(H_COMMIT_NS, commit_started.elapsed());
-            }
+            timing.record_duration(H_COMMIT_NS, commit_started.elapsed());
             false
         }
         Err(_) => {
@@ -1007,7 +704,7 @@ fn apply_secondary_debits(
 }
 
 /// Fold an admitted request's primaries and secondaries into the deployed
-/// ledger (sharing mode only). Shared by commit and batch simulation.
+/// ledger (sharing mode only).
 fn apply_deployed_updates(
     deployed: &mut HashMap<(usize, usize), usize>,
     req: &SfcRequest,
@@ -1131,20 +828,17 @@ fn plan_cache_oracle_check(
     network.abort(residual, &mut resv).expect("oracle reservation aborts");
 }
 
-/// Commit request `k` against the authoritative state, in sequence order.
+/// Process request `k` against the engine state, in arrival order.
 ///
-/// Re-runs admission (cheap — it also applies the primaries' debits), then
-/// rebuilds the localized instance and compares it against the speculation.
-/// On an exact match ([`AugmentationInstance`] equality guarantees the solver
-/// would reproduce the speculated outcome bit for bit, given the same derived
-/// RNG) the speculated outcome is reused; otherwise the request is re-solved
-/// inline — which is *exactly* what the sequential pipeline would compute, so
-/// the merged result is byte-identical regardless of worker count or timing.
-/// Secondaries commit through the network's two-phase reserve/commit ledger;
-/// only the randomized algorithm can overcommit, in which case the debit
-/// falls back to the legacy clamp-at-zero semantics.
+/// A plan-cache hit (opt-in) replaces admission and solve; otherwise the
+/// request is admitted with its derived admission RNG (the primaries' debits
+/// land in the residual), its localized instance is built and solved with
+/// its derived solve RNG, and the secondaries commit through the network's
+/// two-phase reserve/commit ledger. Only the randomized algorithm can
+/// overcommit, in which case the debit falls back to the legacy
+/// clamp-at-zero semantics.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_request(
+fn process_request(
     network: &MecNetwork,
     catalog: &VnfCatalog,
     cfg: &StreamConfig,
@@ -1152,7 +846,6 @@ pub(crate) fn commit_request(
     k: usize,
     req: &SfcRequest,
     state: &mut PipelineState,
-    spec: Option<Speculation>,
     rec: &mut Recorder,
     nbhd: &NeighborhoodIndex,
     scratch: &mut SolveScratch,
@@ -1163,50 +856,21 @@ pub(crate) fn commit_request(
     if state.obs.inject_at == Some(k) {
         state.obs.commit_hard_error(k, "commit_hard_error_injected");
     }
-    state.obs.metrics.shard(0).incr(C_REQUESTS);
-    // Commit-wait attribution: how long the speculation sat finished,
-    // waiting for its sequence turn (charged to the worker that produced it).
-    if let Some(s) = &spec {
-        if let Some(done) = s.completed_at {
-            state.obs.metrics.shard(s.worker).record_duration(H_COMMIT_WAIT_NS, done.elapsed());
-        }
-    }
+    state.obs.shard().incr(C_REQUESTS);
     // --- Admission plan cache (opt-in, `cfg.plan_cache > 0`) ---------------
-    // Consulted only here, in sequence order, so the cache always sees the
-    // residual history the sequential driver would produce. A hit bypasses
-    // admission + solve entirely; any validation failure falls through to the
-    // fresh path below, which repopulates the entry.
-    if let Some(cache) = state.cache.clone() {
+    // A hit bypasses admission + solve entirely; any validation failure falls
+    // through to the fresh path below, which repopulates the entry.
+    if let Some(cache) = state.cache.as_mut() {
         // Reject gate: stream residuals never increase, so once a full-scan
         // rejection measured a maximum cloudlet residual below this chain's
         // largest per-function demand, admission cannot possibly succeed.
         let max_demand = req.sfc.iter().map(|&f| catalog.demand(f)).fold(0.0f64, f64::max);
         if cache.gate_rejects(max_demand) {
-            let shard = state.obs.metrics.shard(0);
-            shard.incr(C_PC_REJECT_HITS);
-            shard.incr(C_REJECTED);
-            if state.obs.full {
-                rec.count("stream.rejected", 1);
-            }
-            let residual = &state.residual;
-            let id = req.id;
-            state.obs.note_event(rec, || {
-                stream_request_event(id, residual)
-                    .with("admitted", false)
-                    .with("reason", "no_primary_placement")
-            });
-            state.obs.after_request(rec);
-            return RequestRecord {
-                id: req.id,
-                admitted: false,
-                base_reliability: 0.0,
-                achieved_reliability: 0.0,
-                met_expectation: false,
-                secondaries: 0,
-            };
+            state.obs.shard().incr(C_PC_REJECT_HITS);
+            return state.obs.finish_request(rec, &state.residual, RequestRecord::rejected(req.id));
         }
         let pkey = PlanKey::for_request(req, cfg.l);
-        let epochs = state.epochs.as_ref();
+        let epochs = state.epochs.as_mut();
         let residual = &mut state.residual;
         let mut epoch_skip = false;
         let probe = cache.probe(&pkey, &req.sfc, |entry| {
@@ -1226,7 +890,7 @@ pub(crate) fn commit_request(
             // so its precomputed `refit` flag alone certifies feasibility;
             // otherwise replay the debits through the same two-phase ledger a
             // fresh commit uses.
-            if entry.refit && epochs.is_some_and(|e| entry.epochs_unchanged(e)) {
+            if entry.refit && epochs.as_deref().is_some_and(|e| entry.epochs_unchanged(e)) {
                 for &(node, amount) in &entry.debits {
                     let v = node.index();
                     residual[v] = (residual[v] - amount).max(0.0);
@@ -1242,47 +906,28 @@ pub(crate) fn commit_request(
                 }
                 entry.stamp(e, |idx| residual[idx]);
             }
-            Some((entry.base_reliability, achieved, entry.secondaries))
+            Some(RequestRecord {
+                id: req.id,
+                admitted: true,
+                base_reliability: entry.base_reliability,
+                achieved_reliability: achieved,
+                met_expectation: true,
+                secondaries: entry.secondaries,
+            })
         });
         match probe {
-            Probe::Hit((base, achieved, secondaries)) => {
-                let shard = state.obs.metrics.shard(0);
-                shard.incr(C_PC_HITS);
+            Probe::Hit(r) => {
+                state.obs.shard().incr(C_PC_HITS);
                 if epoch_skip {
-                    shard.incr(C_PC_EPOCH_SKIPS);
+                    state.obs.shard().incr(C_PC_EPOCH_SKIPS);
                 }
-                shard.incr(C_ADMITTED);
-                if state.obs.full {
-                    rec.count("stream.admitted", 1);
-                }
-                let residual = &state.residual;
-                let id = req.id;
-                state.obs.note_event(rec, || {
-                    stream_request_event(id, residual)
-                        .with("admitted", true)
-                        .with("base_reliability", base)
-                        .with("achieved_reliability", achieved)
-                        .with("met_expectation", true)
-                        .with("secondaries", secondaries)
-                });
-                state.obs.after_request(rec);
-                return RequestRecord {
-                    id: req.id,
-                    admitted: true,
-                    base_reliability: base,
-                    achieved_reliability: achieved,
-                    met_expectation: true,
-                    secondaries,
-                };
+                return state.obs.finish_request(rec, &state.residual, r);
             }
             Probe::Stale => {
-                let shard = state.obs.metrics.shard(0);
-                shard.incr(C_PC_MISSES);
-                shard.incr(C_PC_VALIDATION_FAILURES);
+                state.obs.shard().incr(C_PC_MISSES);
+                state.obs.shard().incr(C_PC_VALIDATION_FAILURES);
             }
-            Probe::Miss => {
-                state.obs.metrics.shard(0).incr(C_PC_MISSES);
-            }
+            Probe::Miss => state.obs.shard().incr(C_PC_MISSES),
         }
     }
     let demands = &mut scratch.commit.demands;
@@ -1292,11 +937,7 @@ pub(crate) fn commit_request(
     let Some(placement) =
         random_placement_capacity_aware(network, req, demands, &mut state.residual, &mut admit_rng)
     else {
-        state.obs.metrics.shard(0).incr(C_REJECTED);
-        if state.obs.full {
-            rec.count("stream.rejected", 1);
-        }
-        if let Some(cache) = &state.cache {
+        if let Some(cache) = state.cache.as_mut() {
             // Full-scan rejection: calibrate the reject gate with the live
             // maximum cloudlet residual.
             let m = network
@@ -1306,22 +947,7 @@ pub(crate) fn commit_request(
                 .fold(0.0f64, f64::max);
             cache.observe_max_residual(m);
         }
-        let residual = &state.residual;
-        let id = req.id;
-        state.obs.note_event(rec, || {
-            stream_request_event(id, residual)
-                .with("admitted", false)
-                .with("reason", "no_primary_placement")
-        });
-        state.obs.after_request(rec);
-        return RequestRecord {
-            id: req.id,
-            admitted: false,
-            base_reliability: 0.0,
-            achieved_reliability: 0.0,
-            met_expectation: false,
-            secondaries: 0,
-        };
+        return state.obs.finish_request(rec, &state.residual, RequestRecord::rejected(req.id));
     };
     let inst = build_instance(
         network,
@@ -1332,73 +958,41 @@ pub(crate) fn commit_request(
         nbhd,
         state.deployed.as_ref(),
     );
-    let speculated = spec.is_some();
-    let valid = match &spec {
-        Some(s) => s.placement.as_ref() == Some(&placement) && s.instance.as_ref() == Some(&inst),
-        None => false,
-    };
-    let (outcome, solver_rec, solve_elapsed) = if valid {
-        state.obs.metrics.shard(0).incr(C_SPEC_HITS);
-        let s = spec.unwrap();
-        (s.outcome.unwrap(), s.solver_rec, s.solve_elapsed)
-    } else {
-        if speculated {
-            // Conflict-induced re-solve, attributed to the worker whose
-            // speculation went stale.
-            state.obs.metrics.shard(spec.as_ref().unwrap().worker).incr(C_CONFLICTS);
-            if state.obs.full {
-                rec.count("stream.conflicts", 1);
-            }
-        }
-        state.obs.metrics.shard(0).incr(C_SOLVES);
-        let mut solve_rng = request_rng(seed, k, SOLVE_SALT);
-        let mut solver_rec = if !rec.enabled() {
-            Recorder::noop()
-        } else if state.obs.full {
-            Recorder::memory()
-        } else {
-            Recorder::counters_only()
-        };
-        let solve_started = Instant::now();
-        let outcome = cfg.algorithm.solve_scratch(&inst, &mut solve_rng, &mut solver_rec, scratch);
-        (outcome, rec.enabled().then_some(solver_rec), solve_started.elapsed())
-    };
-    if let Some(solver_rec) = solver_rec {
+    state.obs.shard().incr(C_SOLVES);
+    let mut solve_rng = request_rng(seed, k, SOLVE_SALT);
+    // Full mode traces solver events straight into `rec`; windowed mode keeps
+    // solver counters only, so the trace stays bounded.
+    let mut windowed_rec = (!state.obs.full && rec.enabled()).then(Recorder::counters_only);
+    let solver_rec = windowed_rec.as_mut().unwrap_or(&mut *rec);
+    let solve_started = Instant::now();
+    let outcome = cfg.algorithm.solve_scratch(&inst, &mut solve_rng, solver_rec, scratch);
+    let solve_elapsed = solve_started.elapsed();
+    if let Some(solver_rec) = windowed_rec {
         rec.absorb(solver_rec);
     }
-    state.obs.metrics.shard(0).record_duration(H_SOLVE_NS, solve_elapsed);
+    state.obs.shard().record_duration(H_SOLVE_NS, solve_elapsed);
     if state.obs.full {
         rec.record_time("stream.solve", solve_elapsed);
-        rec.time_sample("stream.solve", solve_elapsed);
     }
     // Commit the secondaries' consumption through the two-phase ledger —
-    // all-or-nothing against the authoritative residual. The feasible
-    // algorithms never exceed the bin residuals the instance advertised; the
-    // randomized rounding may, and then the debit falls back to the legacy
-    // clamp-at-zero (the overcommit shows up as unmet expectations later in
-    // the stream, not as negative capacity).
-    let clamped = apply_secondary_debits(
-        network,
-        &mut state.residual,
-        &inst,
-        &outcome,
-        Some(state.obs.metrics.shard(0)),
-    );
+    // all-or-nothing against the residual. The feasible algorithms never
+    // exceed the bin residuals the instance advertised; the randomized
+    // rounding may, and then the debit falls back to the legacy clamp-at-zero
+    // (the overcommit shows up as unmet expectations later in the stream, not
+    // as negative capacity).
+    let clamped =
+        apply_secondary_debits(network, &mut state.residual, &inst, &outcome, state.obs.shard());
     if clamped {
-        state.obs.metrics.shard(0).incr(C_OVERCOMMIT);
+        state.obs.shard().incr(C_OVERCOMMIT);
     }
     if let Some(deployed) = state.deployed.as_mut() {
         apply_deployed_updates(deployed, req, &placement, &inst, &outcome);
-    }
-    state.obs.metrics.shard(0).incr(C_ADMITTED);
-    if state.obs.full {
-        rec.count("stream.admitted", 1);
     }
     // Maintain the plan cache: every permanent residual decrease bumps the
     // touched nodes' epochs (the fast path is only sound if *all* decreases
     // are visible), and a threshold-meeting, unclamped plan (re)populates the
     // entry for its key.
-    if let Some(cache) = &state.cache {
+    if let (Some(cache), Some(epochs)) = (state.cache.as_mut(), state.epochs.as_mut()) {
         let loads = outcome.augmentation.bin_loads(&inst);
         let mut raw: Vec<(NodeId, f64)> = Vec::with_capacity(req.sfc.len() + loads.len());
         for (&f, &node) in req.sfc.iter().zip(&placement.locations) {
@@ -1409,10 +1003,8 @@ pub(crate) fn commit_request(
                 raw.push((inst.bins[bin_idx].node, load));
             }
         }
-        if let Some(epochs) = &state.epochs {
-            for &(node, _) in &raw {
-                epochs.bump(node.index());
-            }
+        for &(node, _) in &raw {
+            epochs.bump(node.index());
         }
         if outcome.metrics.met_expectation && !clamped {
             let mut entry = PlanEntry::new(
@@ -1425,78 +1017,29 @@ pub(crate) fn commit_request(
                 outcome.metrics.reliability,
                 outcome.metrics.paper_cost,
             );
-            if let Some(epochs) = &state.epochs {
-                let residual = &state.residual;
-                entry.stamp(epochs, |idx| residual[idx]);
-            }
-            let shard = state.obs.metrics.shard(0);
-            shard.incr(C_PC_INSERTIONS);
+            let residual = &state.residual;
+            entry.stamp(epochs, |idx| residual[idx]);
+            state.obs.shard().incr(C_PC_INSERTIONS);
             if cache.insert(entry) {
-                shard.incr(C_PC_EVICTIONS);
+                state.obs.shard().incr(C_PC_EVICTIONS);
             }
         }
     }
-    // Unlike the legacy event this one carries no wall-clock field
-    // (`solve_s`): the JSONL stream must be byte-identical across worker
-    // counts, and wall time is the one thing speculation cannot replay.
-    // Solve time still lands in the `stream.solve` timing aggregate.
-    {
-        let residual = &state.residual;
-        let id = req.id;
-        let metrics = &outcome.metrics;
-        state.obs.note_event(rec, || {
-            stream_request_event(id, residual)
-                .with("admitted", true)
-                .with("base_reliability", metrics.base_reliability)
-                .with("achieved_reliability", metrics.reliability)
-                .with("met_expectation", metrics.met_expectation)
-                .with("secondaries", metrics.total_secondaries)
-        });
-    }
-    state.obs.after_request(rec);
-    RequestRecord {
+    let metrics = &outcome.metrics;
+    let r = RequestRecord {
         id: req.id,
         admitted: true,
-        base_reliability: outcome.metrics.base_reliability,
-        achieved_reliability: outcome.metrics.reliability,
-        met_expectation: outcome.metrics.met_expectation,
-        secondaries: outcome.metrics.total_secondaries,
-    }
+        base_reliability: metrics.base_reliability,
+        achieved_reliability: metrics.reliability,
+        met_expectation: metrics.met_expectation,
+        secondaries: metrics.total_secondaries,
+    };
+    state.obs.finish_request(rec, &state.residual, r)
 }
 
-/// Sequential reference implementation of the seeded pipeline.
-///
-/// Same contract as [`process_stream`] but with per-request derived RNGs
-/// instead of one shared stream: the result depends only on `(network,
-/// catalog, requests, cfg, seed)`, never on how randomness interleaves.
-/// [`crate::parallel::process_stream_parallel`] is byte-identical to this for
-/// every worker count.
+/// [`process_stream_seeded_sink`] over a request slice, collecting every
+/// record into a [`StreamOutcome`].
 pub fn process_stream_seeded(
-    network: &MecNetwork,
-    catalog: &VnfCatalog,
-    requests: &[SfcRequest],
-    cfg: &StreamConfig,
-    seed: u64,
-) -> StreamOutcome {
-    process_stream_seeded_traced(network, catalog, requests, cfg, seed, &mut Recorder::noop())
-}
-
-/// [`process_stream_seeded`] with telemetry; the event stream is identical to
-/// the parallel engine's after its deterministic merge.
-pub fn process_stream_seeded_traced(
-    network: &MecNetwork,
-    catalog: &VnfCatalog,
-    requests: &[SfcRequest],
-    cfg: &StreamConfig,
-    seed: u64,
-    rec: &mut Recorder,
-) -> StreamOutcome {
-    process_stream_seeded_observed(network, catalog, requests, cfg, seed, rec).0
-}
-
-/// [`process_stream_seeded_traced`] returning the per-shard metrics
-/// observation alongside the outcome.
-pub fn process_stream_seeded_observed(
     network: &MecNetwork,
     catalog: &VnfCatalog,
     requests: &[SfcRequest],
@@ -1517,13 +1060,33 @@ pub fn process_stream_seeded_observed(
     (StreamOutcome { records, final_residual }, observation)
 }
 
-/// The sequential seeded driver over a *lazy* request source: requests are
-/// pulled from the iterator one at a time and each [`RequestRecord`] is
-/// handed to `on_record` instead of being collected, so a 10^6-request
-/// stream runs in O(1) memory beyond the network state (the scenario
-/// generator's `RequestStream` synthesizes request `k` on demand from a
-/// splitmix64-derived RNG, so nothing is ever materialized). The slice entry
-/// points above delegate here; results are byte-identical.
+/// Process a request stream against a shared network — the stream engine.
+///
+/// Requests are pulled from the iterator one at a time, in arrival order, and
+/// each [`RequestRecord`] is handed to `on_record` instead of being
+/// collected, so a 10^6-request stream runs in O(1) memory beyond the network
+/// state (the scenario generator's `RequestStream` synthesizes request `k` on
+/// demand from a splitmix64-derived RNG, so nothing is ever materialized).
+/// Each request is admitted with capacity-aware random primary placement
+/// (all-or-nothing), augmented with the configured algorithm against the
+/// current residual capacities, and its secondaries' consumption is committed
+/// before the next request is considered. Returns the final residuals and the
+/// run's metrics.
+///
+/// # Determinism
+///
+/// The records and the final residuals are a pure function of `(network,
+/// catalog, requests, cfg, seed)`: request `k` draws its admission and solve
+/// randomness from RNGs derived from `(seed, k)` alone, and telemetry never
+/// feeds back into a decision. Running the same stream under
+/// `Recorder::noop()`, a memory or JSONL recorder, windowed metrics or a
+/// flight ring gives equal records and bit-equal residuals. In
+/// `MetricsMode::Full` the event stream is byte-identical across runs too:
+/// per-request events carry no wall-clock field (solve time goes only to the
+/// `stream.solve` timing and the `solve_ns` histogram). A plan cache
+/// (`plan_cache > 0`) keeps the run deterministic, but its records differ
+/// from the uncached run's. `tests/engine_stream_identity.rs` checks this
+/// guarantee and pins the record hashes of a zoo stream.
 pub fn process_stream_seeded_sink(
     network: &MecNetwork,
     catalog: &VnfCatalog,
@@ -1533,11 +1096,11 @@ pub fn process_stream_seeded_sink(
     rec: &mut Recorder,
     on_record: &mut dyn FnMut(RequestRecord),
 ) -> (Vec<f64>, StreamObservation) {
-    let mut state = PipelineState::new(network, cfg, 1);
+    let mut state = PipelineState::new(network, cfg);
     let nbhd = network.neighborhood_index(cfg.l);
     let mut scratch = SolveScratch::new();
     for (k, req) in requests.into_iter().enumerate() {
-        let record = commit_request(
+        on_record(process_request(
             network,
             catalog,
             cfg,
@@ -1545,12 +1108,10 @@ pub fn process_stream_seeded_sink(
             k,
             &req,
             &mut state,
-            None,
             rec,
             &nbhd,
             &mut scratch,
-        );
-        on_record(record);
+        ));
     }
     state.obs.finish(rec);
     let observation = state.obs.observation();
@@ -1593,12 +1154,22 @@ mod tests {
         (0..n).map(|i| SfcRequest::random(i, cat, (2, 2), 0.99, nodes, &mut rng)).collect()
     }
 
+    /// Untraced run of the engine over a request slice.
+    fn run(
+        net: &MecNetwork,
+        cat: &VnfCatalog,
+        reqs: &[SfcRequest],
+        cfg: &StreamConfig,
+        seed: u64,
+    ) -> StreamOutcome {
+        process_stream_seeded(net, cat, reqs, cfg, seed, &mut Recorder::noop()).0
+    }
+
     #[test]
     fn stream_admits_until_capacity_runs_out() {
         let (net, cat) = setup();
         let reqs = make_requests(40, &cat, net.num_nodes(), 7);
-        let mut rng = StdRng::seed_from_u64(2);
-        let out = process_stream(&net, &cat, &reqs, &StreamConfig::default(), &mut rng);
+        let out = run(&net, &cat, &reqs, &StreamConfig::default(), 2);
         assert_eq!(out.records.len(), 40);
         assert!(out.admitted() > 0, "some requests must fit");
         assert!(out.rejected() > 0, "40 chains cannot all fit in ~10 GHz");
@@ -1613,8 +1184,7 @@ mod tests {
     fn early_requests_get_better_reliability() {
         let (net, cat) = setup();
         let reqs = make_requests(30, &cat, net.num_nodes(), 8);
-        let mut rng = StdRng::seed_from_u64(3);
-        let out = process_stream(&net, &cat, &reqs, &StreamConfig::default(), &mut rng);
+        let out = run(&net, &cat, &reqs, &StreamConfig::default(), 3);
         let admitted: Vec<&RequestRecord> = out.records.iter().filter(|r| r.admitted).collect();
         assert!(admitted.len() >= 4);
         let half = admitted.len() / 2;
@@ -1632,9 +1202,8 @@ mod tests {
     fn rejected_when_no_capacity_at_all() {
         let (net, cat) = setup();
         let reqs = make_requests(3, &cat, net.num_nodes(), 9);
-        let mut rng = StdRng::seed_from_u64(4);
         let cfg = StreamConfig { initial_capacity_fraction: 0.0, ..Default::default() };
-        let out = process_stream(&net, &cat, &reqs, &cfg, &mut rng);
+        let out = run(&net, &cat, &reqs, &cfg, 4);
         assert_eq!(out.admitted(), 0);
         assert_eq!(out.mean_reliability(), None);
         assert_eq!(out.expectation_rate(), None);
@@ -1650,9 +1219,8 @@ mod tests {
             Algorithm::Heuristic(Default::default()),
             Algorithm::Greedy(Default::default()),
         ] {
-            let mut rng = StdRng::seed_from_u64(5);
             let cfg = StreamConfig { algorithm, ..Default::default() };
-            let out = process_stream(&net, &cat, &reqs, &cfg, &mut rng);
+            let out = run(&net, &cat, &reqs, &cfg, 5);
             assert_eq!(out.records.len(), 6);
             for r in out.records.iter().filter(|r| r.admitted) {
                 assert!(r.achieved_reliability >= r.base_reliability - 1e-12);
@@ -1667,13 +1235,12 @@ mod tests {
         // with fewer new secondaries.
         let (net, cat) = setup();
         let reqs = make_requests(25, &cat, net.num_nodes(), 21);
-        let run = |share: bool| {
-            let mut rng = StdRng::seed_from_u64(9);
-            let cfg = StreamConfig { share_backups: share, ..Default::default() };
-            process_stream(&net, &cat, &reqs, &cfg, &mut rng)
+        let share = |share_backups: bool| {
+            let cfg = StreamConfig { share_backups, ..Default::default() };
+            run(&net, &cat, &reqs, &cfg, 9)
         };
-        let plain = run(false);
-        let shared = run(true);
+        let plain = share(false);
+        let shared = share(true);
         // Sharing never hurts: fewer secondaries in total for at least the
         // same overall reliability mass.
         let total_secondaries =
@@ -1693,10 +1260,9 @@ mod tests {
         // Two identical one-function requests on the same cloudlet: with
         // sharing the second sees the first's instances as existing backups.
         let (net, cat) = setup();
-        let mut rng = StdRng::seed_from_u64(33);
         let reqs = make_requests(2, &cat, net.num_nodes(), 34);
         let cfg = StreamConfig { share_backups: true, ..Default::default() };
-        let out = process_stream(&net, &cat, &reqs, &cfg, &mut rng);
+        let out = run(&net, &cat, &reqs, &cfg, 33);
         // No assertion on specifics (placement is random); the invariant is
         // that reliabilities remain valid probabilities and records complete.
         for r in &out.records {
@@ -1708,10 +1274,9 @@ mod tests {
     fn traced_stream_emits_one_event_per_request() {
         let (net, cat) = setup();
         let reqs = make_requests(15, &cat, net.num_nodes(), 12);
-        let mut rng = StdRng::seed_from_u64(13);
         let mut rec = Recorder::memory();
-        let out =
-            process_stream_traced(&net, &cat, &reqs, &StreamConfig::default(), &mut rng, &mut rec);
+        let (out, _) =
+            process_stream_seeded(&net, &cat, &reqs, &StreamConfig::default(), 13, &mut rec);
         let req_events: Vec<_> =
             rec.events().iter().filter(|e| e.kind == "stream.request").collect();
         assert_eq!(req_events.len(), reqs.len(), "exactly one stream.request event per request");
@@ -1724,7 +1289,7 @@ mod tests {
             if e.field("admitted").unwrap().as_bool() == Some(false) {
                 assert_eq!(e.field("reason").unwrap().as_str(), Some("no_primary_placement"));
             } else {
-                assert!(e.field("solve_s").unwrap().as_f64().is_some());
+                assert!(e.field("solve_s").is_none(), "events carry no wall-clock field");
                 assert!(e.field("secondaries").unwrap().as_u64().is_some());
             }
             assert!(e.field("residual_total").unwrap().as_f64().unwrap() >= 0.0);
@@ -1740,7 +1305,7 @@ mod tests {
             ..Default::default()
         };
         let mut rec = Recorder::memory();
-        let (out, ob) = process_stream_seeded_observed(&net, &cat, &reqs, &cfg, 17, &mut rec);
+        let (out, ob) = process_stream_seeded(&net, &cat, &reqs, &cfg, 17, &mut rec);
         assert!(
             rec.events().iter().all(|e| e.kind == "stream.window"),
             "windowed mode must suppress per-request events"
@@ -1774,7 +1339,7 @@ mod tests {
             ..Default::default()
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_stream_seeded(&net, &cat, &reqs, &cfg, 19)
+            run(&net, &cat, &reqs, &cfg, 19)
         }));
         assert!(result.is_err(), "injected commit hard error must panic");
         let dump =
@@ -1804,8 +1369,7 @@ mod tests {
             .map(|i| SfcRequest::new(i, vec![VnfTypeId(1)], 0.99, NodeId(3), NodeId(12)))
             .collect();
         let cfg = StreamConfig { plan_cache: 16, ..Default::default() };
-        let (out, ob) =
-            process_stream_seeded_observed(&net, &cat, &reqs, &cfg, 41, &mut Recorder::noop());
+        let (out, ob) = process_stream_seeded(&net, &cat, &reqs, &cfg, 41, &mut Recorder::noop());
         let report = ob.plan_cache.expect("cache report present when enabled");
         assert!(report.hits > 0, "identical requests must hit: {report:?}");
         assert_eq!(
@@ -1852,8 +1416,7 @@ mod tests {
             "fixture requests must share a plan key"
         );
         let cfg = StreamConfig { plan_cache: 16, ..Default::default() };
-        let (out, ob) =
-            process_stream_seeded_observed(&net, &cat, &reqs, &cfg, 43, &mut Recorder::noop());
+        let (out, ob) = process_stream_seeded(&net, &cat, &reqs, &cfg, 43, &mut Recorder::noop());
         // Whatever path each request took, an admitted record that claims
         // `met_expectation` must actually clear that request's expectation.
         for (r, req) in out.records.iter().zip(&reqs) {
@@ -1877,19 +1440,15 @@ mod tests {
         let (net, cat) = setup();
         let reqs = make_requests(2, &cat, net.num_nodes(), 50);
         let cfg = StreamConfig { plan_cache: 8, share_backups: true, ..Default::default() };
-        let _ = process_stream_seeded(&net, &cat, &reqs, &cfg, 1);
+        let _ = run(&net, &cat, &reqs, &cfg, 1);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let (net, cat) = setup();
         let reqs = make_requests(10, &cat, net.num_nodes(), 11);
-        let run = || {
-            let mut rng = StdRng::seed_from_u64(6);
-            process_stream(&net, &cat, &reqs, &StreamConfig::default(), &mut rng)
-        };
-        let a = run();
-        let b = run();
+        let a = run(&net, &cat, &reqs, &StreamConfig::default(), 6);
+        let b = run(&net, &cat, &reqs, &StreamConfig::default(), 6);
         assert_eq!(a.admitted(), b.admitted());
         assert_eq!(a.final_residual, b.final_residual);
     }

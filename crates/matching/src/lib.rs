@@ -22,7 +22,6 @@
 //! * [`brute`] — exponential exact search for tiny graphs, the property-test
 //!   oracle.
 
-pub mod auction;
 pub mod b_matching;
 pub mod bipartite;
 pub mod brute;

@@ -72,28 +72,9 @@ pub fn random_placement_capacity_aware<R: Rng + ?Sized>(
     residual: &mut [f64],
     rng: &mut R,
 ) -> Option<PrimaryPlacement> {
-    random_placement_capacity_aware_within(net, request, demands, net.cloudlet_ids(), residual, rng)
-}
-
-/// [`random_placement_capacity_aware`] restricted to an explicit candidate
-/// set: each primary goes to a uniformly random member of `candidates` whose
-/// remaining capacity fits, with the identical two-scan draw discipline (so
-/// with `candidates == net.cloudlet_ids()` the RNG stream — and therefore the
-/// placement — is bit-identical to the unrestricted version). This is the
-/// locality-first admission of the relaxed commit path: candidates are the
-/// request's `N_l^+(source)` cloudlet footprint, keeping every debit inside
-/// the footprint's shard(s).
-pub fn random_placement_capacity_aware_within<R: Rng + ?Sized>(
-    net: &MecNetwork,
-    request: &SfcRequest,
-    demands: &[f64],
-    candidates: &[NodeId],
-    residual: &mut [f64],
-    rng: &mut R,
-) -> Option<PrimaryPlacement> {
     assert_eq!(demands.len(), request.len(), "one demand per chain position");
     assert_eq!(residual.len(), net.num_nodes());
-    let cloudlets = candidates;
+    let cloudlets = net.cloudlet_ids();
     let mut locations: Vec<NodeId> = Vec::with_capacity(request.len());
     for (&_f, &demand) in request.sfc.iter().zip(demands) {
         // Two scans instead of materializing the feasible list: count the

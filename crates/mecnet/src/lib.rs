@@ -30,7 +30,6 @@ pub mod graph;
 pub mod neighborhood;
 pub mod network;
 pub mod request;
-pub mod shard;
 pub mod stats;
 pub mod topology;
 pub mod transit_stub;
@@ -41,5 +40,4 @@ pub use graph::{Graph, NodeId};
 pub use neighborhood::NeighborhoodIndex;
 pub use network::{MecNetwork, NodeEpochs, Reservation, ReservationState, ReserveError};
 pub use request::{chain_signature, SfcRequest};
-pub use shard::{FootprintClass, ShardPartition, ShardedCapacity};
 pub use vnf::{VnfCatalog, VnfType, VnfTypeId};

@@ -21,9 +21,8 @@ pub enum ReservationState {
 
 /// A two-phase capacity reservation: the set of per-node debits
 /// [`MecNetwork::try_reserve`] applied to a residual vector, awaiting
-/// [`MecNetwork::commit`] or [`MecNetwork::abort`]. The parallel admission
-/// pipeline reserves speculatively-solved secondary loads through this and
-/// commits them strictly in request-sequence order.
+/// [`MecNetwork::commit`] or [`MecNetwork::abort`]. The stream engine debits
+/// every admitted request's secondary loads through this ledger.
 #[derive(Debug)]
 #[must_use = "a pending reservation holds capacity until committed or aborted"]
 pub struct Reservation {
@@ -59,18 +58,15 @@ impl Reservation {
 /// The plan cache stamps entries with the epochs of the nodes a plan touches;
 /// a later hit whose stamps are unchanged knows the residuals at those nodes
 /// are exactly what they were when the entry was last validated, so it can
-/// skip the feasibility re-walk entirely. Counters are atomics so the sharded
-/// capacity plane can bump them from concurrent committers.
-#[derive(Debug)]
+/// skip the feasibility re-walk entirely.
+#[derive(Debug, Clone)]
 pub struct NodeEpochs {
-    epochs: Vec<std::sync::atomic::AtomicU64>,
+    epochs: Vec<u64>,
 }
 
 impl NodeEpochs {
     pub fn new(num_nodes: usize) -> Self {
-        NodeEpochs {
-            epochs: (0..num_nodes).map(|_| std::sync::atomic::AtomicU64::new(0)).collect(),
-        }
+        NodeEpochs { epochs: vec![0; num_nodes] }
     }
 
     pub fn len(&self) -> usize {
@@ -83,12 +79,12 @@ impl NodeEpochs {
 
     /// Current epoch of node `idx`.
     pub fn get(&self, idx: usize) -> u64 {
-        self.epochs[idx].load(std::sync::atomic::Ordering::Acquire)
+        self.epochs[idx]
     }
 
     /// Record a permanent residual decrease at node `idx`.
-    pub fn bump(&self, idx: usize) {
-        self.epochs[idx].fetch_add(1, std::sync::atomic::Ordering::AcqRel);
+    pub fn bump(&mut self, idx: usize) {
+        self.epochs[idx] += 1;
     }
 }
 

@@ -25,7 +25,7 @@ pub struct SfcRequest {
     pub chain_sig: u64,
 }
 
-/// splitmix64 finalizer — the same mixer the stream engines use for seed
+/// splitmix64 finalizer — the same mixer the stream engine uses for seed
 /// derivation, so chain signatures share their avalanche quality.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);

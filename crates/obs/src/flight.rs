@@ -1,9 +1,9 @@
 //! Flight recorder: a bounded ring of recent raw events, dumped only on
-//! failure (panic, commit hard-error, SLO violation).
+//! failure (commit hard error, SLO violation).
 //!
 //! Full tracing of a million-request run is too expensive to leave on, but
 //! when something goes wrong the *recent* raw events are exactly what a
-//! postmortem needs. Each worker keeps a [`FlightRecorder`] of the last `N`
+//! postmortem needs. An engine keeps a [`FlightRecorder`] of the last `N`
 //! events it produced; on a trigger the ring is dumped as JSONL — a
 //! `flight.dump` header line describing the trigger followed by the buffered
 //! events in arrival order.

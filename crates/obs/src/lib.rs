@@ -3,7 +3,6 @@
 //! a flight-recorder ring for postmortems, and a `Recorder` that sinks events
 //! to memory or a JSONL writer.
 
-pub mod contention;
 pub mod event;
 pub mod flight;
 pub mod metrics;
@@ -13,7 +12,6 @@ pub mod shard;
 pub mod span;
 pub mod window;
 
-pub use contention::{ShardContention, ShardContentionReport, ShardContentionRow};
 pub use event::Event;
 pub use flight::FlightRecorder;
 pub use metrics::{Counter, Distribution, Gauge};

@@ -1,11 +1,10 @@
 //! Serializable cache-plane summary for the admission plan cache
 //! (`relaug::plancache`).
 //!
-//! The engines count cache traffic in the existing lock-free pipeline metrics
+//! The stream engine counts cache traffic in its pipeline metrics
 //! (`plancache.*` counters); this report is the aggregated, serializable view
-//! that rides in `StreamObservation` and the `stream_exp` cache table. The
-//! split mirrors [`crate::contention`]: hot-path increments stay relaxed
-//! atomics, aggregation happens once per run.
+//! that rides in `StreamObservation` and the `stream_exp` cache table:
+//! hot-path increments stay relaxed atomics, aggregation happens once per run.
 
 use serde::{Deserialize, Serialize};
 

@@ -15,7 +15,7 @@ pub enum Sink {
     /// Discard everything. `enabled()` is false, so callers skip event
     /// construction entirely.
     Noop,
-    /// Keep counters/timings/samples but discard events. `enabled()` is
+    /// Keep counters/timings but discard events. `enabled()` is
     /// true — instrumented code still bumps counters (solver node counts,
     /// pivot totals) — yet no per-event memory or I/O is paid. This is the
     /// sink behind windowed metrics mode, where aggregates matter but a
@@ -35,11 +35,6 @@ pub struct Recorder {
     events_emitted: u64,
     counters: BTreeMap<&'static str, u64>,
     timings: BTreeMap<&'static str, Duration>,
-    /// Individual duration samples (seconds) behind each timing aggregate,
-    /// for percentile reporting. Deliberately NOT part of [`Telemetry`]:
-    /// wall-clock samples must never reach the byte-identity-checked JSONL
-    /// stream or `Outcome` equality.
-    samples: BTreeMap<&'static str, Vec<f64>>,
     /// Optional crash ring: every emitted event is also teed here (even when
     /// the sink discards it), so a failure can dump recent history without
     /// full tracing being on.
@@ -59,7 +54,6 @@ impl Recorder {
             events_emitted: 0,
             counters: BTreeMap::new(),
             timings: BTreeMap::new(),
-            samples: BTreeMap::new(),
             flight: None,
         }
     }
@@ -68,7 +62,7 @@ impl Recorder {
         Recorder::with_sink(Sink::Noop)
     }
 
-    /// Aggregates-only recorder: counters, timings, and samples accumulate,
+    /// Aggregates-only recorder: counters and timings accumulate,
     /// but emitted events are discarded (see [`Sink::Counters`]).
     pub fn counters_only() -> Recorder {
         Recorder::with_sink(Sink::Counters)
@@ -159,23 +153,6 @@ impl Recorder {
         }
     }
 
-    /// Record one duration sample under `name` (no-op when disabled).
-    /// Callers typically pair this with [`Recorder::record_time`]: the
-    /// aggregate feeds [`Telemetry`], the samples feed percentile summaries
-    /// via [`Recorder::time_samples`].
-    #[inline]
-    pub fn time_sample(&mut self, name: &'static str, elapsed: Duration) {
-        if self.enabled() {
-            self.samples.entry(name).or_default().push(elapsed.as_secs_f64());
-        }
-    }
-
-    /// The duration samples (seconds) recorded under `name`, in recording
-    /// order (empty if none).
-    pub fn time_samples(&self, name: &str) -> &[f64] {
-        self.samples.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Events captured by a memory sink (empty for other sinks).
     pub fn events(&self) -> &[Event] {
         match &self.sink {
@@ -201,12 +178,11 @@ impl Recorder {
 
     /// Fold another recorder into this one: its memory-captured events are
     /// re-emitted here *in their original order*, and its counters and
-    /// timings are added onto this recorder's. This is the deterministic
-    /// telemetry merge of the parallel pipeline — each worker records into a
-    /// private memory recorder, and the coordinator absorbs them strictly in
-    /// request-sequence order, so the merged stream is byte-identical to a
-    /// sequential run regardless of worker completion order. Events of a
-    /// non-memory sink cannot be replayed (they were already written
+    /// timings are added onto this recorder's. Callers that record into a
+    /// private recorder (the simulator's per-policy threads, the stream
+    /// engine's counters-only solver recorder in windowed mode) merge through
+    /// this, so the result does not depend on when the merge happens. Events
+    /// of a non-memory sink cannot be replayed (they were already written
     /// elsewhere); only its counters/timings are merged.
     pub fn absorb(&mut self, other: Recorder) {
         if let Sink::Memory(events) = other.sink {
@@ -219,9 +195,6 @@ impl Recorder {
         }
         for (name, elapsed) in other.timings {
             *self.timings.entry(name).or_insert(Duration::ZERO) += elapsed;
-        }
-        for (name, mut samples) in other.samples {
-            self.samples.entry(name).or_default().append(&mut samples);
         }
     }
 
@@ -298,25 +271,6 @@ mod tests {
         assert_eq!(t.counter("nodes"), 7);
         assert!((t.timing_s("lp") - 0.015).abs() < 1e-9);
         assert_eq!(t.counter("missing"), 0);
-    }
-
-    #[test]
-    fn time_samples_record_and_merge() {
-        let mut rec = Recorder::memory();
-        rec.time_sample("solve", Duration::from_millis(2));
-        rec.time_sample("solve", Duration::from_millis(4));
-        assert_eq!(rec.time_samples("solve").len(), 2);
-        assert!((rec.time_samples("solve")[1] - 0.004).abs() < 1e-9);
-        let mut worker = Recorder::memory();
-        worker.time_sample("solve", Duration::from_millis(8));
-        rec.absorb(worker);
-        assert_eq!(rec.time_samples("solve").len(), 3);
-        assert_eq!(rec.time_samples("missing"), &[] as &[f64]);
-        // Samples stay out of the portable summary by design.
-        assert!(rec.summary().timings_s.iter().all(|(k, _)| k != "solve"));
-        let mut off = Recorder::noop();
-        off.time_sample("solve", Duration::from_millis(1));
-        assert!(off.time_samples("solve").is_empty());
     }
 
     #[test]

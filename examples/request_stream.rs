@@ -11,7 +11,8 @@
 
 use mec_sfc_reliability::mecnet::request::SfcRequest;
 use mec_sfc_reliability::mecnet::workload::{generate_catalog, generate_network, WorkloadConfig};
-use mec_sfc_reliability::relaug::stream::{process_stream, Algorithm, StreamConfig};
+use mec_sfc_reliability::obs::Recorder;
+use mec_sfc_reliability::relaug::stream::{process_stream_seeded, Algorithm, StreamConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,9 +42,10 @@ fn main() {
         ("Greedy", Algorithm::Greedy(Default::default()), false),
         ("Heur+share", Algorithm::Heuristic(Default::default()), true),
     ] {
-        let mut rng = StdRng::seed_from_u64(7); // same arrivals for each algorithm
+        // Same engine seed, hence the same admission draws, for each algorithm.
         let cfg = StreamConfig { algorithm, share_backups: share, ..Default::default() };
-        let out = process_stream(&network, &catalog, &requests, &cfg, &mut rng);
+        let (out, _) =
+            process_stream_seeded(&network, &catalog, &requests, &cfg, 7, &mut Recorder::noop());
         let admitted: Vec<_> = out.records.iter().filter(|r| r.admitted).collect();
         let third = (admitted.len() / 3).max(1);
         let mean = |slice: &[&mec_sfc_reliability::relaug::stream::RequestRecord]| {

@@ -17,28 +17,13 @@
 //!
 //! The vendored proptest stub is deterministic (per-test-name seed, no
 //! shrinking), so this suite exercises the same 200 instances on every run.
-//!
-//! A second sweep covers the `CommitOrder::Relaxed` streaming engine: its
-//! guarantees are deliberately order-*independent* (any linearization of the
-//! admitted set is legal), so the oracle checks invariants rather than
-//! byte-identity — commit-log replay matches the final residuals, every
-//! request yields exactly one record, admitted reliabilities are well-formed
-//! and never below the bare-primaries base, and residuals stay within
-//! `[0, capacity]` on every node.
 
-use mec_sfc_reliability::mecnet::graph::NodeId;
-use mec_sfc_reliability::mecnet::vnf::{VnfCatalog, VnfType};
-use mec_sfc_reliability::mecnet::workload::{generate_network, generate_scenario, WorkloadConfig};
-use mec_sfc_reliability::mecnet::SfcRequest;
+use mec_sfc_reliability::mecnet::workload::{generate_scenario, WorkloadConfig};
 use mec_sfc_reliability::milp::BnbConfig;
-use mec_sfc_reliability::obs::Recorder;
 use mec_sfc_reliability::relaug::heuristic::{HeuristicConfig, StopRule};
 use mec_sfc_reliability::relaug::ilp::IlpConfig;
 use mec_sfc_reliability::relaug::instance::AugmentationInstance;
-use mec_sfc_reliability::relaug::parallel::{CommitOrder, ParallelConfig};
-use mec_sfc_reliability::relaug::relaxed::process_stream_relaxed_reported;
 use mec_sfc_reliability::relaug::solution::{Outcome, SolverInfo};
-use mec_sfc_reliability::relaug::stream::Algorithm;
 use mec_sfc_reliability::relaug::{greedy, heuristic, ilp, randomized, theory};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -198,96 +183,4 @@ fn heuristic_dominates_greedy_in_aggregate() {
         worst_gap <= 1e-3,
         "greedy beat the heuristic by {worst_gap} — aggregate dominance broken"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-    /// Relaxed-commit oracle: on random topologies and worker counts, the
-    /// lock-free shard-local engine must admit a *linearizable* set — the
-    /// drained commit log, replayed sequentially in tag order, reproduces
-    /// the engine's final residuals — while every order-independent
-    /// per-record and per-node invariant holds.
-    #[test]
-    fn relaxed_commit_is_a_linearization_of_the_admitted_set(
-        nodes in 16usize..=40,
-        workers in prop_oneof![Just(2usize), Just(4), Just(8)],
-        l in 1u32..=2,
-        seed in 0u64..1_000_000,
-    ) {
-        let net_cfg = WorkloadConfig { nodes, ..Default::default() };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let network = generate_network(&net_cfg, &mut rng);
-        let mut catalog = VnfCatalog::new();
-        catalog.add(VnfType { name: "fw".into(), demand_mhz: 300.0, reliability: 0.85 });
-        catalog.add(VnfType { name: "nat".into(), demand_mhz: 450.0, reliability: 0.9 });
-        catalog.add(VnfType { name: "ids".into(), demand_mhz: 600.0, reliability: 0.8 });
-        let n = network.num_nodes();
-        let requests: Vec<SfcRequest> = (0..96)
-            .map(|i| SfcRequest::random(i, &catalog, (2, 3), 0.99, n, &mut rng))
-            .collect();
-        let total = requests.len();
-
-        let mut cfg = ParallelConfig {
-            workers,
-            seed,
-            commit_order: CommitOrder::Relaxed,
-            ..Default::default()
-        };
-        cfg.stream.l = l;
-        cfg.stream.algorithm = Algorithm::Heuristic(HeuristicConfig::default());
-
-        let mut records = Vec::new();
-        let (residual, observation, report) = process_stream_relaxed_reported(
-            &network,
-            &catalog,
-            requests,
-            &cfg,
-            true,
-            &mut Recorder::noop(),
-            &mut |r| records.push(r),
-        );
-
-        // The commit log is a witness: replaying it sequentially must land
-        // on the engine's own final residuals.
-        let lin = report.linearization.as_ref().expect("verified run");
-        prop_assert!(
-            lin.replay_ok,
-            "workers={workers} l={l}: replay diverged (max deviation {:.3e} over {} entries)",
-            lin.max_deviation, lin.entries,
-        );
-
-        // Exactly one record per request, regardless of completion order.
-        let mut ids: Vec<usize> = records.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        prop_assert_eq!(ids, (0..total).collect::<Vec<_>>(), "record ids must be complete");
-
-        // Order-independent record invariants.
-        let admitted = records.iter().filter(|r| r.admitted).count();
-        for r in records.iter().filter(|r| r.admitted) {
-            prop_assert!(
-                r.base_reliability >= 0.0 && r.base_reliability <= r.achieved_reliability + 1e-12,
-                "request {}: base {} above achieved {}",
-                r.id, r.base_reliability, r.achieved_reliability,
-            );
-            prop_assert!(r.achieved_reliability <= 1.0 + 1e-12);
-        }
-        prop_assert_eq!(observation.pipeline.counter("admitted"), admitted as u64);
-        prop_assert_eq!(observation.pipeline.counter("requests"), total as u64);
-
-        // One ledger entry per admitted request; commits split across the
-        // local and straddle paths without loss.
-        prop_assert_eq!(lin.entries, admitted, "ledger entries must match admissions");
-        let totals = report.contention.totals();
-        prop_assert_eq!(totals.local_commits + totals.straddle_commits, admitted as u64);
-
-        // Capacity conservation on every node: never negative, never above
-        // the initial residual.
-        for (v, &res) in residual.iter().enumerate() {
-            let cap = network.capacity(NodeId(v));
-            prop_assert!(
-                res >= 0.0 && res <= cap + 1e-9,
-                "node {v}: residual {res} outside [0, {cap}]",
-            );
-        }
-    }
 }

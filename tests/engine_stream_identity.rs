@@ -1,45 +1,151 @@
-//! End-to-end byte-identity of the incremental matching engine: a full
-//! admission stream over zoo scenarios must produce exactly the same
-//! `RequestRecord`s — and the same final residuals, bit for bit — whether the
-//! heuristic solves its rounds with the incremental engine (default) or the
-//! historical full-rebuild path. This is the stream-level pin behind the
-//! record-hash equality the `stream_exp` harness reports.
+//! Stream-engine identity tests.
+//!
+//! * **Determinism guarantee** (see `relaug::stream::process_stream_seeded_sink`):
+//!   telemetry never feeds back into a decision, so one stream run under a
+//!   no-op recorder, full-mode JSONL tracing, windowed metrics and a flight
+//!   ring gives equal records and bit-equal residuals — and two full-mode
+//!   runs write byte-identical JSONL.
+//! * **Pinned record hashes**: the order-sensitive FNV-1a fold
+//!   (`bench_harness::fold_record_hash`) of fattree-16 over 1,500 requests,
+//!   one per algorithm, with the preset seed as engine seed. These are the
+//!   values `stream_exp --scenario fattree-16 --requests 1500` prints; any
+//!   change that moves a single record shows up here.
+//! * **Matching-engine byte-identity**: a full admission stream over zoo
+//!   scenarios produces exactly the same records — and the same final
+//!   residuals, bit for bit — whether the heuristic solves its rounds with
+//!   the incremental engine (default) or the historical full-rebuild path.
 
+use std::io::Write;
+use std::sync::{Arc, Mutex};
+
+use bench_harness::{fold_record_hash, RECORD_HASH_SEED};
+use mec_sfc_reliability::obs::{MetricsInterval, Recorder};
 use mec_sfc_reliability::relaug::heuristic::{HeuristicConfig, MatchEngine};
-use mec_sfc_reliability::relaug::stream::{process_stream_seeded, Algorithm, StreamConfig};
-use mec_sfc_reliability::scen::{RequestStream, ScenarioSpec};
+use mec_sfc_reliability::relaug::stream::{
+    process_stream_seeded, Algorithm, FlightSpec, MetricsMode, StreamConfig, StreamOutcome,
+};
+use mec_sfc_reliability::scen::{BuiltScenario, RequestStream, ScenarioSpec};
 
-fn outcome(
-    preset: &str,
+fn scenario(preset: &str) -> BuiltScenario {
+    ScenarioSpec::preset(preset).expect("known preset").build()
+}
+
+fn run(
+    built: &BuiltScenario,
     requests: u64,
-    engine: MatchEngine,
-) -> mec_sfc_reliability::relaug::stream::StreamOutcome {
-    let built = ScenarioSpec::preset(preset).expect("known preset").build();
-    let reqs: Vec<_> = RequestStream::new(&built, requests).collect();
-    let cfg = StreamConfig {
+    cfg: &StreamConfig,
+    rec: &mut Recorder,
+) -> StreamOutcome {
+    let reqs: Vec<_> = RequestStream::new(built, requests).collect();
+    process_stream_seeded(&built.network, &built.catalog, &reqs, cfg, built.spec.seed, rec).0
+}
+
+fn heuristic(engine: MatchEngine) -> StreamConfig {
+    StreamConfig {
         algorithm: Algorithm::Heuristic(HeuristicConfig { engine, ..Default::default() }),
         ..Default::default()
-    };
-    process_stream_seeded(&built.network, &built.catalog, &reqs, &cfg, built.spec.seed)
+    }
+}
+
+fn algorithms() -> [(&'static str, Algorithm); 4] {
+    [
+        ("ILP", Algorithm::Ilp(Default::default())),
+        ("Randomized", Algorithm::Randomized(Default::default())),
+        ("Heuristic", Algorithm::Heuristic(Default::default())),
+        ("Greedy", Algorithm::Greedy(Default::default())),
+    ]
+}
+
+fn assert_same_outcome(label: &str, a: &StreamOutcome, b: &StreamOutcome) {
+    assert_eq!(a.records, b.records, "{label}: request records diverge");
+    assert_eq!(a.final_residual.len(), b.final_residual.len());
+    for (v, (x, y)) in a.final_residual.iter().zip(&b.final_residual).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{label}: node {v} residual bits diverge ({x} vs {y})"
+        );
+    }
+}
+
+/// A `Write` sink whose bytes stay readable after the recorder owns it.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Full-mode run traced into JSONL; returns the outcome and the bytes.
+fn run_jsonl(built: &BuiltScenario, requests: u64, cfg: &StreamConfig) -> (StreamOutcome, Vec<u8>) {
+    let buf = SharedBuf::default();
+    let mut rec = Recorder::jsonl_writer(Box::new(buf.clone()));
+    let out = run(built, requests, cfg, &mut rec);
+    rec.flush().unwrap();
+    let bytes = buf.0.lock().unwrap().clone();
+    (out, bytes)
+}
+
+#[test]
+fn telemetry_never_changes_records_or_residuals() {
+    let built = scenario("fattree-16");
+    const N: u64 = 1500;
+    let flight_dir = std::env::temp_dir().join(format!("relaug-identity-{}", std::process::id()));
+    for (name, algorithm) in algorithms() {
+        let cfg = StreamConfig { algorithm, ..Default::default() };
+        let baseline = run(&built, N, &cfg, &mut Recorder::noop());
+
+        let (full, jsonl) = run_jsonl(&built, N, &cfg);
+        assert_same_outcome(&format!("{name} full"), &baseline, &full);
+        let (_, again) = run_jsonl(&built, N, &cfg);
+        assert!(!jsonl.is_empty());
+        assert!(jsonl == again, "{name}: two full-mode runs wrote different JSONL");
+
+        let windowed = StreamConfig {
+            metrics: MetricsMode::Windowed(MetricsInterval::Requests(100)),
+            ..cfg.clone()
+        };
+        let out = run(&built, N, &windowed, &mut Recorder::memory());
+        assert_same_outcome(&format!("{name} windowed"), &baseline, &out);
+
+        let flight = StreamConfig { flight: Some(FlightSpec::new(flight_dir.clone())), ..cfg };
+        let out = run(&built, N, &flight, &mut Recorder::noop());
+        assert_same_outcome(&format!("{name} flight"), &baseline, &out);
+    }
+    assert!(!flight_dir.exists(), "the flight ring only dumps on a commit hard error");
+}
+
+#[test]
+fn record_hashes_are_pinned_on_fattree_16() {
+    let built = scenario("fattree-16");
+    let expected = [
+        ("ILP", "6744fe8a227bce5c"),
+        ("Randomized", "42373a422327af5e"),
+        ("Heuristic", "cad6972ab1b29943"),
+        ("Greedy", "292fca4f264f4e77"),
+    ];
+    for ((name, algorithm), (pinned_name, pinned)) in algorithms().into_iter().zip(expected) {
+        assert_eq!(name, pinned_name);
+        let cfg = StreamConfig { algorithm, ..Default::default() };
+        let out = run(&built, 1500, &cfg, &mut Recorder::noop());
+        let hash = out.records.iter().fold(RECORD_HASH_SEED, fold_record_hash);
+        assert_eq!(format!("{hash:016x}"), pinned, "{name}: record hash moved");
+    }
 }
 
 #[test]
 fn incremental_engine_stream_is_byte_identical_on_zoo_scenarios() {
     for preset in ["waxman-100", "fattree-16"] {
-        let inc = outcome(preset, 1500, MatchEngine::Incremental);
-        let reb = outcome(preset, 1500, MatchEngine::Rebuild);
-        assert_eq!(
-            inc.records, reb.records,
-            "{preset}: request records diverge between incremental and rebuild engines"
-        );
-        assert_eq!(inc.final_residual.len(), reb.final_residual.len());
-        for (v, (a, b)) in inc.final_residual.iter().zip(&reb.final_residual).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{preset}: node {v} residual bits diverge ({a} vs {b})"
-            );
-        }
+        let built = scenario(preset);
+        let inc = run(&built, 1500, &heuristic(MatchEngine::Incremental), &mut Recorder::noop());
+        let reb = run(&built, 1500, &heuristic(MatchEngine::Rebuild), &mut Recorder::noop());
+        assert_same_outcome(&format!("{preset} incremental vs rebuild"), &inc, &reb);
     }
 }
 
@@ -47,17 +153,9 @@ fn incremental_engine_stream_is_byte_identical_on_zoo_scenarios() {
 fn warm_engine_stream_stays_feasible_on_zoo_scenarios() {
     // Warm starts trade the byte-identity guarantee for price reuse; the
     // stream must still be complete (one record per request) and feasible.
-    let built = ScenarioSpec::preset("waxman-100").expect("known preset").build();
-    let reqs: Vec<_> = RequestStream::new(&built, 1500).collect();
-    let cfg = StreamConfig {
-        algorithm: Algorithm::Heuristic(HeuristicConfig {
-            engine: MatchEngine::IncrementalWarm,
-            ..Default::default()
-        }),
-        ..Default::default()
-    };
-    let out = process_stream_seeded(&built.network, &built.catalog, &reqs, &cfg, built.spec.seed);
-    assert_eq!(out.records.len(), reqs.len());
+    let built = scenario("waxman-100");
+    let out = run(&built, 1500, &heuristic(MatchEngine::IncrementalWarm), &mut Recorder::noop());
+    assert_eq!(out.records.len(), 1500);
     let initial = built.network.residual_capacities(1.0);
     for (v, (&res, &init)) in out.final_residual.iter().zip(&initial).enumerate() {
         assert!(

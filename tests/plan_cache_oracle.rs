@@ -1,16 +1,16 @@
 //! Differential-oracle property suite for the admission plan cache
 //! (`relaug::plancache`).
 //!
-//! Cached mode is deliberately *not* byte-identical to the uncached seeded
-//! pipeline — a hit admits a memoized plan without re-running the solver, so
+//! Cached mode is deliberately *not* byte-identical to the uncached stream
+//! engine — a hit admits a memoized plan without re-running the solver, so
 //! the admitted set can differ (only ever conservatively: every hit is
 //! re-validated against live residuals and the live reliability catalog).
 //! The contract is therefore checked as invariants, with the solver itself
 //! as the oracle:
 //!
 //! * **size 0 is inert** — `plan_cache: 0` (the default) produces a
-//!   [`StreamOutcome`] byte-identical to the plain sequential pipeline, and
-//!   no plan-cache report is attached to the observation;
+//!   [`StreamOutcome`] byte-identical to the plain uncached engine, and no
+//!   plan-cache report is attached to the observation;
 //! * **feasibility** — with any cache size, final residuals stay within
 //!   `[0, initial]` on every node: revalidated hits can never overcommit;
 //! * **threshold** — every admitted record that claims `met_expectation`
@@ -27,12 +27,6 @@
 //!   the cached plan's paper-cost is never better than what the solver
 //!   would produce now (an assertion failure there fails the test).
 //!
-//! A final targeted test drives the *relaxed* multi-writer engine with the
-//! cache on: concurrent commits bump shard residuals under the probes'
-//! feet, so every hit must survive the full sharded `try_reserve`
-//! revalidation — the commit-log replay then proves no stale plan ever
-//! overcommitted a node.
-//!
 //! The vendored proptest stub is deterministic (per-test-name seed, no
 //! shrinking), so every run exercises the same instances.
 
@@ -40,11 +34,8 @@ use mec_sfc_reliability::mecnet::SfcRequest;
 use mec_sfc_reliability::obs::Recorder;
 use mec_sfc_reliability::relaug::greedy::GreedyConfig;
 use mec_sfc_reliability::relaug::heuristic::HeuristicConfig;
-use mec_sfc_reliability::relaug::parallel::{CommitOrder, ParallelConfig};
-use mec_sfc_reliability::relaug::relaxed::process_stream_relaxed_reported;
 use mec_sfc_reliability::relaug::stream::{
-    process_stream_seeded, process_stream_seeded_observed, Algorithm, RequestRecord, StreamConfig,
-    StreamObservation, StreamOutcome,
+    process_stream_seeded, Algorithm, StreamConfig, StreamObservation, StreamOutcome,
 };
 use mec_sfc_reliability::scen::{BuiltScenario, RequestStream, ScenarioSpec};
 use proptest::prelude::*;
@@ -146,8 +137,14 @@ proptest! {
         let built = scenario(PRESETS[preset_idx]);
         let reqs = requests(&built, 300);
         let base_cfg = StreamConfig { algorithm: algorithm(greedy), ..Default::default() };
-        let baseline =
-            process_stream_seeded(&built.network, &built.catalog, &reqs, &base_cfg, seed);
+        let (baseline, _) = process_stream_seeded(
+            &built.network,
+            &built.catalog,
+            &reqs,
+            &base_cfg,
+            seed,
+            &mut Recorder::noop(),
+        );
 
         for cache_size in [0usize, 16, 4096] {
             let cfg = StreamConfig {
@@ -157,7 +154,7 @@ proptest! {
                 plan_cache_oracle: true,
                 ..base_cfg.clone()
             };
-            let (out, ob) = process_stream_seeded_observed(
+            let (out, ob) = process_stream_seeded(
                 &built.network,
                 &built.catalog,
                 &reqs,
@@ -179,12 +176,12 @@ proptest! {
 
 /// Guarantees the sweep above is not vacuous: with single-function chains
 /// and a hard Zipf endpoint skew, `(source, chain)` pairs repeat while the
-/// network still has room, so the sequential cached engine must actually
-/// hit — and the in-engine cost oracle genuinely re-solves and compares on
-/// this run. (The preset defaults — 3–6-function chains on a network that
-/// saturates after a few dozen admissions — push almost every request
-/// through the watermark gate before any key can repeat, which is why the
-/// spec is narrowed here: `ba-1k` has the capacity to keep probing.)
+/// network still has room, so the cached engine must actually hit — and
+/// the in-engine cost oracle genuinely re-solves and compares on this run.
+/// (The preset defaults — 3–6-function chains on a network that saturates
+/// after a few dozen admissions — push almost every request through the
+/// watermark gate before any key can repeat, which is why the spec is
+/// narrowed here: `ba-1k` has the capacity to keep probing.)
 #[test]
 fn sequential_cache_engages_and_survives_the_cost_oracle() {
     let mut spec = ScenarioSpec::preset("ba-1k").expect("known preset");
@@ -193,7 +190,7 @@ fn sequential_cache_engages_and_survives_the_cost_oracle() {
     let built = spec.build();
     let reqs = requests(&built, 1_000);
     let cfg = StreamConfig { plan_cache: 4096, plan_cache_oracle: true, ..Default::default() };
-    let (out, ob) = process_stream_seeded_observed(
+    let (out, ob) = process_stream_seeded(
         &built.network,
         &built.catalog,
         &reqs,
@@ -209,81 +206,4 @@ fn sequential_cache_engages_and_survives_the_cost_oracle() {
          oracle sweep is not exercising the hit path"
     );
     assert!(pc.insertions > 0, "admitted fresh solves must populate the cache");
-}
-
-/// Concurrent-commit staleness: the relaxed engine shares one cache across
-/// workers whose commits race. Entries there are never epoch-stamped, so
-/// every hit must pass the full sharded `try_reserve` revalidation — and the
-/// verified commit-log replay plus the residual bounds prove that no stale
-/// plan was ever applied on top of capacity another worker had taken.
-#[test]
-fn relaxed_cached_commits_never_apply_stale_plans() {
-    let built = scenario("waxman-100");
-    let reqs = requests(&built, 2_000);
-    for workers in [2usize, 4] {
-        let cfg = ParallelConfig {
-            stream: StreamConfig { plan_cache: 512, ..Default::default() },
-            workers,
-            seed: 7,
-            max_inflight: 0,
-            commit_order: CommitOrder::Relaxed,
-            shards: 0,
-        };
-        let mut records: Vec<RequestRecord> = Vec::new();
-        let (final_residual, ob, report) = process_stream_relaxed_reported(
-            &built.network,
-            &built.catalog,
-            reqs.iter().cloned(),
-            &cfg,
-            true,
-            &mut Recorder::noop(),
-            &mut |r| records.push(r),
-        );
-
-        // Replay of the commit log against the observed atomic state: the
-        // linearization invariant holds even with cache-admitted commits.
-        let lin = report.linearization.expect("verified run");
-        assert!(
-            lin.replay_ok,
-            "workers={workers}: commit-log replay deviates by {} — a stale \
-             cached plan overcommitted",
-            lin.max_deviation
-        );
-
-        // Residual bounds on every node.
-        let initial = built.network.residual_capacities(1.0);
-        for (v, (&res, &init)) in final_residual.iter().zip(&initial).enumerate() {
-            assert!(
-                (-1e-9..=init + 1e-9).contains(&res),
-                "workers={workers}: node {v} residual {res} outside [0, {init}]"
-            );
-        }
-
-        // One record per request; admitted counter matches.
-        assert_eq!(records.len(), reqs.len());
-        let admitted = records.iter().filter(|r| r.admitted).count() as u64;
-        assert_eq!(ob.pipeline.counter("admitted"), admitted);
-
-        // Cache accounting: the probe partition covers every request that
-        // reaches a processing site (the coordinator rejects empty-footprint
-        // sources before any probe), and the cache actually engaged (hits or
-        // gate rejects — 2000 requests over a 100-node scenario saturate it).
-        let nbhd = built.network.neighborhood_index(cfg.stream.l);
-        let probed = reqs.iter().filter(|r| !nbhd.cloudlets_within(r.source).is_empty()).count();
-        let pc = ob.plan_cache.expect("cached run attaches a report");
-        assert_eq!(
-            pc.hits + pc.reject_hits + pc.misses,
-            probed as u64,
-            "workers={workers}: probe partition must cover processed requests"
-        );
-        assert!(
-            pc.hits + pc.reject_hits > 0,
-            "workers={workers}: cache never engaged on a saturating stream"
-        );
-        assert_eq!(
-            pc.epoch_skips, 0,
-            "workers={workers}: relaxed entries are unstamped — the epoch \
-             fast path must never fire under concurrent commits"
-        );
-    }
 }
