@@ -65,15 +65,10 @@ fn main() {
         })
         .collect();
 
-    // Every solver configuration shares the zero-alloc contract: the
-    // incremental engine (default), the historical rebuild path, and the
-    // batch_rounds b-matching ablation.
-    let configs: [(&str, HeuristicConfig); 3] = [
-        ("incremental", HeuristicConfig::default()),
-        (
-            "rebuild",
-            HeuristicConfig { engine: heuristic::MatchEngine::Rebuild, ..Default::default() },
-        ),
+    // Both solver configurations share the zero-alloc contract: the ladder
+    // matcher (default) and the batch_rounds b-matching ablation.
+    let configs: [(&str, HeuristicConfig); 2] = [
+        ("default", HeuristicConfig::default()),
         ("batch", HeuristicConfig { batch_rounds: true, ..Default::default() }),
     ];
 

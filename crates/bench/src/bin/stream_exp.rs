@@ -7,7 +7,7 @@
 //! Usage: `cargo run -p bench-harness --release --bin stream_exp --
 //! [--trials N] [--seed S] [--requests R] [--trace PATH]
 //! [--metrics-interval N|Xs] [--flight DIR] [--scenario NAME|PATH]
-//! [--plan-cache N] [--match-engine NAME]` (trials = independent
+//! [--plan-cache N]` (trials = independent
 //! network/stream pairs). Every stream runs through the sequential engine,
 //! `relaug::stream::process_stream_seeded_sink`; `--workers` is accepted for
 //! flag compatibility with `sim_exp`, and any value above 1 exits with
@@ -53,7 +53,8 @@
 //! order. A telemetry summary table is printed at the end of every run,
 //! traced or not; its p50/p95/p99 columns are log2-bucket upper bounds read
 //! from the observed stream's `solve_ns` histogram, so they are filled in
-//! windowed mode too.
+//! windowed mode too. A column with no samples — the mean reliability of a
+//! stream that admitted nothing — prints `-`.
 
 use std::time::Instant;
 
@@ -162,17 +163,22 @@ fn solve_quantile(ob: &StreamObservation, q: f64) -> String {
     }
 }
 
+/// The mean of `acc` to `digits` decimals, or `-` when it holds no samples.
+fn mean_or_dash(acc: &Accumulator, digits: usize) -> String {
+    if acc.is_empty() {
+        "-".into()
+    } else {
+        format!("{:.digits$}", acc.summary().mean)
+    }
+}
+
 /// The four paper algorithms, filtered for scenario scale: the per-request
 /// ILP (and its randomized-rounding variant) is only worth running on
 /// bounded streams, so above `ILP_REQUEST_CAP` requests the heavy pair is
 /// dropped — loudly, never silently.
 const ILP_REQUEST_CAP: usize = 50_000;
 
-fn algorithm_set(
-    scenario: bool,
-    requests: usize,
-    match_engine: relaug::heuristic::MatchEngine,
-) -> Vec<(&'static str, Algorithm)> {
+fn algorithm_set(scenario: bool, requests: usize) -> Vec<(&'static str, Algorithm)> {
     let mut set: Vec<(&str, Algorithm)> = Vec::new();
     if !scenario || requests <= ILP_REQUEST_CAP {
         set.push(("ILP", Algorithm::Ilp(Default::default())));
@@ -183,13 +189,7 @@ fn algorithm_set(
              (> {ILP_REQUEST_CAP}); pass --requests {ILP_REQUEST_CAP} or less to include them\n"
         );
     }
-    set.push((
-        "Heuristic",
-        Algorithm::Heuristic(relaug::heuristic::HeuristicConfig {
-            engine: match_engine,
-            ..Default::default()
-        }),
-    ));
+    set.push(("Heuristic", Algorithm::Heuristic(Default::default())));
     set.push(("Greedy", Algorithm::Greedy(Default::default())));
     set
 }
@@ -247,16 +247,6 @@ fn main() {
             args.plan_cache
         );
     }
-    match args.match_engine {
-        relaug::heuristic::MatchEngine::Incremental => {}
-        relaug::heuristic::MatchEngine::IncrementalWarm => println!(
-            "match engine: warm (cross-round price carry; cost parity only — \
-             record hashes are not comparable to the deterministic engines)\n"
-        ),
-        relaug::heuristic::MatchEngine::Rebuild => {
-            println!("match engine: rebuild (historical per-round full rebuild)\n")
-        }
-    }
 
     // Telemetry sink: the first stream of each algorithm runs traced — into
     // the JSONL file when `--trace` is given, into memory otherwise — so the
@@ -282,7 +272,7 @@ fn main() {
     // Metrics of each algorithm's first (observed) stream.
     let mut observations: Vec<(&str, StreamObservation)> = Vec::new();
 
-    let algorithms = algorithm_set(scenario.is_some(), requests_per_stream, args.match_engine);
+    let algorithms = algorithm_set(scenario.is_some(), requests_per_stream);
     let mut columns =
         vec!["algorithm", "admitted", "mean rel.", "SLO met", "early rel.", "late rel.", "req/s"];
     if scenario.is_some() {
@@ -300,19 +290,9 @@ fn main() {
         "p95",
         "p99",
     ]);
-    // Matching-plane counters (first stream per algorithm; only the
-    // heuristic's matching rounds populate them).
-    let mut matchplane = Table::new(vec![
-        "algorithm",
-        "engine rounds",
-        "fallback",
-        "rebuild",
-        "warm",
-        "edges full",
-        "edges live",
-        "pruned",
-        "passes",
-    ]);
+    // Matching counters (first stream per algorithm; only the heuristic's
+    // matching rounds populate them).
+    let mut matchplane = Table::new(vec!["algorithm", "rounds", "G_l edges", "classes"]);
     let mut matchplane_lines: Vec<String> = Vec::new();
     for (name, algorithm) in algorithms {
         let mut admitted = Accumulator::new();
@@ -391,12 +371,12 @@ fn main() {
         }
         let mut row = vec![
             name.to_string(),
-            format!("{:.1}/{}", admitted.summary().mean, requests_per_stream),
-            format!("{:.4}", rel.summary().mean),
-            format!("{:.0}%", 100.0 * slo.summary().mean),
-            format!("{:.4}", early.summary().mean),
-            format!("{:.4}", late.summary().mean),
-            format!("{:.0}", rate.summary().mean),
+            format!("{}/{}", mean_or_dash(&admitted, 1), requests_per_stream),
+            mean_or_dash(&rel, 4),
+            if slo.is_empty() { "-".into() } else { format!("{:.0}%", 100.0 * slo.summary().mean) },
+            mean_or_dash(&early, 4),
+            mean_or_dash(&late, 4),
+            mean_or_dash(&rate, 0),
         ];
         if scenario.is_some() {
             row.push(expkit::table::fmt_duration_s(elapsed_s));
@@ -419,32 +399,18 @@ fn main() {
             solve_quantile(ob, 0.99),
         ]);
         let delta = |key: &str| now.counter(key) - effort_base.counter(key);
-        let (m_engine, m_fallback, m_rebuild, m_warm) = (
-            delta("matching.rounds.engine"),
-            delta("matching.rounds.fallback"),
-            delta("matching.rounds.rebuild"),
-            delta("matching.warm_rounds"),
-        );
-        if m_engine + m_fallback + m_rebuild > 0 {
-            let (full, live) = (delta("matching.edges.full"), delta("matching.edges.materialized"));
-            let pruned = if full > 0 { 100.0 * (1.0 - live as f64 / full as f64) } else { 0.0 };
+        let rounds = delta("heuristic.rounds");
+        if rounds > 0 {
+            let (edges, classes) = (delta("matching.edges.full"), delta("matching.classes"));
             matchplane.add_row(vec![
                 name.to_string(),
-                format!("{m_engine}"),
-                format!("{m_fallback}"),
-                format!("{m_rebuild}"),
-                format!("{m_warm}"),
-                format!("{full}"),
-                format!("{live}"),
-                format!("{pruned:.1}%"),
-                format!("{}", delta("matching.passes")),
+                format!("{rounds}"),
+                format!("{edges}"),
+                format!("{classes}"),
             ]);
-            // One parseable line per algorithm — the prune-fallback rate is
-            // part of the run's contract, never silent.
+            // One parseable line per algorithm.
             matchplane_lines.push(format!(
-                "{name} matching plane: engine {m_engine} / fallback {m_fallback} / \
-                 rebuild {m_rebuild} rounds, warm {m_warm}, edges {full} -> {live} \
-                 ({pruned:.1}% pruned)",
+                "{name} matching: {rounds} rounds, {edges} G_l edges, {classes} classes"
             ));
         }
     }
@@ -453,7 +419,7 @@ fn main() {
     println!("{}", effort.to_markdown());
     println!("\np50/p95/p99: log2-bucket upper bounds of the per-request solve time");
     if !matchplane_lines.is_empty() {
-        println!("\n### matching plane (first stream per algorithm)\n");
+        println!("\n### matching (first stream per algorithm)\n");
         println!("{}", matchplane.to_markdown());
         println!();
         for line in &matchplane_lines {

@@ -392,7 +392,7 @@ pub fn render_figure(points: &[PointResult]) -> String {
 /// `--trials N --seed S --threads T --workers W --json PATH
 /// --greedy --no-ilp --trace PATH --requests N --policy NAME --duration T
 /// --audit-interval T --metrics-interval N|Xs --flight DIR
-/// --scenario NAME|PATH --plan-cache N --match-engine NAME`.
+/// --scenario NAME|PATH --plan-cache N`.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     pub trials: usize,
@@ -430,11 +430,6 @@ pub struct HarnessArgs {
     /// parses but ignores it). `0` (default) disables the cache and keeps
     /// the uncached record hashes untouched.
     pub plan_cache: usize,
-    /// Matching engine for the heuristic (`stream_exp`): `incremental`
-    /// (default, byte-identical to rebuild), `warm` (cross-round price
-    /// carry, cost-parity only) or `rebuild` (the historical per-round
-    /// rebuild path).
-    pub match_engine: relaug::heuristic::MatchEngine,
 }
 
 impl Default for HarnessArgs {
@@ -456,7 +451,6 @@ impl Default for HarnessArgs {
             flight: None,
             scenario: None,
             plan_cache: 0,
-            match_engine: relaug::heuristic::MatchEngine::default(),
         }
     }
 }
@@ -507,18 +501,6 @@ impl HarnessArgs {
                 "--scenario" => out.scenario = Some(value("--scenario")?),
                 "--plan-cache" => {
                     out.plan_cache = value("--plan-cache")?.parse().map_err(|e| format!("{e}"))?
-                }
-                "--match-engine" => {
-                    out.match_engine = match value("--match-engine")?.as_str() {
-                        "incremental" => relaug::heuristic::MatchEngine::Incremental,
-                        "warm" => relaug::heuristic::MatchEngine::IncrementalWarm,
-                        "rebuild" => relaug::heuristic::MatchEngine::Rebuild,
-                        other => {
-                            return Err(format!(
-                                "--match-engine must be incremental, warm or rebuild, got {other}"
-                            ))
-                        }
-                    }
                 }
                 other => return Err(format!("unknown flag {other}")),
             }

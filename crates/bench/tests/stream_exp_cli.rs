@@ -1,0 +1,51 @@
+//! `stream_exp` at its command-line surface: runs that admit nothing finish
+//! cleanly, and unknown flags exit 2.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn stream_exp(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_stream_exp")).args(args).output().expect("run stream_exp")
+}
+
+/// Write `spec` to a per-test file under the system temp dir.
+fn spec_file(name: &str, spec: &scen::ScenarioSpec) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("stream_exp_{name}_{}.json", std::process::id()));
+    std::fs::write(&path, serde_json::to_string(spec).expect("serialize spec"))
+        .expect("write spec");
+    path
+}
+
+#[test]
+fn a_stream_that_admits_nothing_prints_dashes_and_exits_zero() {
+    // Every VNF demands more than any cloudlet holds, so no primary fits.
+    let mut spec = scen::ScenarioSpec::preset("waxman-100").expect("known preset");
+    spec.catalog.demand_range = (9000.0, 9500.0);
+    let path = spec_file("no_admissions", &spec);
+    let out = stream_exp(&["--scenario", path.to_str().unwrap(), "--requests", "200"]);
+    std::fs::remove_file(&path).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "exit {:?}\n{stdout}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for name in ["ILP", "Randomized", "Heuristic", "Greedy"] {
+        let row = stdout
+            .lines()
+            .find(|l| l.starts_with(&format!("| {name} ")))
+            .unwrap_or_else(|| panic!("no {name} row in\n{stdout}"));
+        let cells: Vec<&str> = row.trim_matches('|').split('|').map(str::trim).collect();
+        assert_eq!(cells[1], "0.0/200", "{name}: {row}");
+        // mean rel., SLO met, early rel., late rel.
+        assert_eq!(&cells[2..6], ["-", "-", "-", "-"], "{name}: {row}");
+    }
+}
+
+#[test]
+fn removed_match_engine_flag_exits_2() {
+    let out = stream_exp(&["--match-engine", "rebuild"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --match-engine"));
+}

@@ -14,12 +14,12 @@
 
 use std::time::Instant;
 
-use matching::{min_cost_max_b_matching_into, min_cost_max_matching_into};
+use matching::min_cost_max_b_matching_into;
 use obs::Recorder;
 
 use crate::instance::AugmentationInstance;
 use crate::reliability;
-use crate::scratch::SolveScratch;
+use crate::scratch::{rel_from_counts, SolveScratch};
 use crate::solution::{Metrics, Outcome, SolverInfo};
 
 /// When the matching loop stops (besides running out of edges).
@@ -37,25 +37,6 @@ pub enum StopRule {
     Exhaust,
 }
 
-/// Which matching solver runs each round of Algorithm 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatchEngine {
-    /// The incremental engine: per-round graphs are fed as pruned ladders
-    /// (dominance certificate checked per round, exact rebuild fallback when
-    /// it fails) and solved cold. Byte-identical to [`MatchEngine::Rebuild`]
-    /// — same pairs, bit-exact cost — and the default.
-    #[default]
-    Incremental,
-    /// The incremental engine with cross-round price carry (warm starts).
-    /// Matches [`MatchEngine::Rebuild`] cardinality and cost (up to fp
-    /// round-off) but may pick a different equal-cost assignment, so it is
-    /// opt-in and excluded from byte-identity guarantees.
-    IncrementalWarm,
-    /// Rebuild the full edge list and re-solve from scratch every round (the
-    /// historical path, kept as the reference).
-    Rebuild,
-}
-
 /// Configuration of Algorithm 2.
 #[derive(Debug, Clone, Default)]
 pub struct HeuristicConfig {
@@ -68,29 +49,15 @@ pub struct HeuristicConfig {
     /// absorb several instances per round instead of one), collapsing the
     /// round loop. Matched placements are still committed cheapest-first with
     /// a capacity check, so feasibility is preserved. `false` is the paper's
-    /// Algorithm 2. Forces the rebuild path regardless of `engine`.
+    /// Algorithm 2. Solved by the successive-shortest-path b-matcher.
     pub batch_rounds: bool,
-    /// Per-round matching solver; see [`MatchEngine`].
-    pub engine: MatchEngine,
 }
 
 impl HeuristicConfig {
     pub fn with_stop(stop: StopRule) -> Self {
-        HeuristicConfig {
-            stop,
-            gain_floor: 1e-12,
-            batch_rounds: false,
-            engine: MatchEngine::default(),
-        }
+        HeuristicConfig { stop, gain_floor: 1e-12, batch_rounds: false }
     }
 }
-
-/// Minimum ladder gap (distance between consecutive `k`-step costs of one
-/// function) under which the dominance-pruned engine is provably
-/// trajectory-exact. Far above `mcmf`'s `1e-12` comparison epsilon, so
-/// eps-ties that could flip the pruned trajectory are excluded; rounds
-/// failing the certificate fall back to the full rebuild.
-const LADDER_CERT_GAP: f64 = 1e-6;
 
 /// Run Algorithm 2. Never violates capacities or locality.
 pub fn solve(inst: &AugmentationInstance, cfg: &HeuristicConfig) -> Outcome {
@@ -135,18 +102,17 @@ pub fn solve_scratch(
 
 /// Allocation-free core of Algorithm 2: builds the solution in `scratch.sol`
 /// (materialize it for an owned [`crate::solution::Augmentation`]) and
-/// returns the number of matching rounds. The result is bit-identical to the
-/// historical allocating implementation — same graphs, same matchings, same
-/// commit order, same floating-point expressions — for any prior state of
-/// `scratch`. Only the `batch_rounds` ablation and enabled-recorder event
-/// closures still allocate.
+/// returns the number of matching rounds. Each round is solved exactly by
+/// [`matching::LadderMatcher`]: a minimum-cost maximum matching of the
+/// round's graph `G_l`. The result does not depend on the prior state of
+/// `scratch`. Only enabled-recorder event closures allocate.
 pub fn solve_in(
     inst: &AugmentationInstance,
     cfg: &HeuristicConfig,
     rec: &mut Recorder,
     scratch: &mut SolveScratch,
 ) -> usize {
-    let SolveScratch { sol, heur, matching, matching_out, inc, .. } = scratch;
+    let SolveScratch { sol, heur, matching, matching_out, ladder, .. } = scratch;
     let crate::scratch::HeuristicScratch {
         cap,
         next_k,
@@ -155,11 +121,6 @@ pub fn solve_in(
         item_of,
         pairs,
         placed_per_func,
-        fn_id,
-        fn_bins,
-        fn_bins_start,
-        item_cost,
-        round_funcs,
         batch_min_demand,
         batch_b_left,
     } = heur;
@@ -183,14 +144,10 @@ pub fn solve_in(
     let budget = inst.budget();
     let mut total_cost = 0.0f64;
     let mut rounds = 0usize;
-
-    // Engine session: resets any price carry left by the previous request.
-    let use_engine = !cfg.batch_rounds && cfg.engine != MatchEngine::Rebuild;
-    let warm_wanted = cfg.engine == MatchEngine::IncrementalWarm;
-    if use_engine {
-        inc.begin_request(inst.bins.len(), inst.chain_len());
-    }
-    let mut lists_built = false;
+    // Telemetry totals, counted once per solve: committing rounds, their
+    // placements, `G_l` edges and signature classes.
+    let mut counted = 0u64;
+    let (mut committed_total, mut edges_total, mut classes_total) = (0usize, 0usize, 0usize);
 
     loop {
         // Stop-rule check before building the next graph.
@@ -208,180 +165,81 @@ pub fn solve_in(
             StopRule::Exhaust => {}
         }
 
-        // Maintain the per-function usable-bin lists. First round: derive
-        // them from `eligible_bins`. Later rounds: filter the retained lists
-        // in place — residuals only shrink within a solve, so a bin (or a
-        // whole function) once dropped can never become usable again, and
-        // the delta filter yields exactly what a recompute would.
-        if !lists_built {
-            lists_built = true;
-            fn_id.clear();
-            fn_bins.clear();
-            fn_bins_start.clear();
-            fn_bins_start.push(0);
-            for (i, f) in inst.functions.iter().enumerate() {
-                let start = fn_bins.len();
-                fn_bins
-                    .extend(f.eligible_bins.iter().copied().filter(|&b| residual[b] >= f.demand));
-                if fn_bins.len() > start {
-                    fn_id.push(i);
-                    fn_bins_start.push(fn_bins.len());
-                }
-            }
-        } else {
-            let n_active = fn_id.len();
-            let mut w_fun = 0usize;
-            let mut w_bin = 0usize;
-            let mut read_start = 0usize;
-            for p in 0..n_active {
-                let read_end = fn_bins_start[p + 1];
-                let i = fn_id[p];
-                let demand = inst.functions[i].demand;
-                let seg_start = w_bin;
-                for idx in read_start..read_end {
-                    let b = fn_bins[idx];
-                    if residual[b] >= demand {
-                        fn_bins[w_bin] = b;
-                        w_bin += 1;
-                    }
-                }
-                read_start = read_end;
-                if w_bin > seg_start {
-                    fn_id[w_fun] = i;
-                    w_fun += 1;
-                    fn_bins_start[w_fun] = w_bin;
-                }
-            }
-            fn_id.truncate(w_fun);
-            fn_bins.truncate(w_bin);
-            fn_bins_start.truncate(w_fun + 1);
-        }
-
-        // Enumerate this round's items (the cost ladders). A function can
-        // gain at most `usable` placements per round (each bin hosts at most
-        // one match), so only its next `usable` slots can possibly be
-        // matched; enumerating more only inflates the graph. The cost is
-        // strictly increasing in `k`; once the marginal underflows to zero
-        // (cost = +inf) this slot and every later one add no representable
-        // reliability, so they can't be usefully matched.
+        // Enumerate this round's items (the cost ladders) over each
+        // function's usable bins. A function can gain at most `usable`
+        // placements per round (each bin hosts at most one match), so only
+        // its next `usable` slots can possibly be matched; enumerating more
+        // only inflates the graph. The cost is strictly increasing in `k`;
+        // once the marginal underflows to zero (cost = +inf) this slot and
+        // every later one add no representable reliability, so they can't be
+        // usefully matched.
         item_of.clear();
-        item_cost.clear();
-        round_funcs.clear();
+        ladder.begin_round();
         let mut edges_full = 0usize;
-        for p in 0..fn_id.len() {
-            let i = fn_id[p];
-            let f = &inst.functions[i];
-            let usable = fn_bins_start[p + 1] - fn_bins_start[p];
-            let hi = cap[i].min(next_k[i] + usable - 1);
+        for (i, f) in inst.functions.iter().enumerate() {
+            if next_k[i] > cap[i] {
+                continue;
+            }
+            let usable = ladder
+                .push_bins(f.eligible_bins.iter().copied().filter(|&b| residual[b] >= f.demand));
+            if usable == 0 {
+                continue;
+            }
             let first_item = item_of.len();
-            for k in next_k[i]..=hi {
+            for k in next_k[i]..=cap[i].min(next_k[i] + usable - 1) {
                 let cost = reliability::paper_cost(f.reliability, f.existing_backups + k);
                 if !cost.is_finite() {
                     break;
                 }
                 item_of.push((i, k));
-                item_cost.push(cost);
+                ladder.push_cost(cost);
             }
-            let ladder = item_of.len() - first_item;
-            if ladder > 0 {
-                round_funcs.push((p, first_item));
-                edges_full += ladder * usable;
-            }
+            edges_full += (item_of.len() - first_item) * usable;
         }
         // Every item carries at least one edge (usable > 0), so "no items"
-        // is exactly the historical "no edges" guard.
+        // is exactly "no edges".
         if item_of.is_empty() {
             break;
         }
         rounds += 1;
-        let rel_before = if rec.enabled() { sol.reliability(inst) } else { 0.0 };
 
-        // Solve the round: incremental engine when the dominance certificate
-        // holds, full rebuild otherwise (and always for batch/Rebuild).
-        let mut engine_round = false;
-        let mut warm_round = false;
-        let mut edges_live = edges_full as u64;
-        let mut round_passes = 0u64;
-        if use_engine {
-            inc.begin_round();
-            for (j, &(p, first)) in round_funcs.iter().enumerate() {
-                let end = round_funcs.get(j + 1).map_or(item_of.len(), |&(_, s)| s);
-                inc.start_function(fn_id[p]);
-                for &bin in &fn_bins[fn_bins_start[p]..fn_bins_start[p + 1]] {
-                    inc.push_bin(bin);
-                }
-                for &c in &item_cost[first..end] {
-                    inc.push_cost(c);
-                }
-                inc.finish_function();
-            }
-            if inc.ladders_certified(LADDER_CERT_GAP) {
-                engine_round = true;
-                let s0 = inc.stats();
-                inc.solve_into(warm_wanted, matching_out);
-                let s1 = inc.stats();
-                warm_round = s1.warm_rounds > s0.warm_rounds;
-                edges_live = s1.edges_materialized - s0.edges_materialized;
-                round_passes = s1.passes - s0.passes;
-                rec.count("matching.relaxations", s1.relaxations - s0.relaxations);
-            }
-        }
-        if !engine_round {
-            // Expand the pruned representation to the historical edge list —
-            // identical item-major order — and run the reference solver.
+        if cfg.batch_rounds {
+            // Expand the ladders to the flat edge list (item-major, bins in
+            // eligible order) for the successive-shortest-path b-matcher.
             edges.clear();
-            for (j, &(p, first)) in round_funcs.iter().enumerate() {
-                let end = round_funcs.get(j + 1).map_or(item_of.len(), |&(_, s)| s);
-                for (off, &cost) in item_cost[first..end].iter().enumerate() {
-                    let right = first + off;
-                    for &bin in &fn_bins[fn_bins_start[p]..fn_bins_start[p + 1]] {
-                        edges.push((bin, right, cost));
-                    }
+            for j in 0..ladder.functions() {
+                let (first, costs) = ladder.ladder(j);
+                for (off, &cost) in costs.iter().enumerate() {
+                    edges.extend(ladder.bins(j).iter().map(|&b| (b, first + off, cost)));
                 }
             }
-            if cfg.batch_rounds {
-                // Conservative per-bin multiplicity: what certainly fits even
-                // if every match demands the largest eligible function.
-                batch_min_demand.clear();
-                batch_min_demand.extend((0..inst.bins.len()).map(|b| {
-                    inst.functions
-                        .iter()
-                        .filter(|f| f.eligible_bins.contains(&b))
-                        .map(|f| f.demand)
-                        .fold(f64::INFINITY, f64::min)
-                }));
-                batch_b_left.clear();
-                batch_b_left.extend(residual.iter().zip(batch_min_demand.iter()).map(
-                    |(&r, &d)| {
-                        if d.is_finite() {
-                            (r / d).floor() as usize
-                        } else {
-                            0
-                        }
-                    },
-                ));
-                min_cost_max_b_matching_into(
-                    matching,
-                    batch_b_left,
-                    item_of.len(),
-                    edges,
-                    matching_out,
-                );
-            } else {
-                min_cost_max_matching_into(
-                    matching,
-                    inst.bins.len(),
-                    item_of.len(),
-                    edges,
-                    matching_out,
-                );
-            }
-            if use_engine && warm_wanted {
-                // The engine skipped this round, so its carried prices no
-                // longer describe the post-round duals; drop them rather than
-                // warm-start later rounds from a stale certificate.
-                inc.begin_request(inst.bins.len(), inst.chain_len());
-            }
+            // Conservative per-bin multiplicity: what certainly fits even
+            // if every match demands the largest eligible function.
+            batch_min_demand.clear();
+            batch_min_demand.extend((0..inst.bins.len()).map(|b| {
+                inst.functions
+                    .iter()
+                    .filter(|f| f.eligible_bins.contains(&b))
+                    .map(|f| f.demand)
+                    .fold(f64::INFINITY, f64::min)
+            }));
+            batch_b_left.clear();
+            batch_b_left.extend(residual.iter().zip(batch_min_demand.iter()).map(|(&r, &d)| {
+                if d.is_finite() {
+                    (r / d).floor() as usize
+                } else {
+                    0
+                }
+            }));
+            min_cost_max_b_matching_into(
+                matching,
+                batch_b_left,
+                item_of.len(),
+                edges,
+                matching_out,
+            );
+        } else {
+            ladder.solve_into(residual, matching_out);
         }
         if matching_out.is_empty() {
             break;
@@ -389,8 +247,6 @@ pub fn solve_in(
         // Commit cheapest-first with a capacity check: exact for the unit
         // matching (the graph only had fitting edges), necessary for the
         // batch variant whose multiplicity bound used the *smallest* demand.
-        // Keying on (k, original position) makes the unstable sort reproduce
-        // the historical stable sort by k exactly.
         pairs.clear();
         pairs.extend(matching_out.pairs.iter().enumerate().map(|(pos, &(b, r))| (b, r, pos)));
         pairs.sort_unstable_by_key(|&(_, r, pos)| (item_of[r].1, pos));
@@ -410,58 +266,24 @@ pub fn solve_in(
                 committed += 1;
             }
         }
-        rec.count("heuristic.rounds", 1);
-        rec.count("heuristic.committed", committed as u64);
-        // Matching-plane counters (consumed by stream_exp's matching table).
-        rec.count("matching.edges.full", edges_full as u64);
-        rec.count("matching.edges.materialized", edges_live);
-        rec.count("matching.passes", round_passes);
-        if engine_round {
-            rec.count("matching.rounds.engine", 1);
-            if warm_round {
-                rec.count("matching.warm_rounds", 1);
-            }
-        } else if use_engine {
-            rec.count("matching.rounds.fallback", 1);
-        } else {
-            rec.count("matching.rounds.rebuild", 1);
-        }
+        counted += 1;
+        committed_total += committed;
+        edges_total += edges_full;
+        classes_total += ladder.classes();
         rec.emit_with(|| {
-            let left_bins = {
-                // Distinct bins carrying at least one edge: the union of the
-                // usable-bin segments of every function that emitted items
-                // this round — the same set the historical edge-list scan saw.
-                let mut seen = vec![false; inst.bins.len()];
-                for &(p, _) in round_funcs.iter() {
-                    for &bin in &fn_bins[fn_bins_start[p]..fn_bins_start[p + 1]] {
-                        seen[bin] = true;
-                    }
-                }
-                seen.iter().filter(|&&s| s).count()
-            };
+            let before: Vec<usize> =
+                sol.counts().iter().zip(placed_per_func.iter()).map(|(&m, &p)| m - p).collect();
+            let rel = sol.reliability(inst);
             obs::Event::new("heuristic.round")
                 .with("round", rounds)
-                .with("left_bins", left_bins)
+                .with("left_bins", ladder.usable_bins())
                 .with("right_items", item_of.len())
                 .with("edges", edges_full)
-                .with("edges_live", edges_live)
-                .with(
-                    "engine",
-                    if engine_round {
-                        "incremental"
-                    } else if use_engine {
-                        "fallback"
-                    } else if cfg.batch_rounds {
-                        "batch"
-                    } else {
-                        "rebuild"
-                    },
-                )
-                .with("warm", warm_round)
+                .with("classes", ladder.classes())
                 .with("matched", matching_out.pairs.len())
                 .with("committed", committed)
-                .with("reliability", sol.reliability(inst))
-                .with("reliability_gain", sol.reliability(inst) - rel_before)
+                .with("reliability", rel)
+                .with("reliability_gain", rel - rel_from_counts(inst, &before))
         });
         if committed == 0 {
             break;
@@ -473,6 +295,15 @@ pub fn solve_in(
         }
     }
 
+    if counted > 0 {
+        rec.count("heuristic.rounds", counted);
+        rec.count("heuristic.committed", committed_total as u64);
+        // The size of the paper's `G_l` (stream_exp's matching table).
+        rec.count("matching.edges.full", edges_total as u64);
+        if !cfg.batch_rounds {
+            rec.count("matching.classes", classes_total as u64);
+        }
+    }
     if cfg.stop == StopRule::Expectation {
         // The final matching round may overshoot the expectation; trim the
         // surplus like the other algorithms do.

@@ -23,7 +23,7 @@
 use crate::instance::AugmentationInstance;
 use crate::reliability;
 use crate::solution::Augmentation;
-use matching::{Matching, MatchingScratch};
+use matching::{LadderMatcher, Matching, MatchingScratch};
 
 /// Chain reliability from per-function secondary counts, without building an
 /// [`Augmentation`]. Bit-identical to [`Augmentation::reliability`]: same
@@ -51,8 +51,14 @@ pub struct SolutionScratch {
     /// Per-function secondary counts, maintained incrementally (what
     /// `Augmentation::counts()` would recompute).
     counts: Vec<usize>,
-    /// Per-bin load buffer for [`Self::trim_to_expectation`].
+    /// Per-bin loads, kept current through [`Self::trim_to_expectation`].
     loads: Vec<f64>,
+    /// Per function, for its current count `m` (and `e` existing backups):
+    /// `R(e + m)`, `R(e + m - 1)` and the log gain of its last secondary —
+    /// the terms [`Self::trim_to_expectation`] reads every step.
+    rel_now: Vec<f64>,
+    rel_less: Vec<f64>,
+    last_gain: Vec<f64>,
 }
 
 impl SolutionScratch {
@@ -108,7 +114,30 @@ impl SolutionScratch {
         rel_from_counts(inst, self.counts())
     }
 
-    fn recompute_loads(&mut self, inst: &AugmentationInstance) {
+    /// Refresh function `i`'s cached trim terms from its current count.
+    fn refresh_trim_terms(&mut self, inst: &AugmentationInstance, i: usize) {
+        let (r, e, m) =
+            (inst.functions[i].reliability, inst.functions[i].existing_backups, self.counts[i]);
+        self.rel_now[i] = reliability::function_reliability(r, e + m);
+        if m > 0 {
+            self.rel_less[i] = reliability::function_reliability(r, e + m - 1);
+            self.last_gain[i] = reliability::log_gain(r, e + m);
+        }
+    }
+
+    /// Mirror of [`Augmentation::trim_to_expectation`]: the same removal
+    /// order (smallest-gain function whose removal keeps the expectation)
+    /// from the same floating-point expressions, freeing the function's
+    /// most-loaded bin. Per removal it costs `O(L + row)`: bin loads are
+    /// computed once and updated on the touched bin, so a bin choice can
+    /// differ from the reference's only through load rounding. No
+    /// allocation.
+    pub fn trim_to_expectation(&mut self, inst: &AugmentationInstance) -> usize {
+        self.trim_with(inst, |_| {})
+    }
+
+    /// [`Self::trim_to_expectation`], reporting each trimmed function.
+    fn trim_with(&mut self, inst: &AugmentationInstance, mut on_trim: impl FnMut(usize)) -> usize {
         self.loads.clear();
         self.loads.resize(inst.bins.len(), 0.0);
         for (i, row) in self.rows[..self.active].iter().enumerate() {
@@ -117,15 +146,17 @@ impl SolutionScratch {
                 self.loads[b] += demand * c as f64;
             }
         }
-    }
-
-    /// Mirror of [`Augmentation::trim_to_expectation`]: same removal order
-    /// (smallest-gain function whose removal keeps the expectation, freeing
-    /// its most-loaded bin), same floating-point expressions, no allocation.
-    pub fn trim_to_expectation(&mut self, inst: &AugmentationInstance) -> usize {
+        for v in [&mut self.rel_now, &mut self.rel_less, &mut self.last_gain] {
+            v.clear();
+            v.resize(self.active, 0.0);
+        }
+        for i in 0..self.active {
+            self.refresh_trim_terms(inst, i);
+        }
         let mut removed = 0;
         loop {
-            let rel = self.reliability(inst);
+            // The product `rel_from_counts` forms, term for term.
+            let rel: f64 = self.rel_now.iter().copied().product();
             if rel < inst.expectation {
                 break;
             }
@@ -134,17 +165,13 @@ impl SolutionScratch {
                 if m == 0 {
                     continue;
                 }
-                let r = inst.functions[i].reliability;
-                let e = inst.functions[i].existing_backups;
-                let gain = reliability::log_gain(r, e + m);
-                let new_rel = rel / reliability::function_reliability(r, e + m)
-                    * reliability::function_reliability(r, e + m - 1);
+                let gain = self.last_gain[i];
+                let new_rel = rel / self.rel_now[i] * self.rel_less[i];
                 if new_rel >= inst.expectation && best.is_none_or(|(g, _)| gain < g) {
                     best = Some((gain, i));
                 }
             }
             let Some((_, func)) = best else { break };
-            self.recompute_loads(inst);
             let loads = &self.loads;
             let bin = self.rows[func]
                 .iter()
@@ -157,6 +184,9 @@ impl SolutionScratch {
                 .expect("function has placements");
             let ok = self.remove(func, bin);
             debug_assert!(ok);
+            self.loads[bin] -= inst.functions[func].demand;
+            self.refresh_trim_terms(inst, func);
+            on_trim(func);
             removed += 1;
         }
         removed
@@ -183,29 +213,13 @@ pub struct HeuristicScratch {
     pub next_k: Vec<usize>,
     pub residual: Vec<f64>,
     /// Bipartite edges `(bin, right item, cost)` of the current round — only
-    /// filled when a round takes the rebuild/fallback/batch path; the
-    /// incremental engine consumes the pruned CSR below instead.
+    /// filled by the `batch_rounds` ablation.
     pub edges: Vec<(usize, usize, f64)>,
     /// Right item index -> `(func, k)`.
     pub item_of: Vec<(usize, usize)>,
     /// Matched pairs `(bin, right, position)` for the stable commit order.
     pub pairs: Vec<(usize, usize, usize)>,
     pub placed_per_func: Vec<usize>,
-    /// Delta-maintained usable-bin lists: `fn_id` holds the still-active
-    /// functions (ascending), `fn_bins[fn_bins_start[p]..fn_bins_start[p+1]]`
-    /// the usable bins of `fn_id[p]` in eligible order. Built once per
-    /// request, then filtered in place each round — residuals only shrink
-    /// within a solve, so the filter is identical to recomputing from
-    /// `eligible_bins`.
-    pub fn_id: Vec<usize>,
-    pub fn_bins: Vec<usize>,
-    pub fn_bins_start: Vec<usize>,
-    /// Per-item Eq. 3 cost, aligned with `item_of` (one ladder per function,
-    /// strictly increasing in `k`).
-    pub item_cost: Vec<f64>,
-    /// Functions contributing items this round: `(active position, first
-    /// item index)`; the segment ends where the next entry starts.
-    pub round_funcs: Vec<(usize, usize)>,
     /// `batch_rounds` ablation buffers (per-bin smallest eligible demand and
     /// the derived multiplicity bound).
     pub batch_min_demand: Vec<f64>,
@@ -224,12 +238,10 @@ pub struct SolveScratch {
     pub sol: SolutionScratch,
     pub heur: HeuristicScratch,
     pub matching: MatchingScratch,
-    /// Output slot for [`matching::min_cost_max_matching_into`].
+    /// Output slot of the per-round matchers.
     pub matching_out: Matching,
-    /// Ladder-aware incremental matching engine (dominance-pruned graphs,
-    /// optional cross-round price carry). Holds no cross-request state the
-    /// heuristic doesn't explicitly reset via `begin_request`.
-    pub inc: matching::IncrementalMatcher,
+    /// The heuristic's round matcher; its input is rebuilt every round.
+    pub ladder: LadderMatcher,
     pub commit: CommitScratch,
     /// Revised-simplex workspace (factorization + eta-file buffers) reused by
     /// the exact ILP path so branch-and-bound node re-solves allocate nothing.
@@ -251,7 +263,7 @@ impl SolveScratch {
             heur: HeuristicScratch::default(),
             matching: MatchingScratch::new(),
             matching_out: Matching { pairs: Vec::new(), cost: 0.0 },
-            inc: matching::IncrementalMatcher::new(),
+            ladder: LadderMatcher::new(),
             commit: CommitScratch::default(),
             lp: milp::LpWorkspace::new(),
         }
@@ -314,6 +326,64 @@ mod tests {
         assert_eq!(sol.materialize(), aug);
     }
 
+    /// The function the reference trim removes next from `aug`: the
+    /// smallest last-secondary gain among functions whose removal keeps the
+    /// expectation (the rule of [`Augmentation::trim_to_expectation`]).
+    fn reference_choice(inst: &AugmentationInstance, aug: &Augmentation) -> Option<usize> {
+        let rel = aug.reliability(inst);
+        if rel < inst.expectation {
+            return None;
+        }
+        let mut best: Option<(f64, usize)> = None;
+        for (i, &m) in aug.counts().iter().enumerate() {
+            let (r, e) = (inst.functions[i].reliability, inst.functions[i].existing_backups);
+            if m == 0 {
+                continue;
+            }
+            let gain = reliability::log_gain(r, e + m);
+            let new_rel = rel / reliability::function_reliability(r, e + m)
+                * reliability::function_reliability(r, e + m - 1);
+            if new_rel >= inst.expectation && best.is_none_or(|(g, _)| gain < g) {
+                best = Some((gain, i));
+            }
+        }
+        best.map(|(_, i)| i)
+    }
+
+    /// Trim the same solution both ways. The mirror must trim the functions
+    /// the reference rule picks, in its order, remove as many secondaries
+    /// per function, end on bit-equal reliability and stop at `ρ_j`; only
+    /// the bins it frees may differ (load rounding).
+    fn assert_trim_mirrors(
+        inst: &AugmentationInstance,
+        aug: &Augmentation,
+        sol: &mut SolutionScratch,
+    ) {
+        let mut order = Vec::new();
+        let removed = sol.trim_with(inst, |f| order.push(f));
+        let mut reference = aug.clone();
+        assert_eq!(removed, reference.trim_to_expectation(inst));
+        assert_eq!(sol.counts(), reference.counts().as_slice());
+        assert_eq!(sol.reliability(inst).to_bits(), reference.reliability(inst).to_bits());
+        let mut replay = aug.clone();
+        for &f in &order {
+            assert_eq!(reference_choice(inst, &replay), Some(f), "trim order diverges");
+            let bin = replay.placements_of(f)[0].0;
+            replay.remove(f, bin);
+        }
+        assert_eq!(reference_choice(inst, &replay), None, "trim stopped early");
+        if aug.reliability(inst) >= inst.expectation {
+            assert!(sol.reliability(inst) >= inst.expectation, "trim undershot the expectation");
+        }
+        let loads = sol.materialize().bin_loads(inst);
+        for (b, (&got, &want)) in sol.loads.iter().zip(&loads).enumerate() {
+            assert!(
+                (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                "bin {b} load {got} vs {want}"
+            );
+        }
+    }
+
     #[test]
     fn trim_mirror_matches_augmentation_trim() {
         let inst = tiny_instance();
@@ -325,10 +395,47 @@ mod tests {
             aug.add(f, b, 1);
             sol.add(f, b);
         }
-        let removed_aug = aug.trim_to_expectation(&inst);
-        let removed_sol = sol.trim_to_expectation(&inst);
-        assert_eq!(removed_sol, removed_aug);
-        assert_eq!(sol.materialize(), aug);
+        assert_trim_mirrors(&inst, &aug, &mut sol);
+        assert!(sol.counts().iter().sum::<usize>() < 5, "the overshoot is trimmed");
+    }
+
+    #[test]
+    fn trim_mirror_matches_augmentation_trim_on_random_overshoots() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20);
+        let mut sol = SolutionScratch::default();
+        for _ in 0..500 {
+            let n_bins = rng.gen_range(1..=5usize);
+            let bins = (0..n_bins)
+                .map(|v| Bin { node: NodeId(v), residual: rng.gen_range(100.0..1000.0) })
+                .collect();
+            let chain = rng.gen_range(1..=6usize);
+            let functions: Vec<FunctionSlot> = (0..chain)
+                .map(|v| FunctionSlot {
+                    vnf: VnfTypeId(v),
+                    demand: rng.gen_range(20.0..300.0),
+                    reliability: rng.gen_range(0.5..0.99),
+                    primary: NodeId(0),
+                    eligible_bins: (0..n_bins).filter(|_| rng.gen_bool(0.7)).collect(),
+                    max_secondaries: 8,
+                    existing_backups: rng.gen_range(0..=1usize),
+                })
+                .collect();
+            let mut inst = AugmentationInstance { functions, bins, l: 1, expectation: 0.0 };
+            let mut aug = Augmentation::empty(chain);
+            sol.begin(chain);
+            for (i, f) in inst.functions.iter().enumerate() {
+                for _ in 0..rng.gen_range(0..=6usize) {
+                    if let Some(&b) = f.eligible_bins.get(rng.gen_range(0..n_bins)) {
+                        aug.add(i, b, 1);
+                        sol.add(i, b);
+                    }
+                }
+            }
+            // An expectation the solution overshoots by up to 10%.
+            inst.expectation = aug.reliability(&inst) * rng.gen_range(0.9..1.0);
+            assert_trim_mirrors(&inst, &aug, &mut sol);
+        }
     }
 
     #[test]

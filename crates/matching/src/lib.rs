@@ -11,9 +11,10 @@
 //!
 //! * [`bipartite::min_cost_max_matching`] — production API on sparse edge
 //!   lists, backed by [`mcmf`].
-//! * [`incremental::IncrementalMatcher`] — ladder-aware engine for the
-//!   heuristic's round-structured graphs: dominance-pruned lazy right side,
-//!   byte-identical to the rebuild path, with opt-in cross-round price reuse.
+//! * [`ladder::LadderMatcher`] — exact solver for the heuristic's
+//!   round-structured graphs (per-function cost ladders over shared bins):
+//!   the matroid greedy over bin-signature classes, with the cardinality and
+//!   cost of [`bipartite::min_cost_max_matching`].
 //! * [`hungarian::solve`] — classical dense-matrix assignment
 //!   (Jonker–Volgenant style shortest augmenting paths), used by tests to
 //!   confirm the sparse solver on complete instances.
@@ -27,10 +28,10 @@ pub mod bipartite;
 pub mod brute;
 pub mod hopcroft_karp;
 pub mod hungarian;
-pub mod incremental;
+pub mod ladder;
 pub mod mcmf;
 
 pub use b_matching::{min_cost_max_b_matching, min_cost_max_b_matching_into};
 pub use bipartite::{min_cost_max_matching, min_cost_max_matching_into, Matching, MatchingScratch};
-pub use incremental::{IncrementalMatcher, MatchStats};
+pub use ladder::LadderMatcher;
 pub use mcmf::{FlowResult, McmfGraph};

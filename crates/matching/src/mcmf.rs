@@ -9,9 +9,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Tolerance under which a reduced cost is clamped to zero (guards Dijkstra
-/// against `-1e-17`-style round-off). Shared with the incremental engine,
-/// whose relaxations must take the exact same eps-strict branches.
-pub(crate) const COST_EPS: f64 = 1e-12;
+/// against `-1e-17`-style round-off).
+const COST_EPS: f64 = 1e-12;
 
 #[derive(Debug, Clone)]
 struct Arc {

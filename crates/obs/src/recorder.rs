@@ -127,12 +127,13 @@ impl Recorder {
         self.events_emitted += 1;
     }
 
-    /// Emit an event built lazily: under a no-op recorder the closure is
+    /// Emit an event built lazily: when nothing would keep the event — a
+    /// no-op or counters-only sink without a flight ring — the closure is
     /// never invoked, so callers can put formatting and snapshotting work
-    /// inside it without paying for it when telemetry is off.
+    /// inside it without paying for it when events are off.
     #[inline]
     pub fn emit_with<F: FnOnce() -> Event>(&mut self, build: F) {
-        if self.enabled() {
+        if !matches!(self.sink, Sink::Noop | Sink::Counters) || self.flight.is_some() {
             self.emit(build());
         }
     }
@@ -334,6 +335,21 @@ mod tests {
         assert!(rec.events().is_empty());
         assert_eq!(rec.summary().counter("solver.pivots"), 9);
         assert!((rec.summary().timing_s("lp") - 0.002).abs() < 1e-9);
+        // A lazily built event would be dropped, so it is never built —
+        // unless a flight ring wants it.
+        let mut calls = 0u32;
+        rec.emit_with(|| {
+            calls += 1;
+            Event::new("solver.round")
+        });
+        assert_eq!(calls, 0);
+        rec.attach_flight(2);
+        rec.emit_with(|| {
+            calls += 1;
+            Event::new("solver.round")
+        });
+        assert_eq!(calls, 1);
+        assert_eq!(rec.flight().map(|f| f.len()), Some(1));
     }
 
     #[test]

@@ -10,17 +10,12 @@
 //!   one per algorithm, with the preset seed as engine seed. These are the
 //!   values `stream_exp --scenario fattree-16 --requests 1500` prints; any
 //!   change that moves a single record shows up here.
-//! * **Matching-engine byte-identity**: a full admission stream over zoo
-//!   scenarios produces exactly the same records — and the same final
-//!   residuals, bit for bit — whether the heuristic solves its rounds with
-//!   the incremental engine (default) or the historical full-rebuild path.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use bench_harness::{fold_record_hash, RECORD_HASH_SEED};
 use mec_sfc_reliability::obs::{MetricsInterval, Recorder};
-use mec_sfc_reliability::relaug::heuristic::{HeuristicConfig, MatchEngine};
 use mec_sfc_reliability::relaug::stream::{
     process_stream_seeded, Algorithm, FlightSpec, MetricsMode, StreamConfig, StreamOutcome,
 };
@@ -38,13 +33,6 @@ fn run(
 ) -> StreamOutcome {
     let reqs: Vec<_> = RequestStream::new(built, requests).collect();
     process_stream_seeded(&built.network, &built.catalog, &reqs, cfg, built.spec.seed, rec).0
-}
-
-fn heuristic(engine: MatchEngine) -> StreamConfig {
-    StreamConfig {
-        algorithm: Algorithm::Heuristic(HeuristicConfig { engine, ..Default::default() }),
-        ..Default::default()
-    }
 }
 
 fn algorithms() -> [(&'static str, Algorithm); 4] {
@@ -137,31 +125,4 @@ fn record_hashes_are_pinned_on_fattree_16() {
         let hash = out.records.iter().fold(RECORD_HASH_SEED, fold_record_hash);
         assert_eq!(format!("{hash:016x}"), pinned, "{name}: record hash moved");
     }
-}
-
-#[test]
-fn incremental_engine_stream_is_byte_identical_on_zoo_scenarios() {
-    for preset in ["waxman-100", "fattree-16"] {
-        let built = scenario(preset);
-        let inc = run(&built, 1500, &heuristic(MatchEngine::Incremental), &mut Recorder::noop());
-        let reb = run(&built, 1500, &heuristic(MatchEngine::Rebuild), &mut Recorder::noop());
-        assert_same_outcome(&format!("{preset} incremental vs rebuild"), &inc, &reb);
-    }
-}
-
-#[test]
-fn warm_engine_stream_stays_feasible_on_zoo_scenarios() {
-    // Warm starts trade the byte-identity guarantee for price reuse; the
-    // stream must still be complete (one record per request) and feasible.
-    let built = scenario("waxman-100");
-    let out = run(&built, 1500, &heuristic(MatchEngine::IncrementalWarm), &mut Recorder::noop());
-    assert_eq!(out.records.len(), 1500);
-    let initial = built.network.residual_capacities(1.0);
-    for (v, (&res, &init)) in out.final_residual.iter().zip(&initial).enumerate() {
-        assert!(
-            (-1e-9..=init + 1e-9).contains(&res),
-            "node {v} residual {res} outside [0, {init}]"
-        );
-    }
-    assert!(out.admitted() > 0, "warm stream admitted nothing");
 }

@@ -11,7 +11,6 @@
 use mec_sfc_reliability::mecnet::workload::{generate_scenario, WorkloadConfig};
 use mec_sfc_reliability::milp::BnbConfig;
 use mec_sfc_reliability::obs::Recorder;
-use mec_sfc_reliability::relaug::heuristic::{HeuristicConfig, MatchEngine};
 use mec_sfc_reliability::relaug::ilp::IlpConfig;
 use mec_sfc_reliability::relaug::stream::Algorithm;
 use mec_sfc_reliability::relaug::{AugmentationInstance, Outcome, SolveScratch};
@@ -79,13 +78,6 @@ fn solver_output_does_not_depend_on_scratch_history() {
         ("ILP", Algorithm::Ilp(ilp)),
         ("Randomized", Algorithm::Randomized(Default::default())),
         ("Heuristic", Algorithm::Heuristic(Default::default())),
-        (
-            "Heuristic/rebuild",
-            Algorithm::Heuristic(HeuristicConfig {
-                engine: MatchEngine::Rebuild,
-                ..Default::default()
-            }),
-        ),
         ("Greedy", Algorithm::Greedy(Default::default())),
     ];
     for (name, algorithm) in &algorithms {
