@@ -11,10 +11,10 @@
 //!    hand-timed rep must reproduce the first one's records and residuals.
 //! 2. **Scenario** — the `sagin-1k` zoo preset (≥1,000 cloudlets) with a
 //!    lazily synthesized million-request stream fed straight into the sink
-//!    engine, hand-timed once uncached and once with the admission plan
-//!    cache (`scenario` in the JSON). Nothing is materialized: the uncached
-//!    run is identified by the order-sensitive FNV record hash. `QUICK=1`
-//!    shrinks the stream for CI.
+//!    engine, hand-timed once (`scenario` in the JSON). Nothing is
+//!    materialized: the run is identified by the order-sensitive FNV record
+//!    hash, and the capacity-gate counter shows how many rejects skipped
+//!    the placement scan. `QUICK=1` shrinks the stream for CI.
 
 use std::time::{Duration, Instant};
 
@@ -40,7 +40,6 @@ const RECORD_REPS: usize = 5;
 const SCENARIO: &str = "sagin-1k";
 const SCENARIO_REQUESTS: u64 = 1_000_000;
 const SCENARIO_REQUESTS_QUICK: u64 = 150_000;
-const PLAN_CACHE_ENTRIES: usize = 4096;
 
 struct Fixture {
     network: mecnet::MecNetwork,
@@ -59,16 +58,12 @@ fn fixture() -> Fixture {
     Fixture { network, catalog, requests }
 }
 
-fn heuristic_config(plan_cache: usize) -> StreamConfig {
-    StreamConfig {
-        algorithm: Algorithm::Heuristic(Default::default()),
-        plan_cache,
-        ..Default::default()
-    }
+fn heuristic_config() -> StreamConfig {
+    StreamConfig { algorithm: Algorithm::Heuristic(Default::default()), ..Default::default() }
 }
 
 fn run(fx: &Fixture) -> StreamOutcome {
-    let cfg = heuristic_config(0);
+    let cfg = heuristic_config();
     process_stream_seeded(&fx.network, &fx.catalog, &fx.requests, &cfg, SEED, &mut Recorder::noop())
         .0
 }
@@ -79,10 +74,11 @@ struct ScenarioRun {
     elapsed_s: f64,
     hash: u64,
     admitted: u64,
-    cache: Option<obs::PlanCacheReport>,
+    rejected: u64,
+    gated: u64,
 }
 
-fn run_scenario(built: &BuiltScenario, requests: u64, plan_cache: usize) -> ScenarioRun {
+fn run_scenario(built: &BuiltScenario, requests: u64) -> ScenarioRun {
     let mut hash = RECORD_HASH_SEED;
     let mut admitted = 0u64;
     let started = Instant::now();
@@ -90,7 +86,7 @@ fn run_scenario(built: &BuiltScenario, requests: u64, plan_cache: usize) -> Scen
         &built.network,
         &built.catalog,
         RequestStream::new(built, requests),
-        &heuristic_config(plan_cache),
+        &heuristic_config(),
         built.spec.seed,
         &mut Recorder::noop(),
         &mut |r| {
@@ -98,7 +94,13 @@ fn run_scenario(built: &BuiltScenario, requests: u64, plan_cache: usize) -> Scen
             admitted += r.admitted as u64;
         },
     );
-    ScenarioRun { elapsed_s: started.elapsed().as_secs_f64(), hash, admitted, cache: ob.plan_cache }
+    ScenarioRun {
+        elapsed_s: started.elapsed().as_secs_f64(),
+        hash,
+        admitted,
+        rejected: ob.pipeline.counter("rejected.no_primary_placement"),
+        gated: ob.pipeline.counter("rejected.capacity_gate"),
+    }
 }
 
 fn scenario_section(quick: bool) -> Value {
@@ -106,31 +108,16 @@ fn scenario_section(quick: bool) -> Value {
     let requests = if quick { SCENARIO_REQUESTS_QUICK } else { SCENARIO_REQUESTS };
     let rps = |r: &ScenarioRun| requests as f64 / r.elapsed_s;
 
-    let plain = run_scenario(&built, requests, 0);
+    let run = run_scenario(&built, requests);
     println!(
         "stream_throughput: scenario {SCENARIO} — {requests} requests in {:.2}s ({:.0} req/s, \
-         {} admitted, hash {:016x})",
-        plain.elapsed_s,
-        rps(&plain),
-        plain.admitted,
-        plain.hash,
-    );
-    // Cached admission is oracle-checked rather than identical to the
-    // uncached run, so its row carries the cache counters instead of a record
-    // hash. Peak RSS (VmHWM, whole process) is evidence the cache stays
-    // O(capacity): the 10^6-request footprint must not grow with the stream.
-    let cached = run_scenario(&built, requests, PLAN_CACHE_ENTRIES);
-    let report = cached.cache.expect("cached run attaches a report");
-    let speedup = plain.elapsed_s / cached.elapsed_s;
-    println!(
-        "stream_throughput: scenario {SCENARIO} plan-cache={PLAN_CACHE_ENTRIES} — {requests} \
-         requests in {:.2}s ({:.0} req/s, {} admitted, hit-rate {:.3}, plan hit-rate {:.3}, \
-         {speedup:.1}x vs uncached, peak RSS {})",
-        cached.elapsed_s,
-        rps(&cached),
-        cached.admitted,
-        report.hit_rate(),
-        report.plan_hit_rate(),
+         {} admitted, {} of {} rejects gated, hash {:016x}, peak RSS {})",
+        run.elapsed_s,
+        rps(&run),
+        run.admitted,
+        run.gated,
+        run.rejected,
+        run.hash,
         expkit::peak_rss_human(),
     );
     Value::Obj(vec![
@@ -142,29 +129,12 @@ fn scenario_section(quick: bool) -> Value {
         (
             "uncached".into(),
             Value::Obj(vec![
-                ("mean_s".into(), Value::F64(plain.elapsed_s)),
-                ("throughput_rps".into(), Value::F64(rps(&plain))),
-                ("admitted".into(), Value::U64(plain.admitted)),
-                ("record_hash".into(), Value::Str(format!("{:016x}", plain.hash))),
-            ]),
-        ),
-        (
-            "plan_cache".into(),
-            Value::Obj(vec![
-                ("entries".into(), Value::U64(PLAN_CACHE_ENTRIES as u64)),
-                ("mean_s".into(), Value::F64(cached.elapsed_s)),
-                ("throughput_rps".into(), Value::F64(rps(&cached))),
-                ("speedup_vs_uncached".into(), Value::F64(speedup)),
-                ("admitted".into(), Value::U64(cached.admitted)),
-                ("hit_rate".into(), Value::F64(report.hit_rate())),
-                ("plan_hit_rate".into(), Value::F64(report.plan_hit_rate())),
-                ("hits".into(), Value::U64(report.hits)),
-                ("epoch_skips".into(), Value::U64(report.epoch_skips)),
-                ("reject_hits".into(), Value::U64(report.reject_hits)),
-                ("misses".into(), Value::U64(report.misses)),
-                ("validation_failures".into(), Value::U64(report.validation_failures)),
-                ("insertions".into(), Value::U64(report.insertions)),
-                ("evictions".into(), Value::U64(report.evictions)),
+                ("mean_s".into(), Value::F64(run.elapsed_s)),
+                ("throughput_rps".into(), Value::F64(rps(&run))),
+                ("admitted".into(), Value::U64(run.admitted)),
+                ("rejected".into(), Value::U64(run.rejected)),
+                ("rejected_gated".into(), Value::U64(run.gated)),
+                ("record_hash".into(), Value::Str(format!("{:016x}", run.hash))),
                 ("peak_rss_bytes".into(), Value::U64(expkit::peak_rss_bytes().unwrap_or(0))),
             ]),
         ),

@@ -95,15 +95,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if args.plan_cache > 0 {
-        println!(
-            "note: --plan-cache {} ignored — the failure/recovery simulator \
-             releases capacity on departures, which breaks the cache's \
-             monotone-residual watermark and epoch invalidation; the plan \
-             cache is a stream_exp (admission-only) feature\n",
-            args.plan_cache
-        );
-    }
     let audit_interval = args.audit_interval.unwrap_or(5.0);
     let policy_names: Vec<String> = match &args.policy {
         Some(name) => vec![name.clone()],

@@ -6,23 +6,11 @@
 //!
 //! Usage: `cargo run -p bench-harness --release --bin stream_exp --
 //! [--trials N] [--seed S] [--requests R] [--trace PATH]
-//! [--metrics-interval N|Xs] [--flight DIR] [--scenario NAME|PATH]
-//! [--plan-cache N]` (trials = independent
-//! network/stream pairs). Every stream runs through the sequential engine,
-//! `relaug::stream::process_stream_seeded_sink`; `--workers` is accepted for
-//! flag compatibility with `sim_exp`, and any value above 1 exits with
-//! status 2.
-//!
-//! `--plan-cache N` (default 0 = off) arms the admission plan cache
-//! (`relaug::plancache`): solved plans are memoized by `(source, chain
-//! signature, threshold bucket, l)` and every hit is re-validated against
-//! live residuals and the live reliability threshold before it is applied —
-//! a cache can change which requests are admitted (only ever
-//! conservatively), so cached runs are oracle-checked rather than
-//! byte-identical and the record-hash column is not comparable to uncached
-//! runs. A cache-plane table (hits, epoch skips, gate rejects, misses,
-//! stale validations, evictions, hit rates) is appended to the report, and
-//! each algorithm prints a parseable `<algo> plan cache: hit-rate …` line.
+//! [--metrics-interval N|Xs] [--flight DIR] [--scenario NAME|PATH]`
+//! (trials = independent network/stream pairs). Every stream runs through
+//! the sequential engine, `relaug::stream::process_stream_seeded_sink`;
+//! `--workers` is accepted for flag compatibility with `sim_exp`, and any
+//! value above 1 exits with status 2.
 //!
 //! Without `--scenario` the harness runs the toy fixture: one
 //! `WorkloadConfig::default()` network per trial and uniformly random
@@ -51,9 +39,11 @@
 //! admitted/rejected + reason, the secondaries placed and a residual
 //! snapshot), with the per-request solver events interleaved in arrival
 //! order. A telemetry summary table is printed at the end of every run,
-//! traced or not; its p50/p95/p99 columns are log2-bucket upper bounds read
-//! from the observed stream's `solve_ns` histogram, so they are filled in
-//! windowed mode too. A column with no samples — the mean reliability of a
+//! traced or not. Its `gated` column counts the rejects the engine's
+//! capacity gate decided without a placement scan (a subset of `rejected`);
+//! its p50/p95/p99 columns are log2-bucket upper bounds read from the
+//! observed stream's `solve_ns` histogram, so they are filled in windowed
+//! mode too. A column with no samples — the mean reliability of a
 //! stream that admitted nothing — prints `-`.
 
 use std::time::Instant;
@@ -112,46 +102,6 @@ fn drive(
         stats.record(&r);
     };
     process_stream_seeded_sink(network, catalog, requests, &cfg, seed, rec, &mut on_record).1
-}
-
-/// Cache-plane attribution of each algorithm's observed stream: what the
-/// plan cache did with every consulted request. `None` when no observed run
-/// had the cache armed.
-fn plan_cache_table(observations: &[(&str, StreamObservation)]) -> Option<Table> {
-    let rows: Vec<(&str, obs::PlanCacheReport)> =
-        observations.iter().filter_map(|(name, ob)| ob.plan_cache.map(|r| (*name, r))).collect();
-    if rows.is_empty() {
-        return None;
-    }
-    let mut table = Table::new(vec![
-        "algorithm",
-        "capacity",
-        "hits",
-        "epoch skips",
-        "gate rejects",
-        "misses",
-        "stale",
-        "insertions",
-        "evictions",
-        "hit rate",
-        "plan hit rate",
-    ]);
-    for (name, r) in &rows {
-        table.add_row(vec![
-            name.to_string(),
-            format!("{}", r.capacity),
-            format!("{}", r.hits),
-            format!("{}", r.epoch_skips),
-            format!("{}", r.reject_hits),
-            format!("{}", r.misses),
-            format!("{}", r.validation_failures),
-            format!("{}", r.insertions),
-            format!("{}", r.evictions),
-            format!("{:.3}", r.hit_rate()),
-            format!("{:.3}", r.plan_hit_rate()),
-        ]);
-    }
-    Some(table)
 }
 
 /// Solve-time quantile `q` of an observed stream, as the upper bound of the
@@ -240,14 +190,6 @@ fn main() {
             "## Stream experiment — {requests_per_stream} requests per stream, {trials} streams\n"
         ),
     }
-    if args.plan_cache > 0 {
-        println!(
-            "plan cache: {} entries (hits re-validated against live residuals; \
-             record hashes are not comparable to uncached runs)\n",
-            args.plan_cache
-        );
-    }
-
     // Telemetry sink: the first stream of each algorithm runs traced — into
     // the JSONL file when `--trace` is given, into memory otherwise — so the
     // end-of-run summary table always has data. Remaining trials run with the
@@ -285,6 +227,7 @@ fn main() {
         "events",
         "admitted",
         "rejected",
+        "gated",
         "solve time",
         "p50",
         "p95",
@@ -305,11 +248,7 @@ fn main() {
         let mut hash = RECORD_HASH_SEED;
         let effort_base = rec.summary();
         for t in 0..trials {
-            let cfg = StreamConfig {
-                algorithm: algorithm.clone(),
-                plan_cache: args.plan_cache,
-                ..Default::default()
-            };
+            let cfg = StreamConfig { algorithm: algorithm.clone(), ..Default::default() };
             let mut stats = StreamStats::new();
             // The first stream of each algorithm runs with the full
             // observability config (windowing, flight ring, fault injection)
@@ -391,6 +330,7 @@ fn main() {
             format!("{}", now.events_emitted - effort_base.events_emitted),
             format!("{}", now.counter("stream.admitted") - effort_base.counter("stream.admitted")),
             format!("{}", now.counter("stream.rejected") - effort_base.counter("stream.rejected")),
+            format!("{}", ob.pipeline.counter("rejected.capacity_gate")),
             expkit::table::fmt_duration_s(
                 now.timing_s("stream.solve") - effort_base.timing_s("stream.solve"),
             ),
@@ -424,25 +364,6 @@ fn main() {
         println!();
         for line in &matchplane_lines {
             println!("{line}");
-        }
-    }
-    if let Some(cache_table) = plan_cache_table(&observations) {
-        println!("\n### plan cache (first stream per algorithm)\n");
-        println!("{}", cache_table.to_markdown());
-        println!();
-        // One parseable line per algorithm — what CI's cache-smoke greps.
-        for (name, ob) in &observations {
-            if let Some(r) = ob.plan_cache {
-                println!(
-                    "{name} plan cache: hit-rate {:.3} (plan hit-rate {:.3}, \
-                     hits {} / gate {} / misses {})",
-                    r.hit_rate(),
-                    r.plan_hit_rate(),
-                    r.hits,
-                    r.reject_hits,
-                    r.misses,
-                );
-            }
         }
     }
     if args.metrics_interval.is_some() {

@@ -392,7 +392,7 @@ pub fn render_figure(points: &[PointResult]) -> String {
 /// `--trials N --seed S --threads T --workers W --json PATH
 /// --greedy --no-ilp --trace PATH --requests N --policy NAME --duration T
 /// --audit-interval T --metrics-interval N|Xs --flight DIR
-/// --scenario NAME|PATH --plan-cache N`.
+/// --scenario NAME|PATH`.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     pub trials: usize,
@@ -426,10 +426,6 @@ pub struct HarnessArgs {
     /// the network, catalog and lazy request stream from `scen` instead of
     /// the toy workload fixture.
     pub scenario: Option<String>,
-    /// Admission plan-cache capacity in entries (`stream_exp`; `sim_exp`
-    /// parses but ignores it). `0` (default) disables the cache and keeps
-    /// the uncached record hashes untouched.
-    pub plan_cache: usize,
 }
 
 impl Default for HarnessArgs {
@@ -450,7 +446,6 @@ impl Default for HarnessArgs {
             metrics_interval: None,
             flight: None,
             scenario: None,
-            plan_cache: 0,
         }
     }
 }
@@ -499,9 +494,6 @@ impl HarnessArgs {
                 }
                 "--flight" => out.flight = Some(value("--flight")?),
                 "--scenario" => out.scenario = Some(value("--scenario")?),
-                "--plan-cache" => {
-                    out.plan_cache = value("--plan-cache")?.parse().map_err(|e| format!("{e}"))?
-                }
                 other => return Err(format!("unknown flag {other}")),
             }
         }
@@ -795,17 +787,6 @@ mod tests {
             HarnessArgs::parse(["--scenario", "sagin-1k"].iter().map(|s| s.to_string())).unwrap();
         assert_eq!(args.scenario.as_deref(), Some("sagin-1k"));
         assert!(HarnessArgs::parse(["--scenario".to_string()].into_iter()).is_err());
-    }
-
-    #[test]
-    fn plan_cache_flag_parses_and_defaults_off() {
-        assert_eq!(HarnessArgs::default().plan_cache, 0);
-        let args =
-            HarnessArgs::parse(["--plan-cache", "4096"].iter().map(|s| s.to_string())).unwrap();
-        assert_eq!(args.plan_cache, 4096);
-        assert!(HarnessArgs::parse(["--plan-cache".to_string()].into_iter()).is_err());
-        assert!(HarnessArgs::parse(["--plan-cache".to_string(), "lots".to_string()].into_iter())
-            .is_err());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! `stream_exp` at its command-line surface: runs that admit nothing finish
-//! cleanly, and unknown flags exit 2.
+//! `stream_exp` and `sim_exp` at their command-line surface: runs that admit
+//! nothing finish cleanly, and unknown or removed flags exit 2 with a
+//! one-line message.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -43,9 +44,27 @@ fn a_stream_that_admits_nothing_prints_dashes_and_exits_zero() {
     }
 }
 
+/// `out` must be a parse-time failure on `flag`: exit 2, one stderr line
+/// naming the flag, nothing on stdout.
+fn assert_unknown_flag(bin: &str, out: Output, flag: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {flag}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{bin} {flag}: {stderr}");
+    assert!(stderr.contains(&format!("unknown flag {flag}")), "{bin}: {stderr}");
+    assert!(out.stdout.is_empty(), "{bin} {flag} printed before failing");
+}
+
 #[test]
 fn removed_match_engine_flag_exits_2() {
-    let out = stream_exp(&["--match-engine", "rebuild"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --match-engine"));
+    assert_unknown_flag("stream_exp", stream_exp(&["--match-engine", "rebuild"]), "--match-engine");
+}
+
+#[test]
+fn removed_plan_cache_flag_exits_2_on_both_binaries() {
+    assert_unknown_flag("stream_exp", stream_exp(&["--plan-cache", "4096"]), "--plan-cache");
+    let sim = Command::new(env!("CARGO_BIN_EXE_sim_exp"))
+        .args(["--plan-cache", "4096"])
+        .output()
+        .expect("run sim_exp");
+    assert_unknown_flag("sim_exp", sim, "--plan-cache");
 }

@@ -47,7 +47,6 @@ pub mod heuristic;
 pub mod ilp;
 pub mod instance;
 pub mod montecarlo;
-pub mod plancache;
 pub mod randomized;
 pub mod reliability;
 pub mod report;

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use mecnet::admission::{random_placement_capacity_aware, PrimaryPlacement};
 use mecnet::graph::NodeId;
 use mecnet::neighborhood::NeighborhoodIndex;
-use mecnet::network::{MecNetwork, NodeEpochs};
+use mecnet::network::MecNetwork;
 use mecnet::request::SfcRequest;
 use mecnet::vnf::VnfCatalog;
 use obs::{
@@ -37,11 +37,10 @@ use rand::{Rng, SeedableRng};
 use crate::heuristic::HeuristicConfig;
 use crate::ilp::IlpConfig;
 use crate::instance::AugmentationInstance;
-use crate::plancache::{PlanCache, PlanEntry, PlanKey, Probe};
 use crate::randomized::RandomizedConfig;
 use crate::scratch::SolveScratch;
 use crate::solution::Outcome;
-use crate::{greedy, heuristic, ilp, randomized, reliability};
+use crate::{greedy, heuristic, ilp, randomized};
 
 /// Which augmentation algorithm the stream runs per admitted request.
 #[derive(Debug, Clone)]
@@ -121,22 +120,6 @@ pub struct StreamConfig {
     /// its marginal backups start further down the diminishing-returns
     /// ladder. `false` reproduces the paper's no-sharing model.
     pub share_backups: bool,
-    /// Admission plan-cache capacity in entries; `0` (the default) disables
-    /// the cache and keeps the uncached records untouched. When enabled, the
-    /// engine memoizes solved plans keyed by `(source, chain signature,
-    /// threshold bucket, l)` and re-validates every hit against live
-    /// residuals (see [`crate::plancache`]); cached mode is oracle-checked,
-    /// not byte-identical to uncached runs. Incompatible with
-    /// `share_backups` (a cached plan's reliability depends on neighbors'
-    /// instances there).
-    pub plan_cache: usize,
-    /// Differential-oracle hook (test builds of the property suite): on every
-    /// cache hit, certify the entry from first principles — cost, reliability
-    /// and debits recomputed bit-exactly from its stored plan — and re-run
-    /// the fresh solve it would skip as a cross-witness. Expensive; leave off
-    /// outside the oracle tests.
-    #[doc(hidden)]
-    pub plan_cache_oracle: bool,
     /// Telemetry granularity: per-request events (the byte-identity-checked
     /// default) or bounded windowed summaries.
     pub metrics: MetricsMode,
@@ -156,8 +139,6 @@ impl Default for StreamConfig {
             algorithm: Algorithm::default(),
             initial_capacity_fraction: 1.0,
             share_backups: false,
-            plan_cache: 0,
-            plan_cache_oracle: false,
             metrics: MetricsMode::Full,
             flight: None,
             inject_commit_hard_error_at: None,
@@ -288,42 +269,22 @@ pub mod pipeline_metrics {
         "requests",
         "admitted",
         "rejected.no_primary_placement",
+        "rejected.capacity_gate",
         "commit.overcommit_clamped",
         "solves",
-        "plancache.hits",
-        "plancache.epoch_skips",
-        "plancache.reject_hits",
-        "plancache.misses",
-        "plancache.validation_failures",
-        "plancache.insertions",
-        "plancache.evictions",
     ];
     pub const C_REQUESTS: usize = 0;
     pub const C_ADMITTED: usize = 1;
     pub const C_REJECTED: usize = 2;
-    pub const C_OVERCOMMIT: usize = 3;
-    /// Fresh solves: every admitted request the plan cache did not serve.
-    pub const C_SOLVES: usize = 4;
-    /// Plan-cache hit: a cached plan revalidated against live residuals and
-    /// was applied in place of admission + solve.
-    pub const C_PC_HITS: usize = 5;
-    /// Subset of hits whose epoch stamps were all unchanged — even the
-    /// feasibility re-walk was skipped.
-    pub const C_PC_EPOCH_SKIPS: usize = 6;
-    /// Request rejected by the monotone max-residual watermark without
-    /// scanning candidates.
-    pub const C_PC_REJECT_HITS: usize = 7;
-    /// Cache probes that found no usable plan.
-    pub const C_PC_MISSES: usize = 8;
-    /// Misses where a candidate existed but failed re-validation.
-    pub const C_PC_VALIDATION_FAILURES: usize = 9;
-    /// Entries written after fresh solves.
-    pub const C_PC_INSERTIONS: usize = 10;
-    /// Insertions that displaced a live entry with a different key.
-    pub const C_PC_EVICTIONS: usize = 11;
+    /// Subset of the rejects: those the capacity gate decided without a
+    /// placement scan (a chain demand above the largest cloudlet residual).
+    pub const C_GATED: usize = 3;
+    pub const C_OVERCOMMIT: usize = 4;
+    /// Solves: one per admitted request.
+    pub const C_SOLVES: usize = 5;
 
     pub const HISTS: &[&str] = &["solve_ns", "reserve_ns", "commit_ns"];
-    /// Per-request solve time (fresh solves only).
+    /// Per-request solve time.
     pub const H_SOLVE_NS: usize = 0;
     /// Two-phase `try_reserve` latency of the secondary debits.
     pub const H_RESERVE_NS: usize = 1;
@@ -364,9 +325,6 @@ struct StreamObs {
     window: Option<WindowTracker>,
     flight: Option<FlightState>,
     inject_at: Option<usize>,
-    /// Configured plan-cache capacity (0 = off); gates the cache columns in
-    /// windowed events and the `plan_cache` block of the observation.
-    plan_cache_capacity: usize,
 }
 
 impl StreamObs {
@@ -392,7 +350,6 @@ impl StreamObs {
                 path: spec.dir.join("flight-commit.jsonl"),
             }),
             inject_at: cfg.inject_commit_hard_error_at,
-            plan_cache_capacity: cfg.plan_cache,
         }
     }
 
@@ -483,14 +440,14 @@ impl StreamObs {
             |hist: &str, q: f64| d.hist(hist).and_then(|h| h.quantile(q)).unwrap_or(0) / 1_000;
         let solve = d.hist("solve_ns");
         let index = w.index;
-        let cache_on = self.plan_cache_capacity > 0;
         rec.emit_with(|| {
-            let mut e = obs::Event::new("stream.window")
+            obs::Event::new("stream.window")
                 .with("window", index)
                 .with("final", final_window)
                 .with("requests", requests)
                 .with("admitted", d.counter("admitted"))
                 .with("rejected", d.counter("rejected.no_primary_placement"))
+                .with("rejected_gated", d.counter("rejected.capacity_gate"))
                 .with("inline_resolves", d.counter("solves"))
                 .with("overcommit_clamped", d.counter("commit.overcommit_clamped"))
                 .with("elapsed_s", elapsed_s)
@@ -503,21 +460,8 @@ impl StreamObs {
                 .with("solve_p90_us", q_us("solve_ns", 0.90))
                 .with("solve_p99_us", q_us("solve_ns", 0.99))
                 .with("reserve_p99_us", q_us("reserve_ns", 0.99))
-                .with("commit_p99_us", q_us("commit_ns", 0.99));
-            // Cache columns only exist when the cache is on, so cache-off
-            // windowed output keeps the pre-cache schema.
-            if cache_on {
-                e = e
-                    .with("plancache_hits", d.counter("plancache.hits"))
-                    .with("plancache_epoch_skips", d.counter("plancache.epoch_skips"))
-                    .with("plancache_reject_hits", d.counter("plancache.reject_hits"))
-                    .with("plancache_misses", d.counter("plancache.misses"))
-                    .with(
-                        "plancache_validation_failures",
-                        d.counter("plancache.validation_failures"),
-                    );
-            }
-            e.with("solver", serde::Value::Obj(solver_delta))
+                .with("commit_p99_us", q_us("commit_ns", 0.99))
+                .with("solver", serde::Value::Obj(solver_delta))
         });
         w.base_requests = snap.counter("requests");
         w.base = snap;
@@ -548,24 +492,11 @@ impl StreamObs {
         }
     }
 
-    /// Snapshot the metrics for the caller, with the `plancache.*` counters
-    /// aggregated into the serializable cache report when the cache is on.
+    /// Snapshot the metrics for the caller.
     fn observation(&self) -> StreamObservation {
-        let pipeline = self.metrics.shard_snapshot(0);
-        let plan_cache = (self.plan_cache_capacity > 0).then(|| obs::PlanCacheReport {
-            capacity: self.plan_cache_capacity as u64,
-            hits: pipeline.counter("plancache.hits"),
-            epoch_skips: pipeline.counter("plancache.epoch_skips"),
-            reject_hits: pipeline.counter("plancache.reject_hits"),
-            misses: pipeline.counter("plancache.misses"),
-            validation_failures: pipeline.counter("plancache.validation_failures"),
-            insertions: pipeline.counter("plancache.insertions"),
-            evictions: pipeline.counter("plancache.evictions"),
-        });
         StreamObservation {
-            pipeline,
+            pipeline: self.metrics.shard_snapshot(0),
             windows: self.window.as_ref().map(|w| w.index).unwrap_or(0),
-            plan_cache,
         }
     }
 
@@ -585,23 +516,47 @@ pub struct StreamObservation {
     pub pipeline: MetricsSnapshot,
     /// `stream.window` events emitted (0 in full mode).
     pub windows: u64,
-    /// Aggregated plan-cache counters — `Some` only when the run had
-    /// `plan_cache > 0`.
-    pub plan_cache: Option<obs::PlanCacheReport>,
 }
 
-/// Mutable state the engine owns across requests: the network residual,
-/// (when sharing is on) the deployed-instance ledger, the plan cache and the
+/// The largest cloudlet residual and a cloudlet that holds it: the state of
+/// the reject gate in [`process_request`]. Between requests residuals only
+/// fall, so the maximum stays exact for as long as its holder's residual is
+/// unchanged; only a debit to the holder forces a rescan.
+struct MaxResidual {
+    /// `-inf` on a network without cloudlets.
+    value: f64,
+    holder: Option<NodeId>,
+}
+
+impl MaxResidual {
+    fn scan(cloudlets: &[NodeId], residual: &[f64]) -> MaxResidual {
+        let mut max = MaxResidual { value: f64::NEG_INFINITY, holder: None };
+        for &c in cloudlets {
+            if residual[c.index()] > max.value {
+                max = MaxResidual { value: residual[c.index()], holder: Some(c) };
+            }
+        }
+        max
+    }
+
+    /// Re-establish the maximum after a request: O(1) unless the holder was
+    /// debited. Sound only while no residual ever rises; a capacity credit
+    /// to node `v` would instead set `value = max(value, residual[v])`.
+    fn refresh(&mut self, cloudlets: &[NodeId], residual: &[f64]) {
+        if self.holder.is_some_and(|v| residual[v.index()] != self.value) {
+            *self = MaxResidual::scan(cloudlets, residual);
+        }
+    }
+}
+
+/// Mutable state the engine owns across requests: the network residual and
+/// its maximum, (when sharing is on) the deployed-instance ledger, and the
 /// observability state.
 struct PipelineState {
     residual: Vec<f64>,
+    max_residual: MaxResidual,
     /// `Some` iff `share_backups`; `(VNF type, node) -> instances`.
     deployed: Option<HashMap<(usize, usize), usize>>,
-    /// Admission plan cache, `Some` iff `cfg.plan_cache > 0`.
-    cache: Option<PlanCache>,
-    /// Per-node commit epochs backing the cache's fast path, maintained by
-    /// [`process_request`]; they exist exactly when the cache does.
-    epochs: Option<NodeEpochs>,
     obs: StreamObs,
 }
 
@@ -611,16 +566,11 @@ impl PipelineState {
             (0.0..=1.0).contains(&cfg.initial_capacity_fraction),
             "capacity fraction must be in [0, 1]"
         );
-        assert!(
-            !(cfg.share_backups && cfg.plan_cache > 0),
-            "plan cache is incompatible with share_backups: a cached plan's \
-             reliability depends on neighbors' deployed instances"
-        );
+        let residual = network.residual_capacities(cfg.initial_capacity_fraction);
         PipelineState {
-            residual: network.residual_capacities(cfg.initial_capacity_fraction),
+            max_residual: MaxResidual::scan(network.cloudlet_ids(), &residual),
+            residual,
             deployed: cfg.share_backups.then(HashMap::new),
-            cache: (cfg.plan_cache > 0).then(|| PlanCache::new(cfg.plan_cache)),
-            epochs: (cfg.plan_cache > 0).then(|| NodeEpochs::new(network.num_nodes())),
             obs: StreamObs::new(cfg),
         }
     }
@@ -723,120 +673,18 @@ fn apply_deployed_updates(
     }
 }
 
-/// Differential oracle (`StreamConfig::plan_cache_oracle`): before a cache
-/// hit is applied, certify the entry from first principles and re-run the
-/// fresh solve it would skip.
-///
-/// "Cost never better than a fresh solve on the same residual state" is
-/// enforced where it is sound: the stored cost *is* the fresh solve's cost at
-/// the residual state the plan was solved on, so the oracle recomputes it
-/// bit-exactly from the stored secondary counts (a stale plan cannot smuggle
-/// a too-good cost), recomputes the achieved reliability from the live
-/// catalog, and checks the merged debits sum to exactly what chain + counts
-/// imply. Against the *live* residual state no cost ordering is sound — the
-/// solvers are heuristics, not optima, and a plan solved on fuller residuals
-/// can legitimately dominate what a fresh solve finds on the drained network
-/// — so the fresh solve runs as a cross-witness (the instance must still
-/// build and solve under cached state) rather than as a cost bound. The
-/// primaries' debits are replayed through a reservation and aborted, so
-/// `residual` comes back bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn plan_cache_oracle_check(
-    network: &MecNetwork,
-    catalog: &VnfCatalog,
-    cfg: &StreamConfig,
-    seed: u64,
-    k: usize,
-    req: &SfcRequest,
-    entry: &PlanEntry,
-    residual: &mut [f64],
-    nbhd: &NeighborhoodIndex,
-    scratch: &mut SolveScratch,
-) {
-    // Cost integrity: the paper cost is a pure function of (chain, counts) —
-    // recompute it the way the solver's metrics do (no existing-backup
-    // offset; cached mode refuses `share_backups`).
-    let recomputed_cost: f64 = entry
-        .chain
-        .iter()
-        .zip(&entry.counts)
-        .map(|(&f, &m)| {
-            let r = catalog.reliability(f);
-            (1..=m).map(|j| reliability::paper_cost(r, j)).sum::<f64>()
-        })
-        .sum();
-    assert!(
-        (recomputed_cost - entry.cost).abs() <= 1e-9,
-        "cached plan at request {k} carries a cost that does not recompute from \
-         its own counts: stored {} vs recomputed {recomputed_cost}",
-        entry.cost,
-    );
-    // Reliability integrity: the stored achievement must recompute from the
-    // live catalog and still clear the incoming request's exact expectation.
-    let recomputed_rel = entry.recomputed_reliability(catalog);
-    assert!(
-        (recomputed_rel - entry.achieved_reliability).abs() <= 1e-9,
-        "cached plan at request {k} carries a reliability that does not recompute \
-         from the catalog: stored {} vs recomputed {recomputed_rel}",
-        entry.achieved_reliability,
-    );
-    assert!(
-        recomputed_rel + 1e-12 >= req.expectation,
-        "cache hit at request {k} below threshold: {recomputed_rel} < {}",
-        req.expectation
-    );
-    // Debit integrity: the merged footprint must account for exactly one
-    // primary plus `counts[f]` secondaries of each function's demand.
-    let implied: f64 = entry
-        .chain
-        .iter()
-        .zip(&entry.counts)
-        .map(|(&f, &m)| catalog.demand(f) * (1 + m) as f64)
-        .sum();
-    let total: f64 = entry.debits.iter().map(|d| d.1).sum();
-    assert!(
-        (implied - total).abs() <= 1e-6,
-        "cached plan at request {k} debits {total} != implied footprint {implied}"
-    );
-    let admit_debits: Vec<(NodeId, f64)> = entry
-        .primaries
-        .iter()
-        .zip(&entry.chain)
-        .map(|(&node, &f)| (node, catalog.demand(f)))
-        .collect();
-    // If the cached primaries no longer fit, the capacity re-validation (not
-    // the oracle) decides this hit's fate.
-    let Ok(mut resv) = network.try_reserve(residual, &admit_debits) else {
-        return;
-    };
-    let placement = PrimaryPlacement { locations: entry.primaries.clone() };
-    let inst = build_instance(network, catalog, req, &placement, residual, nbhd, None);
-    let mut solve_rng = request_rng(seed, k, SOLVE_SALT);
-    let outcome =
-        cfg.algorithm.solve_scratch(&inst, &mut solve_rng, &mut Recorder::noop(), scratch);
-    // Cross-witness: when the fresh solve succeeds, its cost must itself obey
-    // the same counts→cost function — the two paths can rank either way on a
-    // drained network, but neither may misprice its own plan.
-    if outcome.metrics.met_expectation {
-        let fresh_recomputed = outcome.augmentation.paper_cost(&inst);
-        assert!(
-            (fresh_recomputed - outcome.metrics.paper_cost).abs() <= 1e-9,
-            "fresh solve at request {k} mispriced its own plan: {} vs {fresh_recomputed}",
-            outcome.metrics.paper_cost,
-        );
-    }
-    network.abort(residual, &mut resv).expect("oracle reservation aborts");
-}
-
 /// Process request `k` against the engine state, in arrival order.
 ///
-/// A plan-cache hit (opt-in) replaces admission and solve; otherwise the
-/// request is admitted with its derived admission RNG (the primaries' debits
-/// land in the residual), its localized instance is built and solved with
-/// its derived solve RNG, and the secondaries commit through the network's
-/// two-phase reserve/commit ledger. Only the randomized algorithm can
-/// overcommit, in which case the debit falls back to the legacy
-/// clamp-at-zero semantics.
+/// A request whose largest per-function demand exceeds the largest cloudlet
+/// residual is rejected by the capacity gate: no cloudlet can host that
+/// function, so admission would reject it too, and an admission reject
+/// leaves the residuals bit-for-bit unchanged. The gate derives no RNG and
+/// scans no cloudlet. Every other request is admitted with its derived
+/// admission RNG (the primaries' debits land in the residual), its
+/// localized instance is built and solved with its derived solve RNG, and
+/// the secondaries commit through the network's two-phase reserve/commit
+/// ledger. Only the randomized algorithm can overcommit, in which case the
+/// debit falls back to the legacy clamp-at-zero semantics.
 #[allow(clippy::too_many_arguments)]
 fn process_request(
     network: &MecNetwork,
@@ -857,96 +705,17 @@ fn process_request(
         state.obs.commit_hard_error(k, "commit_hard_error_injected");
     }
     state.obs.shard().incr(C_REQUESTS);
-    // --- Admission plan cache (opt-in, `cfg.plan_cache > 0`) ---------------
-    // A hit bypasses admission + solve entirely; any validation failure falls
-    // through to the fresh path below, which repopulates the entry.
-    if let Some(cache) = state.cache.as_mut() {
-        // Reject gate: stream residuals never increase, so once a full-scan
-        // rejection measured a maximum cloudlet residual below this chain's
-        // largest per-function demand, admission cannot possibly succeed.
-        let max_demand = req.sfc.iter().map(|&f| catalog.demand(f)).fold(0.0f64, f64::max);
-        if cache.gate_rejects(max_demand) {
-            state.obs.shard().incr(C_PC_REJECT_HITS);
-            return state.obs.finish_request(rec, &state.residual, RequestRecord::rejected(req.id));
-        }
-        let pkey = PlanKey::for_request(req, cfg.l);
-        let epochs = state.epochs.as_mut();
-        let residual = &mut state.residual;
-        let mut epoch_skip = false;
-        let probe = cache.probe(&pkey, &req.sfc, |entry| {
-            // Reliability re-check against the live catalog and the incoming
-            // request's *exact* expectation (the key only bucketed it).
-            let achieved = entry.recomputed_reliability(catalog);
-            if achieved < req.expectation {
-                return None;
-            }
-            if cfg.plan_cache_oracle {
-                plan_cache_oracle_check(
-                    network, catalog, cfg, seed, k, req, entry, residual, nbhd, scratch,
-                );
-            }
-            // Capacity re-validation. Unchanged epoch stamps mean the touched
-            // residuals are bit-identical to the entry's post-apply snapshot,
-            // so its precomputed `refit` flag alone certifies feasibility;
-            // otherwise replay the debits through the same two-phase ledger a
-            // fresh commit uses.
-            if entry.refit && epochs.as_deref().is_some_and(|e| entry.epochs_unchanged(e)) {
-                for &(node, amount) in &entry.debits {
-                    let v = node.index();
-                    residual[v] = (residual[v] - amount).max(0.0);
-                }
-                epoch_skip = true;
-            } else {
-                let mut resv = network.try_reserve(residual, &entry.debits).ok()?;
-                network.commit(&mut resv).expect("fresh reservation commits");
-            }
-            if let Some(e) = epochs {
-                for &(node, _) in &entry.debits {
-                    e.bump(node.index());
-                }
-                entry.stamp(e, |idx| residual[idx]);
-            }
-            Some(RequestRecord {
-                id: req.id,
-                admitted: true,
-                base_reliability: entry.base_reliability,
-                achieved_reliability: achieved,
-                met_expectation: true,
-                secondaries: entry.secondaries,
-            })
-        });
-        match probe {
-            Probe::Hit(r) => {
-                state.obs.shard().incr(C_PC_HITS);
-                if epoch_skip {
-                    state.obs.shard().incr(C_PC_EPOCH_SKIPS);
-                }
-                return state.obs.finish_request(rec, &state.residual, r);
-            }
-            Probe::Stale => {
-                state.obs.shard().incr(C_PC_MISSES);
-                state.obs.shard().incr(C_PC_VALIDATION_FAILURES);
-            }
-            Probe::Miss => state.obs.shard().incr(C_PC_MISSES),
-        }
-    }
     let demands = &mut scratch.commit.demands;
     demands.clear();
     demands.extend(req.sfc.iter().map(|&f| catalog.demand(f)));
+    if demands.iter().copied().fold(f64::NEG_INFINITY, f64::max) > state.max_residual.value {
+        state.obs.shard().incr(C_GATED);
+        return state.obs.finish_request(rec, &state.residual, RequestRecord::rejected(req.id));
+    }
     let mut admit_rng = request_rng(seed, k, ADMIT_SALT);
     let Some(placement) =
         random_placement_capacity_aware(network, req, demands, &mut state.residual, &mut admit_rng)
     else {
-        if let Some(cache) = state.cache.as_mut() {
-            // Full-scan rejection: calibrate the reject gate with the live
-            // maximum cloudlet residual.
-            let m = network
-                .cloudlet_ids()
-                .iter()
-                .map(|&v| state.residual[v.index()])
-                .fold(0.0f64, f64::max);
-            cache.observe_max_residual(m);
-        }
         return state.obs.finish_request(rec, &state.residual, RequestRecord::rejected(req.id));
     };
     let inst = build_instance(
@@ -987,43 +756,6 @@ fn process_request(
     }
     if let Some(deployed) = state.deployed.as_mut() {
         apply_deployed_updates(deployed, req, &placement, &inst, &outcome);
-    }
-    // Maintain the plan cache: every permanent residual decrease bumps the
-    // touched nodes' epochs (the fast path is only sound if *all* decreases
-    // are visible), and a threshold-meeting, unclamped plan (re)populates the
-    // entry for its key.
-    if let (Some(cache), Some(epochs)) = (state.cache.as_mut(), state.epochs.as_mut()) {
-        let loads = outcome.augmentation.bin_loads(&inst);
-        let mut raw: Vec<(NodeId, f64)> = Vec::with_capacity(req.sfc.len() + loads.len());
-        for (&f, &node) in req.sfc.iter().zip(&placement.locations) {
-            raw.push((node, catalog.demand(f)));
-        }
-        for (bin_idx, &load) in loads.iter().enumerate() {
-            if load > 0.0 {
-                raw.push((inst.bins[bin_idx].node, load));
-            }
-        }
-        for &(node, _) in &raw {
-            epochs.bump(node.index());
-        }
-        if outcome.metrics.met_expectation && !clamped {
-            let mut entry = PlanEntry::new(
-                PlanKey::for_request(req, cfg.l),
-                req.sfc.clone(),
-                placement.locations.clone(),
-                outcome.augmentation.counts(),
-                &raw,
-                outcome.metrics.base_reliability,
-                outcome.metrics.reliability,
-                outcome.metrics.paper_cost,
-            );
-            let residual = &state.residual;
-            entry.stamp(epochs, |idx| residual[idx]);
-            state.obs.shard().incr(C_PC_INSERTIONS);
-            if cache.insert(entry) {
-                state.obs.shard().incr(C_PC_EVICTIONS);
-            }
-        }
     }
     let metrics = &outcome.metrics;
     let r = RequestRecord {
@@ -1083,10 +815,11 @@ pub fn process_stream_seeded(
 /// flight ring gives equal records and bit-equal residuals. In
 /// `MetricsMode::Full` the event stream is byte-identical across runs too:
 /// per-request events carry no wall-clock field (solve time goes only to the
-/// `stream.solve` timing and the `solve_ns` histogram). A plan cache
-/// (`plan_cache > 0`) keeps the run deterministic, but its records differ
-/// from the uncached run's. `tests/engine_stream_identity.rs` checks this
-/// guarantee and pins the record hashes of a zoo stream.
+/// `stream.solve` timing and the `solve_ns` histogram). The capacity gate
+/// changes no record and no residual: it only skips admissions that would
+/// have been rejected. `tests/engine_stream_identity.rs` checks this
+/// guarantee and pins the record hashes of a zoo stream;
+/// `tests/reject_gate.rs` checks the engine against an ungated loop.
 pub fn process_stream_seeded_sink(
     network: &MecNetwork,
     catalog: &VnfCatalog,
@@ -1099,8 +832,9 @@ pub fn process_stream_seeded_sink(
     let mut state = PipelineState::new(network, cfg);
     let nbhd = network.neighborhood_index(cfg.l);
     let mut scratch = SolveScratch::new();
+    let cloudlets = network.cloudlet_ids();
     for (k, req) in requests.into_iter().enumerate() {
-        on_record(process_request(
+        let record = process_request(
             network,
             catalog,
             cfg,
@@ -1111,7 +845,14 @@ pub fn process_stream_seeded_sink(
             rec,
             &nbhd,
             &mut scratch,
-        ));
+        );
+        state.max_residual.refresh(cloudlets, &state.residual);
+        debug_assert_eq!(
+            state.max_residual.value,
+            MaxResidual::scan(cloudlets, &state.residual).value,
+            "tracked maximum cloudlet residual drifted at request {k}"
+        );
+        on_record(record);
     }
     state.obs.finish(rec);
     let observation = state.obs.observation();
@@ -1355,92 +1096,54 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_repeated_requests_hit_and_never_overcommit() {
+    fn capacity_gate_takes_over_after_saturation() {
         use mecnet::vnf::VnfTypeId;
-        // One identical single-function request repeated far past saturation.
-        // The same plan key recurs every time, so the run walks the whole
-        // cache lifecycle: insert → epoch-skip hits → validation failure when
-        // the plan stops fitting → full-scan rejection → watermark gate. A
-        // single-function chain makes the endgame deterministic: admission
-        // rejects exactly when every residual drops below the function's
-        // demand, which is also exactly when the gate starts firing.
+        // One single-function request repeated far past saturation: once
+        // every cloudlet residual is below the 400 MHz demand, the gate
+        // decides each request without a placement scan.
         let (net, cat) = setup();
         let reqs: Vec<SfcRequest> = (0..100)
             .map(|i| SfcRequest::new(i, vec![VnfTypeId(1)], 0.99, NodeId(3), NodeId(12)))
             .collect();
-        let cfg = StreamConfig { plan_cache: 16, ..Default::default() };
-        let (out, ob) = process_stream_seeded(&net, &cat, &reqs, &cfg, 41, &mut Recorder::noop());
-        let report = ob.plan_cache.expect("cache report present when enabled");
-        assert!(report.hits > 0, "identical requests must hit: {report:?}");
-        assert_eq!(
-            report.epoch_skips, report.hits,
-            "single-writer identical stream: every hit takes the epoch fast path"
+        let (out, ob) = process_stream_seeded(
+            &net,
+            &cat,
+            &reqs,
+            &StreamConfig::default(),
+            41,
+            &mut Recorder::noop(),
         );
-        assert!(
-            report.validation_failures >= 1,
-            "saturation must eventually invalidate the cached plan: {report:?}"
-        );
-        assert!(
-            report.reject_hits > 0,
-            "the watermark gate must take over after the first full-scan rejection: {report:?}"
-        );
-        // Every request was either gate-rejected, a hit, or a probe miss.
-        assert_eq!(report.hits + report.reject_hits + report.misses, reqs.len() as u64);
-        // No overcommit, ever: residuals stay within [0, capacity].
-        for (&r, v) in out.final_residual.iter().zip(net.graph().nodes()) {
-            assert!(r >= -1e-9, "node {v:?} residual went negative: {r}");
-            assert!(r <= net.capacity(v) + 1e-9);
-        }
-        assert_eq!(out.records.len(), reqs.len());
-        // Ledger == admissions: the shard-0 counters agree with the records.
-        assert_eq!(ob.pipeline.counter("admitted"), out.admitted() as u64);
-        assert_eq!(ob.pipeline.counter("requests"), reqs.len() as u64);
+        let gated = ob.pipeline.counter("rejected.capacity_gate");
+        let rejected = ob.pipeline.counter("rejected.no_primary_placement");
+        assert!(0 < gated && gated <= rejected, "gated {gated}, rejected {rejected}");
+        assert_eq!(rejected, out.rejected() as u64);
+        let max = net.cloudlet_ids().iter().map(|c| out.final_residual[c.index()]);
+        assert!(max.fold(0.0f64, f64::max) < 400.0);
     }
 
     #[test]
-    fn plan_cache_hits_revalidate_reliability_against_live_expectation() {
+    fn capacity_gate_admits_a_demand_equal_to_the_largest_residual() {
         use mecnet::vnf::VnfTypeId;
-        // Two key-equal requests (same 1e-6 threshold bucket) where the
-        // *exact* expectations differ within the bucket: a cached plan that
-        // clears the first must still be re-checked against the second's
-        // live expectation, never trusted from the stored flag.
-        let (net, cat) = setup();
-        // 0.99 and 0.99 + 4e-7 land in the same bucket (round to 990000).
-        let reqs = vec![
-            SfcRequest::new(0, vec![VnfTypeId(1)], 0.99, NodeId(3), NodeId(12)),
-            SfcRequest::new(1, vec![VnfTypeId(1)], 0.990_000_4, NodeId(3), NodeId(12)),
-        ];
-        assert_eq!(
-            crate::plancache::PlanKey::for_request(&reqs[0], 1),
-            crate::plancache::PlanKey::for_request(&reqs[1], 1),
-            "fixture requests must share a plan key"
+        // One 400 MHz cloudlet and two 400 MHz requests: admission's test is
+        // `residual >= demand`, so the first fits exactly and only the second
+        // is gated.
+        let (_, cat) = setup();
+        let net = MecNetwork::new(topology::grid(2, 2), vec![400.0, 0.0, 0.0, 0.0]);
+        let reqs: Vec<SfcRequest> = (0..2)
+            .map(|i| SfcRequest::new(i, vec![VnfTypeId(1)], 0.5, NodeId(1), NodeId(2)))
+            .collect();
+        let (out, ob) = process_stream_seeded(
+            &net,
+            &cat,
+            &reqs,
+            &StreamConfig::default(),
+            5,
+            &mut Recorder::noop(),
         );
-        let cfg = StreamConfig { plan_cache: 16, ..Default::default() };
-        let (out, ob) = process_stream_seeded(&net, &cat, &reqs, &cfg, 43, &mut Recorder::noop());
-        // Whatever path each request took, an admitted record that claims
-        // `met_expectation` must actually clear that request's expectation.
-        for (r, req) in out.records.iter().zip(&reqs) {
-            if r.admitted && r.met_expectation {
-                assert!(
-                    r.achieved_reliability >= req.expectation - 1e-12,
-                    "request {} claims met_expectation at {} < {}",
-                    r.id,
-                    r.achieved_reliability,
-                    req.expectation
-                );
-            }
-        }
-        let report = ob.plan_cache.expect("cache report present");
-        assert_eq!(report.hits + report.reject_hits + report.misses, reqs.len() as u64);
-    }
-
-    #[test]
-    #[should_panic(expected = "plan cache is incompatible with share_backups")]
-    fn plan_cache_rejects_share_backups() {
-        let (net, cat) = setup();
-        let reqs = make_requests(2, &cat, net.num_nodes(), 50);
-        let cfg = StreamConfig { plan_cache: 8, share_backups: true, ..Default::default() };
-        let _ = run(&net, &cat, &reqs, &cfg, 1);
+        let admitted: Vec<bool> = out.records.iter().map(|r| r.admitted).collect();
+        assert_eq!(admitted, [true, false]);
+        assert_eq!(ob.pipeline.counter("rejected.capacity_gate"), 1);
+        assert_eq!(out.final_residual, [0.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -63,8 +63,10 @@ pub fn random_placement<R: Rng + ?Sized>(
 /// cloudlet among those whose *remaining* capacity (in `residual`) fits the
 /// function's demand; the chosen cloudlet's residual is debited immediately.
 ///
-/// Returns `None` — and leaves `residual` exactly as it was — if any function
-/// cannot be placed; admission is all-or-nothing.
+/// Returns `None` — and leaves `residual` bit-for-bit as it was — if any
+/// function cannot be placed; admission is all-or-nothing. The rollback
+/// restores the saved pre-debit values rather than adding the demands back:
+/// `(r − d) + d` is not always `r` in floating point.
 pub fn random_placement_capacity_aware<R: Rng + ?Sized>(
     net: &MecNetwork,
     request: &SfcRequest,
@@ -76,6 +78,7 @@ pub fn random_placement_capacity_aware<R: Rng + ?Sized>(
     assert_eq!(residual.len(), net.num_nodes());
     let cloudlets = net.cloudlet_ids();
     let mut locations: Vec<NodeId> = Vec::with_capacity(request.len());
+    let mut saved: Vec<f64> = Vec::with_capacity(request.len());
     for (&_f, &demand) in request.sfc.iter().zip(demands) {
         // Two scans instead of materializing the feasible list: count the
         // fitting cloudlets, draw the same uniform index the list-based
@@ -86,12 +89,14 @@ pub fn random_placement_capacity_aware<R: Rng + ?Sized>(
         let feasible = cloudlets.iter().filter(fits).count();
         let draw = rng.gen_range(0..feasible.max(1));
         let Some(&choice) = cloudlets.iter().filter(fits).nth(draw) else {
-            // Roll back and reject.
-            for (&done, &amount) in locations.iter().zip(demands) {
-                residual[done.index()] += amount;
+            // Roll back and reject: newest debit first, so a cloudlet that
+            // took two primaries ends at its oldest saved value.
+            for (&done, &before) in locations.iter().zip(&saved).rev() {
+                residual[done.index()] = before;
             }
             return None;
         };
+        saved.push(residual[choice.index()]);
         residual[choice.index()] -= demand;
         locations.push(choice);
     }
@@ -290,6 +295,44 @@ mod tests {
         let q = random_placement_capacity_aware(&net, &req, &demands, &mut residual, &mut rng);
         assert!(q.is_none());
         assert_eq!(residual, before);
+    }
+
+    #[test]
+    fn rejected_admission_restores_residuals_bit_for_bit() {
+        // Adding the demand back drifts: the residual would end above the
+        // node's 1427.3 MHz capacity.
+        assert_ne!((1427.3f64 - 399.9) + 399.9, 1427.3);
+        let three = SfcRequest::new(
+            1,
+            vec![VnfTypeId(0), VnfTypeId(1), VnfTypeId(2)],
+            0.99,
+            NodeId(0),
+            NodeId(4),
+        );
+        let demands = [399.9, 399.9, 2000.0];
+        // Two cloudlets, then one: with one, both placed primaries share it,
+        // so the restore must run newest first.
+        for caps in [[0.0, 1427.3, 0.0, 1427.3, 0.0], [0.0, 1427.3, 0.0, 0.0, 0.0]] {
+            let mut g = Graph::new(5);
+            for i in 0..4 {
+                g.add_edge(NodeId(i), NodeId(i + 1));
+            }
+            let net = MecNetwork::new(g, caps.to_vec());
+            for seed in 0..8 {
+                let mut residual = caps.to_vec();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let p = random_placement_capacity_aware(
+                    &net,
+                    &three,
+                    &demands,
+                    &mut residual,
+                    &mut rng,
+                );
+                assert!(p.is_none(), "no cloudlet holds the 2000 MHz function");
+                let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&residual), bits(&caps), "caps {caps:?} seed {seed}");
+            }
+        }
     }
 
     #[test]

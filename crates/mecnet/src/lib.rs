@@ -38,6 +38,6 @@ pub mod workload;
 
 pub use graph::{Graph, NodeId};
 pub use neighborhood::NeighborhoodIndex;
-pub use network::{MecNetwork, NodeEpochs, Reservation, ReservationState, ReserveError};
-pub use request::{chain_signature, SfcRequest};
+pub use network::{MecNetwork, Reservation, ReservationState, ReserveError};
+pub use request::SfcRequest;
 pub use vnf::{VnfCatalog, VnfType, VnfTypeId};

@@ -44,48 +44,6 @@ impl Reservation {
     pub fn is_empty(&self) -> bool {
         self.debits.is_empty()
     }
-
-    /// The merged `(node index, amount)` debits this reservation holds — one
-    /// entry per node. The plan cache snapshots these to replay a validated
-    /// plan's capacity footprint without re-running the solver.
-    pub fn debits(&self) -> &[(usize, f64)] {
-        &self.debits
-    }
-}
-
-/// Per-node capacity *epochs*: a monotone counter bumped every time a node's
-/// residual is permanently decreased (an admission or augmentation commit).
-/// The plan cache stamps entries with the epochs of the nodes a plan touches;
-/// a later hit whose stamps are unchanged knows the residuals at those nodes
-/// are exactly what they were when the entry was last validated, so it can
-/// skip the feasibility re-walk entirely.
-#[derive(Debug, Clone)]
-pub struct NodeEpochs {
-    epochs: Vec<u64>,
-}
-
-impl NodeEpochs {
-    pub fn new(num_nodes: usize) -> Self {
-        NodeEpochs { epochs: vec![0; num_nodes] }
-    }
-
-    pub fn len(&self) -> usize {
-        self.epochs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.epochs.is_empty()
-    }
-
-    /// Current epoch of node `idx`.
-    pub fn get(&self, idx: usize) -> u64 {
-        self.epochs[idx]
-    }
-
-    /// Record a permanent residual decrease at node `idx`.
-    pub fn bump(&mut self, idx: usize) {
-        self.epochs[idx] += 1;
-    }
 }
 
 /// Why a reservation operation failed.

@@ -20,33 +20,10 @@ pub struct SfcRequest {
     pub source: NodeId,
     /// Egress access point.
     pub destination: NodeId,
-    /// Interned [`chain_signature`] of `sfc`, computed once at construction
-    /// so cache keys and telemetry labels never re-hash the chain.
-    pub chain_sig: u64,
-}
-
-/// splitmix64 finalizer — the same mixer the stream engine uses for seed
-/// derivation, so chain signatures share their avalanche quality.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Canonical order-sensitive signature of a VNF chain: a splitmix64 fold over
-/// the type ids (offset by one so a leading `VnfTypeId(0)` perturbs the
-/// state), seeded with the chain length so prefixes don't collide.
-pub fn chain_signature(sfc: &[VnfTypeId]) -> u64 {
-    let mut h = splitmix64(0x5346_435f ^ (sfc.len() as u64));
-    for f in sfc {
-        h = splitmix64(h ^ (f.0 as u64).wrapping_add(1));
-    }
-    h
 }
 
 impl SfcRequest {
-    /// Construct a request, interning the chain signature.
+    /// Construct a request.
     pub fn new(
         id: usize,
         sfc: Vec<VnfTypeId>,
@@ -54,8 +31,7 @@ impl SfcRequest {
         source: NodeId,
         destination: NodeId,
     ) -> Self {
-        let chain_sig = chain_signature(&sfc);
-        SfcRequest { id, sfc, expectation, source, destination, chain_sig }
+        SfcRequest { id, sfc, expectation, source, destination }
     }
 
     /// Chain length `L_j`.
@@ -139,26 +115,6 @@ mod tests {
         let cat = small_catalog();
         let req = SfcRequest::new(0, vec![VnfTypeId(0)], 0.85, NodeId(0), NodeId(0));
         assert!(req.met_by_primaries(&cat));
-    }
-
-    #[test]
-    fn chain_signature_is_order_and_length_sensitive() {
-        let ab = chain_signature(&[VnfTypeId(0), VnfTypeId(1)]);
-        let ba = chain_signature(&[VnfTypeId(1), VnfTypeId(0)]);
-        let a = chain_signature(&[VnfTypeId(0)]);
-        assert_ne!(ab, ba, "signature must be order-sensitive");
-        assert_ne!(ab, a, "signature must be length-sensitive");
-        assert_eq!(ab, chain_signature(&[VnfTypeId(0), VnfTypeId(1)]), "deterministic");
-    }
-
-    #[test]
-    fn constructors_intern_the_signature() {
-        let mut rng = StdRng::seed_from_u64(77);
-        let cat = small_catalog();
-        for i in 0..16 {
-            let req = SfcRequest::random(i, &cat, (1, 2), 0.9, 8, &mut rng);
-            assert_eq!(req.chain_sig, chain_signature(&req.sfc));
-        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 pub mod event;
 pub mod flight;
 pub mod metrics;
-pub mod plancache;
 pub mod recorder;
 pub mod shard;
 pub mod span;
@@ -15,7 +14,6 @@ pub mod window;
 pub use event::Event;
 pub use flight::FlightRecorder;
 pub use metrics::{Counter, Distribution, Gauge};
-pub use plancache::PlanCacheReport;
 pub use recorder::{Recorder, Sink, Telemetry};
 pub use shard::{
     AtomicLog2Histogram, HistogramReport, MetricsReport, MetricsShard, MetricsSnapshot,

@@ -96,10 +96,9 @@ pub enum TtlSpec {
 /// Popular-service model: requests draw their VNF chain from a bounded,
 /// Zipf-skewed catalog of service templates instead of sampling an ad-hoc
 /// chain per request. This is what makes million-request streams *resolve the
-/// same admission problem* over and over — the premise both the plan cache
-/// and the sharing-scheme literature exploit: a real MEC deployment serves a
-/// few dozen service types whose popularity is heavily skewed, not 30^6
-/// distinct chains.
+/// same admission problem* over and over — the premise the sharing-scheme
+/// literature exploits: a real MEC deployment serves a few dozen service
+/// types whose popularity is heavily skewed, not 30^6 distinct chains.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ServiceSpec {
     /// Number of distinct service templates (chains) in the scenario.

@@ -270,22 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_requests_carry_valid_interned_chain_signatures() {
-        // `next_timed` rewrites only the endpoints after construction, so the
-        // chain signature interned by `SfcRequest::random` must stay valid —
-        // the plan cache keys on it without rehashing the chain.
-        let built = toy();
-        for req in RequestStream::new(&built, 500) {
-            assert_eq!(
-                req.chain_sig,
-                mecnet::chain_signature(&req.sfc),
-                "request {} carries a stale interned signature",
-                req.id
-            );
-        }
-    }
-
-    #[test]
     fn popularity_skew_concentrates_endpoints() {
         let built = toy();
         let mut hits = vec![0usize; built.network.num_nodes()];
@@ -307,9 +291,10 @@ mod tests {
     fn service_catalog_bounds_and_skews_the_chain_population() {
         let built = toy();
         let svc = built.spec.stream.services.clone().expect("presets carry a service catalog");
-        let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+        let mut seen: std::collections::HashMap<Vec<VnfTypeId>, usize> =
+            std::collections::HashMap::new();
         for req in RequestStream::new(&built, 4000) {
-            *seen.entry(req.chain_sig).or_insert(0) += 1;
+            *seen.entry(req.sfc).or_insert(0) += 1;
         }
         assert!(
             seen.len() <= svc.count,
@@ -325,12 +310,12 @@ mod tests {
             "top template drew {top}/4000 — no popularity concentration"
         );
         // Disabling the catalog restores ad-hoc chains: far more distinct
-        // signatures than any bounded template set.
+        // chains than any bounded template set.
         let mut adhoc = built.spec.clone();
         adhoc.stream.services = None;
         let adhoc = adhoc.build();
-        let distinct: std::collections::HashSet<u64> =
-            RequestStream::new(&adhoc, 4000).map(|r| r.chain_sig).collect();
+        let distinct: std::collections::HashSet<Vec<VnfTypeId>> =
+            RequestStream::new(&adhoc, 4000).map(|r| r.sfc).collect();
         assert!(distinct.len() > 2 * svc.count, "ad-hoc mode yielded {} chains", distinct.len());
     }
 
