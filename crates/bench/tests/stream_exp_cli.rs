@@ -1,6 +1,6 @@
 //! `stream_exp` and `sim_exp` at their command-line surface: runs that admit
-//! nothing finish cleanly, and unknown or removed flags exit 2 with a
-//! one-line message.
+//! nothing finish cleanly, and malformed scenario specs and unknown or
+//! removed flags exit 2 with a one-line message.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -41,6 +41,39 @@ fn a_stream_that_admits_nothing_prints_dashes_and_exits_zero() {
         assert_eq!(cells[1], "0.0/200", "{name}: {row}");
         // mean rel., SLO met, early rel., late rel.
         assert_eq!(&cells[2..6], ["-", "-", "-", "-"], "{name}: {row}");
+    }
+}
+
+#[test]
+fn malformed_specs_exit_2_with_one_line() {
+    use scen::{ScenarioSpec, TopologySpec};
+    fn waxman(spec: &mut ScenarioSpec) -> (&mut usize, &mut (f64, f64)) {
+        match &mut spec.topology {
+            TopologySpec::Waxman { nodes, capacity_range, .. } => (nodes, capacity_range),
+            _ => unreachable!("waxman-100 is a Waxman topology"),
+        }
+    }
+    type Mutation = fn(&mut ScenarioSpec);
+    // (field named in the message, mutation of the waxman-100 preset)
+    let cases: [(&str, Mutation); 6] = [
+        ("catalog.types", |s| s.catalog.types = 0),
+        ("catalog.reliability_range", |s| s.catalog.reliability_range = (0.0, 0.0)),
+        ("capacity_range", |s| *waxman(s).1 = (8000.0, 4000.0)),
+        ("topology.nodes", |s| *waxman(s).0 = 0),
+        ("stream.sfc_len_range", |s| s.stream.sfc_len_range = (6, 3)),
+        ("stream.arrival_rate", |s| s.stream.arrival_rate = 0.0),
+    ];
+    for (field, mutate) in cases {
+        let mut spec = ScenarioSpec::preset("waxman-100").expect("known preset");
+        mutate(&mut spec);
+        let path = spec_file(&format!("malformed_{field}"), &spec);
+        let out = stream_exp(&["--scenario", path.to_str().unwrap(), "--requests", "200"]);
+        std::fs::remove_file(&path).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{field}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{field}: {stderr}");
+        assert!(stderr.contains("invalid spec") && stderr.contains(field), "{field}: {stderr}");
+        assert!(out.stdout.is_empty(), "{field}: printed before failing");
     }
 }
 

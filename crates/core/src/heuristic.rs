@@ -18,7 +18,7 @@ use matching::min_cost_max_b_matching_into;
 use obs::Recorder;
 
 use crate::instance::AugmentationInstance;
-use crate::reliability;
+use crate::reliability::LadderTables;
 use crate::scratch::{rel_from_counts, SolveScratch};
 use crate::solution::{Metrics, Outcome, SolverInfo};
 
@@ -106,16 +106,24 @@ pub fn solve_scratch(
 /// [`matching::LadderMatcher`]: a minimum-cost maximum matching of the
 /// round's graph `G_l`. The result does not depend on the prior state of
 /// `scratch`. Only enabled-recorder event closures allocate.
+///
+/// Under [`StopRule::Expectation`], a first matching round that reaches
+/// `ρ_j` is the only committing round, and its overshoot is trimmed count
+/// first: [`crate::scratch::SolutionScratch::commit_one_round_trimmed`]
+/// writes only the secondaries the trim keeps, the same rows the full commit
+/// and [`crate::scratch::SolutionScratch::trim_to_expectation`] leave. A
+/// solve with more committing rounds commits them all and trims after.
 pub fn solve_in(
     inst: &AugmentationInstance,
     cfg: &HeuristicConfig,
     rec: &mut Recorder,
     scratch: &mut SolveScratch,
 ) -> usize {
-    let SolveScratch { sol, heur, matching, matching_out, ladder, .. } = scratch;
+    let SolveScratch { sol, heur, matching, matching_out, ladder, tables, .. } = scratch;
     let crate::scratch::HeuristicScratch {
         cap,
         next_k,
+        table_of,
         residual,
         edges,
         item_of,
@@ -139,8 +147,21 @@ pub fn solve_in(
     cap.extend(inst.functions.iter().map(|f| f.capped_slots(gain_floor)));
     next_k.clear();
     next_k.resize(inst.chain_len(), 1);
+    tables.resolve(inst.functions.iter().map(|f| f.reliability), table_of);
     residual.clear();
     residual.extend(inst.bins.iter().map(|b| b.residual));
+    if cfg.batch_rounds {
+        // Conservative per-bin multiplicity of the b-matching: what
+        // certainly fits even if every match demands the largest eligible
+        // function. Depends on the instance only.
+        batch_min_demand.clear();
+        batch_min_demand.resize(inst.bins.len(), f64::INFINITY);
+        for f in &inst.functions {
+            for &b in &f.eligible_bins {
+                batch_min_demand[b] = batch_min_demand[b].min(f.demand);
+            }
+        }
+    }
     let budget = inst.budget();
     let mut total_cost = 0.0f64;
     let mut rounds = 0usize;
@@ -148,12 +169,14 @@ pub fn solve_in(
     // placements, `G_l` edges and signature classes.
     let mut counted = 0u64;
     let (mut committed_total, mut edges_total, mut classes_total) = (0usize, 0usize, 0usize);
+    // Set when the count-first path has already trimmed.
+    let mut trimmed = None;
 
     loop {
         // Stop-rule check before building the next graph.
         match cfg.stop {
             StopRule::Expectation => {
-                if sol.reliability(inst) >= inst.expectation {
+                if rel_from_tables(inst, tables, table_of, sol.counts()) >= inst.expectation {
                     break;
                 }
             }
@@ -187,7 +210,7 @@ pub fn solve_in(
             }
             let first_item = item_of.len();
             for k in next_k[i]..=cap[i].min(next_k[i] + usable - 1) {
-                let cost = reliability::paper_cost(f.reliability, f.existing_backups + k);
+                let cost = tables.cost(table_of[i], f.existing_backups + k);
                 if !cost.is_finite() {
                     break;
                 }
@@ -213,16 +236,6 @@ pub fn solve_in(
                     edges.extend(ladder.bins(j).iter().map(|&b| (b, first + off, cost)));
                 }
             }
-            // Conservative per-bin multiplicity: what certainly fits even
-            // if every match demands the largest eligible function.
-            batch_min_demand.clear();
-            batch_min_demand.extend((0..inst.bins.len()).map(|b| {
-                inst.functions
-                    .iter()
-                    .filter(|f| f.eligible_bins.contains(&b))
-                    .map(|f| f.demand)
-                    .fold(f64::INFINITY, f64::min)
-            }));
             batch_b_left.clear();
             batch_b_left.extend(residual.iter().zip(batch_min_demand.iter()).map(|(&r, &d)| {
                 if d.is_finite() {
@@ -244,26 +257,53 @@ pub fn solve_in(
         if matching_out.is_empty() {
             break;
         }
-        // Commit cheapest-first with a capacity check: exact for the unit
-        // matching (the graph only had fitting edges), necessary for the
-        // batch variant whose multiplicity bound used the *smallest* demand.
-        pairs.clear();
-        pairs.extend(matching_out.pairs.iter().enumerate().map(|(pos, &(b, r))| (b, r, pos)));
-        pairs.sort_unstable_by_key(|&(_, r, pos)| (item_of[r].1, pos));
         placed_per_func.clear();
         placed_per_func.resize(inst.chain_len(), 0);
         let mut committed = 0usize;
-        for &(b, right, _) in pairs.iter() {
-            let (i, k) = item_of[right];
-            if residual[b] >= inst.functions[i].demand {
-                residual[b] -= inst.functions[i].demand;
-                sol.add(i, b);
-                total_cost += reliability::paper_cost(
-                    inst.functions[i].reliability,
-                    inst.functions[i].existing_backups + k,
-                );
-                placed_per_func[i] += 1;
-                committed += 1;
+        // Set when this round is the solve's first and last committing
+        // round, whose overshoot is trimmed count first.
+        let mut one_round = false;
+        if cfg.batch_rounds || cfg.stop == StopRule::PaperBudget {
+            // Commit cheapest slot first, then by bin, with a capacity
+            // check: necessary for the batch variant, whose multiplicity
+            // bound used the *smallest* demand, and the summation order of
+            // the paper's budget `c(S)`.
+            pairs.clear();
+            pairs.extend_from_slice(&matching_out.pairs);
+            pairs.sort_unstable_by_key(|&(b, r)| (item_of[r].1, b, r));
+            for &(b, right) in pairs.iter() {
+                let (i, k) = item_of[right];
+                if residual[b] >= inst.functions[i].demand {
+                    residual[b] -= inst.functions[i].demand;
+                    sol.add(i, b);
+                    if cfg.stop == StopRule::PaperBudget {
+                        total_cost +=
+                            tables.cost(table_of[i], inst.functions[i].existing_backups + k);
+                    }
+                    placed_per_func[i] += 1;
+                    committed += 1;
+                }
+            }
+        } else {
+            // A unit round matches each bin once and only to functions that
+            // fit it, so every pair commits, in any order. The matcher hands
+            // out each function's slots in ladder order, the row order a
+            // sorted commit would give too.
+            for &(_, right) in &matching_out.pairs {
+                placed_per_func[item_of[right].0] += 1;
+            }
+            committed = matching_out.pairs.len();
+            // A first committing round that reaches `ρ_j` is also the last:
+            // the stop check would end the loop, and the trim follow.
+            one_round = cfg.stop == StopRule::Expectation
+                && committed_total == 0
+                && rel_from_tables(inst, tables, table_of, placed_per_func) >= inst.expectation;
+            if !one_round {
+                for &(b, right) in &matching_out.pairs {
+                    let i = item_of[right].0;
+                    residual[b] -= inst.functions[i].demand;
+                    sol.add(i, b);
+                }
             }
         }
         counted += 1;
@@ -271,9 +311,11 @@ pub fn solve_in(
         edges_total += edges_full;
         classes_total += ladder.classes();
         rec.emit_with(|| {
+            // Before a one-round commit the counts are all zero.
+            let after: &[usize] = if one_round { placed_per_func } else { sol.counts() };
             let before: Vec<usize> =
-                sol.counts().iter().zip(placed_per_func.iter()).map(|(&m, &p)| m - p).collect();
-            let rel = sol.reliability(inst);
+                after.iter().zip(placed_per_func.iter()).map(|(&m, &p)| m - p).collect();
+            let rel = rel_from_counts(inst, after);
             obs::Event::new("heuristic.round")
                 .with("round", rounds)
                 .with("left_bins", ladder.usable_bins())
@@ -285,6 +327,15 @@ pub fn solve_in(
                 .with("reliability", rel)
                 .with("reliability_gain", rel - rel_from_counts(inst, &before))
         });
+        if one_round {
+            trimmed = Some(sol.commit_one_round_trimmed(
+                inst,
+                tables,
+                table_of,
+                matching_out.pairs.iter().map(|&(b, r)| (item_of[r].0, b)),
+            ));
+            break;
+        }
         if committed == 0 {
             break;
         }
@@ -307,10 +358,25 @@ pub fn solve_in(
     if cfg.stop == StopRule::Expectation {
         // The final matching round may overshoot the expectation; trim the
         // surplus like the other algorithms do.
-        let trimmed = sol.trim_to_expectation(inst);
+        let trimmed = trimmed.unwrap_or_else(|| sol.trim_to_expectation(inst));
         rec.count("heuristic.trimmed_secondaries", trimmed as u64);
     }
     rounds
+}
+
+/// [`rel_from_counts`] with its `R` terms read from the ladder tables: the
+/// same product, bit for bit.
+fn rel_from_tables(
+    inst: &AugmentationInstance,
+    tables: &mut LadderTables,
+    table_of: &[usize],
+    counts: &[usize],
+) -> f64 {
+    inst.functions
+        .iter()
+        .zip(table_of.iter().zip(counts))
+        .map(|(f, (&id, &m))| tables.rung(id, m + f.existing_backups).rel)
+        .product()
 }
 
 #[cfg(test)]

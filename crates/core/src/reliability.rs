@@ -97,6 +97,100 @@ pub fn slots_above_gain_floor(r: f64, max_k: usize, floor: f64) -> usize {
     k
 }
 
+/// `R(r, k)` and its log, as [`function_reliability`] and `ln` compute them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rung {
+    pub rel: f64,
+    /// `function_reliability(r, k).ln()`, so that
+    /// `rung(k).ln_rel - rung(k - 1).ln_rel` is [`log_gain`]`(r, k)` bit for
+    /// bit.
+    pub ln_rel: f64,
+}
+
+impl Rung {
+    fn of(r: f64, k: usize) -> Rung {
+        let rel = function_reliability(r, k);
+        Rung { rel, ln_rel: rel.ln() }
+    }
+}
+
+/// Cached reliability ladders: per distinct instance reliability, keyed by
+/// its bits, a table of [`paper_cost`]`(r, k)` and one of [`Rung`]s. Each
+/// table grows lazily to the largest `k` read from it, and every entry is
+/// filled by the functions above, so a lookup equals a direct call.
+/// [`Self::resolve`] drops every table once they hold more than
+/// [`Self::MAX_BYTES`], so memory stays within that bound plus one solve's
+/// growth; a stream over a fixed VNF catalog stays far below it.
+#[derive(Debug, Clone, Default)]
+pub struct LadderTables {
+    /// `(bits of r, table id)`, sorted by bits.
+    keys: Vec<(u64, usize)>,
+    /// Per table id: `r`, its costs `0..len` and its rungs `0..len`.
+    r: Vec<f64>,
+    costs: Vec<Vec<f64>>,
+    rungs: Vec<Vec<Rung>>,
+    /// Bytes held by the cost and rung entries.
+    held: usize,
+}
+
+impl LadderTables {
+    /// Entry bytes past which [`Self::resolve`] starts over.
+    pub const MAX_BYTES: usize = 1 << 20;
+
+    /// Table ids of `reliabilities`, in order, into `ids` (cleared first).
+    /// Ids stay valid until the next call.
+    pub fn resolve(&mut self, reliabilities: impl Iterator<Item = f64>, ids: &mut Vec<usize>) {
+        if self.held > Self::MAX_BYTES {
+            self.keys.clear();
+            self.r.clear();
+            self.costs.clear();
+            self.rungs.clear();
+            self.held = 0;
+        }
+        ids.clear();
+        for r in reliabilities {
+            let bits = r.to_bits();
+            let id = match self.keys.binary_search_by_key(&bits, |&(b, _)| b) {
+                Ok(at) => self.keys[at].1,
+                Err(at) => {
+                    let id = self.r.len();
+                    self.keys.insert(at, (bits, id));
+                    self.r.push(r);
+                    self.costs.push(Vec::new());
+                    self.rungs.push(Vec::new());
+                    id
+                }
+            };
+            ids.push(id);
+        }
+    }
+
+    /// [`paper_cost`]`(r, k)` of table `id`.
+    #[inline]
+    pub fn cost(&mut self, id: usize, k: usize) -> f64 {
+        let r = self.r[id];
+        grow(&mut self.costs[id], k, &mut self.held, |k| paper_cost(r, k))
+    }
+
+    /// `R(r, k)` and `ln R(r, k)` of table `id`.
+    #[inline]
+    pub fn rung(&mut self, id: usize, k: usize) -> Rung {
+        let r = self.r[id];
+        grow(&mut self.rungs[id], k, &mut self.held, |k| Rung::of(r, k))
+    }
+}
+
+/// Entry `k` of `table`, filling it up to `k` with `fill` on first read.
+#[inline]
+fn grow<T: Copy>(table: &mut Vec<T>, k: usize, held: &mut usize, fill: impl Fn(usize) -> T) -> T {
+    if k >= table.len() {
+        let from = table.len();
+        table.extend((from..=k).map(fill));
+        *held += (k + 1 - from) * std::mem::size_of::<T>();
+    }
+    table[k]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,5 +309,56 @@ mod tests {
         }
         // Perfectly reliable functions need no slots.
         assert_eq!(slots_above_gain_floor(1.0, 100, 1e-12), 0);
+    }
+
+    #[test]
+    fn ladder_tables_equal_direct_calls_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        let mut tables = LadderTables::default();
+        let mut ids = Vec::new();
+        let mut rs: Vec<f64> = (0..40).map(|_| rng.gen_range(0.3..0.999)).collect();
+        rs.extend([0.5, 0.8, 0.9, 0.99, 0.999_999]);
+        // Resolve twice (the second time in reverse) so that lookups hit
+        // tables grown by earlier reads as well as fresh ones.
+        tables.resolve(rs.iter().copied(), &mut ids);
+        let first = ids.clone();
+        tables.resolve(rs.iter().rev().copied(), &mut ids);
+        ids.reverse();
+        assert_eq!(ids, first, "a reliability maps to one table");
+        for (&r, &id) in rs.iter().zip(&first) {
+            // Every k up to the cost underflow and a little past it, read
+            // upwards first (growth one entry at a time) and then downwards.
+            let mut last = 0;
+            while paper_cost(r, last).is_finite() {
+                last += 1;
+            }
+            for k in (0..=last + 2).chain((0..=last + 2).rev()) {
+                let direct = function_reliability(r, k);
+                let rung = tables.rung(id, k);
+                assert_eq!(rung.rel.to_bits(), direct.to_bits(), "R({r}, {k})");
+                assert_eq!(rung.ln_rel.to_bits(), direct.ln().to_bits(), "ln R({r}, {k})");
+                let cost = tables.cost(id, k);
+                assert_eq!(cost.to_bits(), paper_cost(r, k).to_bits(), "cost({r}, {k})");
+                if k >= 1 {
+                    let gain = rung.ln_rel - tables.rung(id, k - 1).ln_rel;
+                    assert_eq!(gain.to_bits(), log_gain(r, k).to_bits(), "gain({r}, {k})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ladder_tables_start_over_past_their_bound() {
+        let mut tables = LadderTables::default();
+        let mut ids = Vec::new();
+        tables.resolve([0.7].into_iter(), &mut ids);
+        let k = LadderTables::MAX_BYTES / std::mem::size_of::<f64>();
+        tables.cost(ids[0], k);
+        assert_eq!(tables.held, (k + 1) * std::mem::size_of::<f64>());
+        tables.resolve([0.8, 0.7].into_iter(), &mut ids);
+        assert_eq!(tables.held, 0, "resolve drops the tables past the bound");
+        assert_eq!(ids, [0, 1]);
+        assert_eq!(tables.rung(ids[1], 3), Rung::of(0.7, 3));
     }
 }

@@ -14,14 +14,16 @@
 //! * Buffers carry no information across solves: every solver clears or
 //!   overwrites each buffer before reading it, so solver output is a pure
 //!   function of `(instance, config, RNG state)` regardless of what ran on
-//!   the scratch before. `tests/scratch_reuse.rs` pins exactly this: every
-//!   algorithm solves each instance of a mixed-size set on a fresh scratch
-//!   and on one shared scratch in forward and reverse order, bit-equal.
+//!   the scratch before. The one cache, [`SolveScratch::tables`], holds pure
+//!   functions of a reliability value, so a hit equals a direct call.
+//!   `tests/scratch_reuse.rs` pins exactly this: every algorithm solves each
+//!   instance of a mixed-size set on a fresh scratch and on one shared
+//!   scratch in forward and reverse order, bit-equal.
 //! * Growth is high-water-mark only: a buffer grows to the largest instance
 //!   seen and stays there.
 
 use crate::instance::AugmentationInstance;
-use crate::reliability;
+use crate::reliability::{self, LadderTables};
 use crate::solution::Augmentation;
 use matching::{LadderMatcher, Matching, MatchingScratch};
 
@@ -59,6 +61,11 @@ pub struct SolutionScratch {
     rel_now: Vec<f64>,
     rel_less: Vec<f64>,
     last_gain: Vec<f64>,
+    /// [`Self::commit_one_round_trimmed`]'s view of one function's round
+    /// placements: `(load/residual, bin)` per entry in row order, and the
+    /// [`FreeLargest`] buffers.
+    run: Vec<(f64, usize)>,
+    freeing: FreeLargest,
 }
 
 impl SolutionScratch {
@@ -192,6 +199,98 @@ impl SolutionScratch {
         removed
     }
 
+    /// Count-first twin of adding `placements` one by one and then calling
+    /// [`Self::trim_to_expectation`], for a solution built by one matching
+    /// round: same rows (entry order included), same counts, same return
+    /// value. Needs an empty solution (just after [`Self::begin`]) and
+    /// `placements` as `(func, bin)` in commit order, each function's entries
+    /// contiguous and every bin used once. `table_of[i]` is function `i`'s
+    /// table in `tables` (see [`LadderTables::resolve`]).
+    ///
+    /// The trim's function choice reads only counts and the `R` terms, so it
+    /// runs first, on the counts alone. Each bin then holds one secondary of
+    /// one function and its load/residual never changes, so every function
+    /// frees its bins on its own, by the rule of the reference trim: largest
+    /// load/residual first, ties to the last row entry, `swap_remove` order.
+    /// Only the survivors are written.
+    pub fn commit_one_round_trimmed(
+        &mut self,
+        inst: &AugmentationInstance,
+        tables: &mut LadderTables,
+        table_of: &[usize],
+        placements: impl Iterator<Item = (usize, usize)> + Clone,
+    ) -> usize {
+        debug_assert!(self.counts().iter().all(|&m| m == 0), "needs an empty solution");
+        for (func, _) in placements.clone() {
+            self.counts[func] += 1;
+        }
+        let removed = self.trim_counts(inst, tables, table_of);
+        let mut placements = placements.peekable();
+        while let Some(&(func, _)) = placements.peek() {
+            let demand = inst.functions[func].demand;
+            // A one-secondary bin's load is exactly its demand.
+            self.run.clear();
+            while let Some((_, bin)) = placements.next_if(|&(f, _)| f == func) {
+                self.run.push((demand / inst.bins[bin].residual, bin));
+            }
+            debug_assert!(self.rows[func].is_empty(), "function {func} in two runs");
+            let kept = self.freeing.keep(&self.run, self.counts[func]);
+            self.rows[func].extend(kept.iter().map(|&e| (self.run[e].1, 1)));
+        }
+        removed
+    }
+
+    /// The function choice of [`Self::trim_with`] on the counts alone, its
+    /// `R` terms read from `tables`: decrements `counts` and returns how many
+    /// secondaries it removed. Leaves the rows alone.
+    fn trim_counts(
+        &mut self,
+        inst: &AugmentationInstance,
+        tables: &mut LadderTables,
+        table_of: &[usize],
+    ) -> usize {
+        for v in [&mut self.rel_now, &mut self.rel_less, &mut self.last_gain] {
+            v.clear();
+            v.resize(self.active, 0.0);
+        }
+        let mut refresh = |this: &mut Self, i: usize| {
+            let (m, id) = (this.counts[i], table_of[i]);
+            let now = tables.rung(id, inst.functions[i].existing_backups + m);
+            this.rel_now[i] = now.rel;
+            if m > 0 {
+                let less = tables.rung(id, inst.functions[i].existing_backups + m - 1);
+                this.rel_less[i] = less.rel;
+                this.last_gain[i] = now.ln_rel - less.ln_rel;
+            }
+        };
+        for i in 0..self.active {
+            refresh(self, i);
+        }
+        let mut removed = 0;
+        loop {
+            let rel: f64 = self.rel_now.iter().copied().product();
+            if rel < inst.expectation {
+                break;
+            }
+            let mut best: Option<(f64, usize)> = None; // (gain, func)
+            for (i, &m) in self.counts().iter().enumerate() {
+                if m == 0 {
+                    continue;
+                }
+                let gain = self.last_gain[i];
+                let new_rel = rel / self.rel_now[i] * self.rel_less[i];
+                if new_rel >= inst.expectation && best.is_none_or(|(g, _)| gain < g) {
+                    best = Some((gain, i));
+                }
+            }
+            let Some((_, func)) = best else { break };
+            self.counts[func] -= 1;
+            refresh(self, func);
+            removed += 1;
+        }
+        removed
+    }
+
     /// Copy the rows out into an owned [`Augmentation`] — identical (entry
     /// order included) to the one the allocating path would have built.
     pub fn materialize(&self) -> Augmentation {
@@ -205,20 +304,88 @@ impl SolutionScratch {
     }
 }
 
+/// Buffers of [`FreeLargest::keep`].
+#[derive(Debug, Clone, Default)]
+struct FreeLargest {
+    /// `(key, entry)` by key, largest first; the key as an integer with the
+    /// order of [`f64::total_cmp`].
+    order: Vec<(i64, usize)>,
+    /// The row as entry ids, and each entry's position in it.
+    slots: Vec<usize>,
+    pos: Vec<usize>,
+}
+
+impl FreeLargest {
+    /// The entries of `row` (keys first) that survive freeing all but `keep`
+    /// of them one at a time, the way [`SolutionScratch::trim_with`] frees a
+    /// function's one-secondary bins: the largest key goes, ties to the last
+    /// entry, removed by `swap_remove`. Returns the survivors' entry ids in
+    /// their final row order, in `O(n log n)` rather than the `O(n²)` of
+    /// freeing one by one.
+    ///
+    /// Exact because nothing moves inside the tie group being freed: the
+    /// group's last entry goes first, and the row's last entry, which
+    /// `swap_remove` moves into the hole, is either that entry or has a
+    /// smaller key. So each tie group goes in descending position at the
+    /// time it becomes the largest, and only the positions of entries with
+    /// smaller keys need tracking.
+    fn keep(&mut self, row: &[(f64, usize)], keep: usize) -> &[usize] {
+        let n = row.len();
+        debug_assert!(keep <= n);
+        for v in [&mut self.slots, &mut self.pos] {
+            v.clear();
+            v.extend(0..n);
+        }
+        self.order.clear();
+        if keep < n {
+            // The bit trick of `f64::total_cmp`, applied once per key.
+            let total_key = |x: f64| {
+                let bits = x.to_bits() as i64;
+                bits ^ (((bits >> 63) as u64) >> 1) as i64
+            };
+            self.order.extend(row.iter().enumerate().map(|(e, &(key, _))| (total_key(key), e)));
+            self.order.sort_unstable_by_key(|&(key, _)| std::cmp::Reverse(key));
+        }
+        let (mut len, mut g) = (n, 0);
+        while len > keep {
+            let key = self.order[g].0;
+            let h = g + self.order[g..].iter().take_while(|&&(k, _)| k == key).count();
+            if h - g > 1 {
+                let pos = &self.pos;
+                self.order[g..h].sort_unstable_by_key(|&(_, e)| std::cmp::Reverse(pos[e]));
+            }
+            for &(_, e) in &self.order[g..h] {
+                if len == keep {
+                    break;
+                }
+                len -= 1;
+                let (hole, last) = (self.pos[e], self.slots[len]);
+                self.slots[hole] = last;
+                self.pos[last] = hole;
+            }
+            g = h;
+        }
+        &self.slots[..len]
+    }
+}
+
 /// Working buffers of the heuristic's matching loop (the greedy baseline
 /// reuses `residual`).
 #[derive(Debug, Clone, Default)]
 pub struct HeuristicScratch {
     pub cap: Vec<usize>,
     pub next_k: Vec<usize>,
+    /// Per function: its table in [`SolveScratch::tables`].
+    pub table_of: Vec<usize>,
     pub residual: Vec<f64>,
     /// Bipartite edges `(bin, right item, cost)` of the current round — only
     /// filled by the `batch_rounds` ablation.
     pub edges: Vec<(usize, usize, f64)>,
     /// Right item index -> `(func, k)`.
     pub item_of: Vec<(usize, usize)>,
-    /// Matched pairs `(bin, right, position)` for the stable commit order.
-    pub pairs: Vec<(usize, usize, usize)>,
+    /// Matched pairs `(bin, right)`, sorted into the commit order of the
+    /// rules that need one (`batch_rounds`, `StopRule::PaperBudget`).
+    pub pairs: Vec<(usize, usize)>,
     pub placed_per_func: Vec<usize>,
     /// `batch_rounds` ablation buffers (per-bin smallest eligible demand and
     /// the derived multiplicity bound).
@@ -242,6 +409,9 @@ pub struct SolveScratch {
     pub matching_out: Matching,
     /// The heuristic's round matcher; its input is rebuilt every round.
     pub ladder: LadderMatcher,
+    /// `R`, `ln R` and Eq. 3 cost per instance reliability, read by the
+    /// heuristic's round enumeration, stop check and trim.
+    pub tables: LadderTables,
     pub commit: CommitScratch,
     /// Revised-simplex workspace (factorization + eta-file buffers) reused by
     /// the exact ILP path so branch-and-bound node re-solves allocate nothing.
@@ -264,6 +434,7 @@ impl SolveScratch {
             matching: MatchingScratch::new(),
             matching_out: Matching { pairs: Vec::new(), cost: 0.0 },
             ladder: LadderMatcher::new(),
+            tables: LadderTables::default(),
             commit: CommitScratch::default(),
             lp: milp::LpWorkspace::new(),
         }

@@ -323,6 +323,9 @@ struct StreamObs {
     /// (`MetricsMode::Full`).
     full: bool,
     window: Option<WindowTracker>,
+    /// Windowed mode: the solvers' counters-only recorder, folded into the
+    /// caller's recorder at every window cut, so the trace stays bounded.
+    solver: Option<Recorder>,
     flight: Option<FlightState>,
     inject_at: Option<usize>,
 }
@@ -344,6 +347,7 @@ impl StreamObs {
         StreamObs {
             metrics,
             full: matches!(cfg.metrics, MetricsMode::Full),
+            solver: window.is_some().then(Recorder::counters_only),
             window,
             flight: cfg.flight.as_ref().map(|spec| FlightState {
                 ring: FlightRecorder::new(spec.capacity),
@@ -417,6 +421,9 @@ impl StreamObs {
 
     /// Cut the current window and emit its `stream.window` summary.
     fn emit_window(&mut self, rec: &mut Recorder, final_window: bool) {
+        if let Some(solver) = self.solver.as_mut() {
+            rec.absorb(std::mem::replace(solver, Recorder::counters_only()));
+        }
         let Some(w) = self.window.as_mut() else { return };
         let snap = self.metrics.shard_snapshot(0);
         let d = snap.diff(&w.base);
@@ -730,15 +737,14 @@ fn process_request(
     state.obs.shard().incr(C_SOLVES);
     let mut solve_rng = request_rng(seed, k, SOLVE_SALT);
     // Full mode traces solver events straight into `rec`; windowed mode keeps
-    // solver counters only, so the trace stays bounded.
-    let mut windowed_rec = (!state.obs.full && rec.enabled()).then(Recorder::counters_only);
-    let solver_rec = windowed_rec.as_mut().unwrap_or(&mut *rec);
+    // solver counters only, in the stream's own recorder.
+    let solver_rec = match state.obs.solver.as_mut() {
+        Some(solver) if rec.enabled() => solver,
+        _ => &mut *rec,
+    };
     let solve_started = Instant::now();
     let outcome = cfg.algorithm.solve_scratch(&inst, &mut solve_rng, solver_rec, scratch);
     let solve_elapsed = solve_started.elapsed();
-    if let Some(solver_rec) = windowed_rec {
-        rec.absorb(solver_rec);
-    }
     state.obs.shard().record_duration(H_SOLVE_NS, solve_elapsed);
     if state.obs.full {
         rec.record_time("stream.solve", solve_elapsed);

@@ -31,7 +31,9 @@
 //!    a prefix of its ladder.
 //! 3. Hands out the bins. Inside a class, the bin with the most residual
 //!    goes first, then the lowest bin index. Functions take their share of
-//!    each class in push order.
+//!    each class in push order. The pairs come out in hand-out order:
+//!    functions in push order, each function's items in ladder order, so
+//!    item indices ascend. Callers that want another order sort themselves.
 //!
 //! The result has the cardinality and the total cost of
 //! [`crate::min_cost_max_matching`] on the expanded edge list. All
@@ -183,8 +185,9 @@ impl LadderMatcher {
     }
 
     /// Solve the round; `residual` is indexed by bin. `out.pairs` gets
-    /// `(bin, item)` sorted by bin, where `item` indexes the pushed costs in
-    /// push order, and `out.cost` their summed cost.
+    /// `(bin, item)` in hand-out order (ascending `item`, where `item`
+    /// indexes the pushed costs in push order), and `out.cost` their summed
+    /// cost.
     pub fn solve_into(&mut self, residual: &[f64], out: &mut Matching) {
         self.build_classes();
         self.build_edges();
@@ -421,7 +424,6 @@ impl LadderMatcher {
                 }
             }
         }
-        out.pairs.sort_unstable();
     }
 }
 
@@ -467,6 +469,23 @@ mod tests {
         let (m, _) = solve(1, &[(&[0], &[5.0, 6.0]), (&[0], &[1.0])]);
         assert_eq!(m.pairs, vec![(0, 2)]);
         assert_eq!(m.cost, 1.0);
+    }
+
+    #[test]
+    fn pairs_come_out_in_hand_out_order() {
+        // Two private classes; inside f0's, bin 2 has the most residual.
+        // Sorted by bin this would read (0, 2), (1, 3), (2, 0), (3, 1).
+        let mut m = LadderMatcher::new();
+        m.begin_round();
+        m.push_bins([2, 3]);
+        m.push_cost(1.0);
+        m.push_cost(2.0);
+        m.push_bins([0, 1]);
+        m.push_cost(1.5);
+        m.push_cost(2.5);
+        let mut out = Matching { pairs: Vec::new(), cost: 0.0 };
+        m.solve_into(&[1.0, 1.0, 5.0, 3.0], &mut out);
+        assert_eq!(out.pairs, vec![(2, 0), (3, 1), (0, 2), (1, 3)]);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! reference `min_cost_max_matching` on the expanded edge list (every item
 //! joined to every usable bin of its function). The two must agree on
 //! cardinality and, up to summation order, on cost; the ladder matching must
-//! be a matching over usable bins whose items form a prefix of each ladder.
+//! be a matching over usable bins whose items form a prefix of each ladder,
+//! emitted in hand-out order (ascending item index).
 //! The generator repeats functions verbatim (so costs tie across functions),
 //! quantizes costs (ties between unrelated ladders), leaves some bins usable
 //! by nobody, gives some functions no items, and runs chains longer than 64
@@ -86,6 +87,8 @@ fn check(m: &mut LadderMatcher, r: &Round) -> Matching {
         got.cost,
         reference.cost
     );
+    // Hand-out order: functions in push order, each in ladder order.
+    assert!(got.pairs.windows(2).all(|w| w[0].1 < w[1].1), "items out of order on {r:?}");
     let mut bin_used = vec![false; r.residual.len()];
     let mut matched = vec![0usize; r.funcs.len()];
     let mut item_used = vec![false; owner.len()];

@@ -198,7 +198,98 @@ impl ScenarioSpec {
                 Self::PRESETS.join(", ")
             )
         })?;
-        serde_json::from_str(&text).map_err(|e| format!("--scenario {arg}: bad spec JSON: {e:?}"))
+        let spec: ScenarioSpec = serde_json::from_str(&text)
+            .map_err(|e| format!("--scenario {arg}: bad spec JSON: {e:?}"))?;
+        spec.validate().map_err(|e| format!("--scenario {arg}: invalid spec: {e}"))?;
+        Ok(spec)
+    }
+
+    /// Check every field [`Self::build`] and the request stream would
+    /// otherwise panic on, or silently reinterpret: the first offending
+    /// field, as a one-line message.
+    pub fn validate(&self) -> Result<(), String> {
+        fn check(ok: bool, what: impl FnOnce() -> String) -> Result<(), String> {
+            if ok {
+                Ok(())
+            } else {
+                Err(what())
+            }
+        }
+        // Generators that place cloudlets at random need a positive low end;
+        // the others accept capacity 0 (a node that is no cloudlet).
+        fn range(name: &str, (lo, hi): (f64, f64), positive: bool) -> Result<(), String> {
+            let (ok, low) = if positive { (lo > 0.0, "0 <") } else { (lo >= 0.0, "0 <=") };
+            check(ok && lo <= hi && hi.is_finite(), || {
+                format!("{name} [{lo}, {hi}] must satisfy {low} low <= high < inf")
+            })
+        }
+        fn at_least(name: &str, value: usize, min: usize) -> Result<(), String> {
+            check(value >= min, || format!("{name} is {value}, must be at least {min}"))
+        }
+        match &self.topology {
+            TopologySpec::Waxman { nodes, alpha, beta, capacity_range, .. } => {
+                at_least("topology.nodes", *nodes, 1)?;
+                check(*alpha > 0.0 && *alpha <= 1.0, || format!("alpha {alpha} not in (0, 1]"))?;
+                check(*beta > 0.0 && *beta <= 1.0, || format!("beta {beta} not in (0, 1]"))?;
+                range("capacity_range", *capacity_range, true)?;
+            }
+            // Tier and intra-domain Waxman parameters are clamped by
+            // `embed_waxman`, so only the flat Waxman graph checks them.
+            TopologySpec::TransitStub {
+                transit_domains,
+                transit_nodes,
+                stub_nodes,
+                capacity_range,
+                ..
+            } => {
+                at_least("transit_domains", *transit_domains, 1)?;
+                at_least("transit_nodes", *transit_nodes, 1)?;
+                at_least("stub_nodes", *stub_nodes, 1)?;
+                range("capacity_range", *capacity_range, false)?;
+            }
+            TopologySpec::Sagin { tiers } => {
+                at_least("tiers", tiers.len(), 1)?;
+                for (t, tier) in tiers.iter().enumerate() {
+                    at_least(&format!("tier {} nodes", tier.name), tier.nodes, 1)?;
+                    if t > 0 {
+                        at_least(&format!("tier {} uplinks", tier.name), tier.uplinks, 1)?;
+                    }
+                    range(
+                        &format!("tier {} capacity_range", tier.name),
+                        tier.capacity_range,
+                        false,
+                    )?;
+                }
+            }
+            TopologySpec::BarabasiAlbert { nodes, attach, capacity_range, .. } => {
+                at_least("attach", *attach, 1)?;
+                at_least("topology.nodes", *nodes, attach + 1)?;
+                range("capacity_range", *capacity_range, true)?;
+            }
+            TopologySpec::FatTree { k, host_capacity } => {
+                check(*k >= 2 && k % 2 == 0, || format!("fat-tree k {k} must be even and >= 2"))?;
+                range("host_capacity", *host_capacity, false)?;
+            }
+        }
+        let c = &self.catalog;
+        at_least("catalog.types", c.types, 1)?;
+        range("catalog.demand_range", c.demand_range, true)?;
+        let (lo, hi) = c.reliability_range;
+        check(lo > 0.0 && lo <= hi && hi <= 1.0, || {
+            format!("catalog.reliability_range [{lo}, {hi}] must satisfy 0 < low <= high <= 1")
+        })?;
+        let st = &self.stream;
+        check(st.arrival_rate > 0.0 && st.arrival_rate.is_finite(), || {
+            format!("stream.arrival_rate {} must be positive and finite", st.arrival_rate)
+        })?;
+        let (lo, hi) = st.sfc_len_range;
+        check(lo >= 1 && lo <= hi, || {
+            format!("stream.sfc_len_range [{lo}, {hi}] must satisfy 1 <= low <= high")
+        })?;
+        check(st.expectation > 0.0 && st.expectation <= 1.0, || {
+            format!("stream.expectation {} not in (0, 1]", st.expectation)
+        })?;
+        Ok(())
     }
 
     /// Built-in named scenarios. `sagin-1k` is the headline scale point:
@@ -456,6 +547,26 @@ mod tests {
             }
             _ => panic!("topology variant lost in round-trip"),
         }
+    }
+
+    #[test]
+    fn presets_validate_and_broken_fields_do_not() {
+        for name in ScenarioSpec::PRESETS {
+            let spec = ScenarioSpec::preset(name).unwrap();
+            assert_eq!(spec.validate(), Ok(()), "{name}");
+        }
+        let base = ScenarioSpec::preset("sagin-1k").unwrap();
+        let mut s = base.clone();
+        if let TopologySpec::Sagin { tiers } = &mut s.topology {
+            tiers[1].uplinks = 0;
+        }
+        assert!(s.validate().unwrap_err().contains("uplinks"));
+        let mut s = base.clone();
+        s.stream.expectation = 1.5;
+        assert!(s.validate().unwrap_err().contains("expectation"));
+        let mut s = base;
+        s.catalog.demand_range = (400.0, 200.0);
+        assert!(s.validate().unwrap_err().contains("demand_range"));
     }
 
     #[test]
