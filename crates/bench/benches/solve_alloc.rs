@@ -1,4 +1,5 @@
-//! Allocation audit of the heuristic steady-state solve path.
+//! Allocation audit of the heuristic steady-state solve path and of the
+//! stream engine around it.
 //!
 //! Pins the zero-alloc contract of [`relaug::scratch::SolveScratch`]: after a
 //! warm-up pass grows every scratch buffer to its high-water mark, running
@@ -7,7 +8,16 @@
 //! `System` counts every `alloc`/`realloc`; the binary prints the per-request
 //! allocation count and exits non-zero if any allocation slipped back into
 //! the hot loop — CI runs it as a regression gate (`QUICK=1` shrinks the
-//! instance set and pass count).
+//! instance set). The per-solve timing line is the median pass over at
+//! least 800 solves, so even QUICK gives a readable figure.
+//!
+//! The engine section runs 3,000-request sagin-1k and ba-1k preset streams
+//! through [`relaug::stream::process_stream_seeded_sink`] with a no-op
+//! recorder and counts the allocations between consecutive records after
+//! the first 200 requests. The requests are generated up front and handed
+//! over by value, so no clone allocates. Every counted rejected request
+//! must allocate nothing, and the median admitted request at most once: the
+//! `Reservation` that `MecNetwork::try_reserve` returns.
 //!
 //! Not a criterion bench on purpose: a counting global allocator would also
 //! count criterion's own bookkeeping, so this is a plain `harness = false`
@@ -17,13 +27,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
+use mecnet::request::SfcRequest;
 use mecnet::workload::{generate_scenario, WorkloadConfig};
 use obs::Recorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relaug::heuristic::{self, HeuristicConfig};
 use relaug::instance::AugmentationInstance;
+use relaug::stream::{process_stream_seeded_sink, StreamConfig};
 use relaug::SolveScratch;
+use scen::{RequestStream, ScenarioSpec};
 
 struct CountingAlloc;
 
@@ -50,11 +63,16 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const SEED: u64 = 42;
 
+/// Requests per engine stream, and how many of them warm the engine up
+/// before counting starts.
+const ENGINE_REQUESTS: u64 = 3_000;
+const ENGINE_WARM_UP: usize = 200;
+
 fn main() {
     // `cargo bench` passes harness flags like `--bench`; ignore them.
     let quick = std::env::var_os("QUICK").is_some();
     let instances_n = if quick { 8 } else { 32 };
-    let passes = if quick { 5 } else { 50 };
+    let passes = if quick { 100 } else { 50 };
 
     let wl = WorkloadConfig::default();
     let mut rng = StdRng::seed_from_u64(SEED);
@@ -84,15 +102,17 @@ fn main() {
             }
         }
 
+        let mut pass_s = Vec::with_capacity(passes);
         let before = ALLOCS.load(Relaxed);
-        let started = Instant::now();
         for _ in 0..passes {
+            let started = Instant::now();
             for inst in &instances {
                 rounds += heuristic::solve_in(inst, cfg, &mut rec, &mut scratch);
             }
+            pass_s.push(started.elapsed().as_secs_f64());
         }
-        let elapsed = started.elapsed();
         let allocs = ALLOCS.load(Relaxed) - before;
+        pass_s.sort_by(f64::total_cmp);
 
         let solves = (passes * instances.len()) as u64;
         println!(
@@ -104,8 +124,9 @@ fn main() {
             allocs as f64 / solves as f64
         );
         println!(
-            "solve_alloc[{label}]: {:.2} us/solve, {} matching rounds total",
-            elapsed.as_secs_f64() * 1e6 / solves as f64,
+            "solve_alloc[{label}]: {:.2} us/solve (median of {passes} passes), {} matching \
+             rounds total",
+            pass_s[passes / 2] * 1e6 / instances.len() as f64,
             rounds
         );
         if allocs > 0 {
@@ -115,8 +136,72 @@ fn main() {
             failed = true;
         }
     }
+    for preset in ["sagin-1k", "ba-1k"] {
+        failed |= !engine_gate(preset);
+    }
     if failed {
         std::process::exit(1);
     }
-    println!("solve_alloc: OK — zero allocations per request on the steady-state path");
+    println!(
+        "solve_alloc: OK — zero allocations per warm solve and per rejected request, \
+         at most one per admitted request (median)"
+    );
+}
+
+/// Mean and median of per-request allocation counts (`0, 0` when empty).
+fn mean_median(counts: &mut [u64]) -> (f64, u64) {
+    if counts.is_empty() {
+        return (0.0, 0);
+    }
+    counts.sort_unstable();
+    (counts.iter().sum::<u64>() as f64 / counts.len() as f64, counts[counts.len() / 2])
+}
+
+/// Run the engine over a preset stream and gate its allocations per
+/// request. Returns whether the gate holds.
+fn engine_gate(preset: &str) -> bool {
+    let built = ScenarioSpec::preset(preset).expect("known preset").build();
+    let requests: Vec<SfcRequest> = RequestStream::new(&built, ENGINE_REQUESTS).collect();
+    let cfg = StreamConfig::default();
+    let mut admitted: Vec<u64> = Vec::with_capacity(requests.len());
+    let mut rejected: Vec<u64> = Vec::with_capacity(requests.len());
+    let mut seen = 0usize;
+    let mut last = ALLOCS.load(Relaxed);
+    process_stream_seeded_sink(
+        &built.network,
+        &built.catalog,
+        requests,
+        &cfg,
+        built.spec.seed,
+        &mut Recorder::noop(),
+        &mut |r| {
+            let allocs = ALLOCS.load(Relaxed) - last;
+            if seen >= ENGINE_WARM_UP {
+                if r.admitted {
+                    admitted.push(allocs);
+                } else {
+                    rejected.push(allocs);
+                }
+            }
+            seen += 1;
+            last = ALLOCS.load(Relaxed);
+        },
+    );
+    let (admitted_n, rejected_n) = (admitted.len(), rejected.len());
+    let reject_max = rejected.iter().copied().max().unwrap_or(0);
+    let (admit_mean, admit_median) = mean_median(&mut admitted);
+    let (reject_mean, _) = mean_median(&mut rejected);
+    println!(
+        "solve_alloc[engine {preset}]: {admitted_n} admitted, allocs/request mean \
+         {admit_mean:.2} median {admit_median}; {rejected_n} rejected, mean {reject_mean:.2} \
+         max {reject_max}"
+    );
+    let ok = reject_max == 0 && admit_median <= 1;
+    if !ok {
+        eprintln!(
+            "solve_alloc[engine {preset}]: FAIL — a rejected request must not allocate, and \
+             the median admitted request at most once"
+        );
+    }
+    ok
 }

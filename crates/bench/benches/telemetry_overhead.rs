@@ -6,7 +6,10 @@
 //! plus their ratio into `BENCH_obs.json` at the workspace root. CI gates
 //! `ratio >= 0.9` (traced throughput at least 90% of untraced) and uploads
 //! the JSON, which also carries the final merged [`obs::MetricsReport`]
-//! snapshot, as an artifact. `QUICK=1` shrinks the stream for CI.
+//! snapshot, as an artifact. `QUICK=1` shrinks the stream for CI. In full
+//! mode a timed sample runs the stream 12 times per side, the two sides
+//! alternating stream by stream, so that a side takes about a second per
+//! sample and drifts in the machine's speed hit both sides alike.
 
 use std::time::Instant;
 
@@ -30,6 +33,10 @@ fn main() {
     let requests_n = if quick { 2_000 } else { 10_000 };
     let window_every = (requests_n / 10) as u64;
     let reps = if quick { 5 } else { 7 };
+    // Streams per timed sample. The capacity below lasts for about 10,000
+    // requests, so a longer sample repeats the stream rather than
+    // lengthening it.
+    let passes = if quick { 1 } else { 12 };
 
     // The default workload saturates after a handful of admissions, leaving a
     // degenerate stream of ~75 ns placement rejections whose timing noise
@@ -62,9 +69,9 @@ fn main() {
     );
 
     // Windowed telemetry goes to a real JSONL sink (what a bounded
-    // million-request run would use). Interleave untraced and windowed reps
-    // so clock drift and background load hit both sides equally; best-of
-    // then compares like with like.
+    // million-request run would use). Interleave untraced and windowed
+    // streams so clock drift and background load hit both sides equally;
+    // best-of then compares like with like.
     let windowed_cfg = StreamConfig {
         metrics: MetricsMode::Windowed(MetricsInterval::Requests(window_every)),
         ..base_cfg.clone()
@@ -75,41 +82,50 @@ fn main() {
     let mut traced_best = f64::INFINITY;
     let mut observation = None;
     for _ in 0..reps {
-        let started = Instant::now();
-        let (out, _) = process_stream_seeded(
-            &network,
-            &catalog,
-            &requests,
-            &base_cfg,
-            SEED,
-            &mut Recorder::noop(),
-        );
-        untraced_best = untraced_best.min(started.elapsed().as_secs_f64());
-        assert_eq!(out.records.len(), requests_n);
+        // The two sides alternate stream by stream inside a sample, so a
+        // slow stretch of the machine hits both.
+        let (mut untraced_s, mut traced_s) = (0.0, 0.0);
+        for _ in 0..passes {
+            let started = Instant::now();
+            let (out, _) = process_stream_seeded(
+                &network,
+                &catalog,
+                &requests,
+                &base_cfg,
+                SEED,
+                &mut Recorder::noop(),
+            );
+            untraced_s += started.elapsed().as_secs_f64();
+            assert_eq!(out.records.len(), requests_n);
 
-        let mut rec = Recorder::jsonl_file(&trace_path).expect("open trace sink");
-        let started = Instant::now();
-        let (out, ob) =
-            process_stream_seeded(&network, &catalog, &requests, &windowed_cfg, SEED, &mut rec);
-        traced_best = traced_best.min(started.elapsed().as_secs_f64());
-        assert_eq!(out.records.len(), requests_n);
-        assert!(
-            ob.windows <= requests_n as u64 / window_every + 1,
-            "windowed run emitted {} summaries for {} requests",
-            ob.windows,
-            requests_n
-        );
-        observation = Some(ob);
+            let mut rec = Recorder::jsonl_file(&trace_path).expect("open trace sink");
+            let started = Instant::now();
+            let (out, ob) =
+                process_stream_seeded(&network, &catalog, &requests, &windowed_cfg, SEED, &mut rec);
+            traced_s += started.elapsed().as_secs_f64();
+            assert_eq!(out.records.len(), requests_n);
+            assert!(
+                ob.windows <= requests_n as u64 / window_every + 1,
+                "windowed run emitted {} summaries for {} requests",
+                ob.windows,
+                requests_n
+            );
+            observation = Some(ob);
+        }
+        untraced_best = untraced_best.min(untraced_s);
+        traced_best = traced_best.min(traced_s);
     }
     let observation = observation.expect("at least one traced rep");
     let _ = std::fs::remove_file(&trace_path);
 
-    let untraced_rps = requests_n as f64 / untraced_best;
-    let traced_rps = requests_n as f64 / traced_best;
+    let streamed = (requests_n * passes) as f64;
+    let untraced_rps = streamed / untraced_best;
+    let traced_rps = streamed / traced_best;
     let ratio = traced_rps / untraced_rps;
     println!(
         "telemetry overhead: untraced {untraced_rps:.0} req/s, windowed {traced_rps:.0} req/s, \
-         ratio {ratio:.3} ({} windows)",
+         ratio {ratio:.3} ({} windows per stream, best of {reps} samples of {passes} streams: \
+         {untraced_best:.3} s untraced, {traced_best:.3} s windowed)",
         observation.windows
     );
 
@@ -120,6 +136,7 @@ fn main() {
         ("seed".into(), Value::U64(SEED)),
         ("window_every".into(), Value::U64(window_every)),
         ("record_reps".into(), Value::U64(reps as u64)),
+        ("passes_per_rep".into(), Value::U64(passes as u64)),
         ("untraced_rps".into(), Value::F64(untraced_rps)),
         ("traced_rps".into(), Value::F64(traced_rps)),
         ("ratio".into(), Value::F64(ratio)),

@@ -82,12 +82,33 @@ impl FunctionSlot {
     }
 }
 
+/// `InstanceScratch::bin_of` entry of a node that is not a bin.
+const NOT_A_BIN: u32 = u32::MAX;
+
+/// Reusable buffers of [`AugmentationInstance::rebuild_localized`]. They
+/// carry nothing from one build to the next that the build reads: the
+/// bitset is all zero between builds and every node→bin entry a build reads
+/// was written by that build.
+#[derive(Debug, Clone, Default)]
+pub struct InstanceScratch {
+    /// Bitset over node ids: the union of the primaries' candidate
+    /// cloudlets.
+    union: Vec<u64>,
+    /// Node index -> index into the bins, or [`NOT_A_BIN`].
+    bin_of: Vec<u32>,
+    /// Eligible-bin vectors of the slots a shorter chain dropped, kept for
+    /// the next longer one.
+    spare: Vec<Vec<usize>>,
+}
+
 /// The full instance handed to the algorithms.
 ///
 /// `PartialEq` compares every input the solvers read (functions, bins with
 /// exact residuals, `l`, expectation): two equal instances are guaranteed to
-/// produce bit-identical solver runs given equal RNG state.
-#[derive(Debug, Clone, PartialEq)]
+/// produce bit-identical solver runs given equal RNG state. The default is
+/// the empty instance [`AugmentationInstance::rebuild_localized`] starts
+/// from.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AugmentationInstance {
     pub functions: Vec<FunctionSlot>,
     pub bins: Vec<Bin>,
@@ -144,8 +165,10 @@ impl AugmentationInstance {
         Self::finish(catalog, request, placement, bins, nbhd)
     }
 
-    /// Shared tail of the instance builders: bins are fixed (ascending by
-    /// node), eligibility comes from the index slices.
+    /// Tail of the full construction: bins are fixed (ascending by node),
+    /// eligibility comes from the index slices. It finds bins by binary
+    /// search, independently of [`AugmentationInstance::rebuild_localized`],
+    /// which the instance property tests check against it.
     fn finish(
         catalog: &VnfCatalog,
         request: &SfcRequest,
@@ -217,10 +240,8 @@ impl AugmentationInstance {
     }
 
     /// [`AugmentationInstance::new_localized`] against an already-resolved
-    /// [`NeighborhoodIndex`]. The relevant bin set is the union of the
-    /// primaries' index slices — no whole-network `relevant` bitmap or masked
-    /// residual copy is materialized (the chain touches a handful of
-    /// cloudlets; the network has hundreds of nodes).
+    /// [`NeighborhoodIndex`]: [`AugmentationInstance::rebuild_localized`]
+    /// into a fresh instance with fresh buffers.
     pub fn new_localized_with_index(
         network: &MecNetwork,
         catalog: &VnfCatalog,
@@ -229,19 +250,120 @@ impl AugmentationInstance {
         residual: &[f64],
         nbhd: &NeighborhoodIndex,
     ) -> Self {
+        let mut inst = AugmentationInstance::default();
+        inst.rebuild_localized(
+            network,
+            catalog,
+            request,
+            placement,
+            residual,
+            nbhd,
+            &mut InstanceScratch::default(),
+        );
+        inst
+    }
+
+    /// Overwrite `self` with the localized instance of `request`, equal
+    /// (`==`) to what [`AugmentationInstance::new_localized_with_index`]
+    /// builds, reusing `self`'s vectors and `scratch`: the stream engine
+    /// keeps one instance and rebuilds it per admitted request without
+    /// allocating once both have grown to the largest request seen.
+    ///
+    /// The relevant bin set is the union of the primaries' index slices,
+    /// collected in a bitset over node ids, so it comes out ascending and
+    /// deduplicated without a sort. Each candidate cloudlet finds its bin in
+    /// O(1) through a node→bin table, which is written for every node of
+    /// the union before any read, so no entry of an earlier build is ever
+    /// read. `K_i` sums `(C'_u / c(f_i)) as usize`, which equals
+    /// `.floor() as usize` for every `f64` under Rust's saturating cast.
+    #[allow(clippy::too_many_arguments)]
+    pub fn rebuild_localized(
+        &mut self,
+        network: &MecNetwork,
+        catalog: &VnfCatalog,
+        request: &SfcRequest,
+        placement: &[NodeId],
+        residual: &[f64],
+        nbhd: &NeighborhoodIndex,
+        scratch: &mut InstanceScratch,
+    ) {
         assert_eq!(placement.len(), request.len(), "placement must cover the chain");
         assert_eq!(residual.len(), network.num_nodes(), "residual must cover all nodes");
-        // Union of the primaries' candidate cloudlets, ascending, deduped.
-        let mut relevant: Vec<NodeId> =
-            placement.iter().flat_map(|&p| nbhd.cloudlets_within(p)).copied().collect();
-        relevant.sort_unstable();
-        relevant.dedup();
-        let bins: Vec<Bin> = relevant
-            .into_iter()
-            .filter(|&v| residual[v.index()] > 0.0)
-            .map(|v| Bin { node: v, residual: residual[v.index()] })
-            .collect();
-        Self::finish(catalog, request, placement, bins, nbhd)
+        let InstanceScratch { union, bin_of, spare } = scratch;
+        let nodes = network.num_nodes();
+        if union.len() < nodes.div_ceil(64) {
+            union.resize(nodes.div_ceil(64), 0);
+        }
+        if bin_of.len() < nodes {
+            bin_of.resize(nodes, NOT_A_BIN);
+        }
+        // Union of the primaries' candidate cloudlets; words outside
+        // `lo..hi` stay zero.
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &p in placement {
+            for &u in nbhd.cloudlets_within(p) {
+                let w = u.index() / 64;
+                union[w] |= 1 << (u.index() % 64);
+                lo = lo.min(w);
+                hi = hi.max(w + 1);
+            }
+        }
+        // Bins ascending by node; the scan leaves the bitset zeroed.
+        self.bins.clear();
+        for (w, word) in union[..hi].iter_mut().enumerate().skip(lo) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if residual[v] > 0.0 {
+                    bin_of[v] = self.bins.len() as u32;
+                    self.bins.push(Bin { node: NodeId(v), residual: residual[v] });
+                } else {
+                    bin_of[v] = NOT_A_BIN;
+                }
+            }
+        }
+        while self.functions.len() > request.len() {
+            let slot = self.functions.pop().expect("longer than the chain");
+            spare.push(slot.eligible_bins);
+        }
+        for (i, (&vnf, &primary)) in request.sfc.iter().zip(placement).enumerate() {
+            if i == self.functions.len() {
+                self.functions.push(FunctionSlot {
+                    vnf,
+                    demand: 0.0,
+                    reliability: 0.0,
+                    primary,
+                    eligible_bins: spare.pop().unwrap_or_default(),
+                    max_secondaries: 0,
+                    existing_backups: 0,
+                });
+            }
+            let demand = catalog.demand(vnf);
+            let f = &mut self.functions[i];
+            // Index slices are ascending by node, and so are the bins, so
+            // the eligible list comes out sorted.
+            let candidates = nbhd.cloudlets_within(primary);
+            f.eligible_bins.clear();
+            f.eligible_bins.reserve(candidates.len());
+            let mut max_secondaries = 0usize;
+            for &u in candidates {
+                let b = bin_of[u.index()];
+                if b != NOT_A_BIN && self.bins[b as usize].residual >= demand {
+                    f.eligible_bins.push(b as usize);
+                    max_secondaries += (self.bins[b as usize].residual / demand) as usize;
+                }
+            }
+            debug_assert!(f.eligible_bins.windows(2).all(|w| w[0] < w[1]));
+            f.vnf = vnf;
+            f.demand = demand;
+            f.reliability = catalog.reliability(vnf);
+            f.primary = primary;
+            f.max_secondaries = max_secondaries;
+            f.existing_backups = 0;
+        }
+        self.l = nbhd.l();
+        self.expectation = request.expectation;
     }
 
     /// Build from a generated [`Scenario`] with locality radius `l`.

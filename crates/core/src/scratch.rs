@@ -26,6 +26,7 @@ use crate::instance::AugmentationInstance;
 use crate::reliability::{self, LadderTables};
 use crate::solution::Augmentation;
 use matching::{LadderMatcher, Matching, MatchingScratch};
+use mecnet::graph::NodeId;
 
 /// Chain reliability from per-function secondary counts, without building an
 /// [`Augmentation`]. Bit-identical to [`Augmentation::reliability`]: same
@@ -113,6 +114,38 @@ impl SolutionScratch {
     /// Per-function secondary counts of the solution under construction.
     pub fn counts(&self) -> &[usize] {
         &self.counts[..self.active]
+    }
+
+    /// Function `func`'s `(bin, count)` entries, in the order
+    /// [`Augmentation::placements_of`] would list them.
+    pub fn row(&self, func: usize) -> &[(usize, usize)] {
+        &self.rows[..self.active][func]
+    }
+
+    /// Replace the solution with `aug`'s rows (entry order included), so a
+    /// solver that returns an owned [`Augmentation`] leaves the same state
+    /// here as one that builds in place.
+    pub fn load(&mut self, aug: &Augmentation) {
+        self.begin(aug.chain_len());
+        for func in 0..aug.chain_len() {
+            let row = aug.placements_of(func);
+            self.rows[func].extend_from_slice(row);
+            self.counts[func] = row.iter().map(|&(_, c)| c).sum();
+        }
+    }
+
+    /// Load in MHz on each bin, into `loads`: the sums
+    /// [`Augmentation::bin_loads`] forms for the materialized rows, in its
+    /// order, so bit for bit the same.
+    pub fn bin_loads_into(&self, inst: &AugmentationInstance, loads: &mut Vec<f64>) {
+        loads.clear();
+        loads.resize(inst.bins.len(), 0.0);
+        for (i, row) in self.rows[..self.active].iter().enumerate() {
+            let demand = inst.functions[i].demand;
+            for &(b, c) in row {
+                loads[b] += demand * c as f64;
+            }
+        }
     }
 
     /// Current chain reliability (bit-identical to what
@@ -393,10 +426,16 @@ pub struct HeuristicScratch {
     pub batch_b_left: Vec<usize>,
 }
 
-/// Buffers for the stream commit step (the admitted request's demand list).
+/// Buffers of the stream engine's own per-request steps around the solve:
+/// the request's demands, its primaries, its per-bin loads and its debit
+/// list. The engine owns one next to its [`SolveScratch`].
 #[derive(Debug, Clone, Default)]
-pub struct CommitScratch {
+pub(crate) struct CommitScratch {
     pub demands: Vec<f64>,
+    /// `locations[i]` hosts the primary of chain position `i`.
+    pub locations: Vec<NodeId>,
+    pub loads: Vec<f64>,
+    pub debits: Vec<(NodeId, f64)>,
 }
 
 /// All scratch state one stream owns.
@@ -412,7 +451,6 @@ pub struct SolveScratch {
     /// `R`, `ln R` and Eq. 3 cost per instance reliability, read by the
     /// heuristic's round enumeration, stop check and trim.
     pub tables: LadderTables,
-    pub commit: CommitScratch,
     /// Revised-simplex workspace (factorization + eta-file buffers) reused by
     /// the exact ILP path so branch-and-bound node re-solves allocate nothing.
     /// [`milp::solve_milp_with_ws`] clears any carried basis at entry, so only
@@ -435,7 +473,6 @@ impl SolveScratch {
             matching_out: Matching { pairs: Vec::new(), cost: 0.0 },
             ladder: LadderMatcher::new(),
             tables: LadderTables::default(),
-            commit: CommitScratch::default(),
             lp: milp::LpWorkspace::new(),
         }
     }

@@ -22,7 +22,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use mecnet::admission::{random_placement_capacity_aware, PrimaryPlacement};
 use mecnet::graph::NodeId;
 use mecnet::neighborhood::NeighborhoodIndex;
 use mecnet::network::MecNetwork;
@@ -36,9 +35,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::heuristic::HeuristicConfig;
 use crate::ilp::IlpConfig;
-use crate::instance::AugmentationInstance;
+use crate::instance::{AugmentationInstance, InstanceScratch};
 use crate::randomized::RandomizedConfig;
-use crate::scratch::SolveScratch;
+use crate::scratch::{rel_from_counts, CommitScratch, SolutionScratch, SolveScratch};
 use crate::solution::Outcome;
 use crate::{greedy, heuristic, ilp, randomized};
 
@@ -68,26 +67,13 @@ impl Algorithm {
         }
     }
 
-    /// Run the configured algorithm on one instance with telemetry — the
-    /// single dispatch point every multi-request driver (the stream pipeline,
-    /// the failure/recovery simulator) shares. `rng` only feeds the
-    /// randomized algorithm; the others ignore it. Solver errors (ILP/LP
-    /// infeasibility, which well-formed instances never produce) panic, as
-    /// the callers have no meaningful recovery.
-    pub fn solve_traced<R: Rng + ?Sized>(
-        &self,
-        inst: &AugmentationInstance,
-        rng: &mut R,
-        rec: &mut Recorder,
-    ) -> Outcome {
-        self.solve_scratch(inst, rng, rec, &mut SolveScratch::new())
-    }
-
-    /// [`Algorithm::solve_traced`] on caller-owned scratch buffers — what the
-    /// streaming drivers use so the per-request steady state allocates
-    /// nothing. The ILP reuses the scratch's LP workspace (factorization and
-    /// eta-file buffers) across requests; its branch-and-bound *state* is
-    /// still per-solve.
+    /// Run the configured algorithm on one instance on caller-owned scratch
+    /// buffers and return an owned [`Outcome`]. `rng` only feeds the
+    /// randomized algorithm; the others ignore it. The ILP reuses the
+    /// scratch's LP workspace (factorization and eta-file buffers) across
+    /// requests; its branch-and-bound *state* is still per-solve. Solver
+    /// errors (ILP/LP infeasibility, which well-formed instances never
+    /// produce) panic, as the callers have no meaningful recovery.
     pub fn solve_scratch<R: Rng + ?Sized>(
         &self,
         inst: &AugmentationInstance,
@@ -103,6 +89,39 @@ impl Algorithm {
             Algorithm::Heuristic(c) => heuristic::solve_scratch(inst, c, rec, scratch),
             Algorithm::Greedy(c) => greedy::solve_scratch(inst, c, rec, scratch),
         }
+    }
+
+    /// [`Algorithm::solve_scratch`] that leaves the solution in
+    /// `scratch.sol` instead of returning it: the same rows (entry order
+    /// included) the returned augmentation would hold. The heuristic and
+    /// the greedy baseline build it there through their own `solve_in` and
+    /// allocate nothing with a warm scratch; the ILP and the randomized
+    /// algorithm solve as [`Algorithm::solve_scratch`] does and load the
+    /// augmentation they return. Same events, same RNG use.
+    pub fn solve_in<R: Rng + ?Sized>(
+        &self,
+        inst: &AugmentationInstance,
+        rng: &mut R,
+        rec: &mut Recorder,
+        scratch: &mut SolveScratch,
+    ) {
+        match self {
+            Algorithm::Heuristic(c) => {
+                heuristic::solve_in(inst, c, rec, scratch);
+            }
+            Algorithm::Greedy(c) => {
+                greedy::solve_in(inst, c, rec, scratch);
+            }
+            Algorithm::Ilp(_) | Algorithm::Randomized(_) => {
+                let out = self.solve_scratch(inst, rng, rec, scratch);
+                scratch.sol.load(&out.augmentation);
+            }
+        }
+        debug_assert!({
+            let aug = scratch.sol.materialize();
+            aug.respects_locality(inst)
+                && (matches!(self, Algorithm::Randomized(_)) || aug.is_capacity_feasible(inst))
+        });
     }
 }
 
@@ -525,22 +544,154 @@ pub struct StreamObservation {
     pub windows: u64,
 }
 
-/// The largest cloudlet residual and a cloudlet that holds it: the state of
-/// the reject gate in [`process_request`]. Between requests residuals only
-/// fall, so the maximum stays exact for as long as its holder's residual is
-/// unchanged; only a debit to the holder forces a rescan.
+/// Entries per chunk of [`CloudletResiduals::place`]'s chunked pick.
+const CHUNK: usize = 64;
+
+/// The residuals of the network's cloudlets in cloudlet order
+/// ([`MecNetwork::cloudlet_ids`]): a copy of the engine's residual vector
+/// that the engine writes at every residual write it makes (primary debit,
+/// rollback, secondary debits, clamp), so that primary placement and the
+/// reject gate scan contiguous memory instead of gathering through the
+/// cloudlet list. The engine checks the copy against the gathered residuals,
+/// bit for bit, after every request in debug builds.
+#[derive(Debug, Clone)]
+pub struct CloudletResiduals {
+    /// `values[p]` is the residual of cloudlet `cloudlet_ids[p]`.
+    values: Vec<f64>,
+    /// Node index -> cloudlet position, `u32::MAX` for a plain access point.
+    position: Vec<u32>,
+    /// Per [`CHUNK`]-entry chunk of `values`: the cloudlets that fit the
+    /// function being placed.
+    chunk_fits: Vec<u32>,
+    /// `(position, residual before)` per placed primary, for the rollback.
+    saved: Vec<(usize, f64)>,
+}
+
+impl CloudletResiduals {
+    /// The copy of `residual` (one entry per network node).
+    pub fn new(network: &MecNetwork, residual: &[f64]) -> CloudletResiduals {
+        assert_eq!(residual.len(), network.num_nodes(), "residual must cover all nodes");
+        let cloudlets = network.cloudlet_ids();
+        let mut position = vec![u32::MAX; network.num_nodes()];
+        for (p, &c) in cloudlets.iter().enumerate() {
+            position[c.index()] = p as u32;
+        }
+        CloudletResiduals {
+            values: cloudlets.iter().map(|c| residual[c.index()]).collect(),
+            position,
+            chunk_fits: Vec::new(),
+            saved: Vec::new(),
+        }
+    }
+
+    /// The copied residuals, in cloudlet order.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Copy node `v`'s residual after a write to it; a plain access point
+    /// has no entry.
+    pub fn sync(&mut self, residual: &[f64], v: NodeId) {
+        let p = self.position[v.index()];
+        if p != u32::MAX {
+            self.values[p as usize] = residual[v.index()];
+        }
+    }
+
+    /// Whether the copy equals `residual` gathered in cloudlet order, bit
+    /// for bit.
+    pub fn mirrors(&self, network: &MecNetwork, residual: &[f64]) -> bool {
+        let cloudlets = network.cloudlet_ids();
+        cloudlets.len() == self.values.len()
+            && cloudlets
+                .iter()
+                .zip(&self.values)
+                .all(|(c, x)| residual[c.index()].to_bits() == x.to_bits())
+    }
+
+    /// Capacity-aware random placement of a chain with per-function
+    /// `demands`: the same draws, the same choices and the same residual
+    /// writes as [`mecnet::admission::random_placement_capacity_aware`]
+    /// given the same RNG state, with `residual` and the copy written
+    /// together. On success `locations` holds the primaries; on a reject
+    /// both are restored bit for bit and `false` comes back.
+    ///
+    /// Per function the fitting count is one branch-free pass over the
+    /// copy that also counts per chunk, and the drawn cloudlet is found by
+    /// skipping whole chunks and scanning one.
+    pub fn place<R: Rng + ?Sized>(
+        &mut self,
+        network: &MecNetwork,
+        demands: &[f64],
+        residual: &mut [f64],
+        rng: &mut R,
+        locations: &mut Vec<NodeId>,
+    ) -> bool {
+        let cloudlets = network.cloudlet_ids();
+        locations.clear();
+        self.saved.clear();
+        for &demand in demands {
+            self.chunk_fits.clear();
+            let mut feasible = 0usize;
+            for chunk in self.values.chunks(CHUNK) {
+                let fits = chunk.iter().map(|&x| u32::from(x >= demand)).sum::<u32>();
+                self.chunk_fits.push(fits);
+                feasible += fits as usize;
+            }
+            // An empty feasible set still consumes one `gen_range(0..1)`
+            // draw, as the reference does.
+            let mut draw = rng.gen_range(0..feasible.max(1));
+            if feasible == 0 {
+                // Newest debit first, so a cloudlet that took two primaries
+                // ends at its oldest saved value.
+                for (&(p, before), &v) in self.saved.iter().zip(locations.iter()).rev() {
+                    residual[v.index()] = before;
+                    self.values[p] = before;
+                }
+                return false;
+            }
+            let mut chunk = 0;
+            while draw >= self.chunk_fits[chunk] as usize {
+                draw -= self.chunk_fits[chunk] as usize;
+                chunk += 1;
+            }
+            let first = chunk * CHUNK;
+            let p = first
+                + self.values[first..]
+                    .iter()
+                    .take(CHUNK)
+                    .enumerate()
+                    .filter(|&(_, &x)| x >= demand)
+                    .nth(draw)
+                    .map(|(off, _)| off)
+                    .expect("the chunk holds the drawn cloudlet");
+            let v = cloudlets[p];
+            self.saved.push((p, residual[v.index()]));
+            residual[v.index()] -= demand;
+            self.values[p] = residual[v.index()];
+            locations.push(v);
+        }
+        true
+    }
+}
+
+/// The largest cloudlet residual and the position of a cloudlet that holds
+/// it: the state of the reject gate in [`process_request`]. Between requests
+/// residuals only fall, so the maximum stays exact for as long as its
+/// holder's residual is unchanged; only a debit to the holder forces a
+/// rescan of the cloudlet-ordered copy.
 struct MaxResidual {
     /// `-inf` on a network without cloudlets.
     value: f64,
-    holder: Option<NodeId>,
+    holder: Option<usize>,
 }
 
 impl MaxResidual {
-    fn scan(cloudlets: &[NodeId], residual: &[f64]) -> MaxResidual {
+    fn scan(values: &[f64]) -> MaxResidual {
         let mut max = MaxResidual { value: f64::NEG_INFINITY, holder: None };
-        for &c in cloudlets {
-            if residual[c.index()] > max.value {
-                max = MaxResidual { value: residual[c.index()], holder: Some(c) };
+        for (p, &x) in values.iter().enumerate() {
+            if x > max.value {
+                max = MaxResidual { value: x, holder: Some(p) };
             }
         }
         max
@@ -548,23 +699,29 @@ impl MaxResidual {
 
     /// Re-establish the maximum after a request: O(1) unless the holder was
     /// debited. Sound only while no residual ever rises; a capacity credit
-    /// to node `v` would instead set `value = max(value, residual[v])`.
-    fn refresh(&mut self, cloudlets: &[NodeId], residual: &[f64]) {
-        if self.holder.is_some_and(|v| residual[v.index()] != self.value) {
-            *self = MaxResidual::scan(cloudlets, residual);
+    /// to cloudlet `p` would instead set `value = max(value, values[p])`.
+    fn refresh(&mut self, values: &[f64]) {
+        if self.holder.is_some_and(|p| values[p] != self.value) {
+            *self = MaxResidual::scan(values);
         }
     }
 }
 
-/// Mutable state the engine owns across requests: the network residual and
-/// its maximum, (when sharing is on) the deployed-instance ledger, and the
-/// observability state.
+/// Mutable state the engine owns across requests: the network residual, its
+/// cloudlet-ordered copy and its maximum, (when sharing is on) the
+/// deployed-instance ledger, the observability state, and the reused
+/// instance and buffers of the steps around the solve.
 struct PipelineState {
     residual: Vec<f64>,
+    cloudlets: CloudletResiduals,
     max_residual: MaxResidual,
     /// `Some` iff `share_backups`; `(VNF type, node) -> instances`.
     deployed: Option<HashMap<(usize, usize), usize>>,
     obs: StreamObs,
+    /// The admitted request's instance, rebuilt in place.
+    inst: AugmentationInstance,
+    build: InstanceScratch,
+    buf: CommitScratch,
 }
 
 impl PipelineState {
@@ -574,49 +731,18 @@ impl PipelineState {
             "capacity fraction must be in [0, 1]"
         );
         let residual = network.residual_capacities(cfg.initial_capacity_fraction);
+        let cloudlets = CloudletResiduals::new(network, &residual);
         PipelineState {
-            max_residual: MaxResidual::scan(network.cloudlet_ids(), &residual),
+            max_residual: MaxResidual::scan(cloudlets.values()),
+            cloudlets,
             residual,
             deployed: cfg.share_backups.then(HashMap::new),
             obs: StreamObs::new(cfg),
+            inst: AugmentationInstance::default(),
+            build: InstanceScratch::default(),
+            buf: CommitScratch::default(),
         }
     }
-}
-
-/// Build the augmentation instance for an admitted request: localized to the
-/// primaries' `l`-neighborhoods (so equality is insensitive to unrelated
-/// commits elsewhere in the network) and, when sharing, seeded with the
-/// existing deployed instances in range.
-fn build_instance(
-    network: &MecNetwork,
-    catalog: &VnfCatalog,
-    req: &SfcRequest,
-    placement: &PrimaryPlacement,
-    residual: &[f64],
-    nbhd: &NeighborhoodIndex,
-    deployed: Option<&HashMap<(usize, usize), usize>>,
-) -> AugmentationInstance {
-    let mut inst = AugmentationInstance::new_localized_with_index(
-        network,
-        catalog,
-        req,
-        &placement.locations,
-        residual,
-        nbhd,
-    );
-    if let Some(deployed) = deployed {
-        for (i, f) in inst.functions.iter_mut().enumerate() {
-            let type_idx = req.sfc[i].index();
-            // Deployed instances only live on cloudlets, so the index's
-            // cloudlet slice sees everything the full BFS ball would.
-            f.existing_backups = nbhd
-                .cloudlets_within(f.primary)
-                .iter()
-                .filter_map(|u| deployed.get(&(type_idx, u.index())))
-                .sum();
-        }
-    }
-    inst
 }
 
 /// Debit an admitted request's secondary loads against `residual` through the
@@ -628,20 +754,12 @@ fn build_instance(
 fn apply_secondary_debits(
     network: &MecNetwork,
     residual: &mut [f64],
-    inst: &AugmentationInstance,
-    outcome: &Outcome,
+    debits: &[(NodeId, f64)],
     timing: &MetricsShard,
 ) -> bool {
     use pipeline_metrics::{H_COMMIT_NS, H_RESERVE_NS};
-    let loads = outcome.augmentation.bin_loads(inst);
-    let debits: Vec<(NodeId, f64)> = loads
-        .iter()
-        .enumerate()
-        .filter(|&(_, &load)| load > 0.0)
-        .map(|(bin_idx, &load)| (inst.bins[bin_idx].node, load))
-        .collect();
     let reserve_started = Instant::now();
-    let reserved = network.try_reserve(residual, &debits);
+    let reserved = network.try_reserve(residual, debits);
     timing.record_duration(H_RESERVE_NS, reserve_started.elapsed());
     match reserved {
         Ok(mut reservation) => {
@@ -651,7 +769,7 @@ fn apply_secondary_debits(
             false
         }
         Err(_) => {
-            for &(node, load) in &debits {
+            for &(node, load) in debits {
                 let v = node.index();
                 residual[v] = (residual[v] - load).max(0.0);
             }
@@ -665,16 +783,16 @@ fn apply_secondary_debits(
 fn apply_deployed_updates(
     deployed: &mut HashMap<(usize, usize), usize>,
     req: &SfcRequest,
-    placement: &PrimaryPlacement,
+    locations: &[NodeId],
     inst: &AugmentationInstance,
-    outcome: &Outcome,
+    sol: &SolutionScratch,
 ) {
-    for (f, &loc) in req.sfc.iter().zip(&placement.locations) {
+    for (f, &loc) in req.sfc.iter().zip(locations) {
         *deployed.entry((f.index(), loc.index())).or_insert(0) += 1;
     }
     for func in 0..inst.chain_len() {
         let type_idx = req.sfc[func].index();
-        for &(bin_idx, count) in outcome.augmentation.placements_of(func) {
+        for &(bin_idx, count) in sol.row(func) {
             *deployed.entry((type_idx, inst.bins[bin_idx].node.index())).or_insert(0) += count;
         }
     }
@@ -688,10 +806,12 @@ fn apply_deployed_updates(
 /// leaves the residuals bit-for-bit unchanged. The gate derives no RNG and
 /// scans no cloudlet. Every other request is admitted with its derived
 /// admission RNG (the primaries' debits land in the residual), its
-/// localized instance is built and solved with its derived solve RNG, and
-/// the secondaries commit through the network's two-phase reserve/commit
-/// ledger. Only the randomized algorithm can overcommit, in which case the
-/// debit falls back to the legacy clamp-at-zero semantics.
+/// localized instance is rebuilt in place and solved with its derived solve
+/// RNG into `scratch.sol`, and the secondaries commit through the network's
+/// two-phase reserve/commit ledger. Only the randomized algorithm can
+/// overcommit, in which case the debit falls back to the legacy
+/// clamp-at-zero semantics. The record, the loads, the debits and the
+/// sharing ledger's rows are read from `scratch.sol`.
 #[allow(clippy::too_many_arguments)]
 fn process_request(
     network: &MecNetwork,
@@ -712,7 +832,7 @@ fn process_request(
         state.obs.commit_hard_error(k, "commit_hard_error_injected");
     }
     state.obs.shard().incr(C_REQUESTS);
-    let demands = &mut scratch.commit.demands;
+    let CommitScratch { demands, locations, loads, debits } = &mut state.buf;
     demands.clear();
     demands.extend(req.sfc.iter().map(|&f| catalog.demand(f)));
     if demands.iter().copied().fold(f64::NEG_INFINITY, f64::max) > state.max_residual.value {
@@ -720,20 +840,33 @@ fn process_request(
         return state.obs.finish_request(rec, &state.residual, RequestRecord::rejected(req.id));
     }
     let mut admit_rng = request_rng(seed, k, ADMIT_SALT);
-    let Some(placement) =
-        random_placement_capacity_aware(network, req, demands, &mut state.residual, &mut admit_rng)
-    else {
+    if !state.cloudlets.place(network, demands, &mut state.residual, &mut admit_rng, locations) {
         return state.obs.finish_request(rec, &state.residual, RequestRecord::rejected(req.id));
-    };
-    let inst = build_instance(
+    }
+    // Localized to the primaries' `l`-neighborhoods (so equality is
+    // insensitive to unrelated commits elsewhere in the network) and, when
+    // sharing, seeded with the existing deployed instances in range.
+    let inst = &mut state.inst;
+    inst.rebuild_localized(
         network,
         catalog,
         req,
-        &placement,
+        locations,
         &state.residual,
         nbhd,
-        state.deployed.as_ref(),
+        &mut state.build,
     );
+    if let Some(deployed) = &state.deployed {
+        for (f, vnf) in inst.functions.iter_mut().zip(&req.sfc) {
+            // Deployed instances only live on cloudlets, so the index's
+            // cloudlet slice sees everything the full BFS ball would.
+            f.existing_backups = nbhd
+                .cloudlets_within(f.primary)
+                .iter()
+                .filter_map(|u| deployed.get(&(vnf.index(), u.index())))
+                .sum();
+        }
+    }
     state.obs.shard().incr(C_SOLVES);
     let mut solve_rng = request_rng(seed, k, SOLVE_SALT);
     // Full mode traces solver events straight into `rec`; windowed mode keeps
@@ -743,7 +876,7 @@ fn process_request(
         _ => &mut *rec,
     };
     let solve_started = Instant::now();
-    let outcome = cfg.algorithm.solve_scratch(&inst, &mut solve_rng, solver_rec, scratch);
+    cfg.algorithm.solve_in(inst, &mut solve_rng, solver_rec, scratch);
     let solve_elapsed = solve_started.elapsed();
     state.obs.shard().record_duration(H_SOLVE_NS, solve_elapsed);
     if state.obs.full {
@@ -755,22 +888,34 @@ fn process_request(
     // rounding may, and then the debit falls back to the legacy clamp-at-zero
     // (the overcommit shows up as unmet expectations later in the stream, not
     // as negative capacity).
-    let clamped =
-        apply_secondary_debits(network, &mut state.residual, &inst, &outcome, state.obs.shard());
+    let sol = &scratch.sol;
+    sol.bin_loads_into(inst, loads);
+    debits.clear();
+    debits.extend(
+        loads
+            .iter()
+            .enumerate()
+            .filter(|&(_, &load)| load > 0.0)
+            .map(|(bin_idx, &load)| (inst.bins[bin_idx].node, load)),
+    );
+    let clamped = apply_secondary_debits(network, &mut state.residual, debits, state.obs.shard());
+    for &(node, _) in debits.iter() {
+        state.cloudlets.sync(&state.residual, node);
+    }
     if clamped {
         state.obs.shard().incr(C_OVERCOMMIT);
     }
     if let Some(deployed) = state.deployed.as_mut() {
-        apply_deployed_updates(deployed, req, &placement, &inst, &outcome);
+        apply_deployed_updates(deployed, req, locations, inst, sol);
     }
-    let metrics = &outcome.metrics;
+    let reliability = rel_from_counts(inst, sol.counts());
     let r = RequestRecord {
         id: req.id,
         admitted: true,
-        base_reliability: metrics.base_reliability,
-        achieved_reliability: metrics.reliability,
-        met_expectation: metrics.met_expectation,
-        secondaries: metrics.total_secondaries,
+        base_reliability: inst.base_reliability(),
+        achieved_reliability: reliability,
+        met_expectation: reliability >= inst.expectation,
+        secondaries: sol.counts().iter().sum(),
     };
     state.obs.finish_request(rec, &state.residual, r)
 }
@@ -838,7 +983,6 @@ pub fn process_stream_seeded_sink(
     let mut state = PipelineState::new(network, cfg);
     let nbhd = network.neighborhood_index(cfg.l);
     let mut scratch = SolveScratch::new();
-    let cloudlets = network.cloudlet_ids();
     for (k, req) in requests.into_iter().enumerate() {
         let record = process_request(
             network,
@@ -852,10 +996,14 @@ pub fn process_stream_seeded_sink(
             &nbhd,
             &mut scratch,
         );
-        state.max_residual.refresh(cloudlets, &state.residual);
+        debug_assert!(
+            state.cloudlets.mirrors(network, &state.residual),
+            "cloudlet-ordered residual copy drifted at request {k}"
+        );
+        state.max_residual.refresh(state.cloudlets.values());
         debug_assert_eq!(
             state.max_residual.value,
-            MaxResidual::scan(cloudlets, &state.residual).value,
+            MaxResidual::scan(state.cloudlets.values()).value,
             "tracked maximum cloudlet residual drifted at request {k}"
         );
         on_record(record);

@@ -26,6 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relaug::instance::AugmentationInstance;
 use relaug::stream::Algorithm;
+use relaug::SolveScratch;
 
 use crate::event::{EventKind, EventQueue};
 use crate::policy::{RepairPolicy, RequestView};
@@ -336,6 +337,8 @@ struct Engine<'a> {
     repair_latencies: Vec<f64>,
     workload_rng: StdRng,
     place_rng: StdRng,
+    /// Solver buffers, reused by every solve of the run.
+    scratch: SolveScratch,
     clock_master: u64,
     /// `true` (default mode): emit every `sim.*` event through `rec`.
     full_events: bool,
@@ -381,6 +384,7 @@ impl<'a> Engine<'a> {
             repair_latencies: Vec::new(),
             workload_rng: StdRng::seed_from_u64(expkit::fan_out(cfg.seed, 0)),
             place_rng: StdRng::seed_from_u64(expkit::fan_out(cfg.seed, 1)),
+            scratch: SolveScratch::new(),
             clock_master: expkit::fan_out(cfg.seed, 2),
             full_events: cfg.metrics_interval.is_none(),
             window: cfg.metrics_interval.map(|interval| SimWindow {
@@ -415,11 +419,17 @@ impl<'a> Engine<'a> {
     /// into `rec` (the byte-identity path); windowed mode captures solver
     /// counters only and merges the aggregates, so the trace stays bounded.
     fn solve(&mut self, inst: &AugmentationInstance, rec: &mut Recorder) -> relaug::Outcome {
+        let algorithm = &self.cfg.algorithm;
         if self.full_events {
-            self.cfg.algorithm.solve_traced(inst, &mut self.place_rng, rec)
+            algorithm.solve_scratch(inst, &mut self.place_rng, rec, &mut self.scratch)
         } else {
             let mut solver_rec = Recorder::counters_only();
-            let out = self.cfg.algorithm.solve_traced(inst, &mut self.place_rng, &mut solver_rec);
+            let out = algorithm.solve_scratch(
+                inst,
+                &mut self.place_rng,
+                &mut solver_rec,
+                &mut self.scratch,
+            );
             rec.absorb(solver_rec);
             out
         }

@@ -10,12 +10,19 @@
 //!   one per algorithm, with the preset seed as engine seed. These are the
 //!   values `stream_exp --scenario fattree-16 --requests 1500` prints; any
 //!   change that moves a single record shows up here.
+//! * **Pinned sharing hashes**: the same fold with `share_backups: true` and
+//!   the network half full, so the deployed-instance ledger, the
+//!   existing-backup counts it feeds and the overcommit clamp all shape the
+//!   records. The ILP runs on a 2,000-node budget, as in
+//!   `tests/reject_gate.rs`.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use bench_harness::{fold_record_hash, RECORD_HASH_SEED};
+use mec_sfc_reliability::milp::BnbConfig;
 use mec_sfc_reliability::obs::{MetricsInterval, Recorder};
+use mec_sfc_reliability::relaug::ilp::IlpConfig;
 use mec_sfc_reliability::relaug::stream::{
     process_stream_seeded, Algorithm, FlightSpec, MetricsMode, StreamConfig, StreamOutcome,
 };
@@ -124,5 +131,32 @@ fn record_hashes_are_pinned_on_fattree_16() {
         let out = run(&built, 1500, &cfg, &mut Recorder::noop());
         let hash = out.records.iter().fold(RECORD_HASH_SEED, fold_record_hash);
         assert_eq!(format!("{hash:016x}"), pinned, "{name}: record hash moved");
+    }
+}
+
+#[test]
+fn sharing_record_hashes_are_pinned_on_fattree_16() {
+    let built = scenario("fattree-16");
+    let ilp = IlpConfig {
+        bnb: BnbConfig { max_nodes: 2_000, time_limit: None, ..Default::default() },
+        ..Default::default()
+    };
+    let expected = [
+        (Algorithm::Ilp(ilp), "d22368ce1731a563"),
+        (Algorithm::Randomized(Default::default()), "145fc860edbab00e"),
+        (Algorithm::Heuristic(Default::default()), "adcbc4af2ce291d9"),
+        (Algorithm::Greedy(Default::default()), "63c88fbdba18a644"),
+    ];
+    for (algorithm, pinned) in expected {
+        let name = algorithm.name();
+        let cfg = StreamConfig {
+            algorithm,
+            share_backups: true,
+            initial_capacity_fraction: 0.5,
+            ..Default::default()
+        };
+        let out = run(&built, 1500, &cfg, &mut Recorder::noop());
+        let hash = out.records.iter().fold(RECORD_HASH_SEED, fold_record_hash);
+        assert_eq!(format!("{hash:016x}"), pinned, "{name}: sharing record hash moved");
     }
 }
