@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relaug::instance::AugmentationInstance;
 use relaug::solution::{Metrics, SolverInfo};
-use relaug::{greedy, heuristic, ilp, randomized, report};
+use relaug::{greedy, heuristic, ilp, randomized, report, SolveScratch};
 
 struct Args {
     seed: u64,
@@ -112,13 +112,15 @@ fn main() {
         }),
         None => Recorder::memory(),
     };
+    let scratch = &mut SolveScratch::new();
     let outcome = match args.algo.as_str() {
-        "ilp" => ilp::solve_traced(&inst, &Default::default(), &mut rec).expect("ILP"),
+        "ilp" => ilp::solve_scratch(&inst, &Default::default(), &mut rec, scratch).expect("ILP"),
         "rand" => {
-            randomized::solve_traced(&inst, &Default::default(), &mut rng, &mut rec).expect("LP")
+            randomized::solve_scratch(&inst, &Default::default(), &mut rng, &mut rec, scratch)
+                .expect("LP")
         }
-        "heur" => heuristic::solve_traced(&inst, &Default::default(), &mut rec),
-        _ => greedy::solve_traced(&inst, &Default::default(), &mut rec),
+        "heur" => heuristic::solve_scratch(&inst, &Default::default(), &mut rec, scratch),
+        _ => greedy::solve_scratch(&inst, &Default::default(), &mut rec, scratch),
     };
     rec.flush().expect("flush trace");
     if args.json {

@@ -6,11 +6,11 @@
 //!
 //! Usage: `cargo run -p bench-harness --release --bin stream_exp --
 //! [--trials N] [--seed S] [--requests R] [--trace PATH]
-//! [--metrics-interval N|Xs] [--flight DIR] [--scenario NAME|PATH]`
+//! [--metrics-interval N|Xs] [--scenario NAME|PATH]`
 //! (trials = independent network/stream pairs). Every stream runs through
-//! the sequential engine, `relaug::stream::process_stream_seeded_sink`;
-//! `--workers` is accepted for flag compatibility with `sim_exp`, and any
-//! value above 1 exits with status 2.
+//! the sequential engine, `relaug::stream::process_stream_seeded_sink`.
+//! `--workers` and `--flight` are `sim_exp` flags that `HarnessArgs` shares:
+//! a `--workers` value above 1, or any `--flight`, exits with status 2.
 //!
 //! Without `--scenario` the harness runs the toy fixture: one
 //! `WorkloadConfig::default()` network per trial and uniformly random
@@ -28,11 +28,7 @@
 //! `--metrics-interval` switches the observed (first) stream of each
 //! algorithm to windowed telemetry: per-request events are suppressed and
 //! one `stream.window` summary is emitted per `N` requests (or `X` wall
-//! seconds), so a million-request trace stays bounded. `--flight DIR` arms
-//! the flight recorder: the engine keeps a ring of recent raw events,
-//! dumped to `DIR/flight-commit.jsonl` on a commit hard error
-//! (`RELAUG_INJECT_COMMIT_HARD_ERROR=K` injects one at request `K` for
-//! smoke-testing the dump path).
+//! seconds), so a million-request trace stays bounded.
 //!
 //! `--trace PATH` writes the full telemetry of each algorithm's first stream
 //! as JSONL: exactly one `stream.request` event per request processed (with
@@ -59,27 +55,17 @@ use obs::Recorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relaug::stream::{
-    process_stream_seeded_sink, Algorithm, FlightSpec, MetricsMode, RequestRecord, StreamConfig,
+    process_stream_seeded_sink, Algorithm, MetricsMode, RequestRecord, StreamConfig,
     StreamObservation,
 };
 use scen::{RequestStream, ScenarioSpec};
 
 /// The observability config for the first stream of each algorithm:
-/// `--metrics-interval` switches the engine to windowed aggregation,
-/// `--flight` attaches a flight ring, and the injection env var arms the
-/// commit hard-error.
-fn observed_config(
-    mut cfg: StreamConfig,
-    args: &HarnessArgs,
-    inject_at: Option<usize>,
-) -> StreamConfig {
+/// `--metrics-interval` switches the engine to windowed aggregation.
+fn observed_config(mut cfg: StreamConfig, args: &HarnessArgs) -> StreamConfig {
     if let Some(interval) = args.metrics_interval {
         cfg.metrics = MetricsMode::Windowed(interval);
     }
-    if let Some(dir) = &args.flight {
-        cfg.flight = Some(FlightSpec::new(std::path::PathBuf::from(dir)));
-    }
-    cfg.inject_commit_hard_error_at = inject_at;
     cfg
 }
 
@@ -156,6 +142,12 @@ fn main() {
         eprintln!("stream_exp: --workers must be 1 (the stream engine is sequential)");
         std::process::exit(2);
     }
+    if args.flight.is_some() {
+        eprintln!(
+            "stream_exp: --flight is a sim_exp flag (the stream engine keeps no flight ring)"
+        );
+        std::process::exit(2);
+    }
     // Scenario mode: build the zoo topology once, stream lazily from the
     // spec-derived generator. The stream is a pure function of the spec, so
     // one stream per algorithm is the whole experiment — `--trials` is a
@@ -202,15 +194,6 @@ fn main() {
         None => Recorder::memory(),
     };
 
-    // Fault injection for the flight-recorder smoke: panic (after dumping
-    // the flight ring) at this request index of the first observed stream.
-    let inject_at: Option<usize> = std::env::var("RELAUG_INJECT_COMMIT_HARD_ERROR").ok().map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("stream_exp: RELAUG_INJECT_COMMIT_HARD_ERROR must be a request index");
-            std::process::exit(2);
-        })
-    });
-
     // Metrics of each algorithm's first (observed) stream.
     let mut observations: Vec<(&str, StreamObservation)> = Vec::new();
 
@@ -251,11 +234,11 @@ fn main() {
             let cfg = StreamConfig { algorithm: algorithm.clone(), ..Default::default() };
             let mut stats = StreamStats::new();
             // The first stream of each algorithm runs with the full
-            // observability config (windowing, flight ring, fault injection)
-            // and yields the metrics observation for the telemetry table;
-            // later trials use the no-op recorder. Requests are fed lazily in
-            // both modes — the engine pulls them one at a time, so the stream
-            // is never materialized.
+            // observability config (windowing) and yields the metrics
+            // observation for the telemetry table; later trials use the
+            // no-op recorder. Requests are fed lazily in both modes — the
+            // engine pulls them one at a time, so the stream is never
+            // materialized.
             let start = Instant::now();
             let ob = match &scenario {
                 Some(built) => {
@@ -264,7 +247,7 @@ fn main() {
                         &built.network,
                         &built.catalog,
                         stream,
-                        observed_config(cfg, &args, inject_at),
+                        observed_config(cfg, &args),
                         built.spec.seed,
                         &mut rec,
                         &mut stats,
@@ -282,7 +265,7 @@ fn main() {
                     let requests = (0..requests_per_stream).map(move |i| {
                         SfcRequest::random(i, catalog_ref, (3, 6), 0.99, nodes, &mut rng)
                     });
-                    let cfg = if t == 0 { observed_config(cfg, &args, inject_at) } else { cfg };
+                    let cfg = if t == 0 { observed_config(cfg, &args) } else { cfg };
                     let mut noop = Recorder::noop();
                     let rec = if t == 0 { &mut rec } else { &mut noop };
                     drive(&network, &catalog, requests, cfg, seed, rec, &mut stats, &mut hash)

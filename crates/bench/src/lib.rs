@@ -418,8 +418,8 @@ pub struct HarnessArgs {
     /// Windowed telemetry: cut a `*.window` summary every `N` requests
     /// (bare integer) or `X` seconds (`Xs`); suppresses per-request events.
     pub metrics_interval: Option<obs::MetricsInterval>,
-    /// Flight-recorder directory: each engine keeps a ring of recent raw
-    /// events and dumps it there on panic, commit hard-error or SLO
+    /// Flight-recorder directory (`sim_exp` only): the simulator keeps a
+    /// ring of recent raw events and dumps it there on the first SLO
     /// violation.
     pub flight: Option<String>,
     /// Scenario preset name or spec-file path (stream/sim binaries): builds

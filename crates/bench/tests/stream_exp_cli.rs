@@ -1,6 +1,7 @@
 //! `stream_exp` and `sim_exp` at their command-line surface: runs that admit
-//! nothing finish cleanly, and malformed scenario specs and unknown or
-//! removed flags exit 2 with a one-line message.
+//! nothing finish cleanly, and malformed scenario specs, unknown or removed
+//! flags and `sim_exp`-only flags given to `stream_exp` exit 2 with a
+//! one-line message.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -100,4 +101,20 @@ fn removed_plan_cache_flag_exits_2_on_both_binaries() {
         .output()
         .expect("run sim_exp");
     assert_unknown_flag("sim_exp", sim, "--plan-cache");
+}
+
+#[test]
+fn sim_only_flags_exit_2_on_stream_exp() {
+    // `--flight` and a `--workers` above 1 parse (sim_exp takes both) but
+    // the sequential stream engine has no flight ring and no workers.
+    for (args, flag) in
+        [(["--flight", "flight_out"], "--flight"), (["--workers", "2"], "--workers")]
+    {
+        let out = stream_exp(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} printed before failing");
+    }
 }

@@ -34,21 +34,13 @@ pub struct GreedyConfig {
 /// that still fits one instance, commit the placement maximizing the rule's
 /// score; stop when the expectation is met or nothing fits.
 pub fn solve(inst: &AugmentationInstance, cfg: &GreedyConfig) -> Outcome {
-    solve_traced(inst, cfg, &mut Recorder::noop())
+    solve_scratch(inst, cfg, &mut Recorder::noop(), &mut SolveScratch::new())
 }
 
-/// [`solve`] with telemetry: emits one `greedy.step` event per committed
-/// placement (function, bin, score under the configured rule).
-pub fn solve_traced(
-    inst: &AugmentationInstance,
-    cfg: &GreedyConfig,
-    rec: &mut Recorder,
-) -> Outcome {
-    solve_scratch(inst, cfg, rec, &mut SolveScratch::new())
-}
-
-/// [`solve_traced`] on caller-owned scratch buffers; allocation-free with a
-/// warm scratch, except for the returned [`Outcome`].
+/// [`solve`] with telemetry, on caller-owned scratch buffers: emits one
+/// `greedy.step` event per committed placement (function, bin, score under
+/// the configured rule). Allocation-free with a warm scratch, except for
+/// the returned [`Outcome`].
 pub fn solve_scratch(
     inst: &AugmentationInstance,
     cfg: &GreedyConfig,

@@ -61,24 +61,16 @@ impl HeuristicConfig {
 
 /// Run Algorithm 2. Never violates capacities or locality.
 pub fn solve(inst: &AugmentationInstance, cfg: &HeuristicConfig) -> Outcome {
-    solve_traced(inst, cfg, &mut Recorder::noop())
+    solve_scratch(inst, cfg, &mut Recorder::noop(), &mut SolveScratch::new())
 }
 
-/// [`solve`] with telemetry: emits one `heuristic.round` event per matching
-/// round carrying the bipartite graph dimensions (bins × items, edge count),
-/// the matching size, the placements committed and the reliability gain.
-pub fn solve_traced(
-    inst: &AugmentationInstance,
-    cfg: &HeuristicConfig,
-    rec: &mut Recorder,
-) -> Outcome {
-    solve_scratch(inst, cfg, rec, &mut SolveScratch::new())
-}
-
-/// [`solve_traced`] on caller-owned scratch buffers. With a warm
-/// [`SolveScratch`] the whole solve — matching network included — runs
-/// without heap allocation (see `crates/bench/benches/solve_alloc.rs`),
-/// except for the returned [`Outcome`] itself.
+/// [`solve`] with telemetry, on caller-owned scratch buffers: emits one
+/// `heuristic.round` event per matching round carrying the bipartite graph
+/// dimensions (bins × items, edge count), the matching size, the placements
+/// committed and the reliability gain. With a warm [`SolveScratch`] the
+/// whole solve — matching network included — runs without heap allocation
+/// (see `crates/bench/benches/solve_alloc.rs`), except for the returned
+/// [`Outcome`] itself.
 pub fn solve_scratch(
     inst: &AugmentationInstance,
     cfg: &HeuristicConfig,
@@ -568,7 +560,8 @@ mod tests {
             expectation: 0.9999999,
         };
         let mut rec = Recorder::memory();
-        let out = solve_traced(&inst, &HeuristicConfig::default(), &mut rec);
+        let out =
+            solve_scratch(&inst, &HeuristicConfig::default(), &mut rec, &mut SolveScratch::new());
         assert_eq!(out.solver, SolverInfo::Heuristic { matching_rounds: 3 });
         assert_eq!(out.telemetry.counter("heuristic.rounds"), 3);
         let rounds: Vec<_> = rec.events().iter().filter(|e| e.kind == "heuristic.round").collect();

@@ -29,6 +29,7 @@ use obs::Recorder;
 
 use crate::instance::{AugmentationInstance, Item};
 use crate::reliability;
+use crate::scratch::SolveScratch;
 use crate::solution::{Augmentation, Metrics, Outcome, SolverInfo};
 
 /// Configuration of the exact solver.
@@ -355,39 +356,21 @@ fn solve_component(
 /// augmentation immediately when the primaries already meet `ρ_j` (the
 /// EXIT in line 2–3 of Algorithm 1, shared by the ILP path).
 pub fn solve(inst: &AugmentationInstance, cfg: &IlpConfig) -> Result<Outcome, SolverError> {
-    solve_traced(inst, cfg, &mut Recorder::noop())
+    solve_scratch(inst, cfg, &mut Recorder::noop(), &mut SolveScratch::new())
 }
 
-/// [`solve`] with telemetry: emits one `ilp.component` event per independent
-/// component (branch-and-bound nodes, simplex iterations, incumbent updates,
-/// prune counts by reason) and accumulates the same quantities as counters.
-pub fn solve_traced(
-    inst: &AugmentationInstance,
-    cfg: &IlpConfig,
-    rec: &mut Recorder,
-) -> Result<Outcome, SolverError> {
-    let mut ws = milp::LpWorkspace::new();
-    solve_with_ws(inst, cfg, rec, &mut ws)
-}
-
-/// [`solve_traced`] reusing the caller's scratch so the stream's exact path
-/// allocates nothing per request: the LP workspace (factorization + eta-file
-/// buffers) is shared across the instance's independent components and across
-/// consecutive requests on the same stream.
+/// [`solve`] with telemetry, on the caller's scratch: emits one
+/// `ilp.component` event per independent component (branch-and-bound nodes,
+/// simplex iterations, incumbent updates, prune counts by reason) and
+/// accumulates the same quantities as counters. The LP workspace
+/// (factorization + eta-file buffers) is shared across the instance's
+/// independent components and across consecutive requests on the same
+/// stream, so the stream's exact path allocates nothing per request for it.
 pub fn solve_scratch(
     inst: &AugmentationInstance,
     cfg: &IlpConfig,
     rec: &mut Recorder,
-    scratch: &mut crate::scratch::SolveScratch,
-) -> Result<Outcome, SolverError> {
-    solve_with_ws(inst, cfg, rec, &mut scratch.lp)
-}
-
-fn solve_with_ws(
-    inst: &AugmentationInstance,
-    cfg: &IlpConfig,
-    rec: &mut Recorder,
-    ws: &mut milp::LpWorkspace,
+    scratch: &mut SolveScratch,
 ) -> Result<Outcome, SolverError> {
     let started = Instant::now();
     if inst.expectation_met_by_primaries() {
@@ -434,7 +417,7 @@ fn solve_with_ws(
             expectation: inst.expectation,
         };
         let comp_started = Instant::now();
-        let (sub_aug, s) = solve_component(&sub, cfg, ws)?;
+        let (sub_aug, s) = solve_component(&sub, cfg, &mut scratch.lp)?;
         let comp_elapsed = comp_started.elapsed();
         stats.nodes += s.nodes;
         stats.lp_iterations += s.lp_iterations;
@@ -555,7 +538,8 @@ mod tests {
     fn traced_solve_reports_effort() {
         let inst = single_function_instance();
         let mut rec = Recorder::memory();
-        let out = solve_traced(&inst, &IlpConfig::default(), &mut rec).unwrap();
+        let out = solve_scratch(&inst, &IlpConfig::default(), &mut rec, &mut SolveScratch::new())
+            .unwrap();
         // One coupled component, at least one B&B node explored and recorded
         // identically in the counters, the events and the SolverInfo.
         assert_eq!(rec.counter("ilp.components"), 1);

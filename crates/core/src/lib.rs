@@ -41,7 +41,6 @@
 //! assert!(outcome.metrics.reliability >= inst.base_reliability() - 1e-12);
 //! ```
 
-pub mod availability;
 pub mod greedy;
 pub mod heuristic;
 pub mod ilp;

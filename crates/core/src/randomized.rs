@@ -60,27 +60,18 @@ pub fn solve<R: Rng + ?Sized>(
     cfg: &RandomizedConfig,
     rng: &mut R,
 ) -> Result<Outcome, SolverError> {
-    solve_traced(inst, cfg, rng, &mut Recorder::noop())
+    solve_scratch(inst, cfg, rng, &mut Recorder::noop(), &mut SolveScratch::new())
 }
 
-/// [`solve`] with telemetry: records the LP-relaxation solve time, one
-/// `randomized.draw` event per rounding draw (secondaries, reliability,
-/// whether the draw violates capacity) and the repair/trim steps that bring
-/// the kept draw back to the expectation.
-pub fn solve_traced<R: Rng + ?Sized>(
-    inst: &AugmentationInstance,
-    cfg: &RandomizedConfig,
-    rng: &mut R,
-    rec: &mut Recorder,
-) -> Result<Outcome, SolverError> {
-    solve_scratch(inst, cfg, rng, rec, &mut SolveScratch::new())
-}
-
-/// [`solve_traced`] on caller-owned scratch. The randomized algorithm is
-/// LP-dominated, so the scratch only covers the rounding draws: each draw is
-/// built in `scratch.sol` and an owned [`Augmentation`] is materialized only
-/// for reliability-improving draws. RNG consumption and results are identical
-/// to the historical implementation.
+/// [`solve`] with telemetry, on caller-owned scratch: records the
+/// LP-relaxation solve time, one `randomized.draw` event per rounding draw
+/// (secondaries, reliability, whether the draw violates capacity) and the
+/// repair/trim steps that bring the kept draw back to the expectation. The
+/// randomized algorithm is LP-dominated, so the scratch only covers the
+/// rounding draws: each draw is built in `scratch.sol` and an owned
+/// [`Augmentation`] is materialized only for reliability-improving draws.
+/// RNG consumption and results are identical to the historical
+/// implementation.
 pub fn solve_scratch<R: Rng + ?Sized>(
     inst: &AugmentationInstance,
     cfg: &RandomizedConfig,
@@ -241,7 +232,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut rec = Recorder::memory();
         let cfg = RandomizedConfig { rounds: 4, ..Default::default() };
-        let out = solve_traced(&inst, &cfg, &mut rng, &mut rec).unwrap();
+        let out = solve_scratch(&inst, &cfg, &mut rng, &mut rec, &mut SolveScratch::new()).unwrap();
         assert_eq!(out.telemetry.counter("randomized.draws"), 4);
         let draws: Vec<_> = rec.events().iter().filter(|e| e.kind == "randomized.draw").collect();
         assert_eq!(draws.len(), 4);

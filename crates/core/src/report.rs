@@ -156,7 +156,13 @@ mod tests {
             expectation: 0.999,
         };
         let mut rec = obs::Recorder::memory();
-        let out = crate::ilp::solve_traced(&inst, &Default::default(), &mut rec).unwrap();
+        let out = crate::ilp::solve_scratch(
+            &inst,
+            &Default::default(),
+            &mut rec,
+            &mut crate::SolveScratch::new(),
+        )
+        .unwrap();
         let text = render(&inst, &out);
         assert!(text.contains("solver effort: ILP"));
         assert!(text.contains("B&B nodes"));

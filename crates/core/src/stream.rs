@@ -19,7 +19,6 @@
 //! [`StreamOutcome`].
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use mecnet::graph::NodeId;
@@ -27,9 +26,7 @@ use mecnet::neighborhood::NeighborhoodIndex;
 use mecnet::network::MecNetwork;
 use mecnet::request::SfcRequest;
 use mecnet::vnf::VnfCatalog;
-use obs::{
-    FlightRecorder, MetricsInterval, MetricsShard, MetricsSnapshot, Recorder, ShardedMetrics,
-};
+use obs::{MetricSet, MetricsInterval, MetricsSnapshot, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -142,13 +139,6 @@ pub struct StreamConfig {
     /// Telemetry granularity: per-request events (the byte-identity-checked
     /// default) or bounded windowed summaries.
     pub metrics: MetricsMode,
-    /// Attach a flight-recorder ring, dumped to this directory on a commit
-    /// hard error.
-    pub flight: Option<FlightSpec>,
-    /// Testing hook: trigger a commit hard-error (flight dump + panic) when
-    /// request position `k` reaches the commit step. Drives the
-    /// flight-recorder smoke test; leave `None` in real runs.
-    pub inject_commit_hard_error_at: Option<usize>,
 }
 
 impl Default for StreamConfig {
@@ -159,8 +149,6 @@ impl Default for StreamConfig {
             initial_capacity_fraction: 1.0,
             share_backups: false,
             metrics: MetricsMode::Full,
-            flight: None,
-            inject_commit_hard_error_at: None,
         }
     }
 }
@@ -177,21 +165,6 @@ pub enum MetricsMode {
     /// JSONL. Solver *counters* still accumulate (B&B pivots per window);
     /// solver events are dropped.
     Windowed(MetricsInterval),
-}
-
-/// Flight-recorder wiring for the stream engine: a ring of the last
-/// `capacity` per-request events, dumped to `dir/flight-commit.jsonl` on a
-/// commit hard error.
-#[derive(Debug, Clone)]
-pub struct FlightSpec {
-    pub dir: PathBuf,
-    pub capacity: usize,
-}
-
-impl FlightSpec {
-    pub fn new(dir: PathBuf) -> FlightSpec {
-        FlightSpec { dir, capacity: 256 }
-    }
 }
 
 /// Per-request record of what happened.
@@ -280,9 +253,8 @@ fn request_rng(seed: u64, k: usize, salt: u64) -> StdRng {
     StdRng::seed_from_u64(splitmix64(splitmix64(seed ^ salt).wrapping_add(k as u64)))
 }
 
-/// Index registry for the engine's metrics ([`ShardedMetrics`] with a single
-/// shard): recording is an array index plus a relaxed atomic op, so these run
-/// on the hot path in every mode.
+/// Index registry for the engine's [`MetricSet`]: recording is an array
+/// index plus an add, so these run on the hot path in every mode.
 pub mod pipeline_metrics {
     pub const COUNTERS: &[&str] = &[
         "requests",
@@ -311,19 +283,13 @@ pub mod pipeline_metrics {
     pub const H_COMMIT_NS: usize = 2;
 }
 
-/// Flight ring plus its dump destination.
-struct FlightState {
-    ring: FlightRecorder,
-    path: PathBuf,
-}
-
 /// Windowed-aggregation cursor: per-window bases to diff snapshots against.
 struct WindowTracker {
     interval: MetricsInterval,
     index: u64,
     window_started: Instant,
     /// `requests` counter at window start, cached as a plain integer so the
-    /// per-request boundary check is one atomic load + compare (no
+    /// per-request boundary check is one indexed load and a compare (no
     /// name-keyed snapshot lookup on the hot path).
     base_requests: u64,
     /// Metrics at window start (counts, solve/commit latencies).
@@ -334,10 +300,10 @@ struct WindowTracker {
 }
 
 /// Observability state threaded through the request path: the metrics
-/// (always on — recording is a couple of relaxed atomics), the metrics mode,
-/// and the optional window tracker and flight ring.
+/// (always on — recording is a few indexed adds), the metrics mode and the
+/// optional window tracker.
 struct StreamObs {
-    metrics: ShardedMetrics,
+    metrics: MetricSet,
     /// Per-request events and per-request recorder aggregates
     /// (`MetricsMode::Full`).
     full: bool,
@@ -345,13 +311,11 @@ struct StreamObs {
     /// Windowed mode: the solvers' counters-only recorder, folded into the
     /// caller's recorder at every window cut, so the trace stays bounded.
     solver: Option<Recorder>,
-    flight: Option<FlightState>,
-    inject_at: Option<usize>,
 }
 
 impl StreamObs {
     fn new(cfg: &StreamConfig) -> StreamObs {
-        let metrics = ShardedMetrics::new(pipeline_metrics::COUNTERS, pipeline_metrics::HISTS, 1);
+        let metrics = MetricSet::new(pipeline_metrics::COUNTERS, pipeline_metrics::HISTS);
         let window = match cfg.metrics {
             MetricsMode::Full => None,
             MetricsMode::Windowed(interval) => Some(WindowTracker {
@@ -359,7 +323,7 @@ impl StreamObs {
                 index: 0,
                 window_started: Instant::now(),
                 base_requests: 0,
-                base: metrics.shard_snapshot(0),
+                base: metrics.snapshot(),
                 solver_base: Vec::new(),
             }),
         };
@@ -368,22 +332,12 @@ impl StreamObs {
             full: matches!(cfg.metrics, MetricsMode::Full),
             solver: window.is_some().then(Recorder::counters_only),
             window,
-            flight: cfg.flight.as_ref().map(|spec| FlightState {
-                ring: FlightRecorder::new(spec.capacity),
-                path: spec.dir.join("flight-commit.jsonl"),
-            }),
-            inject_at: cfg.inject_commit_hard_error_at,
         }
     }
 
-    fn shard(&self) -> &MetricsShard {
-        self.metrics.shard(0)
-    }
-
     /// Account one finished request and pass its record through: the
-    /// admitted/rejected counters, its `stream.request` event (to the sink
-    /// in full mode, always into the flight ring if one is attached; the
-    /// event is only built when someone will observe it), and the window
+    /// admitted/rejected counters, its `stream.request` event (full mode
+    /// only, and only built when the sink keeps events), and the window
     /// boundary check.
     fn finish_request(
         &mut self,
@@ -397,26 +351,20 @@ impl StreamObs {
         } else {
             (C_REJECTED, "stream.rejected")
         };
-        self.shard().incr(counter);
+        self.metrics.incr(counter);
         if self.full {
             rec.count(name, 1);
-        }
-        let build = || {
-            let e = stream_request_event(r.id, residual).with("admitted", r.admitted);
-            if r.admitted {
-                e.with("base_reliability", r.base_reliability)
-                    .with("achieved_reliability", r.achieved_reliability)
-                    .with("met_expectation", r.met_expectation)
-                    .with("secondaries", r.secondaries)
-            } else {
-                e.with("reason", "no_primary_placement")
-            }
-        };
-        if self.full {
-            rec.emit_with(build);
-        }
-        if let Some(fl) = self.flight.as_mut() {
-            fl.ring.push(build());
+            rec.emit_with(|| {
+                let e = stream_request_event(r.id, residual).with("admitted", r.admitted);
+                if r.admitted {
+                    e.with("base_reliability", r.base_reliability)
+                        .with("achieved_reliability", r.achieved_reliability)
+                        .with("met_expectation", r.met_expectation)
+                        .with("secondaries", r.secondaries)
+                } else {
+                    e.with("reason", "no_primary_placement")
+                }
+            });
         }
         self.after_request(rec);
         r
@@ -427,7 +375,7 @@ impl StreamObs {
         let Some(w) = &self.window else { return };
         let due = match w.interval {
             MetricsInterval::Requests(n) => {
-                self.shard().counter(pipeline_metrics::C_REQUESTS) - w.base_requests >= n
+                self.metrics.counter(pipeline_metrics::C_REQUESTS) - w.base_requests >= n
             }
             // Wall-clock windows: cadence is nondeterministic by nature, but
             // window *contents* are still exact counter deltas.
@@ -444,7 +392,7 @@ impl StreamObs {
             rec.absorb(std::mem::replace(solver, Recorder::counters_only()));
         }
         let Some(w) = self.window.as_mut() else { return };
-        let snap = self.metrics.shard_snapshot(0);
+        let snap = self.metrics.snapshot();
         let d = snap.diff(&w.base);
         let requests = d.counter("requests");
         if !(requests > 0 || (final_window && w.index == 0)) {
@@ -503,7 +451,7 @@ impl StreamObs {
     fn finish(&mut self, rec: &mut Recorder) {
         self.emit_window(rec, true);
         if !self.full {
-            let snap = self.metrics.shard_snapshot(0);
+            let snap = self.metrics.snapshot();
             let admitted = snap.counter("admitted");
             let rejected = snap.counter("rejected.no_primary_placement");
             if admitted > 0 {
@@ -521,17 +469,9 @@ impl StreamObs {
     /// Snapshot the metrics for the caller.
     fn observation(&self) -> StreamObservation {
         StreamObservation {
-            pipeline: self.metrics.shard_snapshot(0),
+            pipeline: self.metrics.snapshot(),
             windows: self.window.as_ref().map(|w| w.index).unwrap_or(0),
         }
-    }
-
-    /// Dump the flight ring (if any) and panic — the commit hard-error path.
-    fn commit_hard_error(&mut self, k: usize, reason: &str) -> ! {
-        if let Some(fl) = &self.flight {
-            let _ = fl.ring.dump_to_path(reason, &fl.path);
-        }
-        panic!("commit hard error at request {k}: {reason}");
     }
 }
 
@@ -755,7 +695,7 @@ fn apply_secondary_debits(
     network: &MecNetwork,
     residual: &mut [f64],
     debits: &[(NodeId, f64)],
-    timing: &MetricsShard,
+    timing: &mut MetricSet,
 ) -> bool {
     use pipeline_metrics::{H_COMMIT_NS, H_RESERVE_NS};
     let reserve_started = Instant::now();
@@ -826,17 +766,12 @@ fn process_request(
     scratch: &mut SolveScratch,
 ) -> RequestRecord {
     use pipeline_metrics::*;
-    // Fault injection for the flight-recorder path: fail the commit step
-    // before touching any state, whatever the request's fate would have been.
-    if state.obs.inject_at == Some(k) {
-        state.obs.commit_hard_error(k, "commit_hard_error_injected");
-    }
-    state.obs.shard().incr(C_REQUESTS);
+    state.obs.metrics.incr(C_REQUESTS);
     let CommitScratch { demands, locations, loads, debits } = &mut state.buf;
     demands.clear();
     demands.extend(req.sfc.iter().map(|&f| catalog.demand(f)));
     if demands.iter().copied().fold(f64::NEG_INFINITY, f64::max) > state.max_residual.value {
-        state.obs.shard().incr(C_GATED);
+        state.obs.metrics.incr(C_GATED);
         return state.obs.finish_request(rec, &state.residual, RequestRecord::rejected(req.id));
     }
     let mut admit_rng = request_rng(seed, k, ADMIT_SALT);
@@ -867,7 +802,7 @@ fn process_request(
                 .sum();
         }
     }
-    state.obs.shard().incr(C_SOLVES);
+    state.obs.metrics.incr(C_SOLVES);
     let mut solve_rng = request_rng(seed, k, SOLVE_SALT);
     // Full mode traces solver events straight into `rec`; windowed mode keeps
     // solver counters only, in the stream's own recorder.
@@ -878,7 +813,7 @@ fn process_request(
     let solve_started = Instant::now();
     cfg.algorithm.solve_in(inst, &mut solve_rng, solver_rec, scratch);
     let solve_elapsed = solve_started.elapsed();
-    state.obs.shard().record_duration(H_SOLVE_NS, solve_elapsed);
+    state.obs.metrics.record_duration(H_SOLVE_NS, solve_elapsed);
     if state.obs.full {
         rec.record_time("stream.solve", solve_elapsed);
     }
@@ -898,12 +833,13 @@ fn process_request(
             .filter(|&(_, &load)| load > 0.0)
             .map(|(bin_idx, &load)| (inst.bins[bin_idx].node, load)),
     );
-    let clamped = apply_secondary_debits(network, &mut state.residual, debits, state.obs.shard());
+    let clamped =
+        apply_secondary_debits(network, &mut state.residual, debits, &mut state.obs.metrics);
     for &(node, _) in debits.iter() {
         state.cloudlets.sync(&state.residual, node);
     }
     if clamped {
-        state.obs.shard().incr(C_OVERCOMMIT);
+        state.obs.metrics.incr(C_OVERCOMMIT);
     }
     if let Some(deployed) = state.deployed.as_mut() {
         apply_deployed_updates(deployed, req, locations, inst, sol);
@@ -962,8 +898,8 @@ pub fn process_stream_seeded(
 /// catalog, requests, cfg, seed)`: request `k` draws its admission and solve
 /// randomness from RNGs derived from `(seed, k)` alone, and telemetry never
 /// feeds back into a decision. Running the same stream under
-/// `Recorder::noop()`, a memory or JSONL recorder, windowed metrics or a
-/// flight ring gives equal records and bit-equal residuals. In
+/// `Recorder::noop()`, a memory or JSONL recorder or windowed metrics gives
+/// equal records and bit-equal residuals. In
 /// `MetricsMode::Full` the event stream is byte-identical across runs too:
 /// per-request events carry no wall-clock field (solve time goes only to the
 /// `stream.solve` timing and the `solve_ns` histogram). The capacity gate
@@ -1193,8 +1129,14 @@ mod tests {
 
     #[test]
     fn windowed_mode_emits_bounded_summaries() {
+        // 120 chains of one or two functions saturate the ~10 GHz network
+        // within the first window, so the windows see admissions, placement
+        // rejects and gated rejects.
         let (net, cat) = setup();
-        let reqs = make_requests(120, &cat, net.num_nodes(), 14);
+        let mut rng = StdRng::seed_from_u64(16);
+        let reqs: Vec<SfcRequest> = (0..120)
+            .map(|i| SfcRequest::random(i, &cat, (1, 2), 0.99, net.num_nodes(), &mut rng))
+            .collect();
         let cfg = StreamConfig {
             metrics: MetricsMode::Windowed(MetricsInterval::Requests(25)),
             ..Default::default()
@@ -1212,41 +1154,30 @@ mod tests {
         let sum = |field: &str| -> u64 {
             windows.iter().map(|e| e.field(field).unwrap().as_u64().unwrap()).sum()
         };
+        let total = |name: &str| ob.pipeline.counter(name);
+        let gated = total("rejected.capacity_gate");
+        assert!(0 < gated && gated < out.rejected() as u64, "{gated} of {} gated", out.rejected());
         assert_eq!(sum("requests"), reqs.len() as u64);
         assert_eq!(sum("admitted"), out.admitted() as u64);
         assert_eq!(sum("rejected"), out.rejected() as u64);
+        assert_eq!(sum("rejected_gated"), gated);
+        assert_eq!(sum("inline_resolves"), total("solves"));
+        assert_eq!(sum("overcommit_clamped"), total("commit.overcommit_clamped"));
         for (i, e) in windows.iter().enumerate() {
             assert_eq!(e.field("window").unwrap().as_u64(), Some(i as u64));
             assert_eq!(e.field("final").unwrap().as_bool(), Some(i == windows.len() - 1));
         }
-        assert_eq!(ob.pipeline.counter("requests"), reqs.len() as u64);
-        assert_eq!(ob.pipeline.counter("admitted"), out.admitted() as u64);
-    }
-
-    #[test]
-    fn injected_commit_hard_error_dumps_flight_ring() {
-        let (net, cat) = setup();
-        let reqs = make_requests(10, &cat, net.num_nodes(), 15);
-        let dir = std::env::temp_dir().join(format!("relaug-flight-commit-{}", std::process::id()));
-        let cfg = StreamConfig {
-            flight: Some(FlightSpec::new(dir.clone())),
-            inject_commit_hard_error_at: Some(7),
-            ..Default::default()
-        };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run(&net, &cat, &reqs, &cfg, 19)
-        }));
-        assert!(result.is_err(), "injected commit hard error must panic");
-        let dump =
-            std::fs::read_to_string(dir.join("flight-commit.jsonl")).expect("flight dump written");
-        let mut lines = dump.lines();
-        let header = lines.next().expect("dump has a header line");
-        assert!(header.contains("flight.dump"), "header line: {header}");
-        assert!(header.contains("commit_hard_error_injected"), "header line: {header}");
-        // One buffered stream.request event per request committed before the
-        // injected failure at k = 7.
-        assert_eq!(lines.count(), 7);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(total("requests"), reqs.len() as u64);
+        assert_eq!(total("admitted"), out.admitted() as u64);
+        assert_eq!(total("solves"), out.admitted() as u64);
+        let solve_ns = ob.pipeline.hist("solve_ns").expect("solve_ns histogram");
+        assert_eq!(solve_ns.count(), out.admitted() as u64);
+        let solve_s: f64 =
+            windows.iter().map(|e| e.field("solve_total_s").unwrap().as_f64().unwrap()).sum();
+        assert!(
+            (solve_s - solve_ns.sum() as f64 / 1e9).abs() < 1e-9,
+            "window solve time {solve_s}"
+        );
     }
 
     #[test]

@@ -92,13 +92,6 @@ impl Log2Histogram {
         Log2Histogram { counts: [0; LOG2_BUCKETS], total: 0, sum: 0 }
     }
 
-    /// Rebuild from raw bucket counts plus the value sum (the merge path out
-    /// of an atomic shard snapshot).
-    pub fn from_parts(counts: [u64; LOG2_BUCKETS], sum: u64) -> Log2Histogram {
-        let total = counts.iter().sum();
-        Log2Histogram { counts, total, sum }
-    }
-
     /// The bucket index holding `v`.
     #[inline]
     pub fn bucket_of(v: u64) -> usize {
@@ -232,6 +225,7 @@ pub fn percentile(sample: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bins_and_clamping() {
@@ -346,13 +340,32 @@ mod tests {
         assert!((h.mean() - 500.5).abs() < 1e-9);
     }
 
-    #[test]
-    fn log2_from_parts_round_trips() {
-        let mut h = Log2Histogram::new();
-        for v in [3u64, 9, 27, 81] {
-            h.record(v);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The quantile estimate (inclusive upper bound of the bucket holding
+        /// the nearest-rank order statistic) lands in the same log2 bucket as
+        /// the exact quantile of the raw sample.
+        #[test]
+        fn log2_quantile_shares_the_exact_bucket(
+            values in proptest::collection::vec(0u64..(1 << 40), 1..300),
+            q in 0.0f64..1.0,
+        ) {
+            let mut hist = Log2Histogram::new();
+            for &v in &values {
+                hist.record(v);
+            }
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            let exact = sorted[rank - 1];
+            let estimate = hist.quantile(q).unwrap();
+            prop_assert!(estimate >= exact, "estimate {estimate} below exact {exact}");
+            prop_assert_eq!(
+                Log2Histogram::bucket_of(estimate),
+                Log2Histogram::bucket_of(exact),
+                "estimate {} not in the exact value {}'s bucket (q={})", estimate, exact, q
+            );
         }
-        let rebuilt = Log2Histogram::from_parts(*h.bucket_counts(), h.sum());
-        assert_eq!(rebuilt, h);
     }
 }

@@ -30,7 +30,6 @@ pub mod graph;
 pub mod neighborhood;
 pub mod network;
 pub mod request;
-pub mod stats;
 pub mod topology;
 pub mod transit_stub;
 pub mod vnf;

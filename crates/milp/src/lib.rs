@@ -38,8 +38,6 @@
 
 pub mod branch_bound;
 pub mod error;
-pub mod io;
-pub mod presolve;
 pub mod problem;
 pub mod simplex;
 pub mod solution;

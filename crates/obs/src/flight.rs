@@ -1,5 +1,5 @@
 //! Flight recorder: a bounded ring of recent raw events, dumped only on
-//! failure (commit hard error, SLO violation).
+//! failure (the simulator dumps it on the first SLO violation).
 //!
 //! Full tracing of a million-request run is too expensive to leave on, but
 //! when something goes wrong the *recent* raw events are exactly what a
@@ -114,12 +114,12 @@ mod tests {
         fl.push(Event::new("stream.request").with("id", 0u64));
         fl.push(Event::new("stream.request").with("id", 1u64));
         let mut out = Vec::new();
-        fl.dump("commit_hard_error", &mut out).unwrap();
+        fl.dump("slo_violation", &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"event\":\"flight.dump\""));
-        assert!(lines[0].contains("\"reason\":\"commit_hard_error\""));
+        assert!(lines[0].contains("\"reason\":\"slo_violation\""));
         assert!(lines[0].contains("\"buffered\":2"));
         assert!(lines[0].contains("\"dropped\":0"));
         assert!(lines[1].contains("\"id\":0"));

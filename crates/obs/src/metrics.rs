@@ -1,167 +1,196 @@
-//! Atomic counters/gauges for concurrent call sites (the bench harness fans
-//! trials across threads) and an expkit-backed histogram for distributions.
+//! A fixed set of named metrics for a single-threaded engine.
+//!
+//! Metric identity is an index into a `&'static` name table fixed at
+//! construction, so recording is a bounds-checked array index plus an add —
+//! no map lookups, no allocation. Construction allocates everything up
+//! front. [`MetricSet::snapshot`] copies the current values into a
+//! [`MetricsSnapshot`], which diffs across window boundaries and serializes
+//! as a [`MetricsReport`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
-/// Monotonic atomic counter, shareable across threads.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+use expkit::Log2Histogram;
+use serde::{Deserialize, Serialize};
 
-impl Counter {
-    pub fn new() -> Counter {
-        Counter(AtomicU64::new(0))
-    }
-
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
+/// Counters and log2 histograms addressed by the indices of the name tables
+/// the set was built with.
+#[derive(Debug)]
+pub struct MetricSet {
+    counter_names: &'static [&'static str],
+    hist_names: &'static [&'static str],
+    counters: Box<[u64]>,
+    hists: Box<[Log2Histogram]>,
 }
 
-/// Last-write-wins f64 gauge (stored as bits so it stays lock-free).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    pub fn new() -> Gauge {
-        Gauge(AtomicU64::new(0.0f64.to_bits()))
-    }
-
-    #[inline]
-    pub fn set(&self, value: f64) {
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-/// Distribution metric backed by the shared mergeable [`expkit::Log2Histogram`]
-/// (the same bucket layout the per-worker shards use, so distributions from
-/// different sources merge exactly), with a streaming summary alongside so
-/// exact mean/min/max survive binning.
-#[derive(Debug, Clone, Default)]
-pub struct Distribution {
-    hist: expkit::Log2Histogram,
-    acc: expkit::Accumulator,
-}
-
-impl Distribution {
-    pub fn new() -> Distribution {
-        Distribution::default()
-    }
-
-    pub fn record(&mut self, v: u64) {
-        self.hist.record(v);
-        self.acc.push(v as f64);
-    }
-
-    /// Record a duration as nanoseconds.
-    pub fn record_duration(&mut self, d: std::time::Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.hist.count()
-    }
-
-    pub fn histogram(&self) -> &expkit::Log2Histogram {
-        &self.hist
-    }
-
-    /// Quantile estimate from the log2 buckets (within one bucket of exact).
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        self.hist.quantile(q)
-    }
-
-    /// Fold another distribution into this one. Bucket counts merge exactly;
-    /// the streaming summary merges its moments.
-    pub fn merge(&mut self, other: &Distribution) {
-        self.hist.merge(&other.hist);
-        self.acc.merge(&other.acc);
-    }
-
-    pub fn summary(&self) -> Option<expkit::Summary> {
-        if self.acc.is_empty() {
-            None
-        } else {
-            Some(self.acc.summary())
+impl MetricSet {
+    pub fn new(
+        counter_names: &'static [&'static str],
+        hist_names: &'static [&'static str],
+    ) -> MetricSet {
+        MetricSet {
+            counter_names,
+            hist_names,
+            counters: vec![0; counter_names.len()].into(),
+            hists: vec![Log2Histogram::new(); hist_names.len()].into(),
         }
     }
+
+    #[inline]
+    pub fn incr(&mut self, counter: usize) {
+        self.counters[counter] += 1;
+    }
+
+    pub fn counter(&self, counter: usize) -> u64 {
+        self.counters[counter]
+    }
+
+    /// Record a duration as nanoseconds (saturating at `u64::MAX`).
+    #[inline]
+    pub fn record_duration(&mut self, hist: usize, d: Duration) {
+        self.hists[hist].record_duration(d);
+    }
+
+    /// The current values, by name.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: self
+                .counter_names
+                .iter()
+                .copied()
+                .zip(self.counters.iter().copied())
+                .collect(),
+            hists: self.hist_names.iter().copied().zip(self.hists.iter().cloned()).collect(),
+        }
+    }
+}
+
+/// Point-in-time scalar view of a [`MetricSet`]: plain counters plus
+/// mergeable histograms. Cheap to diff across window boundaries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MetricsSnapshot {
+    pub counters: Vec<(&'static str, u64)>,
+    pub hists: Vec<(&'static str, Log2Histogram)>,
+}
+
+impl MetricsSnapshot {
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v).unwrap_or(0)
+    }
+
+    pub fn hist(&self, name: &str) -> Option<&Log2Histogram> {
+        self.hists.iter().find(|(n, _)| *n == name).map(|(_, h)| h)
+    }
+
+    /// Per-metric difference against an `earlier` snapshot of the same
+    /// metrics (window deltas over monotone counters/histograms).
+    pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: self
+                .counters
+                .iter()
+                .map(|&(n, v)| (n, v.saturating_sub(earlier.counter(n))))
+                .collect(),
+            hists: self
+                .hists
+                .iter()
+                .map(|(n, h)| (*n, earlier.hist(n).map(|e| h.diff(e)).unwrap_or_else(|| h.clone())))
+                .collect(),
+        }
+    }
+
+    /// Serializable summary (counter values plus per-histogram quantile
+    /// rows) for JSON artifacts.
+    pub fn report(&self) -> MetricsReport {
+        MetricsReport {
+            counters: self.counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
+            histograms: self
+                .hists
+                .iter()
+                .map(|(n, h)| HistogramReport {
+                    name: n.to_string(),
+                    count: h.count(),
+                    sum: h.sum(),
+                    mean: h.mean(),
+                    p50: h.quantile(0.50).unwrap_or(0),
+                    p90: h.quantile(0.90).unwrap_or(0),
+                    p99: h.quantile(0.99).unwrap_or(0),
+                    max_bound: h.max_bound().unwrap_or(0),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// JSON-friendly form of a [`MetricsSnapshot`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MetricsReport {
+    pub counters: Vec<(String, u64)>,
+    pub histograms: Vec<HistogramReport>,
+}
+
+/// One histogram's scalar summary inside a [`MetricsReport`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct HistogramReport {
+    pub name: String,
+    pub count: u64,
+    pub sum: u64,
+    pub mean: f64,
+    pub p50: u64,
+    pub p90: u64,
+    pub p99: u64,
+    pub max_bound: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const COUNTERS: &[&str] = &["requests", "admitted"];
+    const HISTS: &[&str] = &["solve_ns"];
+
     #[test]
-    fn counter_accumulates_across_threads() {
-        let c = Counter::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..1000 {
-                        c.incr();
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get(), 4000);
+    fn snapshot_reads_by_name() {
+        let mut m = MetricSet::new(COUNTERS, HISTS);
+        m.incr(0);
+        m.incr(0);
+        m.incr(1);
+        m.record_duration(0, Duration::from_nanos(100));
+        m.record_duration(0, Duration::from_nanos(900));
+        assert_eq!(m.counter(0), 2);
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("requests"), 2);
+        assert_eq!(snap.counter("admitted"), 1);
+        assert_eq!(snap.counter("missing"), 0);
+        assert_eq!(snap.hist("solve_ns").unwrap().count(), 2);
+        assert_eq!(snap.hist("solve_ns").unwrap().sum(), 1000);
+        assert!(snap.hist("missing").is_none());
     }
 
     #[test]
-    fn gauge_stores_floats() {
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(-2.5);
-        assert_eq!(g.get(), -2.5);
+    fn snapshot_diff_is_window_delta() {
+        let mut m = MetricSet::new(COUNTERS, HISTS);
+        m.incr(0);
+        m.record_duration(0, Duration::from_nanos(10));
+        let base = m.snapshot();
+        m.incr(0);
+        m.incr(0);
+        m.record_duration(0, Duration::from_nanos(1000));
+        let delta = m.snapshot().diff(&base);
+        assert_eq!(delta.counter("requests"), 2);
+        assert_eq!(delta.hist("solve_ns").unwrap().count(), 1);
+        assert_eq!(delta.hist("solve_ns").unwrap().sum(), 1000);
     }
 
     #[test]
-    fn distribution_tracks_summary_and_buckets() {
-        let mut d = Distribution::new();
-        for v in [1u64, 3, 9] {
-            d.record(v);
-        }
-        assert_eq!(d.count(), 3);
-        let s = d.summary().unwrap();
-        assert_eq!(s.n, 3);
-        assert!((s.mean - 13.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 9.0);
-        assert_eq!(d.histogram().count(), 3);
-        assert!(d.quantile(1.0).unwrap() >= 9);
-        assert!(Distribution::new().summary().is_none());
-    }
-
-    #[test]
-    fn distribution_merge_matches_combined_stream() {
-        let mut a = Distribution::new();
-        let mut b = Distribution::new();
-        let mut whole = Distribution::new();
-        for v in 0..50u64 {
-            a.record(v * 7);
-            whole.record(v * 7);
-        }
-        for v in 0..30u64 {
-            b.record(v * 1000);
-            whole.record(v * 1000);
-        }
-        a.merge(&b);
-        assert_eq!(a.histogram(), whole.histogram());
-        let (ma, mw) = (a.summary().unwrap(), whole.summary().unwrap());
-        assert_eq!(ma.n, mw.n);
-        assert!((ma.mean - mw.mean).abs() < 1e-9);
-        assert!((ma.std - mw.std).abs() < 1e-9);
+    fn report_round_trips_through_json() {
+        let mut m = MetricSet::new(COUNTERS, HISTS);
+        m.incr(0);
+        m.record_duration(0, Duration::from_micros(3));
+        let report = m.snapshot().report();
+        let json = serde_json::to_string(&report).unwrap();
+        let back: MetricsReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, report);
+        assert_eq!(back.histograms[0].count, 1);
+        assert!(back.histograms[0].p99 >= 3000);
     }
 }

@@ -3,7 +3,6 @@
 //! check and [`Recorder::emit_with`] never constructs the event when disabled.
 
 use crate::event::Event;
-use crate::flight::FlightRecorder;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -35,10 +34,6 @@ pub struct Recorder {
     events_emitted: u64,
     counters: BTreeMap<&'static str, u64>,
     timings: BTreeMap<&'static str, Duration>,
-    /// Optional crash ring: every emitted event is also teed here (even when
-    /// the sink discards it), so a failure can dump recent history without
-    /// full tracing being on.
-    flight: Option<FlightRecorder>,
 }
 
 impl Default for Recorder {
@@ -49,13 +44,7 @@ impl Default for Recorder {
 
 impl Recorder {
     fn with_sink(sink: Sink) -> Recorder {
-        Recorder {
-            sink,
-            events_emitted: 0,
-            counters: BTreeMap::new(),
-            timings: BTreeMap::new(),
-            flight: None,
-        }
+        Recorder { sink, events_emitted: 0, counters: BTreeMap::new(), timings: BTreeMap::new() }
     }
 
     pub fn noop() -> Recorder {
@@ -84,39 +73,13 @@ impl Recorder {
     }
 
     /// Whether emitted events are observed. Hot loops gate all telemetry
-    /// work on this. True when any sink other than no-op is active, or when
-    /// a flight ring is attached (events must still be built to feed it).
+    /// work on this. True when any sink other than no-op is active.
     #[inline]
     pub fn enabled(&self) -> bool {
-        !matches!(self.sink, Sink::Noop) || self.flight.is_some()
-    }
-
-    /// Attach a flight ring of `capacity` recent events (see
-    /// [`FlightRecorder`]). Replaces any previous ring.
-    pub fn attach_flight(&mut self, capacity: usize) {
-        self.flight = Some(FlightRecorder::new(capacity));
-    }
-
-    pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-
-    pub fn flight_mut(&mut self) -> Option<&mut FlightRecorder> {
-        self.flight.as_mut()
-    }
-
-    /// Dump the attached flight ring to `path` (no-op without a ring).
-    pub fn dump_flight(&self, reason: &str, path: &Path) -> std::io::Result<()> {
-        match &self.flight {
-            Some(fl) => fl.dump_to_path(reason, path),
-            None => Ok(()),
-        }
+        !matches!(self.sink, Sink::Noop)
     }
 
     pub fn emit(&mut self, event: Event) {
-        if let Some(fl) = &mut self.flight {
-            fl.push(event.clone());
-        }
         match &mut self.sink {
             Sink::Noop | Sink::Counters => return,
             Sink::Memory(buf) => buf.push(event),
@@ -128,12 +91,12 @@ impl Recorder {
     }
 
     /// Emit an event built lazily: when nothing would keep the event — a
-    /// no-op or counters-only sink without a flight ring — the closure is
-    /// never invoked, so callers can put formatting and snapshotting work
-    /// inside it without paying for it when events are off.
+    /// no-op or counters-only sink — the closure is never invoked, so
+    /// callers can put formatting and snapshotting work inside it without
+    /// paying for it when events are off.
     #[inline]
     pub fn emit_with<F: FnOnce() -> Event>(&mut self, build: F) {
-        if !matches!(self.sink, Sink::Noop | Sink::Counters) || self.flight.is_some() {
+        if !matches!(self.sink, Sink::Noop | Sink::Counters) {
             self.emit(build());
         }
     }
@@ -335,39 +298,13 @@ mod tests {
         assert!(rec.events().is_empty());
         assert_eq!(rec.summary().counter("solver.pivots"), 9);
         assert!((rec.summary().timing_s("lp") - 0.002).abs() < 1e-9);
-        // A lazily built event would be dropped, so it is never built —
-        // unless a flight ring wants it.
+        // A lazily built event would be dropped, so it is never built.
         let mut calls = 0u32;
         rec.emit_with(|| {
             calls += 1;
             Event::new("solver.round")
         });
         assert_eq!(calls, 0);
-        rec.attach_flight(2);
-        rec.emit_with(|| {
-            calls += 1;
-            Event::new("solver.round")
-        });
-        assert_eq!(calls, 1);
-        assert_eq!(rec.flight().map(|f| f.len()), Some(1));
-    }
-
-    #[test]
-    fn flight_ring_tees_events_even_on_noop_sink() {
-        let mut rec = Recorder::noop();
-        assert!(!rec.enabled());
-        rec.attach_flight(2);
-        assert!(rec.enabled(), "flight ring needs events to be built");
-        for k in 0..3u64 {
-            rec.emit(Event::new("stream.request").with("id", k));
-        }
-        assert_eq!(rec.events_emitted(), 0, "noop sink still drops events");
-        let fl = rec.flight().unwrap();
-        assert_eq!(fl.len(), 2);
-        assert_eq!(fl.dropped(), 1);
-        let mut out = Vec::new();
-        fl.dump("test", &mut out).unwrap();
-        assert_eq!(String::from_utf8(out).unwrap().lines().count(), 3);
     }
 
     #[test]

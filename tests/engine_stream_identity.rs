@@ -2,9 +2,9 @@
 //!
 //! * **Determinism guarantee** (see `relaug::stream::process_stream_seeded_sink`):
 //!   telemetry never feeds back into a decision, so one stream run under a
-//!   no-op recorder, full-mode JSONL tracing, windowed metrics and a flight
-//!   ring gives equal records and bit-equal residuals — and two full-mode
-//!   runs write byte-identical JSONL.
+//!   no-op recorder, full-mode JSONL tracing and windowed metrics gives
+//!   equal records and bit-equal residuals — and two full-mode runs write
+//!   byte-identical JSONL.
 //! * **Pinned record hashes**: the order-sensitive FNV-1a fold
 //!   (`bench_harness::fold_record_hash`) of fattree-16 over 1,500 requests,
 //!   one per algorithm, with the preset seed as engine seed. These are the
@@ -24,7 +24,7 @@ use mec_sfc_reliability::milp::BnbConfig;
 use mec_sfc_reliability::obs::{MetricsInterval, Recorder};
 use mec_sfc_reliability::relaug::ilp::IlpConfig;
 use mec_sfc_reliability::relaug::stream::{
-    process_stream_seeded, Algorithm, FlightSpec, MetricsMode, StreamConfig, StreamOutcome,
+    process_stream_seeded, Algorithm, MetricsMode, StreamConfig, StreamOutcome,
 };
 use mec_sfc_reliability::scen::{BuiltScenario, RequestStream, ScenarioSpec};
 
@@ -91,7 +91,6 @@ fn run_jsonl(built: &BuiltScenario, requests: u64, cfg: &StreamConfig) -> (Strea
 fn telemetry_never_changes_records_or_residuals() {
     let built = scenario("fattree-16");
     const N: u64 = 1500;
-    let flight_dir = std::env::temp_dir().join(format!("relaug-identity-{}", std::process::id()));
     for (name, algorithm) in algorithms() {
         let cfg = StreamConfig { algorithm, ..Default::default() };
         let baseline = run(&built, N, &cfg, &mut Recorder::noop());
@@ -102,18 +101,11 @@ fn telemetry_never_changes_records_or_residuals() {
         assert!(!jsonl.is_empty());
         assert!(jsonl == again, "{name}: two full-mode runs wrote different JSONL");
 
-        let windowed = StreamConfig {
-            metrics: MetricsMode::Windowed(MetricsInterval::Requests(100)),
-            ..cfg.clone()
-        };
+        let windowed =
+            StreamConfig { metrics: MetricsMode::Windowed(MetricsInterval::Requests(100)), ..cfg };
         let out = run(&built, N, &windowed, &mut Recorder::memory());
         assert_same_outcome(&format!("{name} windowed"), &baseline, &out);
-
-        let flight = StreamConfig { flight: Some(FlightSpec::new(flight_dir.clone())), ..cfg };
-        let out = run(&built, N, &flight, &mut Recorder::noop());
-        assert_same_outcome(&format!("{name} flight"), &baseline, &out);
     }
-    assert!(!flight_dir.exists(), "the flight ring only dumps on a commit hard error");
 }
 
 #[test]

@@ -21,7 +21,7 @@ use mec_sfc_reliability::obs::Recorder;
 use mec_sfc_reliability::relaug::instance::AugmentationInstance;
 use mec_sfc_reliability::relaug::solution::Outcome;
 use mec_sfc_reliability::relaug::stream::Algorithm;
-use mec_sfc_reliability::relaug::{heuristic, ilp, report};
+use mec_sfc_reliability::relaug::{heuristic, ilp, report, SolveScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim::{from_name, run, SimConfig};
@@ -78,7 +78,9 @@ fn golden_render_ilp_traced() {
     // the solver-effort counters.
     let inst = fixture_instance(7);
     let mut rec = Recorder::memory();
-    let mut out = ilp::solve_traced(&inst, &Default::default(), &mut rec).expect("ilp");
+    let mut out =
+        ilp::solve_scratch(&inst, &Default::default(), &mut rec, &mut SolveScratch::new())
+            .expect("ilp");
     scrub(&mut out);
     assert_golden("render_ilp_traced.txt", &report::render(&inst, &out));
 }
