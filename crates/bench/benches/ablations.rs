@@ -114,19 +114,6 @@ fn bench_matching_vs_greedy(c: &mut Criterion) {
             out.metrics.reliability
         })
     });
-    let batch_cfg = relaug::heuristic::HeuristicConfig { batch_rounds: true, ..Default::default() };
-    let batch_rel: f64 =
-        insts.iter().map(|i| heuristic::solve(i, &batch_cfg).metrics.reliability).sum::<f64>()
-            / insts.len() as f64;
-    eprintln!("batch (b-matching) heuristic mean reliability {batch_rel:.4}");
-    group.bench_function("batch_heuristic", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            let out = heuristic::solve(&insts[i % insts.len()], &batch_cfg);
-            i += 1;
-            out.metrics.reliability
-        })
-    });
     group.finish();
 }
 

@@ -34,6 +34,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relaug::heuristic::{self, HeuristicConfig};
 use relaug::instance::AugmentationInstance;
+use relaug::solution::SolverInfo;
 use relaug::stream::{process_stream_seeded_sink, StreamConfig};
 use relaug::SolveScratch;
 use scen::{RequestStream, ScenarioSpec};
@@ -83,58 +84,51 @@ fn main() {
         })
         .collect();
 
-    // Both solver configurations share the zero-alloc contract: the ladder
-    // matcher (default) and the batch_rounds b-matching ablation.
-    let configs: [(&str, HeuristicConfig); 2] = [
-        ("default", HeuristicConfig::default()),
-        ("batch", HeuristicConfig { batch_rounds: true, ..Default::default() }),
-    ];
-
+    let cfg = HeuristicConfig::default();
     let mut rec = Recorder::noop();
     let mut scratch = SolveScratch::new();
-    let mut failed = false;
-    for (label, cfg) in &configs {
-        let mut rounds = 0usize;
-        // Warm-up: two full passes grow every buffer to its high-water mark.
-        for _ in 0..2 {
-            for inst in &instances {
-                rounds += heuristic::solve_in(inst, cfg, &mut rec, &mut scratch);
-            }
-        }
+    let mut rounds = 0usize;
+    let mut solve = |inst: &AugmentationInstance| {
+        let SolverInfo::Heuristic { matching_rounds } =
+            heuristic::solve_in(inst, &cfg, &mut rec, &mut scratch)
+        else {
+            unreachable!("the heuristic reports matching rounds")
+        };
+        rounds += matching_rounds;
+    };
+    // Warm-up: two full passes grow every buffer to its high-water mark.
+    for _ in 0..2 {
+        instances.iter().for_each(&mut solve);
+    }
 
-        let mut pass_s = Vec::with_capacity(passes);
-        let before = ALLOCS.load(Relaxed);
-        for _ in 0..passes {
-            let started = Instant::now();
-            for inst in &instances {
-                rounds += heuristic::solve_in(inst, cfg, &mut rec, &mut scratch);
-            }
-            pass_s.push(started.elapsed().as_secs_f64());
-        }
-        let allocs = ALLOCS.load(Relaxed) - before;
-        pass_s.sort_by(f64::total_cmp);
+    let mut pass_s = Vec::with_capacity(passes);
+    let before = ALLOCS.load(Relaxed);
+    for _ in 0..passes {
+        let started = Instant::now();
+        instances.iter().for_each(&mut solve);
+        pass_s.push(started.elapsed().as_secs_f64());
+    }
+    let allocs = ALLOCS.load(Relaxed) - before;
+    pass_s.sort_by(f64::total_cmp);
 
-        let solves = (passes * instances.len()) as u64;
-        println!(
-            "solve_alloc[{label}]: {instances_n} instances x {passes} passes = {solves} solves"
+    let solves = (passes * instances.len()) as u64;
+    println!("solve_alloc[heuristic]: {instances_n} instances x {passes} passes = {solves} solves");
+    println!(
+        "solve_alloc[heuristic]: {allocs} heap allocations after warm-up \
+         ({:.4} allocs/request)",
+        allocs as f64 / solves as f64
+    );
+    println!(
+        "solve_alloc[heuristic]: {:.2} us/solve (median of {passes} passes), {} matching rounds \
+         total",
+        pass_s[passes / 2] * 1e6 / instances.len() as f64,
+        rounds
+    );
+    let mut failed = allocs > 0;
+    if failed {
+        eprintln!(
+            "solve_alloc[heuristic]: FAIL — the heuristic steady-state path must not allocate"
         );
-        println!(
-            "solve_alloc[{label}]: {allocs} heap allocations after warm-up \
-             ({:.4} allocs/request)",
-            allocs as f64 / solves as f64
-        );
-        println!(
-            "solve_alloc[{label}]: {:.2} us/solve (median of {passes} passes), {} matching \
-             rounds total",
-            pass_s[passes / 2] * 1e6 / instances.len() as f64,
-            rounds
-        );
-        if allocs > 0 {
-            eprintln!(
-                "solve_alloc[{label}]: FAIL — the heuristic steady-state path must not allocate"
-            );
-            failed = true;
-        }
     }
     for preset in ["sagin-1k", "ba-1k"] {
         failed |= !engine_gate(preset);

@@ -17,7 +17,8 @@ use obs::Recorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relaug::instance::AugmentationInstance;
-use relaug::{heuristic, ilp, randomized, SolveScratch};
+use relaug::stream::Algorithm;
+use relaug::SolveScratch;
 
 fn main() {
     let args = match HarnessArgs::parse(std::env::args().skip(1)) {
@@ -48,6 +49,9 @@ fn main() {
     // One scratch for the sweep: solver output does not depend on what a
     // scratch solved before (`tests/scratch_reuse.rs`).
     let mut scratch = SolveScratch::new();
+    let ilp = Algorithm::Ilp(Default::default());
+    let randomized = Algorithm::Randomized(Default::default());
+    let heuristic = Algorithm::Heuristic(Default::default());
     for &l in &[1u32, 2, 3, 99] {
         let mut ilp_rel = Accumulator::new();
         let mut rand_rel = Accumulator::new();
@@ -72,21 +76,13 @@ fn main() {
                 obs::Event::new("lhop.trial").with("l", l).with("items", inst.total_items())
             });
             if args.ilp {
-                let e = ilp::solve_scratch(&inst, &Default::default(), trial_rec, &mut scratch)
-                    .expect("ilp");
+                let e = ilp.solve_scratch(&inst, &mut rng, trial_rec, &mut scratch);
                 ilp_rel.push(e.metrics.reliability);
                 ilp_time.push(e.runtime.as_secs_f64());
             }
-            let r = randomized::solve_scratch(
-                &inst,
-                &Default::default(),
-                &mut rng,
-                trial_rec,
-                &mut scratch,
-            )
-            .expect("lp");
+            let r = randomized.solve_scratch(&inst, &mut rng, trial_rec, &mut scratch);
             rand_rel.push(r.metrics.reliability);
-            let h = heuristic::solve_scratch(&inst, &Default::default(), trial_rec, &mut scratch);
+            let h = heuristic.solve_scratch(&inst, &mut rng, trial_rec, &mut scratch);
             heur_rel.push(h.metrics.reliability);
         }
         let label = if l >= 99 { "inf".to_string() } else { l.to_string() };

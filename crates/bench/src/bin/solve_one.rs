@@ -15,7 +15,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relaug::instance::AugmentationInstance;
 use relaug::solution::{Metrics, SolverInfo};
-use relaug::{greedy, heuristic, ilp, randomized, report, SolveScratch};
+use relaug::stream::Algorithm;
+use relaug::{report, SolveScratch};
 
 struct Args {
     seed: u64,
@@ -112,16 +113,13 @@ fn main() {
         }),
         None => Recorder::memory(),
     };
-    let scratch = &mut SolveScratch::new();
-    let outcome = match args.algo.as_str() {
-        "ilp" => ilp::solve_scratch(&inst, &Default::default(), &mut rec, scratch).expect("ILP"),
-        "rand" => {
-            randomized::solve_scratch(&inst, &Default::default(), &mut rng, &mut rec, scratch)
-                .expect("LP")
-        }
-        "heur" => heuristic::solve_scratch(&inst, &Default::default(), &mut rec, scratch),
-        _ => greedy::solve_scratch(&inst, &Default::default(), &mut rec, scratch),
+    let algorithm = match args.algo.as_str() {
+        "ilp" => Algorithm::Ilp(Default::default()),
+        "rand" => Algorithm::Randomized(Default::default()),
+        "heur" => Algorithm::Heuristic(Default::default()),
+        _ => Algorithm::Greedy(Default::default()),
     };
+    let outcome = algorithm.solve_scratch(&inst, &mut rng, &mut rec, &mut SolveScratch::new());
     rec.flush().expect("flush trace");
     if args.json {
         let doc = JsonReport {

@@ -12,7 +12,7 @@ use obs::Recorder;
 use crate::instance::AugmentationInstance;
 use crate::reliability;
 use crate::scratch::SolveScratch;
-use crate::solution::{Metrics, Outcome, SolverInfo};
+use crate::solution::{Outcome, SolverInfo};
 
 /// How the next placement is scored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,47 +30,28 @@ pub struct GreedyConfig {
     pub rule: GreedyRule,
 }
 
-/// Run the greedy baseline: in each step, across all functions with a bin
-/// that still fits one instance, commit the placement maximizing the rule's
-/// score; stop when the expectation is met or nothing fits.
+/// Run the greedy baseline on a fresh scratch, untraced: in each step,
+/// across all functions with a bin that still fits one instance, commit the
+/// placement maximizing the rule's score; stop when the expectation is met
+/// or nothing fits.
 pub fn solve(inst: &AugmentationInstance, cfg: &GreedyConfig) -> Outcome {
-    solve_scratch(inst, cfg, &mut Recorder::noop(), &mut SolveScratch::new())
-}
-
-/// [`solve`] with telemetry, on caller-owned scratch buffers: emits one
-/// `greedy.step` event per committed placement (function, bin, score under
-/// the configured rule). Allocation-free with a warm scratch, except for
-/// the returned [`Outcome`].
-pub fn solve_scratch(
-    inst: &AugmentationInstance,
-    cfg: &GreedyConfig,
-    rec: &mut Recorder,
-    scratch: &mut SolveScratch,
-) -> Outcome {
+    let (mut rec, mut scratch) = (Recorder::noop(), SolveScratch::new());
     let started = Instant::now();
-    let steps = solve_in(inst, cfg, rec, scratch);
-    let aug = scratch.sol.materialize();
-    debug_assert!(aug.is_capacity_feasible(inst));
-    debug_assert!(aug.respects_locality(inst));
-    let metrics = Metrics::compute(&aug, inst);
-    Outcome {
-        augmentation: aug,
-        metrics,
-        runtime: started.elapsed(),
-        solver: SolverInfo::Greedy { steps },
-        telemetry: rec.summary(),
-    }
+    let info = solve_in(inst, cfg, &mut rec, &mut scratch);
+    Outcome::from_solution(inst, &scratch.sol, info, started.elapsed(), rec.summary())
 }
 
-/// Allocation-free core of the greedy baseline: builds the solution in
-/// `scratch.sol` and returns the number of committed steps. Bit-identical to
-/// the historical allocating implementation for any prior scratch state.
+/// The greedy baseline on caller-owned scratch: builds the solution in
+/// `scratch.sol` and returns the number of committed steps. Emits one
+/// `greedy.step` event per committed placement (function, bin, score under
+/// the configured rule). Allocation-free with a warm scratch; the result
+/// does not depend on the prior state of `scratch`.
 pub fn solve_in(
     inst: &AugmentationInstance,
     cfg: &GreedyConfig,
     rec: &mut Recorder,
     scratch: &mut SolveScratch,
-) -> usize {
+) -> SolverInfo {
     let SolveScratch { sol, heur, .. } = scratch;
     sol.begin(inst.chain_len());
     let mut steps = 0usize;
@@ -122,7 +103,7 @@ pub fn solve_in(
             });
         }
     }
-    steps
+    SolverInfo::Greedy { steps }
 }
 
 #[cfg(test)]

@@ -14,13 +14,12 @@
 
 use std::time::Instant;
 
-use matching::min_cost_max_b_matching_into;
 use obs::Recorder;
 
 use crate::instance::AugmentationInstance;
 use crate::reliability::LadderTables;
 use crate::scratch::{rel_from_counts, SolveScratch};
-use crate::solution::{Metrics, Outcome, SolverInfo};
+use crate::solution::{Outcome, SolverInfo};
 
 /// When the matching loop stops (besides running out of edges).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,59 +44,34 @@ pub struct HeuristicConfig {
     /// `0.0` disables capping (and is the default). Positive floors only
     /// drop items whose reliability contribution is below the floor.
     pub gain_floor: f64,
-    /// Ablation: use a capacitated b-matching per round (each cloudlet may
-    /// absorb several instances per round instead of one), collapsing the
-    /// round loop. Matched placements are still committed cheapest-first with
-    /// a capacity check, so feasibility is preserved. `false` is the paper's
-    /// Algorithm 2. Solved by the successive-shortest-path b-matcher.
-    pub batch_rounds: bool,
 }
 
 impl HeuristicConfig {
     pub fn with_stop(stop: StopRule) -> Self {
-        HeuristicConfig { stop, gain_floor: 1e-12, batch_rounds: false }
+        HeuristicConfig { stop, gain_floor: 1e-12 }
     }
 }
 
-/// Run Algorithm 2. Never violates capacities or locality.
+/// Run Algorithm 2 on a fresh scratch, untraced. Never violates capacities
+/// or locality.
 pub fn solve(inst: &AugmentationInstance, cfg: &HeuristicConfig) -> Outcome {
-    solve_scratch(inst, cfg, &mut Recorder::noop(), &mut SolveScratch::new())
-}
-
-/// [`solve`] with telemetry, on caller-owned scratch buffers: emits one
-/// `heuristic.round` event per matching round carrying the bipartite graph
-/// dimensions (bins × items, edge count), the matching size, the placements
-/// committed and the reliability gain. With a warm [`SolveScratch`] the
-/// whole solve — matching network included — runs without heap allocation
-/// (see `crates/bench/benches/solve_alloc.rs`), except for the returned
-/// [`Outcome`] itself.
-pub fn solve_scratch(
-    inst: &AugmentationInstance,
-    cfg: &HeuristicConfig,
-    rec: &mut Recorder,
-    scratch: &mut SolveScratch,
-) -> Outcome {
+    let (mut rec, mut scratch) = (Recorder::noop(), SolveScratch::new());
     let started = Instant::now();
-    let rounds = solve_in(inst, cfg, rec, scratch);
-    let aug = scratch.sol.materialize();
-    debug_assert!(aug.is_capacity_feasible(inst));
-    debug_assert!(aug.respects_locality(inst));
-    let metrics = Metrics::compute(&aug, inst);
-    Outcome {
-        augmentation: aug,
-        metrics,
-        runtime: started.elapsed(),
-        solver: SolverInfo::Heuristic { matching_rounds: rounds },
-        telemetry: rec.summary(),
-    }
+    let info = solve_in(inst, cfg, &mut rec, &mut scratch);
+    Outcome::from_solution(inst, &scratch.sol, info, started.elapsed(), rec.summary())
 }
 
-/// Allocation-free core of Algorithm 2: builds the solution in `scratch.sol`
-/// (materialize it for an owned [`crate::solution::Augmentation`]) and
-/// returns the number of matching rounds. Each round is solved exactly by
+/// Algorithm 2 on caller-owned scratch: builds the solution in
+/// `scratch.sol` (see [`Outcome::from_solution`]) and returns the number of
+/// matching rounds. Each round is solved exactly by
 /// [`matching::LadderMatcher`]: a minimum-cost maximum matching of the
-/// round's graph `G_l`. The result does not depend on the prior state of
-/// `scratch`. Only enabled-recorder event closures allocate.
+/// round's graph `G_l`. Emits one `heuristic.round` event per matching round
+/// carrying the bipartite graph dimensions (bins × items, edge count,
+/// signature classes), the matching size, the placements committed and the
+/// reliability gain. The result does not depend on the prior state of
+/// `scratch`, and with a warm scratch the solve allocates nothing (see
+/// `crates/bench/benches/solve_alloc.rs`); only enabled-recorder event
+/// closures allocate.
 ///
 /// Under [`StopRule::Expectation`], a first matching round that reaches
 /// `ρ_j` is the only committing round, and its overshoot is trimmed count
@@ -110,19 +84,15 @@ pub fn solve_in(
     cfg: &HeuristicConfig,
     rec: &mut Recorder,
     scratch: &mut SolveScratch,
-) -> usize {
-    let SolveScratch { sol, heur, matching, matching_out, ladder, tables, .. } = scratch;
+) -> SolverInfo {
+    let SolveScratch { sol, heur, matching_out, ladder, tables, .. } = scratch;
     let crate::scratch::HeuristicScratch {
         cap,
         next_k,
         table_of,
         residual,
-        edges,
         item_of,
-        pairs,
         placed_per_func,
-        batch_min_demand,
-        batch_b_left,
     } = heur;
     sol.begin(inst.chain_len());
     if inst.expectation_met_by_primaries() {
@@ -130,7 +100,7 @@ pub fn solve_in(
             obs::Event::new("heuristic.early_exit")
                 .with("base_reliability", inst.base_reliability())
         });
-        return 0;
+        return SolverInfo::Heuristic { matching_rounds: 0 };
     }
 
     let gain_floor = if cfg.gain_floor > 0.0 { cfg.gain_floor } else { 0.0 };
@@ -142,18 +112,6 @@ pub fn solve_in(
     tables.resolve(inst.functions.iter().map(|f| f.reliability), table_of);
     residual.clear();
     residual.extend(inst.bins.iter().map(|b| b.residual));
-    if cfg.batch_rounds {
-        // Conservative per-bin multiplicity of the b-matching: what
-        // certainly fits even if every match demands the largest eligible
-        // function. Depends on the instance only.
-        batch_min_demand.clear();
-        batch_min_demand.resize(inst.bins.len(), f64::INFINITY);
-        for f in &inst.functions {
-            for &b in &f.eligible_bins {
-                batch_min_demand[b] = batch_min_demand[b].min(f.demand);
-            }
-        }
-    }
     let budget = inst.budget();
     let mut total_cost = 0.0f64;
     let mut rounds = 0usize;
@@ -218,83 +176,31 @@ pub fn solve_in(
         }
         rounds += 1;
 
-        if cfg.batch_rounds {
-            // Expand the ladders to the flat edge list (item-major, bins in
-            // eligible order) for the successive-shortest-path b-matcher.
-            edges.clear();
-            for j in 0..ladder.functions() {
-                let (first, costs) = ladder.ladder(j);
-                for (off, &cost) in costs.iter().enumerate() {
-                    edges.extend(ladder.bins(j).iter().map(|&b| (b, first + off, cost)));
-                }
-            }
-            batch_b_left.clear();
-            batch_b_left.extend(residual.iter().zip(batch_min_demand.iter()).map(|(&r, &d)| {
-                if d.is_finite() {
-                    (r / d).floor() as usize
-                } else {
-                    0
-                }
-            }));
-            min_cost_max_b_matching_into(
-                matching,
-                batch_b_left,
-                item_of.len(),
-                edges,
-                matching_out,
-            );
-        } else {
-            ladder.solve_into(residual, matching_out);
-        }
+        ladder.solve_into(residual, matching_out);
         if matching_out.is_empty() {
             break;
         }
+        // A round matches each bin once and only to functions that fit it,
+        // so every pair commits, in any order. The matcher hands out each
+        // function's slots in ladder order.
         placed_per_func.clear();
         placed_per_func.resize(inst.chain_len(), 0);
-        let mut committed = 0usize;
-        // Set when this round is the solve's first and last committing
-        // round, whose overshoot is trimmed count first.
-        let mut one_round = false;
-        if cfg.batch_rounds || cfg.stop == StopRule::PaperBudget {
-            // Commit cheapest slot first, then by bin, with a capacity
-            // check: necessary for the batch variant, whose multiplicity
-            // bound used the *smallest* demand, and the summation order of
-            // the paper's budget `c(S)`.
-            pairs.clear();
-            pairs.extend_from_slice(&matching_out.pairs);
-            pairs.sort_unstable_by_key(|&(b, r)| (item_of[r].1, b, r));
-            for &(b, right) in pairs.iter() {
+        for &(_, right) in &matching_out.pairs {
+            placed_per_func[item_of[right].0] += 1;
+        }
+        let committed = matching_out.pairs.len();
+        // A first committing round that reaches `ρ_j` is also the last: the
+        // stop check would end the loop, and the trim follow.
+        let one_round = cfg.stop == StopRule::Expectation
+            && committed_total == 0
+            && rel_from_tables(inst, tables, table_of, placed_per_func) >= inst.expectation;
+        if !one_round {
+            for &(b, right) in &matching_out.pairs {
                 let (i, k) = item_of[right];
-                if residual[b] >= inst.functions[i].demand {
-                    residual[b] -= inst.functions[i].demand;
-                    sol.add(i, b);
-                    if cfg.stop == StopRule::PaperBudget {
-                        total_cost +=
-                            tables.cost(table_of[i], inst.functions[i].existing_backups + k);
-                    }
-                    placed_per_func[i] += 1;
-                    committed += 1;
-                }
-            }
-        } else {
-            // A unit round matches each bin once and only to functions that
-            // fit it, so every pair commits, in any order. The matcher hands
-            // out each function's slots in ladder order, the row order a
-            // sorted commit would give too.
-            for &(_, right) in &matching_out.pairs {
-                placed_per_func[item_of[right].0] += 1;
-            }
-            committed = matching_out.pairs.len();
-            // A first committing round that reaches `ρ_j` is also the last:
-            // the stop check would end the loop, and the trim follow.
-            one_round = cfg.stop == StopRule::Expectation
-                && committed_total == 0
-                && rel_from_tables(inst, tables, table_of, placed_per_func) >= inst.expectation;
-            if !one_round {
-                for &(b, right) in &matching_out.pairs {
-                    let i = item_of[right].0;
-                    residual[b] -= inst.functions[i].demand;
-                    sol.add(i, b);
+                residual[b] -= inst.functions[i].demand;
+                sol.add(i, b);
+                if cfg.stop == StopRule::PaperBudget {
+                    total_cost += tables.cost(table_of[i], inst.functions[i].existing_backups + k);
                 }
             }
         }
@@ -328,9 +234,6 @@ pub fn solve_in(
             ));
             break;
         }
-        if committed == 0 {
-            break;
-        }
         // Matched items per function are exactly its cheapest remaining slots
         // (min-cost matching always prefers lower k).
         for (i, &p) in placed_per_func.iter().enumerate() {
@@ -343,9 +246,7 @@ pub fn solve_in(
         rec.count("heuristic.committed", committed_total as u64);
         // The size of the paper's `G_l` (stream_exp's matching table).
         rec.count("matching.edges.full", edges_total as u64);
-        if !cfg.batch_rounds {
-            rec.count("matching.classes", classes_total as u64);
-        }
+        rec.count("matching.classes", classes_total as u64);
     }
     if cfg.stop == StopRule::Expectation {
         // The final matching round may overshoot the expectation; trim the
@@ -353,7 +254,7 @@ pub fn solve_in(
         let trimmed = trimmed.unwrap_or_else(|| sol.trim_to_expectation(inst));
         rec.count("heuristic.trimmed_secondaries", trimmed as u64);
     }
-    rounds
+    SolverInfo::Heuristic { matching_rounds: rounds }
 }
 
 /// [`rel_from_counts`] with its `R` terms read from the ladder tables: the
@@ -519,39 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_rounds_matches_unit_rounds_quality() {
-        // Same instance, both variants: feasible, and batch needs no more
-        // rounds than unit matching while reaching at least its reliability
-        // minus a small slack (commitment order differs).
-        let inst = AugmentationInstance {
-            functions: vec![
-                slot(100.0, 0.8, vec![0, 1], 6),
-                slot(150.0, 0.85, vec![1], 3),
-                slot(200.0, 0.9, vec![0], 2),
-            ],
-            bins: vec![
-                Bin { node: NodeId(0), residual: 600.0 },
-                Bin { node: NodeId(1), residual: 700.0 },
-            ],
-            l: 1,
-            expectation: 0.99999999,
-        };
-        let unit = solve(&inst, &HeuristicConfig::default());
-        let batch = solve(&inst, &HeuristicConfig { batch_rounds: true, ..Default::default() });
-        assert!(batch.augmentation.is_capacity_feasible(&inst));
-        assert!(batch.augmentation.respects_locality(&inst));
-        let (
-            SolverInfo::Heuristic { matching_rounds: ru },
-            SolverInfo::Heuristic { matching_rounds: rb },
-        ) = (&unit.solver, &batch.solver)
-        else {
-            panic!("wrong solver info")
-        };
-        assert!(rb <= ru, "batch rounds {rb} should not exceed unit rounds {ru}");
-        assert!(batch.metrics.reliability >= 0.95 * unit.metrics.reliability);
-    }
-
-    #[test]
     fn traced_solve_records_rounds() {
         let inst = AugmentationInstance {
             functions: vec![slot(100.0, 0.8, vec![0], 3)],
@@ -560,10 +428,9 @@ mod tests {
             expectation: 0.9999999,
         };
         let mut rec = Recorder::memory();
-        let out =
-            solve_scratch(&inst, &HeuristicConfig::default(), &mut rec, &mut SolveScratch::new());
-        assert_eq!(out.solver, SolverInfo::Heuristic { matching_rounds: 3 });
-        assert_eq!(out.telemetry.counter("heuristic.rounds"), 3);
+        let info = solve_in(&inst, &HeuristicConfig::default(), &mut rec, &mut SolveScratch::new());
+        assert_eq!(info, SolverInfo::Heuristic { matching_rounds: 3 });
+        assert_eq!(rec.counter("heuristic.rounds"), 3);
         let rounds: Vec<_> = rec.events().iter().filter(|e| e.kind == "heuristic.round").collect();
         assert_eq!(rounds.len(), 3);
         // One bin -> each round matches and commits exactly one placement,

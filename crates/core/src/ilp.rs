@@ -30,7 +30,7 @@ use obs::Recorder;
 use crate::instance::{AugmentationInstance, Item};
 use crate::reliability;
 use crate::scratch::SolveScratch;
-use crate::solution::{Augmentation, Metrics, Outcome, SolverInfo};
+use crate::solution::{Augmentation, Outcome, SolverInfo};
 
 /// Configuration of the exact solver.
 #[derive(Debug, Clone)]
@@ -38,12 +38,10 @@ pub struct IlpConfig {
     /// Items whose marginal log-gain falls below this are not enumerated
     /// (lossless beyond this precision; `0.0` disables capping).
     pub gain_floor: f64,
-    /// Branch-and-bound limits. `warm_start` is overwritten internally with a
-    /// greedy incumbent.
-    pub bnb: BnbConfig,
-    /// Seed the branch and bound with the greedy solution (cheap, prunes
+    /// Branch-and-bound limits. Its `warm_start` is overwritten internally:
+    /// the search is always seeded with the greedy solution (cheap, prunes
     /// most of the tree).
-    pub warm_start: bool,
+    pub bnb: BnbConfig,
     /// After solving, trim surplus secondaries so the solution augments
     /// *until the expectation is reached* (Section 4.2's budget semantics)
     /// instead of saturating all capacity. Disable to keep the unconstrained
@@ -53,12 +51,7 @@ pub struct IlpConfig {
 
 impl Default for IlpConfig {
     fn default() -> Self {
-        IlpConfig {
-            gain_floor: 1e-12,
-            bnb: BnbConfig { time_limit: Some(60.0), ..Default::default() },
-            warm_start: true,
-            stop_at_expectation: true,
-        }
+        IlpConfig { gain_floor: 1e-12, bnb: BnbConfig::default(), stop_at_expectation: true }
     }
 }
 
@@ -73,15 +66,7 @@ pub struct IlpModel {
 
 /// Build the paper's disaggregated placement ILP (Algorithm 1 rounds its LP
 /// relaxation).
-///
-/// `target_cap = Some(g)` adds the budget row `Σ gain·x <= g` (the BMCGAP
-/// budget `C` translated to gain space); use
-/// [`AugmentationInstance::needed_gain`] for the paper's `C = -log ρ_j`.
-pub fn build_model(
-    inst: &AugmentationInstance,
-    gain_floor: f64,
-    target_cap: Option<f64>,
-) -> IlpModel {
+pub fn build_model(inst: &AugmentationInstance, gain_floor: f64) -> IlpModel {
     let items = inst.items(gain_floor);
     let mut model = Model::new(Sense::Maximize);
     let mut vars = Vec::new();
@@ -114,13 +99,6 @@ pub fn build_model(
             model.add_constraint(terms, Relation::Le, inst.bins[b].residual);
         }
     }
-    if let Some(cap) = target_cap {
-        let terms: Vec<(VarId, f64)> =
-            vars.iter().map(|&(idx, _, v)| (v, items[idx].gain)).collect();
-        if !terms.is_empty() {
-            model.add_constraint(terms, Relation::Le, cap);
-        }
-    }
     IlpModel { model, vars, items }
 }
 
@@ -136,8 +114,7 @@ pub struct AggModel {
     pub slot_cap: Vec<usize>,
 }
 
-/// Build the aggregated model (see module docs). `target_cap` as in
-/// [`build_model`].
+/// Build the aggregated model (see module docs).
 ///
 /// The concave prefix-gain curve `S_i(m) = Σ_{k<=m} g_i(k)` is encoded with
 /// tangent cuts on a per-function gain variable `G_i`:
@@ -147,11 +124,7 @@ pub struct AggModel {
 /// integral points and its LP relaxation is the concave envelope (the same
 /// bound as the paper's disaggregated relaxation). All rows are `<=` with
 /// non-negative right-hand sides, so the simplex never needs a phase-1.
-pub fn build_aggregated(
-    inst: &AugmentationInstance,
-    gain_floor: f64,
-    target_cap: Option<f64>,
-) -> AggModel {
+pub fn build_aggregated(inst: &AugmentationInstance, gain_floor: f64) -> AggModel {
     let mut model = Model::new(Sense::Maximize);
     let mut n_vars = Vec::new();
     let mut g_vars = Vec::new();
@@ -211,12 +184,6 @@ pub fn build_aggregated(
             model.add_constraint(terms, Relation::Le, inst.bins[b].residual);
         }
     }
-    if let Some(cap) = target_cap {
-        let terms: Vec<(VarId, f64)> = g_vars.iter().map(|&(_, v)| (v, 1.0)).collect();
-        if !terms.is_empty() {
-            model.add_constraint(terms, Relation::Le, cap);
-        }
-    }
     AggModel { model, n_vars, g_vars, slot_cap }
 }
 
@@ -263,22 +230,6 @@ impl AggModel {
         }
         aug
     }
-}
-
-/// Convert a 0/1 solution of the disaggregated model into an
-/// [`Augmentation`].
-pub fn extract_augmentation(
-    inst: &AugmentationInstance,
-    ilp: &IlpModel,
-    x: &[f64],
-) -> Augmentation {
-    let mut aug = Augmentation::empty(inst.chain_len());
-    for &(idx, b, v) in &ilp.vars {
-        if x[v.index()] > 0.5 {
-            aug.add(ilp.items[idx].func, b, 1);
-        }
-    }
-    aug
 }
 
 /// Partition the instance into independent components: two functions are
@@ -335,12 +286,10 @@ fn solve_component(
     cfg: &IlpConfig,
     ws: &mut milp::LpWorkspace,
 ) -> Result<(Augmentation, BnbStats), SolverError> {
-    let agg = build_aggregated(inst, cfg.gain_floor, None);
+    let agg = build_aggregated(inst, cfg.gain_floor);
     let mut bnb = cfg.bnb.clone();
-    if cfg.warm_start {
-        let warm = crate::greedy::solve(inst, &Default::default());
-        bnb.warm_start = Some(agg.point_from_augmentation(inst, &warm.augmentation));
-    }
+    let warm = crate::greedy::solve(inst, &Default::default());
+    bnb.warm_start = Some(agg.point_from_augmentation(inst, &warm.augmentation));
     // Branch first on the count variables that move the most capacity.
     let mut priority = vec![0.0; agg.model.num_vars()];
     for &(i, _, v) in &agg.n_vars {
@@ -352,51 +301,42 @@ fn solve_component(
     Ok((agg.extract(inst, &sol.x), sol.stats))
 }
 
-/// Solve the instance exactly. Returns the optimal augmentation, or the empty
-/// augmentation immediately when the primaries already meet `ρ_j` (the
-/// EXIT in line 2–3 of Algorithm 1, shared by the ILP path).
+/// Solve the instance exactly on a fresh scratch, untraced. Returns the
+/// optimal augmentation, or the empty augmentation immediately when the
+/// primaries already meet `ρ_j` (the EXIT in line 2–3 of Algorithm 1, shared
+/// by the ILP path).
 pub fn solve(inst: &AugmentationInstance, cfg: &IlpConfig) -> Result<Outcome, SolverError> {
-    solve_scratch(inst, cfg, &mut Recorder::noop(), &mut SolveScratch::new())
+    let (mut rec, mut scratch) = (Recorder::noop(), SolveScratch::new());
+    let started = Instant::now();
+    let info = solve_in(inst, cfg, &mut rec, &mut scratch)?;
+    Ok(Outcome::from_solution(inst, &scratch.sol, info, started.elapsed(), rec.summary()))
 }
 
-/// [`solve`] with telemetry, on the caller's scratch: emits one
-/// `ilp.component` event per independent component (branch-and-bound nodes,
-/// simplex iterations, incumbent updates, prune counts by reason) and
-/// accumulates the same quantities as counters. The LP workspace
-/// (factorization + eta-file buffers) is shared across the instance's
-/// independent components and across consecutive requests on the same
-/// stream, so the stream's exact path allocates nothing per request for it.
-pub fn solve_scratch(
+/// The exact solve on caller-owned scratch: leaves the solution in
+/// `scratch.sol` and returns the search effort. Emits one `ilp.component`
+/// event per independent component (branch-and-bound nodes, simplex
+/// iterations, incumbent updates, prune counts by reason) and accumulates
+/// the same quantities as counters. The LP workspace (factorization +
+/// eta-file buffers) is shared across the instance's independent components
+/// and across consecutive requests on the same stream, so the stream's exact
+/// path allocates nothing per request for it.
+pub fn solve_in(
     inst: &AugmentationInstance,
     cfg: &IlpConfig,
     rec: &mut Recorder,
     scratch: &mut SolveScratch,
-) -> Result<Outcome, SolverError> {
-    let started = Instant::now();
+) -> Result<SolverInfo, SolverError> {
+    let mut stats = BnbStats::default();
     if inst.expectation_met_by_primaries() {
-        let aug = Augmentation::empty(inst.chain_len());
-        let metrics = Metrics::compute(&aug, inst);
+        scratch.sol.begin(inst.chain_len());
         rec.emit_with(|| {
-            obs::Event::new("ilp.early_exit").with("base_reliability", metrics.base_reliability)
+            obs::Event::new("ilp.early_exit").with("base_reliability", inst.base_reliability())
         });
-        return Ok(Outcome {
-            augmentation: aug,
-            metrics,
-            runtime: started.elapsed(),
-            solver: SolverInfo::Ilp {
-                nodes: 0,
-                lp_iterations: 0,
-                incumbent_updates: 0,
-                pruned_bound: 0,
-                pruned_infeasible: 0,
-            },
-            telemetry: rec.summary(),
-        });
+        return Ok(solver_info(&stats));
     }
     let comps = decompose(inst);
     rec.count("ilp.components", comps.len() as u64);
     let mut aug = Augmentation::empty(inst.chain_len());
-    let mut stats = BnbStats::default();
     for (ci, (funcs, bins)) in comps.into_iter().enumerate() {
         // Build the sub-instance with remapped bin indices.
         let bin_map: std::collections::HashMap<usize, usize> =
@@ -454,20 +394,19 @@ pub fn solve_scratch(
     }
     debug_assert!(aug.is_capacity_feasible(inst));
     debug_assert!(aug.respects_locality(inst));
-    let metrics = Metrics::compute(&aug, inst);
-    Ok(Outcome {
-        augmentation: aug,
-        metrics,
-        runtime: started.elapsed(),
-        solver: SolverInfo::Ilp {
-            nodes: stats.nodes,
-            lp_iterations: stats.lp_iterations,
-            incumbent_updates: stats.incumbent_updates,
-            pruned_bound: stats.pruned_bound,
-            pruned_infeasible: stats.pruned_infeasible,
-        },
-        telemetry: rec.summary(),
-    })
+    scratch.sol.load(&aug);
+    Ok(solver_info(&stats))
+}
+
+/// The ILP's [`SolverInfo`] from its summed search statistics.
+fn solver_info(stats: &BnbStats) -> SolverInfo {
+    SolverInfo::Ilp {
+        nodes: stats.nodes,
+        lp_iterations: stats.lp_iterations,
+        incumbent_updates: stats.incumbent_updates,
+        pruned_bound: stats.pruned_bound,
+        pruned_infeasible: stats.pruned_infeasible,
+    }
 }
 
 #[cfg(test)]
@@ -538,22 +477,22 @@ mod tests {
     fn traced_solve_reports_effort() {
         let inst = single_function_instance();
         let mut rec = Recorder::memory();
-        let out = solve_scratch(&inst, &IlpConfig::default(), &mut rec, &mut SolveScratch::new())
-            .unwrap();
+        let info =
+            solve_in(&inst, &IlpConfig::default(), &mut rec, &mut SolveScratch::new()).unwrap();
         // One coupled component, at least one B&B node explored and recorded
         // identically in the counters, the events and the SolverInfo.
         assert_eq!(rec.counter("ilp.components"), 1);
-        let SolverInfo::Ilp { nodes, lp_iterations, .. } = out.solver else {
+        let SolverInfo::Ilp { nodes, lp_iterations, .. } = info else {
             panic!("wrong solver info")
         };
         assert!(nodes >= 1);
-        assert_eq!(out.telemetry.counter("ilp.nodes"), nodes as u64);
-        assert_eq!(out.telemetry.counter("ilp.lp_iterations"), lp_iterations as u64);
+        assert_eq!(rec.counter("ilp.nodes"), nodes as u64);
+        assert_eq!(rec.counter("ilp.lp_iterations"), lp_iterations as u64);
         let comp_events: Vec<_> =
             rec.events().iter().filter(|e| e.kind == "ilp.component").collect();
         assert_eq!(comp_events.len(), 1);
         assert_eq!(comp_events[0].field("nodes").unwrap().as_u64(), Some(nodes as u64));
-        assert!(out.telemetry.timing_s("ilp.component_solve") > 0.0);
+        assert!(rec.summary().timing_s("ilp.component_solve") > 0.0);
     }
 
     #[test]
@@ -625,7 +564,7 @@ mod tests {
     #[test]
     fn disaggregated_model_size() {
         let inst = single_function_instance();
-        let m = build_model(&inst, 0.0, None);
+        let m = build_model(&inst, 0.0);
         assert_eq!(m.items.len(), 2);
         assert_eq!(m.vars.len(), 2); // one eligible bin each
                                      // 2 item rows + 1 capacity row.
@@ -643,8 +582,8 @@ mod tests {
             l: 1,
             expectation: 0.99999,
         };
-        let dis = build_model(&inst, 1e-12, None);
-        let agg = build_aggregated(&inst, 1e-12, None);
+        let dis = build_model(&inst, 1e-12);
+        let agg = build_aggregated(&inst, 1e-12);
         let lp_d = milp::solve_lp(&dis.model.relax()).unwrap();
         let lp_a = milp::solve_lp(&agg.model.relax()).unwrap();
         assert!(
@@ -666,7 +605,7 @@ mod tests {
             l: 1,
             expectation: 0.99999,
         };
-        let agg = build_aggregated(&inst, 1e-12, None);
+        let agg = build_aggregated(&inst, 1e-12);
         let warm = crate::greedy::solve(&inst, &Default::default());
         let point = agg.point_from_augmentation(&inst, &warm.augmentation);
         assert!(agg.model.is_feasible(&point, 1e-6), "warm point must be feasible");

@@ -402,13 +402,6 @@ impl AugmentationInstance {
         reliability::budget_from_expectation(self.expectation)
     }
 
-    /// Log-gain needed to lift the primaries' reliability to `ρ_j`:
-    /// `ln ρ_j - ln Π r_i` (zero when the expectation is already met). This
-    /// is the budget `C` re-based onto the augmentation's starting point.
-    pub fn needed_gain(&self) -> f64 {
-        (self.expectation.ln() - self.base_reliability().ln()).max(0.0)
-    }
-
     /// Total item count `N = Σ K_i` (before any gain-floor capping).
     pub fn total_items(&self) -> usize {
         self.functions.iter().map(|f| f.max_secondaries).sum()

@@ -18,7 +18,7 @@ use rand::Rng;
 use crate::ilp::build_model;
 use crate::instance::AugmentationInstance;
 use crate::scratch::SolveScratch;
-use crate::solution::{Augmentation, Metrics, Outcome, SolverInfo};
+use crate::solution::{Augmentation, Outcome, SolverInfo};
 
 /// Configuration of the randomized algorithm.
 #[derive(Debug, Clone)]
@@ -33,78 +33,59 @@ pub struct RandomizedConfig {
     /// *until the expectation is reached* (also reduces realized capacity
     /// violations, since trimming frees the most-loaded bins first).
     pub stop_at_expectation: bool,
-    /// Warm-start each request's LP relaxation from the basis the previous
-    /// request on this scratch left behind ([`milp::solve_lp_warm`]; falls
-    /// back to a cold solve when the warm start is unusable). Consecutive
-    /// requests on a stream differ mostly in bounds/rhs, so this typically
-    /// cuts pivots sharply — but it makes the reported `lp_iterations` depend
-    /// on request *history*, so it defaults to `false` to preserve the
-    /// byte-identity of pinned telemetry traces.
-    pub reuse_lp_basis: bool,
 }
 
 impl Default for RandomizedConfig {
     fn default() -> Self {
-        RandomizedConfig {
-            gain_floor: 1e-12,
-            rounds: 1,
-            stop_at_expectation: true,
-            reuse_lp_basis: false,
-        }
+        RandomizedConfig { gain_floor: 1e-12, rounds: 1, stop_at_expectation: true }
     }
 }
 
-/// Run Algorithm 1.
+/// Run Algorithm 1 on a fresh scratch, untraced.
 pub fn solve<R: Rng + ?Sized>(
     inst: &AugmentationInstance,
     cfg: &RandomizedConfig,
     rng: &mut R,
 ) -> Result<Outcome, SolverError> {
-    solve_scratch(inst, cfg, rng, &mut Recorder::noop(), &mut SolveScratch::new())
+    let (mut rec, mut scratch) = (Recorder::noop(), SolveScratch::new());
+    let started = Instant::now();
+    let info = solve_in(inst, cfg, rng, &mut rec, &mut scratch)?;
+    Ok(Outcome::from_solution(inst, &scratch.sol, info, started.elapsed(), rec.summary()))
 }
 
-/// [`solve`] with telemetry, on caller-owned scratch: records the
-/// LP-relaxation solve time, one `randomized.draw` event per rounding draw
-/// (secondaries, reliability, whether the draw violates capacity) and the
-/// repair/trim steps that bring the kept draw back to the expectation. The
-/// randomized algorithm is LP-dominated, so the scratch only covers the
-/// rounding draws: each draw is built in `scratch.sol` and an owned
-/// [`Augmentation`] is materialized only for reliability-improving draws.
-/// RNG consumption and results are identical to the historical
-/// implementation.
-pub fn solve_scratch<R: Rng + ?Sized>(
+/// Algorithm 1 on caller-owned scratch: leaves the kept draw, trimmed, in
+/// `scratch.sol`. Records the LP-relaxation solve time, one
+/// `randomized.draw` event per rounding draw (secondaries, reliability,
+/// whether the draw violates capacity) and the repair/trim steps that bring
+/// the kept draw back to the expectation. The algorithm is LP-dominated, so
+/// the scratch only covers the rounding draws and the LP workspace: each
+/// draw is built in `scratch.sol` and an owned [`Augmentation`] is
+/// materialized only for reliability-improving draws. Every solve starts
+/// its LP from scratch, so the result and the reported `lp_iterations` do
+/// not depend on what the scratch solved before.
+pub fn solve_in<R: Rng + ?Sized>(
     inst: &AugmentationInstance,
     cfg: &RandomizedConfig,
     rng: &mut R,
     rec: &mut Recorder,
     scratch: &mut SolveScratch,
-) -> Result<Outcome, SolverError> {
+) -> Result<SolverInfo, SolverError> {
     assert!(cfg.rounds >= 1, "at least one rounding draw is required");
-    let started = Instant::now();
     if inst.expectation_met_by_primaries() {
-        let aug = Augmentation::empty(inst.chain_len());
-        let metrics = Metrics::compute(&aug, inst);
+        scratch.sol.begin(inst.chain_len());
         rec.emit_with(|| {
             obs::Event::new("randomized.early_exit")
-                .with("base_reliability", metrics.base_reliability)
+                .with("base_reliability", inst.base_reliability())
         });
-        return Ok(Outcome {
-            augmentation: aug,
-            metrics,
-            runtime: started.elapsed(),
-            solver: SolverInfo::Randomized { lp_iterations: 0, rounds: 0, repairs: 0 },
-            telemetry: rec.summary(),
-        });
+        return Ok(SolverInfo::Randomized { lp_iterations: 0, rounds: 0, repairs: 0 });
     }
 
-    let ilp = build_model(inst, cfg.gain_floor, None);
+    let ilp = build_model(inst, cfg.gain_floor);
     let lp_started = Instant::now();
     let relaxed = ilp.model.relax();
-    if !cfg.reuse_lp_basis {
-        // Drop any basis carried over from a previous request so the solve —
-        // and its reported iteration count — stays history-independent.
-        scratch.lp.clear();
-    }
+    // Drop any basis carried over from a previous request so the solve — and
+    // its reported iteration count — stays history-independent.
+    scratch.lp.clear();
     let lp = milp::solve_lp_warm(&relaxed, None, &mut scratch.lp)?;
     let lp_elapsed = lp_started.elapsed();
     debug_assert!(lp.is_optimal(), "the relaxation is always feasible (x = 0)");
@@ -177,18 +158,8 @@ pub fn solve_scratch<R: Rng + ?Sized>(
         }
     }
     debug_assert!(aug.respects_locality(inst));
-    let metrics = Metrics::compute(&aug, inst);
-    Ok(Outcome {
-        augmentation: aug,
-        metrics,
-        runtime: started.elapsed(),
-        solver: SolverInfo::Randomized {
-            lp_iterations: lp.iterations,
-            rounds: cfg.rounds,
-            repairs,
-        },
-        telemetry: rec.summary(),
-    })
+    scratch.sol.load(&aug);
+    Ok(SolverInfo::Randomized { lp_iterations: lp.iterations, rounds: cfg.rounds, repairs })
 }
 
 #[cfg(test)]
@@ -232,17 +203,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut rec = Recorder::memory();
         let cfg = RandomizedConfig { rounds: 4, ..Default::default() };
-        let out = solve_scratch(&inst, &cfg, &mut rng, &mut rec, &mut SolveScratch::new()).unwrap();
-        assert_eq!(out.telemetry.counter("randomized.draws"), 4);
+        let info = solve_in(&inst, &cfg, &mut rng, &mut rec, &mut SolveScratch::new()).unwrap();
+        assert_eq!(rec.counter("randomized.draws"), 4);
         let draws: Vec<_> = rec.events().iter().filter(|e| e.kind == "randomized.draw").collect();
         assert_eq!(draws.len(), 4);
         assert!(rec.events().iter().any(|e| e.kind == "randomized.lp_relaxation"));
-        assert!(out.telemetry.timing_s("randomized.lp_solve") > 0.0);
-        let SolverInfo::Randomized { lp_iterations, rounds, .. } = out.solver else {
+        assert!(rec.summary().timing_s("randomized.lp_solve") > 0.0);
+        let SolverInfo::Randomized { lp_iterations, rounds, .. } = info else {
             panic!("wrong solver info")
         };
         assert_eq!(rounds, 4);
-        assert_eq!(out.telemetry.counter("randomized.lp_iterations"), lp_iterations as u64);
+        assert_eq!(rec.counter("randomized.lp_iterations"), lp_iterations as u64);
     }
 
     #[test]

@@ -156,13 +156,12 @@ mod tests {
             expectation: 0.999,
         };
         let mut rec = obs::Recorder::memory();
-        let out = crate::ilp::solve_scratch(
+        let out = crate::stream::Algorithm::Ilp(Default::default()).solve_scratch(
             &inst,
-            &Default::default(),
+            &mut rand::rngs::mock::StepRng::new(0, 1),
             &mut rec,
             &mut crate::SolveScratch::new(),
-        )
-        .unwrap();
+        );
         let text = render(&inst, &out);
         assert!(text.contains("solver effort: ILP"));
         assert!(text.contains("B&B nodes"));

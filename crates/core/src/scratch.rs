@@ -25,7 +25,7 @@
 use crate::instance::AugmentationInstance;
 use crate::reliability::{self, LadderTables};
 use crate::solution::Augmentation;
-use matching::{LadderMatcher, Matching, MatchingScratch};
+use matching::{LadderMatcher, Matching};
 use mecnet::graph::NodeId;
 
 /// Chain reliability from per-function secondary counts, without building an
@@ -122,9 +122,9 @@ impl SolutionScratch {
         &self.rows[..self.active][func]
     }
 
-    /// Replace the solution with `aug`'s rows (entry order included), so a
-    /// solver that returns an owned [`Augmentation`] leaves the same state
-    /// here as one that builds in place.
+    /// Replace the solution with `aug`'s rows (entry order included): how
+    /// the solvers that build an owned [`Augmentation`] (the ILP and the
+    /// randomized algorithm) leave their result here.
     pub fn load(&mut self, aug: &Augmentation) {
         self.begin(aug.chain_len());
         for func in 0..aug.chain_len() {
@@ -411,19 +411,9 @@ pub struct HeuristicScratch {
     /// Per function: its table in [`SolveScratch::tables`].
     pub table_of: Vec<usize>,
     pub residual: Vec<f64>,
-    /// Bipartite edges `(bin, right item, cost)` of the current round — only
-    /// filled by the `batch_rounds` ablation.
-    pub edges: Vec<(usize, usize, f64)>,
     /// Right item index -> `(func, k)`.
     pub item_of: Vec<(usize, usize)>,
-    /// Matched pairs `(bin, right)`, sorted into the commit order of the
-    /// rules that need one (`batch_rounds`, `StopRule::PaperBudget`).
-    pub pairs: Vec<(usize, usize)>,
     pub placed_per_func: Vec<usize>,
-    /// `batch_rounds` ablation buffers (per-bin smallest eligible demand and
-    /// the derived multiplicity bound).
-    pub batch_min_demand: Vec<f64>,
-    pub batch_b_left: Vec<usize>,
 }
 
 /// Buffers of the stream engine's own per-request steps around the solve:
@@ -443,8 +433,7 @@ pub(crate) struct CommitScratch {
 pub struct SolveScratch {
     pub sol: SolutionScratch,
     pub heur: HeuristicScratch,
-    pub matching: MatchingScratch,
-    /// Output slot of the per-round matchers.
+    /// Output slot of the heuristic's round matcher.
     pub matching_out: Matching,
     /// The heuristic's round matcher; its input is rebuilt every round.
     pub ladder: LadderMatcher,
@@ -469,7 +458,6 @@ impl SolveScratch {
         SolveScratch {
             sol: SolutionScratch::default(),
             heur: HeuristicScratch::default(),
-            matching: MatchingScratch::new(),
             matching_out: Matching { pairs: Vec::new(), cost: 0.0 },
             ladder: LadderMatcher::new(),
             tables: LadderTables::default(),

@@ -4,6 +4,7 @@ use std::time::Duration;
 
 use crate::instance::AugmentationInstance;
 use crate::reliability;
+use crate::scratch::SolutionScratch;
 
 /// A secondary-instance placement: for each chain position, how many
 /// secondaries were placed on which bins.
@@ -270,6 +271,22 @@ pub struct Outcome {
     /// Counter/timing summary from the telemetry recorder the solve ran
     /// under; empty (`Telemetry::default()`) for untraced entry points.
     pub telemetry: obs::Telemetry,
+}
+
+impl Outcome {
+    /// The outcome of a solve that left its solution in `sol`: the owned
+    /// augmentation (entry order included) and its metrics.
+    pub fn from_solution(
+        inst: &AugmentationInstance,
+        sol: &SolutionScratch,
+        solver: SolverInfo,
+        runtime: Duration,
+        telemetry: obs::Telemetry,
+    ) -> Outcome {
+        let augmentation = sol.materialize();
+        let metrics = Metrics::compute(&augmentation, inst);
+        Outcome { augmentation, metrics, runtime, solver, telemetry }
+    }
 }
 
 #[cfg(test)]

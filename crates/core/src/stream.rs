@@ -35,7 +35,7 @@ use crate::ilp::IlpConfig;
 use crate::instance::{AugmentationInstance, InstanceScratch};
 use crate::randomized::RandomizedConfig;
 use crate::scratch::{rel_from_counts, CommitScratch, SolutionScratch, SolveScratch};
-use crate::solution::Outcome;
+use crate::solution::{Outcome, SolverInfo};
 use crate::{greedy, heuristic, ilp, randomized};
 
 /// Which augmentation algorithm the stream runs per admitted request.
@@ -65,12 +65,39 @@ impl Algorithm {
     }
 
     /// Run the configured algorithm on one instance on caller-owned scratch
-    /// buffers and return an owned [`Outcome`]. `rng` only feeds the
-    /// randomized algorithm; the others ignore it. The ILP reuses the
-    /// scratch's LP workspace (factorization and eta-file buffers) across
-    /// requests; its branch-and-bound *state* is still per-solve. Solver
-    /// errors (ILP/LP infeasibility, which well-formed instances never
-    /// produce) panic, as the callers have no meaningful recovery.
+    /// buffers, leaving the solution in `scratch.sol`, and return its solver
+    /// effort. `rng` only feeds the randomized algorithm; the others ignore
+    /// it. The heuristic and the greedy baseline allocate nothing with a warm
+    /// scratch. The ILP reuses the scratch's LP workspace (factorization and
+    /// eta-file buffers) across requests; its branch-and-bound *state* is
+    /// still per-solve. Solver errors (ILP/LP infeasibility, which
+    /// well-formed instances never produce) panic, as the callers have no
+    /// meaningful recovery.
+    pub fn solve_in<R: Rng + ?Sized>(
+        &self,
+        inst: &AugmentationInstance,
+        rng: &mut R,
+        rec: &mut Recorder,
+        scratch: &mut SolveScratch,
+    ) -> SolverInfo {
+        let info = match self {
+            Algorithm::Ilp(c) => ilp::solve_in(inst, c, rec, scratch).expect("ILP solve"),
+            Algorithm::Randomized(c) => {
+                randomized::solve_in(inst, c, rng, rec, scratch).expect("LP solve")
+            }
+            Algorithm::Heuristic(c) => heuristic::solve_in(inst, c, rec, scratch),
+            Algorithm::Greedy(c) => greedy::solve_in(inst, c, rec, scratch),
+        };
+        debug_assert!({
+            let aug = scratch.sol.materialize();
+            aug.respects_locality(inst)
+                && (matches!(self, Algorithm::Randomized(_)) || aug.is_capacity_feasible(inst))
+        });
+        info
+    }
+
+    /// [`Algorithm::solve_in`] with the solution returned as an owned
+    /// [`Outcome`], whose telemetry is `rec`'s summary after the solve.
     pub fn solve_scratch<R: Rng + ?Sized>(
         &self,
         inst: &AugmentationInstance,
@@ -78,47 +105,9 @@ impl Algorithm {
         rec: &mut Recorder,
         scratch: &mut SolveScratch,
     ) -> Outcome {
-        match self {
-            Algorithm::Ilp(c) => ilp::solve_scratch(inst, c, rec, scratch).expect("ILP solve"),
-            Algorithm::Randomized(c) => {
-                randomized::solve_scratch(inst, c, rng, rec, scratch).expect("LP solve")
-            }
-            Algorithm::Heuristic(c) => heuristic::solve_scratch(inst, c, rec, scratch),
-            Algorithm::Greedy(c) => greedy::solve_scratch(inst, c, rec, scratch),
-        }
-    }
-
-    /// [`Algorithm::solve_scratch`] that leaves the solution in
-    /// `scratch.sol` instead of returning it: the same rows (entry order
-    /// included) the returned augmentation would hold. The heuristic and
-    /// the greedy baseline build it there through their own `solve_in` and
-    /// allocate nothing with a warm scratch; the ILP and the randomized
-    /// algorithm solve as [`Algorithm::solve_scratch`] does and load the
-    /// augmentation they return. Same events, same RNG use.
-    pub fn solve_in<R: Rng + ?Sized>(
-        &self,
-        inst: &AugmentationInstance,
-        rng: &mut R,
-        rec: &mut Recorder,
-        scratch: &mut SolveScratch,
-    ) {
-        match self {
-            Algorithm::Heuristic(c) => {
-                heuristic::solve_in(inst, c, rec, scratch);
-            }
-            Algorithm::Greedy(c) => {
-                greedy::solve_in(inst, c, rec, scratch);
-            }
-            Algorithm::Ilp(_) | Algorithm::Randomized(_) => {
-                let out = self.solve_scratch(inst, rng, rec, scratch);
-                scratch.sol.load(&out.augmentation);
-            }
-        }
-        debug_assert!({
-            let aug = scratch.sol.materialize();
-            aug.respects_locality(inst)
-                && (matches!(self, Algorithm::Randomized(_)) || aug.is_capacity_feasible(inst))
-        });
+        let started = Instant::now();
+        let info = self.solve_in(inst, rng, rec, scratch);
+        Outcome::from_solution(inst, &scratch.sol, info, started.elapsed(), rec.summary())
     }
 }
 
@@ -896,8 +885,10 @@ pub fn process_stream_seeded(
 ///
 /// The records and the final residuals are a pure function of `(network,
 /// catalog, requests, cfg, seed)`: request `k` draws its admission and solve
-/// randomness from RNGs derived from `(seed, k)` alone, and telemetry never
-/// feeds back into a decision. Running the same stream under
+/// randomness from RNGs derived from `(seed, k)` alone, every [`Algorithm`]
+/// is a pure function of (instance, config, seed) — no solver reads the
+/// clock; the ILP's search is bounded by its node budget alone — and
+/// telemetry never feeds back into a decision. Running the same stream under
 /// `Recorder::noop()`, a memory or JSONL recorder or windowed metrics gives
 /// equal records and bit-equal residuals. In
 /// `MetricsMode::Full` the event stream is byte-identical across runs too:

@@ -64,7 +64,7 @@ proptest! {
         let exact = ilp::solve(&inst, &cfg).unwrap();
         let heur = heuristic::solve(
             &inst,
-            &HeuristicConfig { stop: StopRule::Exhaust, gain_floor: 1e-6, ..Default::default() },
+            &HeuristicConfig { stop: StopRule::Exhaust, gain_floor: 1e-6 },
         );
         let greed = greedy::solve(&inst, &Default::default());
         prop_assert!(heur.metrics.reliability <= exact.metrics.reliability * (1.0 + 1e-7) + 1e-9,
@@ -109,7 +109,7 @@ proptest! {
         // Build a maximal feasible augmentation greedily, then trim.
         let full = heuristic::solve(
             &inst,
-            &HeuristicConfig { stop: StopRule::Exhaust, gain_floor: 1e-12, ..Default::default() },
+            &HeuristicConfig::with_stop(StopRule::Exhaust),
         );
         let mut aug = full.augmentation.clone();
         let before = aug.reliability(&inst);

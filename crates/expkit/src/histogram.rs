@@ -147,10 +147,6 @@ impl Log2Histogram {
         }
     }
 
-    pub fn bucket_counts(&self) -> &[u64; LOG2_BUCKETS] {
-        &self.counts
-    }
-
     /// Fold `other` into `self` bucket-wise. Exact: recording a stream into
     /// one histogram equals recording disjoint pieces separately and merging.
     pub fn merge(&mut self, other: &Log2Histogram) {

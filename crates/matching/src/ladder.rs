@@ -154,19 +154,8 @@ impl LadderMatcher {
     }
 
     /// Functions pushed this round.
-    pub fn functions(&self) -> usize {
+    fn functions(&self) -> usize {
         self.bins_start.len() - 1
-    }
-
-    /// Usable bins of function `j` (push order).
-    pub fn bins(&self, j: usize) -> &[usize] {
-        &self.bins[self.bins_start[j]..self.bins_start[j + 1]]
-    }
-
-    /// Ladder of function `j`: the index of its first item and its costs.
-    pub fn ladder(&self, j: usize) -> (usize, &[f64]) {
-        let (first, end) = (self.items_start[j], self.items_start[j + 1]);
-        (first, &self.costs[first..end])
     }
 
     /// Distinct bins usable by a function with items: the bins of the

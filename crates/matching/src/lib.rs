@@ -4,17 +4,16 @@
 //! The paper's Algorithm 2 repeatedly computes a **minimum-cost maximum
 //! matching** between cloudlets and candidate secondary VNF instances ("find a
 //! minimum-cost maximum matching `M_l` in `G_l`, by the Hungarian algorithm").
-//! On the sparse bipartite graphs the algorithm builds, the cleanest exact
-//! method is successive-shortest-path min-cost max-flow; this crate provides
-//! that as the production API and two independent implementations for
-//! cross-validation:
+//! The heuristic solves every round with [`ladder::LadderMatcher`]; the
+//! general solvers below cross-validate it:
 //!
-//! * [`bipartite::min_cost_max_matching`] — production API on sparse edge
-//!   lists, backed by [`mcmf`].
 //! * [`ladder::LadderMatcher`] — exact solver for the heuristic's
 //!   round-structured graphs (per-function cost ladders over shared bins):
 //!   the matroid greedy over bin-signature classes, with the cardinality and
 //!   cost of [`bipartite::min_cost_max_matching`].
+//! * [`bipartite::min_cost_max_matching`] — successive-shortest-path
+//!   min-cost max-flow on sparse edge lists, backed by [`mcmf`]: the ladder
+//!   matcher's property-test reference.
 //! * [`hungarian::solve`] — classical dense-matrix assignment
 //!   (Jonker–Volgenant style shortest augmenting paths), used by tests to
 //!   confirm the sparse solver on complete instances.
@@ -23,7 +22,6 @@
 //! * [`brute`] — exponential exact search for tiny graphs, the property-test
 //!   oracle.
 
-pub mod b_matching;
 pub mod bipartite;
 pub mod brute;
 pub mod hopcroft_karp;
@@ -31,7 +29,6 @@ pub mod hungarian;
 pub mod ladder;
 pub mod mcmf;
 
-pub use b_matching::{min_cost_max_b_matching, min_cost_max_b_matching_into};
 pub use bipartite::{min_cost_max_matching, min_cost_max_matching_into, Matching, MatchingScratch};
 pub use ladder::LadderMatcher;
 pub use mcmf::{FlowResult, McmfGraph};

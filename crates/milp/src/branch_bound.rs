@@ -17,7 +17,6 @@
 
 use std::collections::BinaryHeap;
 use std::rc::Rc;
-use std::time::Instant;
 
 use crate::error::SolverError;
 use crate::problem::{Model, Sense, VarId};
@@ -30,10 +29,10 @@ use crate::INT_TOL;
 pub struct BnbConfig {
     /// Stop searching after this many nodes. If an incumbent exists by then it
     /// is returned with [`MilpSolution::proven`]` = false`; otherwise the
-    /// solve fails with [`SolverError::NodeLimit`].
+    /// solve fails with [`SolverError::NodeLimit`]. The only budget: the
+    /// search never reads the clock, so its result is a pure function of
+    /// `(model, config)`.
     pub max_nodes: usize,
-    /// Optional wall-clock limit in seconds, same semantics as `max_nodes`.
-    pub time_limit: Option<f64>,
     /// Absolute optimality gap at which a node is pruned against the
     /// incumbent.
     pub gap_tol: f64,
@@ -56,7 +55,6 @@ impl Default for BnbConfig {
     fn default() -> Self {
         BnbConfig {
             max_nodes: 200_000,
-            time_limit: None,
             gap_tol: 1e-7,
             warm_start: None,
             branch_priority: None,
@@ -142,7 +140,6 @@ pub fn solve_milp_with_ws(
         }
     }
     let to_min = |obj: f64| if model.sense() == Sense::Maximize { -obj } else { obj };
-    let started = Instant::now();
 
     let mut stats = BnbStats::default();
     let mut incumbent: Option<(f64, Vec<f64>)> = None; // (min-sense obj, x)
@@ -181,15 +178,6 @@ pub fn solve_milp_with_ws(
                 break;
             }
             return Err(SolverError::NodeLimit { nodes: config.max_nodes });
-        }
-        if let Some(limit) = config.time_limit {
-            if started.elapsed().as_secs_f64() > limit {
-                if incumbent.is_some() {
-                    proven = false;
-                    break;
-                }
-                return Err(SolverError::TimeLimit { seconds: limit });
-            }
         }
 
         // Warm-start from the parent's basis when available (one bound

@@ -21,8 +21,6 @@ pub enum SolverError {
     IterationLimit { iterations: usize },
     /// Branch and bound exhausted its node budget before proving optimality.
     NodeLimit { nodes: usize },
-    /// Branch and bound exceeded its wall-clock budget.
-    TimeLimit { seconds: f64 },
 }
 
 impl fmt::Display for SolverError {
@@ -42,9 +40,6 @@ impl fmt::Display for SolverError {
             }
             SolverError::NodeLimit { nodes } => {
                 write!(f, "branch and bound exceeded {nodes} nodes")
-            }
-            SolverError::TimeLimit { seconds } => {
-                write!(f, "branch and bound exceeded {seconds} s time limit")
             }
         }
     }

@@ -125,16 +125,8 @@ impl Model {
         self.vars.iter().enumerate().filter(|(_, v)| v.integer).map(|(i, _)| VarId(i)).collect()
     }
 
-    pub fn is_integer_var(&self, v: VarId) -> bool {
-        self.vars[v.0].integer
-    }
-
     pub fn var_bounds(&self, v: VarId) -> (f64, f64) {
         (self.vars[v.0].lower, self.vars[v.0].upper)
-    }
-
-    pub fn objective_coeff(&self, v: VarId) -> f64 {
-        self.vars[v.0].objective
     }
 
     /// Continuous relaxation: same model with all integrality dropped.
@@ -174,34 +166,6 @@ impl Model {
         x.len() == self.vars.len() && self.max_violation(x) <= tol
     }
 
-    /// Size/scale statistics: `(rows, cols, nonzeros, |coeff| range)`.
-    /// Useful when debugging solver behaviour on generated models.
-    pub fn stats(&self) -> ModelStats {
-        let nonzeros: usize = self
-            .constraints
-            .iter()
-            .map(|c| c.terms.iter().filter(|&&(_, a)| a != 0.0).count())
-            .sum();
-        let mut min_abs = f64::INFINITY;
-        let mut max_abs = 0.0f64;
-        for c in &self.constraints {
-            for &(_, a) in &c.terms {
-                if a != 0.0 {
-                    min_abs = min_abs.min(a.abs());
-                    max_abs = max_abs.max(a.abs());
-                }
-            }
-        }
-        ModelStats {
-            rows: self.constraints.len(),
-            cols: self.vars.len(),
-            integers: self.vars.iter().filter(|v| v.integer).count(),
-            nonzeros,
-            min_abs_coeff: if min_abs.is_finite() { min_abs } else { 0.0 },
-            max_abs_coeff: max_abs,
-        }
-    }
-
     /// Validate the model's internal consistency (finite coefficients, sane
     /// bounds, valid variable references).
     pub fn validate(&self) -> Result<(), SolverError> {
@@ -236,36 +200,9 @@ impl Model {
     }
 }
 
-/// Size and numerical-scale summary of a model (see [`Model::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelStats {
-    pub rows: usize,
-    pub cols: usize,
-    pub integers: usize,
-    pub nonzeros: usize,
-    pub min_abs_coeff: f64,
-    pub max_abs_coeff: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_counts_sizes() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var(0.0, 1.0, 1.0);
-        let y = m.add_binary_var(2.0);
-        m.add_constraint(vec![(x, 2.0), (y, 0.0)], Relation::Le, 3.0);
-        m.add_constraint(vec![(y, -0.5)], Relation::Ge, -1.0);
-        let s = m.stats();
-        assert_eq!(s.rows, 2);
-        assert_eq!(s.cols, 2);
-        assert_eq!(s.integers, 1);
-        assert_eq!(s.nonzeros, 2); // the 0.0 coefficient is not counted
-        assert_eq!(s.min_abs_coeff, 0.5);
-        assert_eq!(s.max_abs_coeff, 2.0);
-    }
 
     #[test]
     fn build_and_validate() {

@@ -64,23 +64,13 @@ pub struct MilpSolution {
     /// prune counts by reason.
     pub stats: crate::branch_bound::BnbStats,
     /// `true` when the search closed (the solution is a proven optimum);
-    /// `false` when a node or time limit stopped the search and the solution
-    /// is the best incumbent found so far.
+    /// `false` when the node limit stopped the search and the solution is
+    /// the best incumbent found so far.
     pub proven: bool,
 }
 
 impl MilpSolution {
     pub fn is_optimal(&self) -> bool {
         self.status == LpStatus::Optimal
-    }
-
-    /// Branch-and-bound nodes explored.
-    pub fn nodes(&self) -> usize {
-        self.stats.nodes
-    }
-
-    /// Total simplex iterations across all node LPs.
-    pub fn lp_iterations(&self) -> usize {
-        self.stats.lp_iterations
     }
 }

@@ -83,7 +83,7 @@ proptest! {
             &inst,
             &IlpConfig {
                 stop_at_expectation: false,
-                bnb: BnbConfig { max_nodes: MAX_NODES, time_limit: None, ..Default::default() },
+                bnb: BnbConfig { max_nodes: MAX_NODES, ..Default::default() },
                 ..Default::default()
             },
         )

@@ -130,7 +130,7 @@ fn record_hashes_are_pinned_on_fattree_16() {
 fn sharing_record_hashes_are_pinned_on_fattree_16() {
     let built = scenario("fattree-16");
     let ilp = IlpConfig {
-        bnb: BnbConfig { max_nodes: 2_000, time_limit: None, ..Default::default() },
+        bnb: BnbConfig { max_nodes: 2_000, ..Default::default() },
         ..Default::default()
     };
     let expected = [

@@ -21,7 +21,7 @@ use mec_sfc_reliability::obs::Recorder;
 use mec_sfc_reliability::relaug::instance::AugmentationInstance;
 use mec_sfc_reliability::relaug::solution::Outcome;
 use mec_sfc_reliability::relaug::stream::Algorithm;
-use mec_sfc_reliability::relaug::{heuristic, ilp, report, SolveScratch};
+use mec_sfc_reliability::relaug::{heuristic, report, SolveScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim::{from_name, run, SimConfig};
@@ -78,9 +78,13 @@ fn golden_render_ilp_traced() {
     // the solver-effort counters.
     let inst = fixture_instance(7);
     let mut rec = Recorder::memory();
-    let mut out =
-        ilp::solve_scratch(&inst, &Default::default(), &mut rec, &mut SolveScratch::new())
-            .expect("ilp");
+    // The ILP draws nothing from the RNG.
+    let mut out = Algorithm::Ilp(Default::default()).solve_scratch(
+        &inst,
+        &mut StdRng::seed_from_u64(0),
+        &mut rec,
+        &mut SolveScratch::new(),
+    );
     scrub(&mut out);
     assert_golden("render_ilp_traced.txt", &report::render(&inst, &out));
 }

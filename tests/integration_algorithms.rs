@@ -31,10 +31,7 @@ fn ilp_dominates_feasible_algorithms() {
     for seed in 0..15 {
         let inst = scenario_instance(seed, &small_cfg());
         let exact = ilp::solve(&inst, &uncapped_ilp()).expect("ilp");
-        let heur = heuristic::solve(
-            &inst,
-            &HeuristicConfig { stop: StopRule::Exhaust, gain_floor: 1e-12, ..Default::default() },
-        );
+        let heur = heuristic::solve(&inst, &HeuristicConfig::with_stop(StopRule::Exhaust));
         let greed = greedy::solve(&inst, &Default::default());
         assert!(
             heur.metrics.reliability <= exact.metrics.reliability + 1e-9,

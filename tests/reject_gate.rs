@@ -68,7 +68,7 @@ fn wide_demands(preset: &str) -> BuiltScenario {
 
 fn algorithms() -> [Algorithm; 4] {
     let ilp = IlpConfig {
-        bnb: BnbConfig { max_nodes: 2_000, time_limit: None, ..Default::default() },
+        bnb: BnbConfig { max_nodes: 2_000, ..Default::default() },
         ..Default::default()
     };
     [

@@ -68,10 +68,9 @@ fn assert_bit_equal(label: &str, a: &Outcome, b: &Outcome) {
 #[test]
 fn solver_output_does_not_depend_on_scratch_history() {
     let insts = instances();
-    // The ILP's default wall-clock limit would make a slow solve stop at a
-    // machine-dependent node; a node budget keeps the search deterministic.
+    // A small node budget keeps the slowest ILP searches short.
     let ilp = IlpConfig {
-        bnb: BnbConfig { max_nodes: 2_000, time_limit: None, ..Default::default() },
+        bnb: BnbConfig { max_nodes: 2_000, ..Default::default() },
         ..Default::default()
     };
     let algorithms = [
