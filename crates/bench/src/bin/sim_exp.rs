@@ -47,7 +47,7 @@ use obs::Recorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scen::{BuiltScenario, RequestStream, ScenarioSpec, TimedRequest, TimedRequestStream};
-use sim::{from_name, RequestSource, SimConfig, SloReport};
+use sim::{from_name, PoissonSource, RequestSource, SimConfig, SloReport};
 
 /// Adapter from the scenario generator's timed stream to the simulator's
 /// [`RequestSource`]: arrival gaps come from consecutive stream timestamps
@@ -165,6 +165,14 @@ fn main() {
         ),
     }
 
+    // One workload source per policy run: every run replays the same stream.
+    let source = || -> Box<dyn RequestSource> {
+        match &scenario {
+            Some(built) => Box::new(ScenarioSource::new(built, stream_limit)),
+            None => Box::new(PoissonSource::from_config(&cfg)),
+        }
+    };
+
     let mut rec = match &args.trace {
         Some(path) => Recorder::jsonl_file(std::path::Path::new(path)).unwrap_or_else(|e| {
             eprintln!("sim_exp: cannot open trace file {path}: {e}");
@@ -191,22 +199,14 @@ fn main() {
                     let policy = from_name(name, audit_interval).expect("validated above");
                     let mut local =
                         if trace_enabled { Recorder::memory() } else { Recorder::noop() };
-                    let report = match &scenario {
-                        Some(built) => {
-                            let mut source = ScenarioSource::new(built, stream_limit);
-                            sim::run_with_source_traced(
-                                network,
-                                catalog,
-                                &cfg,
-                                policy.as_ref(),
-                                &mut source,
-                                &mut local,
-                            )
-                        }
-                        None => {
-                            sim::run_traced(network, catalog, &cfg, policy.as_ref(), &mut local)
-                        }
-                    };
+                    let report = sim::run_with(
+                        network,
+                        catalog,
+                        &cfg,
+                        policy.as_ref(),
+                        source().as_mut(),
+                        &mut local,
+                    );
                     *slots[idx].lock().unwrap() = Some((report, local));
                 });
             }
@@ -222,19 +222,8 @@ fn main() {
     } else {
         policies
             .iter()
-            .map(|policy| match &scenario {
-                Some(built) => {
-                    let mut source = ScenarioSource::new(built, stream_limit);
-                    sim::run_with_source_traced(
-                        network,
-                        catalog,
-                        &cfg,
-                        policy.as_ref(),
-                        &mut source,
-                        &mut rec,
-                    )
-                }
-                None => sim::run_traced(network, catalog, &cfg, policy.as_ref(), &mut rec),
+            .map(|policy| {
+                sim::run_with(network, catalog, &cfg, policy.as_ref(), source().as_mut(), &mut rec)
             })
             .collect()
     };

@@ -305,18 +305,19 @@ fn main() {
             row.push(format!("{hash:016x}"));
         }
         table.add_row(row);
-        // Delta of the cumulative telemetry = this algorithm's traced stream.
+        // Events and solver counters: the delta of the cumulative telemetry,
+        // which is this algorithm's traced stream. Counts and solve times:
+        // that stream's own metrics.
         let now = rec.summary();
         let ob = &observations.last().expect("first stream observed").1;
+        let solve_ns = ob.pipeline.hist("solve_ns").map_or(0, |h| h.sum());
         effort.add_row(vec![
             name.to_string(),
             format!("{}", now.events_emitted - effort_base.events_emitted),
-            format!("{}", now.counter("stream.admitted") - effort_base.counter("stream.admitted")),
-            format!("{}", now.counter("stream.rejected") - effort_base.counter("stream.rejected")),
+            format!("{}", ob.pipeline.counter("admitted")),
+            format!("{}", ob.pipeline.counter("rejected.no_primary_placement")),
             format!("{}", ob.pipeline.counter("rejected.capacity_gate")),
-            expkit::table::fmt_duration_s(
-                now.timing_s("stream.solve") - effort_base.timing_s("stream.solve"),
-            ),
+            expkit::table::fmt_duration_s(solve_ns as f64 / 1e9),
             solve_quantile(ob, 0.50),
             solve_quantile(ob, 0.95),
             solve_quantile(ob, 0.99),

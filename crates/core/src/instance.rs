@@ -210,10 +210,12 @@ impl AugmentationInstance {
         AugmentationInstance { functions, bins, l: nbhd.l(), expectation: request.expectation }
     }
 
-    /// Like [`AugmentationInstance::new`], but the bin set is restricted to
-    /// cloudlets inside the union of the closed `l`-hop neighborhoods of the
-    /// primaries — the only nodes whose residual capacity the solvers can
-    /// ever read or write for this request.
+    /// Like [`AugmentationInstance::new_with_index`], but the bin set is
+    /// restricted to cloudlets inside the union of the closed `l`-hop
+    /// neighborhoods of the primaries — the only nodes whose residual
+    /// capacity the solvers can ever read or write for this request. It is
+    /// [`AugmentationInstance::rebuild_localized`] into a fresh instance
+    /// with fresh buffers.
     ///
     /// Solutions and metrics are identical in value to the full-bin
     /// construction (eligibility is already `l`-local); what changes is that
@@ -221,27 +223,6 @@ impl AugmentationInstance {
     /// cloudlets: two constructions agree (`==`) exactly when the
     /// request-relevant slice of the network agrees. The stream engine
     /// builds instances this way.
-    pub fn new_localized(
-        network: &MecNetwork,
-        catalog: &VnfCatalog,
-        request: &SfcRequest,
-        placement: &[NodeId],
-        residual: &[f64],
-        l: u32,
-    ) -> Self {
-        Self::new_localized_with_index(
-            network,
-            catalog,
-            request,
-            placement,
-            residual,
-            &network.neighborhood_index(l),
-        )
-    }
-
-    /// [`AugmentationInstance::new_localized`] against an already-resolved
-    /// [`NeighborhoodIndex`]: [`AugmentationInstance::rebuild_localized`]
-    /// into a fresh instance with fresh buffers.
     pub fn new_localized_with_index(
         network: &MecNetwork,
         catalog: &VnfCatalog,
@@ -559,7 +540,10 @@ mod tests {
         let placement = [NodeId(1), NodeId(1)];
         let residual = vec![0.0, 1000.0, 800.0, 600.0];
         let full = AugmentationInstance::new(&net, &cat, &req, &placement, &residual, 1);
-        let local = AugmentationInstance::new_localized(&net, &cat, &req, &placement, &residual, 1);
+        let nbhd = net.neighborhood_index(1);
+        let local = AugmentationInstance::new_localized_with_index(
+            &net, &cat, &req, &placement, &residual, &nbhd,
+        );
         // N_1^+(1) = {0, 1, 2}: the cloudlet at node 3 is irrelevant and gone.
         let local_nodes: Vec<NodeId> = local.bins.iter().map(|b| b.node).collect();
         assert_eq!(local_nodes, vec![NodeId(1), NodeId(2)]);
@@ -576,7 +560,9 @@ mod tests {
         // construction but not the localized one.
         let mut far = residual.clone();
         far[3] = 100.0;
-        let local2 = AugmentationInstance::new_localized(&net, &cat, &req, &placement, &far, 1);
+        let local2 = AugmentationInstance::new_localized_with_index(
+            &net, &cat, &req, &placement, &far, &nbhd,
+        );
         assert_eq!(local, local2);
         let full2 = AugmentationInstance::new(&net, &cat, &req, &placement, &far, 1);
         assert_ne!(full, full2);

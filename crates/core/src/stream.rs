@@ -19,7 +19,8 @@
 //! [`StreamOutcome`].
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use mecnet::graph::NodeId;
 use mecnet::neighborhood::NeighborhoodIndex;
@@ -260,16 +261,14 @@ pub mod pipeline_metrics {
     /// placement scan (a chain demand above the largest cloudlet residual).
     pub const C_GATED: usize = 3;
     pub const C_OVERCOMMIT: usize = 4;
-    /// Solves: one per admitted request.
+    /// Solves: one per admitted request and one per re-augmentation.
     pub const C_SOLVES: usize = 5;
 
-    pub const HISTS: &[&str] = &["solve_ns", "reserve_ns", "commit_ns"];
+    pub const HISTS: &[&str] = &["solve_ns", "debit_ns"];
     /// Per-request solve time.
     pub const H_SOLVE_NS: usize = 0;
-    /// Two-phase `try_reserve` latency of the secondary debits.
-    pub const H_RESERVE_NS: usize = 1;
-    /// Two-phase `commit` latency of the secondary debits.
-    pub const H_COMMIT_NS: usize = 2;
+    /// Latency of the one-pass debit of the secondaries' per-node loads.
+    pub const H_DEBIT_NS: usize = 1;
 }
 
 /// Windowed-aggregation cursor: per-window bases to diff snapshots against.
@@ -288,13 +287,12 @@ struct WindowTracker {
     solver_base: Vec<(String, u64)>,
 }
 
-/// Observability state threaded through the request path: the metrics
-/// (always on — recording is a few indexed adds), the metrics mode and the
-/// optional window tracker.
+/// What the stream loop observes around [`Admission::admit`]: the
+/// `stream.request` events (full mode), the windows and the windowed
+/// solver recorder. The counts and latencies themselves are the
+/// admission's [`Admission::metrics`].
 struct StreamObs {
-    metrics: MetricSet,
-    /// Per-request events and per-request recorder aggregates
-    /// (`MetricsMode::Full`).
+    /// Per-request events (`MetricsMode::Full`).
     full: bool,
     window: Option<WindowTracker>,
     /// Windowed mode: the solvers' counters-only recorder, folded into the
@@ -303,8 +301,7 @@ struct StreamObs {
 }
 
 impl StreamObs {
-    fn new(cfg: &StreamConfig) -> StreamObs {
-        let metrics = MetricSet::new(pipeline_metrics::COUNTERS, pipeline_metrics::HISTS);
+    fn new(cfg: &StreamConfig, metrics: &MetricSet) -> StreamObs {
         let window = match cfg.metrics {
             MetricsMode::Full => None,
             MetricsMode::Windowed(interval) => Some(WindowTracker {
@@ -317,34 +314,20 @@ impl StreamObs {
             }),
         };
         StreamObs {
-            metrics,
             full: matches!(cfg.metrics, MetricsMode::Full),
             solver: window.is_some().then(Recorder::counters_only),
             window,
         }
     }
 
-    /// Account one finished request and pass its record through: the
-    /// admitted/rejected counters, its `stream.request` event (full mode
-    /// only, and only built when the sink keeps events), and the window
+    /// Observe one finished request: its `stream.request` event (full mode
+    /// only, and only built when the sink keeps events), then the window
     /// boundary check.
-    fn finish_request(
-        &mut self,
-        rec: &mut Recorder,
-        residual: &[f64],
-        r: RequestRecord,
-    ) -> RequestRecord {
-        use pipeline_metrics::{C_ADMITTED, C_REJECTED};
-        let (counter, name) = if r.admitted {
-            (C_ADMITTED, "stream.admitted")
-        } else {
-            (C_REJECTED, "stream.rejected")
-        };
-        self.metrics.incr(counter);
+    fn finish_request(&mut self, rec: &mut Recorder, admission: &Admission<'_>, r: &RequestRecord) {
         if self.full {
-            rec.count(name, 1);
             rec.emit_with(|| {
-                let e = stream_request_event(r.id, residual).with("admitted", r.admitted);
+                let e =
+                    stream_request_event(r.id, admission.residual()).with("admitted", r.admitted);
                 if r.admitted {
                     e.with("base_reliability", r.base_reliability)
                         .with("achieved_reliability", r.achieved_reliability)
@@ -355,33 +338,27 @@ impl StreamObs {
                 }
             });
         }
-        self.after_request(rec);
-        r
-    }
-
-    /// Window boundary check, run after every request.
-    fn after_request(&mut self, rec: &mut Recorder) {
         let Some(w) = &self.window else { return };
         let due = match w.interval {
             MetricsInterval::Requests(n) => {
-                self.metrics.counter(pipeline_metrics::C_REQUESTS) - w.base_requests >= n
+                admission.metrics().counter(pipeline_metrics::C_REQUESTS) - w.base_requests >= n
             }
             // Wall-clock windows: cadence is nondeterministic by nature, but
             // window *contents* are still exact counter deltas.
             MetricsInterval::Seconds(s) => w.window_started.elapsed().as_secs_f64() >= s,
         };
         if due {
-            self.emit_window(rec, false);
+            self.emit_window(rec, admission.metrics(), false);
         }
     }
 
     /// Cut the current window and emit its `stream.window` summary.
-    fn emit_window(&mut self, rec: &mut Recorder, final_window: bool) {
+    fn emit_window(&mut self, rec: &mut Recorder, metrics: &MetricSet, final_window: bool) {
         if let Some(solver) = self.solver.as_mut() {
             rec.absorb(std::mem::replace(solver, Recorder::counters_only()));
         }
         let Some(w) = self.window.as_mut() else { return };
-        let snap = self.metrics.snapshot();
+        let snap = metrics.snapshot();
         let d = snap.diff(&w.base);
         let requests = d.counter("requests");
         if !(requests > 0 || (final_window && w.index == 0)) {
@@ -422,8 +399,7 @@ impl StreamObs {
                 .with("solve_p50_us", q_us("solve_ns", 0.50))
                 .with("solve_p90_us", q_us("solve_ns", 0.90))
                 .with("solve_p99_us", q_us("solve_ns", 0.99))
-                .with("reserve_p99_us", q_us("reserve_ns", 0.99))
-                .with("commit_p99_us", q_us("commit_ns", 0.99))
+                .with("debit_p99_us", q_us("debit_ns", 0.99))
                 .with("solver", serde::Value::Obj(solver_delta))
         });
         w.base_requests = snap.counter("requests");
@@ -433,39 +409,19 @@ impl StreamObs {
         w.index += 1;
     }
 
-    /// End-of-stream hook: emit the final partial window, then (in windowed
-    /// mode) bulk-load the recorder aggregates from the metrics so the
-    /// `stream.admitted`/`stream.rejected` counters and the `stream.solve`
-    /// timing keep working for summary tables that predate windowing.
-    fn finish(&mut self, rec: &mut Recorder) {
-        self.emit_window(rec, true);
-        if !self.full {
-            let snap = self.metrics.snapshot();
-            let admitted = snap.counter("admitted");
-            let rejected = snap.counter("rejected.no_primary_placement");
-            if admitted > 0 {
-                rec.count("stream.admitted", admitted);
-            }
-            if rejected > 0 {
-                rec.count("stream.rejected", rejected);
-            }
-            if let Some(h) = snap.hist("solve_ns") {
-                rec.record_time("stream.solve", Duration::from_nanos(h.sum()));
-            }
-        }
-    }
-
-    /// Snapshot the metrics for the caller.
-    fn observation(&self) -> StreamObservation {
+    /// End of stream: emit the final partial window and snapshot the
+    /// metrics for the caller.
+    fn finish(mut self, rec: &mut Recorder, metrics: &MetricSet) -> StreamObservation {
+        self.emit_window(rec, metrics, true);
         StreamObservation {
-            pipeline: self.metrics.snapshot(),
+            pipeline: metrics.snapshot(),
             windows: self.window.as_ref().map(|w| w.index).unwrap_or(0),
         }
     }
 }
 
 /// Metrics of a processed stream: the per-request counts and the solve and
-/// two-phase commit latency histograms ([`pipeline_metrics`]).
+/// debit latency histograms ([`pipeline_metrics`]).
 #[derive(Debug, Clone)]
 pub struct StreamObservation {
     pub pipeline: MetricsSnapshot,
@@ -518,13 +474,14 @@ impl CloudletResiduals {
         &self.values
     }
 
-    /// Copy node `v`'s residual after a write to it; a plain access point
-    /// has no entry.
-    pub fn sync(&mut self, residual: &[f64], v: NodeId) {
+    /// Copy node `v`'s residual after a write to it and return its
+    /// position; a plain access point has no entry.
+    pub fn sync(&mut self, residual: &[f64], v: NodeId) -> Option<usize> {
         let p = self.position[v.index()];
-        if p != u32::MAX {
+        (p != u32::MAX).then(|| {
             self.values[p as usize] = residual[v.index()];
-        }
+            p as usize
+        })
     }
 
     /// Whether the copy equals `residual` gathered in cloudlet order, bit
@@ -605,10 +562,11 @@ impl CloudletResiduals {
 }
 
 /// The largest cloudlet residual and the position of a cloudlet that holds
-/// it: the state of the reject gate in [`process_request`]. Between requests
-/// residuals only fall, so the maximum stays exact for as long as its
-/// holder's residual is unchanged; only a debit to the holder forces a
-/// rescan of the cloudlet-ordered copy.
+/// it: the state of the reject gate in [`Admission::admit`]. Debits only
+/// lower residuals and every credit raises the maximum to cover the credited
+/// cloudlet ([`MaxResidual::raise`]), so the maximum stays exact for as long
+/// as its holder's residual is unchanged; only a debit to the holder forces
+/// a rescan of the cloudlet-ordered copy.
 struct MaxResidual {
     /// `-inf` on a network without cloudlets.
     value: f64,
@@ -626,85 +584,320 @@ impl MaxResidual {
         max
     }
 
-    /// Re-establish the maximum after a request: O(1) unless the holder was
-    /// debited. Sound only while no residual ever rises; a capacity credit
-    /// to cloudlet `p` would instead set `value = max(value, values[p])`.
+    /// Re-establish the maximum after a debit: O(1) unless the holder was
+    /// debited.
     fn refresh(&mut self, values: &[f64]) {
         if self.holder.is_some_and(|p| values[p] != self.value) {
             *self = MaxResidual::scan(values);
         }
     }
+
+    /// Cloudlet `p`'s residual rose to `x`: `value = max(value, x)`.
+    fn raise(&mut self, p: usize, x: f64) {
+        if x > self.value {
+            *self = MaxResidual { value: x, holder: Some(p) };
+        }
+    }
 }
 
-/// Mutable state the engine owns across requests: the network residual, its
-/// cloudlet-ordered copy and its maximum, (when sharing is on) the
-/// deployed-instance ledger, the observability state, and the reused
-/// instance and buffers of the steps around the solve.
-struct PipelineState {
+/// The stream engine's per-request state and step: the network residual,
+/// its cloudlet-ordered copy and its maximum (the reject gate), (when
+/// sharing is on) the deployed-instance ledger, the metrics, and the reused
+/// instance, solver scratch and buffers of the steps around the solve.
+///
+/// [`Admission::admit`] is one request of the paper's Section 4.1 framework:
+/// admit the primaries, augment the chain against the current residual, debit
+/// the secondaries. [`Admission::augment`] re-runs the augmentation step for
+/// an admitted chain, and [`Admission::credit`] returns released capacity, so
+/// a caller with departures and failures (the simulator) runs on the same
+/// step as [`process_stream_seeded_sink`].
+pub struct Admission<'n> {
+    network: &'n MecNetwork,
+    catalog: &'n VnfCatalog,
+    algorithm: Algorithm,
+    nbhd: Arc<NeighborhoodIndex>,
     residual: Vec<f64>,
     cloudlets: CloudletResiduals,
     max_residual: MaxResidual,
     /// `Some` iff `share_backups`; `(VNF type, node) -> instances`.
     deployed: Option<HashMap<(usize, usize), usize>>,
-    obs: StreamObs,
-    /// The admitted request's instance, rebuilt in place.
+    metrics: MetricSet,
+    /// The last solved request's instance, rebuilt in place.
     inst: AugmentationInstance,
     build: InstanceScratch,
     buf: CommitScratch,
+    scratch: SolveScratch,
+    /// Whether the last debit pass overcommitted and was clamped.
+    clamped: bool,
 }
 
-impl PipelineState {
-    fn new(network: &MecNetwork, cfg: &StreamConfig) -> Self {
+/// What the last admitted or re-augmented request placed, read from the
+/// engine's buffers (stale after a reject).
+#[derive(Debug, Clone, Copy)]
+pub struct Placed<'a> {
+    /// `primaries[i]` hosts the primary of chain position `i`.
+    pub primaries: &'a [NodeId],
+    pub instance: &'a AugmentationInstance,
+    /// The solution: per function, `(bin, count)` rows.
+    pub solution: &'a SolutionScratch,
+    /// One `(node, MHz)` entry per node the secondaries debited: its load,
+    /// or after a clamped debit what the node actually paid.
+    pub debits: &'a [(NodeId, f64)],
+    /// Whether the debit overcommitted (only the randomized rounding can)
+    /// and fell back to clamping each node at zero.
+    pub clamped: bool,
+}
+
+impl<'n> Admission<'n> {
+    pub fn new(network: &'n MecNetwork, catalog: &'n VnfCatalog, cfg: &StreamConfig) -> Self {
         assert!(
             (0.0..=1.0).contains(&cfg.initial_capacity_fraction),
             "capacity fraction must be in [0, 1]"
         );
         let residual = network.residual_capacities(cfg.initial_capacity_fraction);
         let cloudlets = CloudletResiduals::new(network, &residual);
-        PipelineState {
+        Admission {
+            network,
+            catalog,
+            algorithm: cfg.algorithm.clone(),
+            nbhd: network.neighborhood_index(cfg.l),
             max_residual: MaxResidual::scan(cloudlets.values()),
             cloudlets,
             residual,
             deployed: cfg.share_backups.then(HashMap::new),
-            obs: StreamObs::new(cfg),
+            metrics: MetricSet::new(pipeline_metrics::COUNTERS, pipeline_metrics::HISTS),
             inst: AugmentationInstance::default(),
             build: InstanceScratch::default(),
             buf: CommitScratch::default(),
+            scratch: SolveScratch::new(),
+            clamped: false,
         }
+    }
+
+    /// Residual capacity per network node.
+    pub fn residual(&self) -> &[f64] {
+        &self.residual
+    }
+
+    /// The counts and latency histograms of every step so far
+    /// ([`pipeline_metrics`]).
+    pub fn metrics(&self) -> &MetricSet {
+        &self.metrics
+    }
+
+    /// The last admitted or re-augmented request's placement.
+    pub fn placed(&self) -> Placed<'_> {
+        Placed {
+            primaries: &self.buf.locations,
+            instance: &self.inst,
+            solution: &self.scratch.sol,
+            debits: &self.buf.debits,
+            clamped: self.clamped,
+        }
+    }
+
+    /// Process request `k` of the stream seeded `seed`.
+    ///
+    /// A request whose largest per-function demand exceeds the largest
+    /// cloudlet residual is rejected by the capacity gate: no cloudlet can
+    /// host that function, so admission would reject it too, and an
+    /// admission reject leaves the residuals bit-for-bit unchanged. The gate
+    /// derives no RNG and scans no cloudlet. Every other request is admitted
+    /// with its derived admission RNG (the primaries' debits land in the
+    /// residual), its localized instance is rebuilt in place and solved with
+    /// its derived solve RNG into `scratch.sol`, and the secondaries are
+    /// debited in one all-or-nothing pass. Only the randomized algorithm can
+    /// overcommit, in which case each node is clamped at zero instead. The
+    /// record, the loads, the debits and the sharing ledger's rows are read
+    /// from `scratch.sol`. Solver events and counters go to `solver_rec`.
+    pub fn admit(
+        &mut self,
+        seed: u64,
+        k: usize,
+        req: &SfcRequest,
+        solver_rec: &mut Recorder,
+    ) -> RequestRecord {
+        use pipeline_metrics::*;
+        self.metrics.incr(C_REQUESTS);
+        let CommitScratch { demands, locations, .. } = &mut self.buf;
+        demands.clear();
+        demands.extend(req.sfc.iter().map(|&f| self.catalog.demand(f)));
+        if demands.iter().copied().fold(f64::NEG_INFINITY, f64::max) > self.max_residual.value {
+            self.metrics.incr(C_GATED);
+            self.metrics.incr(C_REJECTED);
+            return RequestRecord::rejected(req.id);
+        }
+        let mut admit_rng = request_rng(seed, k, ADMIT_SALT);
+        if !self.cloudlets.place(
+            self.network,
+            demands,
+            &mut self.residual,
+            &mut admit_rng,
+            locations,
+        ) {
+            self.metrics.incr(C_REJECTED);
+            self.check_gate();
+            return RequestRecord::rejected(req.id);
+        }
+        // Localized to the primaries' `l`-neighborhoods (so equality is
+        // insensitive to unrelated commits elsewhere in the network) and, when
+        // sharing, seeded with the existing deployed instances in range.
+        self.rebuild(req);
+        if let Some(deployed) = &self.deployed {
+            for (f, vnf) in self.inst.functions.iter_mut().zip(&req.sfc) {
+                // Deployed instances only live on cloudlets, so the index's
+                // cloudlet slice sees everything the full BFS ball would.
+                f.existing_backups = self
+                    .nbhd
+                    .cloudlets_within(f.primary)
+                    .iter()
+                    .filter_map(|u| deployed.get(&(vnf.index(), u.index())))
+                    .sum();
+            }
+        }
+        let record =
+            self.solve_and_debit(req.id, &mut request_rng(seed, k, SOLVE_SALT), solver_rec);
+        if let Some(deployed) = self.deployed.as_mut() {
+            apply_deployed_updates(
+                deployed,
+                req,
+                &self.buf.locations,
+                &self.inst,
+                &self.scratch.sol,
+            );
+        }
+        self.metrics.incr(C_ADMITTED);
+        record
+    }
+
+    /// Re-augment admitted request `req` at its primaries `locations`
+    /// against the current residual, with `existing[i]` live backups of
+    /// function `i` counted as existing ones, so the solver only pays for
+    /// the redundancy that was lost. The new secondaries are debited as in
+    /// [`Admission::admit`]; the record's `secondaries` counts only them.
+    pub fn augment<R: Rng + ?Sized>(
+        &mut self,
+        req: &SfcRequest,
+        locations: &[NodeId],
+        existing: &[usize],
+        rng: &mut R,
+        solver_rec: &mut Recorder,
+    ) -> RequestRecord {
+        assert!(self.deployed.is_none(), "augment does not track shared backups");
+        assert_eq!(existing.len(), req.len(), "one existing count per function");
+        self.buf.locations.clear();
+        self.buf.locations.extend_from_slice(locations);
+        self.rebuild(req);
+        for (f, &n) in self.inst.functions.iter_mut().zip(existing) {
+            f.existing_backups = n;
+        }
+        self.solve_and_debit(req.id, rng, solver_rec)
+    }
+
+    /// Return `mhz` of capacity that node `v` released (a departure or a
+    /// lost instance). The gate's maximum rises to cover it.
+    pub fn credit(&mut self, v: NodeId, mhz: f64) {
+        assert!(self.deployed.is_none(), "credit does not track shared backups");
+        self.network.release_capacity(&mut self.residual, v, mhz);
+        if let Some(p) = self.cloudlets.sync(&self.residual, v) {
+            self.max_residual.raise(p, self.residual[v.index()]);
+        }
+        self.check_gate();
+    }
+
+    /// Rebuild the instance in place for `req` at the primaries in
+    /// `buf.locations`.
+    fn rebuild(&mut self, req: &SfcRequest) {
+        self.inst.rebuild_localized(
+            self.network,
+            self.catalog,
+            req,
+            &self.buf.locations,
+            &self.residual,
+            &self.nbhd,
+            &mut self.build,
+        );
+    }
+
+    /// Solve the rebuilt instance, debit the secondaries' per-node loads and
+    /// return the record.
+    fn solve_and_debit<R: Rng + ?Sized>(
+        &mut self,
+        id: usize,
+        rng: &mut R,
+        solver_rec: &mut Recorder,
+    ) -> RequestRecord {
+        use pipeline_metrics::*;
+        self.metrics.incr(C_SOLVES);
+        let solve_started = Instant::now();
+        self.algorithm.solve_in(&self.inst, rng, solver_rec, &mut self.scratch);
+        self.metrics.record_duration(H_SOLVE_NS, solve_started.elapsed());
+        let (inst, sol) = (&self.inst, &self.scratch.sol);
+        let CommitScratch { loads, debits, .. } = &mut self.buf;
+        sol.bin_loads_into(inst, loads);
+        debits.clear();
+        debits.extend(
+            loads
+                .iter()
+                .enumerate()
+                .filter(|&(_, &load)| load > 0.0)
+                .map(|(bin_idx, &load)| (inst.bins[bin_idx].node, load)),
+        );
+        let debit_started = Instant::now();
+        self.clamped = debit_loads(&mut self.residual, &mut self.cloudlets, debits);
+        self.metrics.record_duration(H_DEBIT_NS, debit_started.elapsed());
+        if self.clamped {
+            self.metrics.incr(C_OVERCOMMIT);
+        }
+        self.max_residual.refresh(self.cloudlets.values());
+        self.check_gate();
+        let reliability = rel_from_counts(inst, sol.counts());
+        RequestRecord {
+            id,
+            admitted: true,
+            base_reliability: inst.base_reliability(),
+            achieved_reliability: reliability,
+            met_expectation: reliability >= inst.expectation,
+            secondaries: sol.counts().iter().sum(),
+        }
+    }
+
+    /// Debug builds: the cloudlet-ordered copy mirrors the residual bit for
+    /// bit, and the tracked maximum equals a full rescan.
+    fn check_gate(&self) {
+        debug_assert!(
+            self.cloudlets.mirrors(self.network, &self.residual),
+            "cloudlet-ordered residual copy drifted"
+        );
+        debug_assert_eq!(
+            self.max_residual.value,
+            MaxResidual::scan(self.cloudlets.values()).value,
+            "tracked maximum cloudlet residual drifted"
+        );
     }
 }
 
-/// Debit an admitted request's secondary loads against `residual` through the
-/// network's two-phase reserve/commit ledger, falling back to the legacy
-/// clamp-at-zero on overcommit (only the randomized rounding can overcommit).
-/// The `try_reserve`/`commit` latencies land in `timing`'s
-/// `reserve_ns`/`commit_ns` histograms. Returns whether the overcommit
-/// fallback fired.
-fn apply_secondary_debits(
-    network: &MecNetwork,
+/// Debit one `(node, load)` entry per node from `residual` (and its
+/// cloudlet-ordered copy), all or nothing: if every node has its load within
+/// a 1e-9 slack, each pays its load. Otherwise (only the randomized rounding
+/// overcommits) each node is set to `max(r − load, 0)` and its entry is
+/// rewritten to what it actually paid. Either way the residual lands at
+/// `max(r − load, 0)`. Returns whether the clamp fired.
+fn debit_loads(
     residual: &mut [f64],
-    debits: &[(NodeId, f64)],
-    timing: &mut MetricSet,
+    cloudlets: &mut CloudletResiduals,
+    debits: &mut [(NodeId, f64)],
 ) -> bool {
-    use pipeline_metrics::{H_COMMIT_NS, H_RESERVE_NS};
-    let reserve_started = Instant::now();
-    let reserved = network.try_reserve(residual, debits);
-    timing.record_duration(H_RESERVE_NS, reserve_started.elapsed());
-    match reserved {
-        Ok(mut reservation) => {
-            let commit_started = Instant::now();
-            network.commit(&mut reservation).expect("fresh reservation commits");
-            timing.record_duration(H_COMMIT_NS, commit_started.elapsed());
-            false
+    let clamped = debits.iter().any(|&(v, load)| residual[v.index()] + 1e-9 < load);
+    for (v, load) in debits.iter_mut() {
+        let before = residual[v.index()];
+        residual[v.index()] = (before - *load).max(0.0);
+        if clamped {
+            *load = before - residual[v.index()];
         }
-        Err(_) => {
-            for &(node, load) in debits {
-                let v = node.index();
-                residual[v] = (residual[v] - load).max(0.0);
-            }
-            true
-        }
+        cloudlets.sync(residual, *v);
     }
+    clamped
 }
 
 /// Fold an admitted request's primaries and secondaries into the deployed
@@ -725,124 +918,6 @@ fn apply_deployed_updates(
             *deployed.entry((type_idx, inst.bins[bin_idx].node.index())).or_insert(0) += count;
         }
     }
-}
-
-/// Process request `k` against the engine state, in arrival order.
-///
-/// A request whose largest per-function demand exceeds the largest cloudlet
-/// residual is rejected by the capacity gate: no cloudlet can host that
-/// function, so admission would reject it too, and an admission reject
-/// leaves the residuals bit-for-bit unchanged. The gate derives no RNG and
-/// scans no cloudlet. Every other request is admitted with its derived
-/// admission RNG (the primaries' debits land in the residual), its
-/// localized instance is rebuilt in place and solved with its derived solve
-/// RNG into `scratch.sol`, and the secondaries commit through the network's
-/// two-phase reserve/commit ledger. Only the randomized algorithm can
-/// overcommit, in which case the debit falls back to the legacy
-/// clamp-at-zero semantics. The record, the loads, the debits and the
-/// sharing ledger's rows are read from `scratch.sol`.
-#[allow(clippy::too_many_arguments)]
-fn process_request(
-    network: &MecNetwork,
-    catalog: &VnfCatalog,
-    cfg: &StreamConfig,
-    seed: u64,
-    k: usize,
-    req: &SfcRequest,
-    state: &mut PipelineState,
-    rec: &mut Recorder,
-    nbhd: &NeighborhoodIndex,
-    scratch: &mut SolveScratch,
-) -> RequestRecord {
-    use pipeline_metrics::*;
-    state.obs.metrics.incr(C_REQUESTS);
-    let CommitScratch { demands, locations, loads, debits } = &mut state.buf;
-    demands.clear();
-    demands.extend(req.sfc.iter().map(|&f| catalog.demand(f)));
-    if demands.iter().copied().fold(f64::NEG_INFINITY, f64::max) > state.max_residual.value {
-        state.obs.metrics.incr(C_GATED);
-        return state.obs.finish_request(rec, &state.residual, RequestRecord::rejected(req.id));
-    }
-    let mut admit_rng = request_rng(seed, k, ADMIT_SALT);
-    if !state.cloudlets.place(network, demands, &mut state.residual, &mut admit_rng, locations) {
-        return state.obs.finish_request(rec, &state.residual, RequestRecord::rejected(req.id));
-    }
-    // Localized to the primaries' `l`-neighborhoods (so equality is
-    // insensitive to unrelated commits elsewhere in the network) and, when
-    // sharing, seeded with the existing deployed instances in range.
-    let inst = &mut state.inst;
-    inst.rebuild_localized(
-        network,
-        catalog,
-        req,
-        locations,
-        &state.residual,
-        nbhd,
-        &mut state.build,
-    );
-    if let Some(deployed) = &state.deployed {
-        for (f, vnf) in inst.functions.iter_mut().zip(&req.sfc) {
-            // Deployed instances only live on cloudlets, so the index's
-            // cloudlet slice sees everything the full BFS ball would.
-            f.existing_backups = nbhd
-                .cloudlets_within(f.primary)
-                .iter()
-                .filter_map(|u| deployed.get(&(vnf.index(), u.index())))
-                .sum();
-        }
-    }
-    state.obs.metrics.incr(C_SOLVES);
-    let mut solve_rng = request_rng(seed, k, SOLVE_SALT);
-    // Full mode traces solver events straight into `rec`; windowed mode keeps
-    // solver counters only, in the stream's own recorder.
-    let solver_rec = match state.obs.solver.as_mut() {
-        Some(solver) if rec.enabled() => solver,
-        _ => &mut *rec,
-    };
-    let solve_started = Instant::now();
-    cfg.algorithm.solve_in(inst, &mut solve_rng, solver_rec, scratch);
-    let solve_elapsed = solve_started.elapsed();
-    state.obs.metrics.record_duration(H_SOLVE_NS, solve_elapsed);
-    if state.obs.full {
-        rec.record_time("stream.solve", solve_elapsed);
-    }
-    // Commit the secondaries' consumption through the two-phase ledger —
-    // all-or-nothing against the residual. The feasible algorithms never
-    // exceed the bin residuals the instance advertised; the randomized
-    // rounding may, and then the debit falls back to the legacy clamp-at-zero
-    // (the overcommit shows up as unmet expectations later in the stream, not
-    // as negative capacity).
-    let sol = &scratch.sol;
-    sol.bin_loads_into(inst, loads);
-    debits.clear();
-    debits.extend(
-        loads
-            .iter()
-            .enumerate()
-            .filter(|&(_, &load)| load > 0.0)
-            .map(|(bin_idx, &load)| (inst.bins[bin_idx].node, load)),
-    );
-    let clamped =
-        apply_secondary_debits(network, &mut state.residual, debits, &mut state.obs.metrics);
-    for &(node, _) in debits.iter() {
-        state.cloudlets.sync(&state.residual, node);
-    }
-    if clamped {
-        state.obs.metrics.incr(C_OVERCOMMIT);
-    }
-    if let Some(deployed) = state.deployed.as_mut() {
-        apply_deployed_updates(deployed, req, locations, inst, sol);
-    }
-    let reliability = rel_from_counts(inst, sol.counts());
-    let r = RequestRecord {
-        id: req.id,
-        admitted: true,
-        base_reliability: inst.base_reliability(),
-        achieved_reliability: reliability,
-        met_expectation: reliability >= inst.expectation,
-        secondaries: sol.counts().iter().sum(),
-    };
-    state.obs.finish_request(rec, &state.residual, r)
 }
 
 /// [`process_stream_seeded_sink`] over a request slice, collecting every
@@ -875,11 +950,11 @@ pub fn process_stream_seeded(
 /// collected, so a 10^6-request stream runs in O(1) memory beyond the network
 /// state (the scenario generator's `RequestStream` synthesizes request `k` on
 /// demand from a splitmix64-derived RNG, so nothing is ever materialized).
-/// Each request is admitted with capacity-aware random primary placement
-/// (all-or-nothing), augmented with the configured algorithm against the
-/// current residual capacities, and its secondaries' consumption is committed
-/// before the next request is considered. Returns the final residuals and the
-/// run's metrics.
+/// Request `k` goes through [`Admission::admit`]: capacity-aware random
+/// primary placement (all-or-nothing), augmentation with the configured
+/// algorithm against the current residual capacities, and the debit of its
+/// secondaries before the next request is considered. Returns the final
+/// residuals and the run's metrics.
 ///
 /// # Determinism
 ///
@@ -893,11 +968,11 @@ pub fn process_stream_seeded(
 /// equal records and bit-equal residuals. In
 /// `MetricsMode::Full` the event stream is byte-identical across runs too:
 /// per-request events carry no wall-clock field (solve time goes only to the
-/// `stream.solve` timing and the `solve_ns` histogram). The capacity gate
-/// changes no record and no residual: it only skips admissions that would
-/// have been rejected. `tests/engine_stream_identity.rs` checks this
-/// guarantee and pins the record hashes of a zoo stream;
-/// `tests/reject_gate.rs` checks the engine against an ungated loop.
+/// `solve_ns` histogram). The capacity gate changes no record and no
+/// residual: it only skips admissions that would have been rejected.
+/// `tests/engine_stream_identity.rs` checks this guarantee and pins the
+/// record hashes of a zoo stream; `tests/reject_gate.rs` checks the engine
+/// against an ungated loop.
 pub fn process_stream_seeded_sink(
     network: &MecNetwork,
     catalog: &VnfCatalog,
@@ -907,37 +982,21 @@ pub fn process_stream_seeded_sink(
     rec: &mut Recorder,
     on_record: &mut dyn FnMut(RequestRecord),
 ) -> (Vec<f64>, StreamObservation) {
-    let mut state = PipelineState::new(network, cfg);
-    let nbhd = network.neighborhood_index(cfg.l);
-    let mut scratch = SolveScratch::new();
+    let mut admission = Admission::new(network, catalog, cfg);
+    let mut obs = StreamObs::new(cfg, admission.metrics());
     for (k, req) in requests.into_iter().enumerate() {
-        let record = process_request(
-            network,
-            catalog,
-            cfg,
-            seed,
-            k,
-            &req,
-            &mut state,
-            rec,
-            &nbhd,
-            &mut scratch,
-        );
-        debug_assert!(
-            state.cloudlets.mirrors(network, &state.residual),
-            "cloudlet-ordered residual copy drifted at request {k}"
-        );
-        state.max_residual.refresh(state.cloudlets.values());
-        debug_assert_eq!(
-            state.max_residual.value,
-            MaxResidual::scan(state.cloudlets.values()).value,
-            "tracked maximum cloudlet residual drifted at request {k}"
-        );
+        // Full mode traces solver events straight into `rec`; windowed mode
+        // keeps solver counters only, in the stream's own recorder.
+        let solver_rec = match obs.solver.as_mut() {
+            Some(solver) if rec.enabled() => solver,
+            _ => &mut *rec,
+        };
+        let record = admission.admit(seed, k, &req, solver_rec);
+        obs.finish_request(rec, &admission, &record);
         on_record(record);
     }
-    state.obs.finish(rec);
-    let observation = state.obs.observation();
-    (state.residual, observation)
+    let observation = obs.finish(rec, admission.metrics());
+    (admission.residual, observation)
 }
 
 /// Common prefix of a `stream.request` event: the request id plus a snapshot
@@ -1097,7 +1156,7 @@ mod tests {
         let (net, cat) = setup();
         let reqs = make_requests(15, &cat, net.num_nodes(), 12);
         let mut rec = Recorder::memory();
-        let (out, _) =
+        let (out, ob) =
             process_stream_seeded(&net, &cat, &reqs, &StreamConfig::default(), 13, &mut rec);
         let req_events: Vec<_> =
             rec.events().iter().filter(|e| e.kind == "stream.request").collect();
@@ -1105,8 +1164,8 @@ mod tests {
         let admitted_events =
             req_events.iter().filter(|e| e.field("admitted").unwrap().as_bool() == Some(true));
         assert_eq!(admitted_events.count(), out.admitted());
-        assert_eq!(rec.counter("stream.admitted"), out.admitted() as u64);
-        assert_eq!(rec.counter("stream.rejected"), out.rejected() as u64);
+        assert_eq!(ob.pipeline.counter("admitted"), out.admitted() as u64);
+        assert_eq!(ob.pipeline.counter("rejected.no_primary_placement"), out.rejected() as u64);
         for e in &req_events {
             if e.field("admitted").unwrap().as_bool() == Some(false) {
                 assert_eq!(e.field("reason").unwrap().as_str(), Some("no_primary_placement"));

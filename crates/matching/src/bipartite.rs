@@ -53,56 +53,18 @@ pub fn min_cost_max_matching(
     n_right: usize,
     edges: &[(usize, usize, f64)],
 ) -> Matching {
-    let mut scratch = MatchingScratch::new();
-    let mut out = Matching { pairs: Vec::new(), cost: 0.0 };
-    min_cost_max_matching_into(&mut scratch, n_left, n_right, edges, &mut out);
-    out
-}
-
-/// Reusable workspace for [`min_cost_max_matching_into`]: the flow network
-/// and edge-handle buffer survive across solves, so repeated matchings (one
-/// per heuristic round per streamed request) allocate nothing after the
-/// buffers reach their high-water mark.
-#[derive(Debug, Clone)]
-pub struct MatchingScratch {
-    pub(crate) graph: McmfGraph,
-    pub(crate) edge_ids: Vec<EdgeId>,
-}
-
-impl MatchingScratch {
-    pub fn new() -> Self {
-        MatchingScratch { graph: McmfGraph::new(0), edge_ids: Vec::new() }
-    }
-}
-
-impl Default for MatchingScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// [`min_cost_max_matching`] writing into a caller-owned [`Matching`] and
-/// reusing `scratch`'s buffers. The result (pairs, order, cost) is exactly
-/// what [`min_cost_max_matching`] returns — the network is rebuilt in the
-/// same arc order every call, so the flow computation is bit-identical.
-pub fn min_cost_max_matching_into(
-    scratch: &mut MatchingScratch,
-    n_left: usize,
-    n_right: usize,
-    edges: &[(usize, usize, f64)],
-    out: &mut Matching,
-) {
     let s = n_left + n_right;
     let t = s + 1;
-    let g = &mut scratch.graph;
-    g.reset(n_left + n_right + 2);
-    scratch.edge_ids.clear();
-    for &(l, r, c) in edges {
-        assert!(l < n_left, "left endpoint {l} out of range (n_left = {n_left})");
-        assert!(r < n_right, "right endpoint {r} out of range (n_right = {n_right})");
-        assert!(c.is_finite(), "non-finite edge cost");
-        scratch.edge_ids.push(g.add_edge(l, n_left + r, 1, c));
-    }
+    let mut g = McmfGraph::new(n_left + n_right + 2);
+    let edge_ids: Vec<EdgeId> = edges
+        .iter()
+        .map(|&(l, r, c)| {
+            assert!(l < n_left, "left endpoint {l} out of range (n_left = {n_left})");
+            assert!(r < n_right, "right endpoint {r} out of range (n_right = {n_right})");
+            assert!(c.is_finite(), "non-finite edge cost");
+            g.add_edge(l, n_left + r, 1, c)
+        })
+        .collect();
     for l in 0..n_left {
         g.add_edge(s, l, 1, 0.0);
     }
@@ -111,13 +73,12 @@ pub fn min_cost_max_matching_into(
     }
     let result = g.min_cost_max_flow(s, t, None);
 
-    out.pairs.clear();
-    out.cost = 0.0;
+    let mut out = Matching { pairs: Vec::new(), cost: 0.0 };
     // Collect saturated matching arcs; with parallel edges only count a left
     // node once (flow conservation guarantees a single saturated arc per left
     // node anyway).
-    for (i, &(l, r, c)) in edges.iter().enumerate() {
-        if g.flow_on(scratch.edge_ids[i]) == 1 {
+    for (&(l, r, c), &e) in edges.iter().zip(&edge_ids) {
+        if g.flow_on(e) == 1 {
             out.pairs.push((l, r));
             out.cost += c;
         }
@@ -125,6 +86,7 @@ pub fn min_cost_max_matching_into(
     out.pairs.sort_unstable();
     debug_assert_eq!(out.pairs.len(), result.flow as usize);
     debug_assert!((out.cost - result.cost).abs() < 1e-6 * (1.0 + out.cost.abs()));
+    out
 }
 
 #[cfg(test)]
@@ -189,26 +151,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_bad_endpoint() {
         min_cost_max_matching(1, 1, &[(2, 0, 1.0)]);
-    }
-
-    #[test]
-    fn reused_scratch_matches_fresh_solves() {
-        // Shrinking and growing instances through one scratch must give the
-        // same matchings as fresh solves — stale arcs or edge ids would show.
-        type Case = (usize, usize, Vec<(usize, usize, f64)>);
-        let cases: Vec<Case> = vec![
-            (2, 2, vec![(0, 0, 1.0), (0, 1, 4.0), (1, 0, 2.0), (1, 1, 1.5)]),
-            (1, 1, vec![(0, 0, 9.0), (0, 0, 2.0)]),
-            (3, 3, vec![]),
-            (2, 2, vec![(0, 0, 0.1), (0, 1, 5.0), (1, 0, 5.0)]),
-            (1, 3, vec![(0, 0, 3.0), (0, 1, 1.0), (0, 2, 2.0)]),
-        ];
-        let mut scratch = MatchingScratch::new();
-        let mut out = Matching { pairs: Vec::new(), cost: 0.0 };
-        for (n_left, n_right, edges) in &cases {
-            min_cost_max_matching_into(&mut scratch, *n_left, *n_right, edges, &mut out);
-            let fresh = min_cost_max_matching(*n_left, *n_right, edges);
-            assert_eq!(out, fresh);
-        }
     }
 }

@@ -29,6 +29,6 @@ pub mod hungarian;
 pub mod ladder;
 pub mod mcmf;
 
-pub use bipartite::{min_cost_max_matching, min_cost_max_matching_into, Matching, MatchingScratch};
+pub use bipartite::{min_cost_max_matching, Matching};
 pub use ladder::LadderMatcher;
 pub use mcmf::{FlowResult, McmfGraph};

@@ -34,15 +34,12 @@ pub struct FlowResult {
 
 /// A directed flow network with real-valued arc costs.
 ///
-/// The graph owns its shortest-path working arrays, so a long-lived instance
-/// can be [`McmfGraph::reset`] and rebuilt every solve without allocating —
-/// the streaming heuristic runs one matching per round per request, and this
-/// reuse is what keeps that path allocation-free.
+/// The graph owns its shortest-path working arrays, so repeated
+/// [`McmfGraph::min_cost_max_flow`] calls on one graph reuse them.
 #[derive(Debug, Clone)]
 pub struct McmfGraph {
     arcs: Vec<Arc>,       // forward arc at even index, residual at odd
-    adj: Vec<Vec<usize>>, // node -> arc indices; first `n_active` in use
-    n_active: usize,
+    adj: Vec<Vec<usize>>, // node -> arc indices
     has_negative_cost: bool,
     // Reusable workspace for `min_cost_max_flow`.
     potential: Vec<f64>,
@@ -57,7 +54,6 @@ impl McmfGraph {
         McmfGraph {
             arcs: Vec::new(),
             adj: vec![Vec::new(); n],
-            n_active: n,
             has_negative_cost: false,
             potential: Vec::new(),
             dist: Vec::new(),
@@ -66,23 +62,8 @@ impl McmfGraph {
         }
     }
 
-    /// Clear all arcs and re-dimension to `n` nodes, keeping every buffer's
-    /// capacity. Equivalent to `*self = McmfGraph::new(n)` without the
-    /// allocations.
-    pub fn reset(&mut self, n: usize) {
-        self.arcs.clear();
-        for inner in self.adj.iter_mut().take(self.n_active) {
-            inner.clear();
-        }
-        if self.adj.len() < n {
-            self.adj.resize_with(n, Vec::new);
-        }
-        self.n_active = n;
-        self.has_negative_cost = false;
-    }
-
     pub fn num_nodes(&self) -> usize {
-        self.n_active
+        self.adj.len()
     }
 
     /// Add a directed arc `u -> v` with capacity `cap` and per-unit cost
@@ -90,7 +71,7 @@ impl McmfGraph {
     pub fn add_edge(&mut self, u: usize, v: usize, cap: i64, cost: f64) -> EdgeId {
         assert!(cap >= 0, "negative capacity");
         assert!(cost.is_finite(), "non-finite arc cost");
-        assert!(u < self.n_active && v < self.n_active, "node out of range");
+        assert!(u < self.adj.len() && v < self.adj.len(), "node out of range");
         if cost < 0.0 {
             self.has_negative_cost = true;
         }
@@ -111,7 +92,7 @@ impl McmfGraph {
     /// `limit` units have been sent, if given). Augmentations are by path
     /// bottleneck. Returns total flow and cost of *this* call.
     pub fn min_cost_max_flow(&mut self, s: usize, t: usize, limit: Option<i64>) -> FlowResult {
-        let n = self.n_active;
+        let n = self.adj.len();
         assert!(s < n && t < n, "terminal out of range");
         // Take the workspace out of `self` so the shortest-path loop can
         // borrow `arcs`/`adj` immutably alongside it; restored before return.
@@ -194,7 +175,7 @@ impl McmfGraph {
     /// negative-cost arcs are present. Panics on a negative cycle (cannot
     /// happen for the matching networks built by this workspace).
     fn bellman_ford_potentials(&self, s: usize, potential: &mut [f64]) {
-        let n = self.n_active;
+        let n = self.adj.len();
         for p in potential.iter_mut() {
             *p = f64::INFINITY;
         }
@@ -337,34 +318,5 @@ mod tests {
         g.add_edge(0, 1, 0, 1.0);
         let r = g.min_cost_max_flow(0, 1, None);
         assert_eq!(r.flow, 0);
-    }
-
-    #[test]
-    fn reset_behaves_like_fresh_graph() {
-        let mut g = McmfGraph::new(4);
-        g.add_edge(0, 1, 1, -2.0); // leaves has_negative_cost set
-        g.add_edge(1, 3, 1, 1.0);
-        g.min_cost_max_flow(0, 3, None);
-        // Shrink: old node 3 and its arcs must be gone.
-        g.reset(3);
-        assert_eq!(g.num_nodes(), 3);
-        g.add_edge(0, 1, 5, 1.0);
-        g.add_edge(1, 2, 3, 2.0);
-        let r = g.min_cost_max_flow(0, 2, None);
-        assert_eq!(r.flow, 3);
-        assert!((r.cost - 9.0).abs() < 1e-9);
-        // Grow past the original size.
-        g.reset(6);
-        g.add_edge(0, 5, 2, 1.0);
-        let r = g.min_cost_max_flow(0, 5, None);
-        assert_eq!(r.flow, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "node out of range")]
-    fn reset_shrinks_addressable_nodes() {
-        let mut g = McmfGraph::new(4);
-        g.reset(2);
-        g.add_edge(0, 3, 1, 1.0);
     }
 }

@@ -103,30 +103,6 @@ pub fn random_placement_capacity_aware<R: Rng + ?Sized>(
     Some(PrimaryPlacement { locations })
 }
 
-/// Release an admitted placement's primary demands back into `residual` —
-/// the exact inverse of the debit [`random_placement_capacity_aware`]
-/// performed, for when the request departs (or admission must be unwound).
-/// Secondary demands are released separately by whoever committed them.
-///
-/// Consumes the placement: releasing the same admission twice would inflate
-/// `residual` by the primaries' demands, and — whenever other requests hold
-/// enough capacity on the affected cloudlets — the per-node ceiling check in
-/// [`MecNetwork::release_capacity`] cannot see it, in *any* build profile.
-/// Taking `PrimaryPlacement` by value turns that latent double-release into
-/// a compile error instead of a debug-only (or silent) runtime hazard; the
-/// per-node ceiling assert stays as the second line of defense.
-pub fn release_placement(
-    net: &MecNetwork,
-    demands: &[f64],
-    placement: PrimaryPlacement,
-    residual: &mut [f64],
-) {
-    assert_eq!(demands.len(), placement.len(), "one demand per placed primary");
-    for (&demand, &node) in demands.iter().zip(&placement.locations) {
-        net.release_capacity(residual, node, demand);
-    }
-}
-
 /// Maximum-reliability placement via the layered DAG of Ma et al.
 ///
 /// `link_reliability` is the per-hop reliability of network links (1.0 makes
@@ -333,47 +309,6 @@ mod tests {
                 assert_eq!(bits(&residual), bits(&caps), "caps {caps:?} seed {seed}");
             }
         }
-    }
-
-    #[test]
-    fn admit_then_release_round_trips_residual_exactly() {
-        let net = line_net();
-        let req = two_fn_request();
-        let mut rng = StdRng::seed_from_u64(7);
-        let demands = [1250.0, 750.0];
-        let mut residual = vec![0.0, 5000.0, 0.0, 5000.0, 0.0];
-        let before = residual.clone();
-        let p = random_placement_capacity_aware(&net, &req, &demands, &mut residual, &mut rng)
-            .expect("plenty of room");
-        assert_ne!(residual, before, "admission must debit");
-        release_placement(&net, &demands, p, &mut residual);
-        assert_eq!(residual, before, "admit -> release must round-trip exactly");
-        // Repeatedly admitting and releasing never drifts. `release_placement`
-        // consumes the placement, so a double release of the same admission no
-        // longer compiles — each round trip needs a fresh admission.
-        for _ in 0..50 {
-            let p = random_placement_capacity_aware(&net, &req, &demands, &mut residual, &mut rng)
-                .unwrap();
-            release_placement(&net, &demands, p, &mut residual);
-        }
-        assert_eq!(residual, before);
-    }
-
-    #[test]
-    #[should_panic(expected = "above its capacity")]
-    fn explicit_double_release_trips_capacity_ceiling() {
-        // Cloning a placement to release it twice is the loud opt-out the
-        // by-value signature leaves open; with no other capacity holders on
-        // the node, the ceiling check catches it in release builds too.
-        let net = line_net();
-        let req = two_fn_request();
-        let mut rng = StdRng::seed_from_u64(11);
-        let demands = [1000.0, 1000.0];
-        let mut residual = vec![0.0, 5000.0, 0.0, 5000.0, 0.0];
-        let p = random_placement_capacity_aware(&net, &req, &demands, &mut residual, &mut rng)
-            .expect("fits");
-        release_placement(&net, &demands, p.clone(), &mut residual);
-        release_placement(&net, &demands, p, &mut residual);
     }
 
     #[test]

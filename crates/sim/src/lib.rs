@@ -17,7 +17,9 @@
 //! - [`process`]: exponential sampling and the MTBF/MTTR ↔ `r_i` derivation;
 //! - [`policy`]: pluggable [`RepairPolicy`] implementations
 //!   ([`NoRepair`], [`Reactive`], [`PeriodicAudit`]);
-//! - [`engine`]: the simulation loop with exact capacity accounting;
+//! - [`engine`]: the simulation loop, a failure/repair layer over the stream
+//!   engine's per-request step (`relaug::stream::Admission`), which admits
+//!   arrivals, re-augments repairs and takes back released capacity;
 //! - [`report`]: the per-run [`SloReport`] (empirical vs analytic
 //!   availability, outage/repair-latency distributions).
 //!
@@ -31,10 +33,7 @@ pub mod policy;
 pub mod process;
 pub mod report;
 
-pub use engine::{
-    run, run_traced, run_with_source, run_with_source_traced, PoissonSource, RequestSource,
-    SimConfig,
-};
+pub use engine::{run, run_with, PoissonSource, RequestSource, SimConfig};
 pub use event::{EventKind, EventQueue, SimEvent};
 pub use policy::{from_name, NoRepair, PeriodicAudit, Reactive, RepairPolicy, RequestView};
 pub use process::{mtbf_for_availability, sample_exp};

@@ -177,15 +177,22 @@ impl SloReport {
     }
 }
 
-/// Raw event tallies the engine hands to [`SloReport::assemble`].
-#[derive(Debug, Clone, Copy, Default)]
+/// Raw event tallies the engine keeps: [`SloReport::assemble`] reads them
+/// at the end of a run, and each `sim.window` summary carries their delta
+/// against the copy taken at the window's start.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunCounts {
+    pub arrivals: usize,
+    pub admitted: usize,
+    pub rejected: usize,
     pub departures: usize,
     pub failures: usize,
     pub permanent_failures: usize,
     pub instance_repairs: usize,
     pub reaugmentations: usize,
     pub secondaries_placed: usize,
+    /// Policy audit ticks.
+    pub audits: usize,
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use mecnet::vnf::{VnfCatalog, VnfType};
 use obs::Recorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sim::{run, run_traced, NoRepair, PeriodicAudit, Reactive, SimConfig};
+use sim::{run, run_with, NoRepair, PeriodicAudit, PoissonSource, Reactive, SimConfig};
 
 fn setup(seed: u64, cap_range: (f64, f64)) -> (MecNetwork, VnfCatalog) {
     let g = topology::grid(4, 4);
@@ -121,7 +121,8 @@ fn traced_run_bytes(cfg: &SimConfig, seed: u64) -> (Vec<u8>, String) {
     let (net, cat) = setup(seed, (15_000.0, 25_000.0));
     let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
     let mut rec = Recorder::jsonl_writer(Box::new(buf.clone()));
-    let report = run_traced(&net, &cat, cfg, &PeriodicAudit::new(10.0), &mut rec);
+    let mut source = PoissonSource::from_config(cfg);
+    let report = run_with(&net, &cat, cfg, &PeriodicAudit::new(10.0), &mut source, &mut rec);
     drop(rec);
     let bytes = buf.0.lock().unwrap().clone();
     (bytes, report.to_json())

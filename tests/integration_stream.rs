@@ -91,7 +91,7 @@ fn traced_stream_logs_every_request_with_reasons() {
     let cfg =
         StreamConfig { share_backups: true, initial_capacity_fraction: 0.3, ..Default::default() };
     let mut rec = Recorder::memory();
-    let (out, _) = process_stream_seeded(&network, &catalog, &requests, &cfg, 10, &mut rec);
+    let (out, ob) = process_stream_seeded(&network, &catalog, &requests, &cfg, 10, &mut rec);
 
     // Exactly one stream.request event per request, in arrival order.
     let events: Vec<_> = rec.events().iter().filter(|e| e.kind == "stream.request").collect();
@@ -118,8 +118,8 @@ fn traced_stream_logs_every_request_with_reasons() {
     }
     assert!(out.rejected() > 0, "capacity squeeze should reject something");
     assert!(out.admitted() > 0, "capacity squeeze should still admit something");
-    assert_eq!(rec.summary().counter("stream.admitted"), out.admitted() as u64);
-    assert_eq!(rec.summary().counter("stream.rejected"), out.rejected() as u64);
+    assert_eq!(ob.pipeline.counter("admitted"), out.admitted() as u64);
+    assert_eq!(ob.pipeline.counter("rejected.no_primary_placement"), out.rejected() as u64);
     assert!(out.final_residual.iter().all(|&r| r >= 0.0));
 }
 
