@@ -35,7 +35,9 @@
 //! admitted/rejected + reason, the secondaries placed and a residual
 //! snapshot), with the per-request solver events interleaved in arrival
 //! order. A telemetry summary table is printed at the end of every run,
-//! traced or not. Its `gated` column counts the rejects the engine's
+//! traced or not; its `events` column counts the events written to the
+//! trace (`-` without `--trace`, where only counters are kept, so memory
+//! stays flat). Its `gated` column counts the rejects the engine's
 //! capacity gate decided without a placement scan (a subset of `rejected`);
 //! its p50/p95/p99 columns are log2-bucket upper bounds read from the
 //! observed stream's `solve_ns` histogram, so they are filled in windowed
@@ -183,15 +185,16 @@ fn main() {
         ),
     }
     // Telemetry sink: the first stream of each algorithm runs traced — into
-    // the JSONL file when `--trace` is given, into memory otherwise — so the
-    // end-of-run summary table always has data. Remaining trials run with the
-    // no-op recorder (zero overhead).
+    // the JSONL file when `--trace` is given, into a counters-only recorder
+    // otherwise, which keeps no event — so the end-of-run summary table
+    // always has data. Remaining trials run with the no-op recorder (zero
+    // overhead).
     let mut rec = match &args.trace {
         Some(path) => Recorder::jsonl_file(std::path::Path::new(path)).unwrap_or_else(|e| {
             eprintln!("stream_exp: cannot open trace file {path}: {e}");
             std::process::exit(2);
         }),
-        None => Recorder::memory(),
+        None => Recorder::counters_only(),
     };
 
     // Metrics of each algorithm's first (observed) stream.
@@ -305,15 +308,18 @@ fn main() {
             row.push(format!("{hash:016x}"));
         }
         table.add_row(row);
-        // Events and solver counters: the delta of the cumulative telemetry,
-        // which is this algorithm's traced stream. Counts and solve times:
-        // that stream's own metrics.
+        // Events (written only with `--trace`) and solver counters: the delta
+        // of the cumulative telemetry, which is this algorithm's traced
+        // stream. Counts and solve times: that stream's own metrics.
         let now = rec.summary();
         let ob = &observations.last().expect("first stream observed").1;
         let solve_ns = ob.pipeline.hist("solve_ns").map_or(0, |h| h.sum());
         effort.add_row(vec![
             name.to_string(),
-            format!("{}", now.events_emitted - effort_base.events_emitted),
+            match args.trace {
+                Some(_) => format!("{}", now.events_emitted - effort_base.events_emitted),
+                None => "-".into(),
+            },
             format!("{}", ob.pipeline.counter("admitted")),
             format!("{}", ob.pipeline.counter("rejected.no_primary_placement")),
             format!("{}", ob.pipeline.counter("rejected.capacity_gate")),

@@ -1,5 +1,6 @@
 //! `stream_exp` and `sim_exp` at their command-line surface: runs that admit
-//! nothing finish cleanly, and malformed scenario specs, unknown or removed
+//! nothing finish cleanly, the telemetry table counts events only when a
+//! trace is written, and malformed scenario specs, unknown or removed
 //! flags and `sim_exp`-only flags given to `stream_exp` exit 2 with a
 //! one-line message.
 
@@ -43,6 +44,28 @@ fn a_stream_that_admits_nothing_prints_dashes_and_exits_zero() {
         // mean rel., SLO met, early rel., late rel.
         assert_eq!(&cells[2..6], ["-", "-", "-", "-"], "{name}: {row}");
     }
+}
+
+#[test]
+fn events_column_counts_trace_events_only() {
+    // Without `--trace` the observed streams keep counters only: the
+    // `events` column prints `-` and the matching counters still fill in.
+    let path = std::env::temp_dir().join(format!("stream_exp_events_{}.jsonl", std::process::id()));
+    let args = ["--scenario", "waxman-100", "--requests", "300", "--trace", path.to_str().unwrap()];
+    for traced in [false, true] {
+        let out = stream_exp(&args[..if traced { 6 } else { 4 }]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{stdout}\n{}", String::from_utf8_lossy(&out.stderr));
+        let table = stdout.split("### telemetry").nth(1).unwrap_or_else(|| panic!("{stdout}"));
+        for name in ["ILP", "Randomized", "Heuristic", "Greedy"] {
+            let row = table.lines().find(|l| l.starts_with(&format!("| {name} "))).unwrap();
+            let events = row.trim_matches('|').split('|').map(str::trim).nth(1).unwrap();
+            let counted = events.parse::<u64>().is_ok_and(|n| n > 0);
+            assert!(if traced { counted } else { events == "-" }, "traced {traced}: {row}");
+        }
+        assert!(stdout.lines().any(|l| l.starts_with("Heuristic matching: ")), "{stdout}");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -91,7 +91,7 @@ pub fn solve_in(
             }
             let Some((score, i, b)) = best else { break };
             residual[b] -= inst.functions[i].demand;
-            sol.add(i, b);
+            sol.add(i, b, 1);
             steps += 1;
             rec.count("greedy.steps", 1);
             rec.emit_with(|| {

@@ -18,8 +18,8 @@ use obs::Recorder;
 
 use crate::instance::AugmentationInstance;
 use crate::reliability::LadderTables;
-use crate::scratch::{rel_from_counts, SolveScratch};
-use crate::solution::{Outcome, SolverInfo};
+use crate::scratch::SolveScratch;
+use crate::solution::{rel_from_counts, Outcome, SolverInfo};
 
 /// When the matching loop stops (besides running out of edges).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,9 +75,9 @@ pub fn solve(inst: &AugmentationInstance, cfg: &HeuristicConfig) -> Outcome {
 ///
 /// Under [`StopRule::Expectation`], a first matching round that reaches
 /// `ρ_j` is the only committing round, and its overshoot is trimmed count
-/// first: [`crate::scratch::SolutionScratch::commit_one_round_trimmed`]
+/// first: [`crate::solution::Augmentation::commit_one_round_trimmed`]
 /// writes only the secondaries the trim keeps, the same rows the full commit
-/// and [`crate::scratch::SolutionScratch::trim_to_expectation`] leave. A
+/// and [`crate::solution::Augmentation::trim_to_expectation`] leave. A
 /// solve with more committing rounds commits them all and trims after.
 pub fn solve_in(
     inst: &AugmentationInstance,
@@ -198,7 +198,7 @@ pub fn solve_in(
             for &(b, right) in &matching_out.pairs {
                 let (i, k) = item_of[right];
                 residual[b] -= inst.functions[i].demand;
-                sol.add(i, b);
+                sol.add(i, b, 1);
                 if cfg.stop == StopRule::PaperBudget {
                     total_cost += tables.cost(table_of[i], inst.functions[i].existing_backups + k);
                 }

@@ -327,8 +327,8 @@ pub fn solve_in(
     scratch: &mut SolveScratch,
 ) -> Result<SolverInfo, SolverError> {
     let mut stats = BnbStats::default();
+    scratch.sol.begin(inst.chain_len());
     if inst.expectation_met_by_primaries() {
-        scratch.sol.begin(inst.chain_len());
         rec.emit_with(|| {
             obs::Event::new("ilp.early_exit").with("base_reliability", inst.base_reliability())
         });
@@ -336,7 +336,6 @@ pub fn solve_in(
     }
     let comps = decompose(inst);
     rec.count("ilp.components", comps.len() as u64);
-    let mut aug = Augmentation::empty(inst.chain_len());
     for (ci, (funcs, bins)) in comps.into_iter().enumerate() {
         // Build the sub-instance with remapped bin indices.
         let bin_map: std::collections::HashMap<usize, usize> =
@@ -384,17 +383,16 @@ pub fn solve_in(
         });
         for (local_f, &global_f) in funcs.iter().enumerate() {
             for &(local_b, count) in sub_aug.placements_of(local_f) {
-                aug.add(global_f, bins[local_b], count);
+                scratch.sol.add(global_f, bins[local_b], count);
             }
         }
     }
     if cfg.stop_at_expectation {
-        let trimmed = aug.trim_to_expectation(inst);
+        let trimmed = scratch.sol.trim_to_expectation(inst);
         rec.count("ilp.trimmed_secondaries", trimmed as u64);
     }
-    debug_assert!(aug.is_capacity_feasible(inst));
-    debug_assert!(aug.respects_locality(inst));
-    scratch.sol.load(&aug);
+    debug_assert!(scratch.sol.is_capacity_feasible(inst));
+    debug_assert!(scratch.sol.respects_locality(inst));
     Ok(solver_info(&stats))
 }
 

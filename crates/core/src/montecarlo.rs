@@ -52,7 +52,7 @@ pub fn simulate_failures<R: Rng + ?Sized>(
     assert!(trials > 0, "at least one trial");
     let counts = aug.counts();
     let instances: Vec<usize> =
-        inst.functions.iter().zip(&counts).map(|(f, &m)| 1 + f.existing_backups + m).collect();
+        inst.functions.iter().zip(counts).map(|(f, &m)| 1 + f.existing_backups + m).collect();
     let mut survived = 0usize;
     let mut outages = vec![0usize; inst.chain_len()];
     let mut multi = 0usize;

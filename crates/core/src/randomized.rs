@@ -59,10 +59,9 @@ pub fn solve<R: Rng + ?Sized>(
 /// whether the draw violates capacity) and the repair/trim steps that bring
 /// the kept draw back to the expectation. The algorithm is LP-dominated, so
 /// the scratch only covers the rounding draws and the LP workspace: each
-/// draw is built in `scratch.sol` and an owned [`Augmentation`] is
-/// materialized only for reliability-improving draws. Every solve starts
-/// its LP from scratch, so the result and the reported `lp_iterations` do
-/// not depend on what the scratch solved before.
+/// draw is built in `scratch.sol`, and the kept draw is trimmed there. Every
+/// solve starts its LP from scratch, so the result and the reported
+/// `lp_iterations` do not depend on what the scratch solved before.
 pub fn solve_in<R: Rng + ?Sized>(
     inst: &AugmentationInstance,
     cfg: &RandomizedConfig,
@@ -108,7 +107,9 @@ pub fn solve_in<R: Rng + ?Sized>(
         }
     }
 
-    let mut best: Option<Augmentation> = None;
+    // The best draw so far. Each draw is written into `scratch.sol`; an
+    // improving draw is swapped out into `best`, so no draw is copied.
+    let mut best = Augmentation::default();
     let mut best_rel = f64::NEG_INFINITY;
     for round in 0..cfg.rounds {
         let sol = &mut scratch.sol;
@@ -121,7 +122,7 @@ pub fn solve_in<R: Rng + ?Sized>(
             let mut u = rng.gen::<f64>();
             for &(b, p) in dist {
                 if u < p {
-                    sol.add(ilp.items[idx].func, b);
+                    sol.add(ilp.items[idx].func, b, 1);
                     break;
                 }
                 u -= p;
@@ -130,35 +131,35 @@ pub fn solve_in<R: Rng + ?Sized>(
         let rel = sol.reliability(inst);
         rec.count("randomized.draws", 1);
         rec.emit_with(|| {
-            let aug = sol.materialize();
             obs::Event::new("randomized.draw")
                 .with("round", round)
-                .with("secondaries", aug.total_secondaries())
+                .with("secondaries", sol.total_secondaries())
                 .with("reliability", rel)
-                .with("capacity_feasible", aug.is_capacity_feasible(inst))
+                .with("capacity_feasible", sol.is_capacity_feasible(inst))
                 .with("kept", rel > best_rel)
         });
         if rel > best_rel {
             best_rel = rel;
-            best = Some(sol.materialize());
+            std::mem::swap(sol, &mut best);
         }
     }
-    let mut aug = best.expect("rounds >= 1");
+    assert!(best_rel > f64::NEG_INFINITY, "the first draw is always kept");
+    std::mem::swap(&mut scratch.sol, &mut best);
+    let sol = &mut scratch.sol;
     let mut repairs = 0;
     if cfg.stop_at_expectation {
-        repairs = aug.trim_to_expectation(inst);
+        repairs = sol.trim_to_expectation(inst);
         rec.count("randomized.repairs", repairs as u64);
         if repairs > 0 {
             rec.emit_with(|| {
                 obs::Event::new("randomized.repair")
                     .with("removed", repairs)
-                    .with("reliability", aug.reliability(inst))
-                    .with("capacity_feasible", aug.is_capacity_feasible(inst))
+                    .with("reliability", sol.reliability(inst))
+                    .with("capacity_feasible", sol.is_capacity_feasible(inst))
             });
         }
     }
-    debug_assert!(aug.respects_locality(inst));
-    scratch.sol.load(&aug);
+    debug_assert!(sol.respects_locality(inst));
     Ok(SolverInfo::Randomized { lp_iterations: lp.iterations, rounds: cfg.rounds, repairs })
 }
 

@@ -35,8 +35,8 @@ use crate::heuristic::HeuristicConfig;
 use crate::ilp::IlpConfig;
 use crate::instance::{AugmentationInstance, InstanceScratch};
 use crate::randomized::RandomizedConfig;
-use crate::scratch::{rel_from_counts, CommitScratch, SolutionScratch, SolveScratch};
-use crate::solution::{Outcome, SolverInfo};
+use crate::scratch::{CommitScratch, SolveScratch};
+use crate::solution::{Augmentation, Outcome, SolverInfo};
 use crate::{greedy, heuristic, ilp, randomized};
 
 /// Which augmentation algorithm the stream runs per admitted request.
@@ -89,11 +89,11 @@ impl Algorithm {
             Algorithm::Heuristic(c) => heuristic::solve_in(inst, c, rec, scratch),
             Algorithm::Greedy(c) => greedy::solve_in(inst, c, rec, scratch),
         };
-        debug_assert!({
-            let aug = scratch.sol.materialize();
-            aug.respects_locality(inst)
-                && (matches!(self, Algorithm::Randomized(_)) || aug.is_capacity_feasible(inst))
-        });
+        debug_assert!(
+            scratch.sol.respects_locality(inst)
+                && (matches!(self, Algorithm::Randomized(_))
+                    || scratch.sol.is_capacity_feasible(inst))
+        );
         info
     }
 
@@ -271,7 +271,8 @@ pub mod pipeline_metrics {
     pub const H_DEBIT_NS: usize = 1;
 }
 
-/// Windowed-aggregation cursor: per-window bases to diff snapshots against.
+/// Windowed-aggregation cursor: per-window bases to diff snapshots against,
+/// and the stream's solver recorder.
 struct WindowTracker {
     interval: MetricsInterval,
     index: u64,
@@ -282,22 +283,18 @@ struct WindowTracker {
     base_requests: u64,
     /// Metrics at window start (counts, solve/commit latencies).
     base: MetricsSnapshot,
-    /// Main-recorder counters at window start (solver aggregates: B&B nodes,
-    /// pivots) — diffed to report per-window solver effort.
-    solver_base: Vec<(String, u64)>,
+    /// The solvers' counters-only recorder, folded into the caller's
+    /// recorder at every window cut, so the trace stays bounded. What it
+    /// holds at a cut is the window's solver effort.
+    solver: Recorder,
 }
 
 /// What the stream loop observes around [`Admission::admit`]: the
-/// `stream.request` events (full mode), the windows and the windowed
-/// solver recorder. The counts and latencies themselves are the
-/// admission's [`Admission::metrics`].
+/// `stream.request` events (full mode) or the windows. The counts and
+/// latencies themselves are the admission's [`Admission::metrics`].
 struct StreamObs {
-    /// Per-request events (`MetricsMode::Full`).
-    full: bool,
+    /// `None` in full mode (`MetricsMode::Full`): per-request events.
     window: Option<WindowTracker>,
-    /// Windowed mode: the solvers' counters-only recorder, folded into the
-    /// caller's recorder at every window cut, so the trace stays bounded.
-    solver: Option<Recorder>,
 }
 
 impl StreamObs {
@@ -310,21 +307,17 @@ impl StreamObs {
                 window_started: Instant::now(),
                 base_requests: 0,
                 base: metrics.snapshot(),
-                solver_base: Vec::new(),
+                solver: Recorder::counters_only(),
             }),
         };
-        StreamObs {
-            full: matches!(cfg.metrics, MetricsMode::Full),
-            solver: window.is_some().then(Recorder::counters_only),
-            window,
-        }
+        StreamObs { window }
     }
 
-    /// Observe one finished request: its `stream.request` event (full mode
-    /// only, and only built when the sink keeps events), then the window
-    /// boundary check.
+    /// Observe one finished request: its `stream.request` event in full mode
+    /// (only built when the sink keeps events), the window boundary check in
+    /// windowed mode.
     fn finish_request(&mut self, rec: &mut Recorder, admission: &Admission<'_>, r: &RequestRecord) {
-        if self.full {
+        let Some(w) = &self.window else {
             rec.emit_with(|| {
                 let e =
                     stream_request_event(r.id, admission.residual()).with("admitted", r.admitted);
@@ -337,8 +330,8 @@ impl StreamObs {
                     e.with("reason", "no_primary_placement")
                 }
             });
-        }
-        let Some(w) = &self.window else { return };
+            return;
+        };
         let due = match w.interval {
             MetricsInterval::Requests(n) => {
                 admission.metrics().counter(pipeline_metrics::C_REQUESTS) - w.base_requests >= n
@@ -354,10 +347,15 @@ impl StreamObs {
 
     /// Cut the current window and emit its `stream.window` summary.
     fn emit_window(&mut self, rec: &mut Recorder, metrics: &MetricSet, final_window: bool) {
-        if let Some(solver) = self.solver.as_mut() {
-            rec.absorb(std::mem::replace(solver, Recorder::counters_only()));
-        }
         let Some(w) = self.window.as_mut() else { return };
+        let solver = std::mem::replace(&mut w.solver, Recorder::counters_only());
+        let solver_delta: Vec<(String, serde::Value)> = solver
+            .summary()
+            .counters
+            .into_iter()
+            .map(|(name, v)| (name, serde::Value::U64(v)))
+            .collect();
+        rec.absorb(solver);
         let snap = metrics.snapshot();
         let d = snap.diff(&w.base);
         let requests = d.counter("requests");
@@ -366,15 +364,6 @@ impl StreamObs {
             w.window_started = Instant::now();
             return;
         }
-        let solver_now = rec.summary().counters;
-        let solver_delta: Vec<(String, serde::Value)> = solver_now
-            .iter()
-            .map(|(name, v)| {
-                let prev =
-                    w.solver_base.iter().find(|(n, _)| n == name).map(|(_, p)| *p).unwrap_or(0);
-                (name.clone(), serde::Value::U64(v.saturating_sub(prev)))
-            })
-            .collect();
         let elapsed_s = w.window_started.elapsed().as_secs_f64();
         let q_us =
             |hist: &str, q: f64| d.hist(hist).and_then(|h| h.quantile(q)).unwrap_or(0) / 1_000;
@@ -404,7 +393,6 @@ impl StreamObs {
         });
         w.base_requests = snap.counter("requests");
         w.base = snap;
-        w.solver_base = solver_now;
         w.window_started = Instant::now();
         w.index += 1;
     }
@@ -639,7 +627,7 @@ pub struct Placed<'a> {
     pub primaries: &'a [NodeId],
     pub instance: &'a AugmentationInstance,
     /// The solution: per function, `(bin, count)` rows.
-    pub solution: &'a SolutionScratch,
+    pub solution: &'a Augmentation,
     /// One `(node, MHz)` entry per node the secondaries debited: its load,
     /// or after a clamped debit what the node actually paid.
     pub debits: &'a [(NodeId, f64)],
@@ -851,14 +839,14 @@ impl<'n> Admission<'n> {
         }
         self.max_residual.refresh(self.cloudlets.values());
         self.check_gate();
-        let reliability = rel_from_counts(inst, sol.counts());
+        let reliability = sol.reliability(inst);
         RequestRecord {
             id,
             admitted: true,
             base_reliability: inst.base_reliability(),
             achieved_reliability: reliability,
             met_expectation: reliability >= inst.expectation,
-            secondaries: sol.counts().iter().sum(),
+            secondaries: sol.total_secondaries(),
         }
     }
 
@@ -907,14 +895,14 @@ fn apply_deployed_updates(
     req: &SfcRequest,
     locations: &[NodeId],
     inst: &AugmentationInstance,
-    sol: &SolutionScratch,
+    sol: &Augmentation,
 ) {
     for (f, &loc) in req.sfc.iter().zip(locations) {
         *deployed.entry((f.index(), loc.index())).or_insert(0) += 1;
     }
     for func in 0..inst.chain_len() {
         let type_idx = req.sfc[func].index();
-        for &(bin_idx, count) in sol.row(func) {
+        for &(bin_idx, count) in sol.placements_of(func) {
             *deployed.entry((type_idx, inst.bins[bin_idx].node.index())).or_insert(0) += count;
         }
     }
@@ -987,8 +975,8 @@ pub fn process_stream_seeded_sink(
     for (k, req) in requests.into_iter().enumerate() {
         // Full mode traces solver events straight into `rec`; windowed mode
         // keeps solver counters only, in the stream's own recorder.
-        let solver_rec = match obs.solver.as_mut() {
-            Some(solver) if rec.enabled() => solver,
+        let solver_rec = match obs.window.as_mut() {
+            Some(w) if rec.enabled() => &mut w.solver,
             _ => &mut *rec,
         };
         let record = admission.admit(seed, k, &req, solver_rec);
@@ -1228,6 +1216,44 @@ mod tests {
             (solve_s - solve_ns.sum() as f64 / 1e9).abs() < 1e-9,
             "window solve time {solve_s}"
         );
+    }
+
+    #[test]
+    fn window_solver_counters_are_the_streams_own() {
+        // Heuristic then Greedy, windowed into one recorder: every window's
+        // `solver` object holds its own stream's counters only.
+        let (net, cat) = setup();
+        let reqs = make_requests(60, &cat, net.num_nodes(), 22);
+        let mut rec = Recorder::memory();
+        let mut per_stream: Vec<Vec<(String, serde::Value)>> = Vec::new();
+        for algorithm in
+            [Algorithm::Heuristic(Default::default()), Algorithm::Greedy(Default::default())]
+        {
+            let metrics = MetricsMode::Windowed(MetricsInterval::Requests(20));
+            let first = rec.events().len();
+            let cfg = StreamConfig { algorithm, metrics, ..Default::default() };
+            process_stream_seeded(&net, &cat, &reqs, &cfg, 23, &mut rec);
+            per_stream.push(
+                rec.events()[first..]
+                    .iter()
+                    .flat_map(|e| match e.field("solver") {
+                        Some(serde::Value::Obj(fields)) => fields.clone(),
+                        _ => panic!("window without a solver object: {e:?}"),
+                    })
+                    .collect(),
+            );
+        }
+        let sum = |stream: usize, key: &str| -> u64 {
+            per_stream[stream]
+                .iter()
+                .filter(|(k, _)| k == key)
+                .map(|(_, v)| v.as_u64().unwrap())
+                .sum()
+        };
+        assert!(rec.counter("heuristic.rounds") > 0 && rec.counter("greedy.steps") > 0);
+        assert_eq!(sum(0, "heuristic.rounds"), rec.counter("heuristic.rounds"));
+        assert_eq!(sum(1, "greedy.steps"), rec.counter("greedy.steps"));
+        assert!(per_stream[1].iter().all(|(k, _)| !k.starts_with("heuristic.")), "{per_stream:?}");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A one-round solution is what one unit matching round commits: every bin
 //! holds at most one secondary, of one function, and each function's entries
-//! arrive in row order. `SolutionScratch::commit_one_round_trimmed` must
-//! leave exactly what adding the same placements one by one and calling
-//! `SolutionScratch::trim_to_expectation` leaves: the same rows (entry order
+//! arrive in row order. `Augmentation::commit_one_round_trimmed` must leave
+//! exactly what adding the same placements one by one and calling
+//! `Augmentation::trim_to_expectation` leaves: the same rows (entry order
 //! included), the same counts and the same removed count. Residuals are drawn
 //! from two or three values, so that load/residual ties inside a function —
 //! where only the `swap_remove` order decides which bin goes — are the common
@@ -20,8 +20,8 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use relaug::instance::{Bin, FunctionSlot};
 use relaug::reliability::LadderTables;
-use relaug::scratch::SolutionScratch;
-use relaug::AugmentationInstance;
+use relaug::solution::rel_from_counts;
+use relaug::{Augmentation, AugmentationInstance};
 
 /// A random one-round solution: the instance and its placements `(func,
 /// bin)`, grouped by function.
@@ -53,10 +53,9 @@ fn one_round(seed: u64) -> (AugmentationInstance, Vec<(usize, usize)>) {
         });
     }
     let mut inst = AugmentationInstance { functions, bins, l: 1, expectation: 0.0 };
-    let mut full = SolutionScratch::default();
-    full.begin(chain);
+    let mut full = Augmentation::empty(chain);
     for &(i, b) in &placements {
-        full.add(i, b);
+        full.add(i, b, 1);
     }
     inst.expectation = if rng.gen_bool(0.5) {
         full.reliability(&inst) * rng.gen_range(0.9..=1.0)
@@ -64,7 +63,7 @@ fn one_round(seed: u64) -> (AugmentationInstance, Vec<(usize, usize)>) {
         // Exactly the reliability of a smaller solution, so that a removal
         // landing on the expectation (`new_rel == ρ_j`) is common too.
         let counts: Vec<usize> = full.counts().iter().map(|&m| rng.gen_range(0..=m)).collect();
-        relaug::scratch::rel_from_counts(&inst, &counts)
+        rel_from_counts(&inst, &counts)
     };
     (inst, placements)
 }
@@ -76,16 +75,15 @@ proptest! {
     fn count_first_trim_equals_the_reference_trim(seeds in proptest::collection::vec(any::<u64>(), 1..=4)) {
         // One warm scratch and one table set across the cases, as in a
         // stream; the reference starts fresh every time.
-        let mut fast = SolutionScratch::default();
+        let mut fast = Augmentation::default();
         let mut tables = LadderTables::default();
         let mut table_of = Vec::new();
         for &seed in &seeds {
             let (inst, placements) = one_round(seed);
             let chain = inst.chain_len();
-            let mut reference = SolutionScratch::default();
-            reference.begin(chain);
+            let mut reference = Augmentation::empty(chain);
             for &(i, b) in &placements {
-                reference.add(i, b);
+                reference.add(i, b, 1);
             }
             let want = reference.trim_to_expectation(&inst);
 
@@ -99,7 +97,7 @@ proptest! {
             );
             prop_assert_eq!(got, want, "removed count, seed {}", seed);
             prop_assert_eq!(fast.counts(), reference.counts(), "counts, seed {}", seed);
-            prop_assert_eq!(fast.materialize(), reference.materialize(), "rows, seed {}", seed);
+            prop_assert_eq!(&fast, &reference, "rows, seed {}", seed);
         }
     }
 }

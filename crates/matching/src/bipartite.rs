@@ -8,7 +8,7 @@ use crate::mcmf::{EdgeId, McmfGraph};
 
 /// A matching between `left` nodes (cloudlets in the paper) and `right` nodes
 /// (candidate secondary VNF instances).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matching {
     /// Matched pairs `(left, right)`, sorted by left index.
     pub pairs: Vec<(usize, usize)>,

@@ -299,7 +299,9 @@ struct Engine<'a> {
     /// Stream 3: the re-augmentations' solver randomness.
     repair_rng: StdRng,
     clock_master: u64,
-    /// `true` (default mode): emit every `sim.*` event through `rec`.
+    /// `true` (default mode): emit every `sim.*` event through `rec` and
+    /// trace the solves into it. In windowed mode the solves get a no-op
+    /// recorder: `sim.window` carries no solver counters.
     full_events: bool,
     window: Option<SimWindow>,
     flight: Option<FlightRecorder>,
@@ -549,8 +551,9 @@ impl<'a> Engine<'a> {
             req.sfc.iter().map(|&f| self.catalog.reliability(f)).collect();
         let chain_len = req.len();
         self.counts.arrivals += 1;
-        let (admission, seed) = (&mut self.admission, self.admit_seed);
-        let record = with_solver_rec(self.full_events, rec, |r| admission.admit(seed, id, &req, r));
+        let mut noop = Recorder::noop();
+        let solver_rec = if self.full_events { &mut *rec } else { &mut noop };
+        let record = self.admission.admit(self.admit_seed, id, &req, solver_rec);
         // A rejected request keeps no per-position state.
         let positions = if record.admitted { chain_len } else { 0 };
         self.requests.push(ActiveRequest {
@@ -752,10 +755,15 @@ impl<'a> Engine<'a> {
     fn reaugment(&mut self, t: f64, request: usize, trigger: &'static str, rec: &mut Recorder) {
         let r = &self.requests[request];
         let existing: Vec<usize> = r.live.iter().map(|&n| n.saturating_sub(1)).collect();
-        let (admission, rng) = (&mut self.admission, &mut self.repair_rng);
-        let record = with_solver_rec(self.full_events, rec, |solver_rec| {
-            admission.augment(&r.req, &r.placement, &existing, rng, solver_rec)
-        });
+        let mut noop = Recorder::noop();
+        let solver_rec = if self.full_events { &mut *rec } else { &mut noop };
+        let record = self.admission.augment(
+            &r.req,
+            &r.placement,
+            &existing,
+            &mut self.repair_rng,
+            solver_rec,
+        );
         let placed = record.secondaries;
         for (func, node, took) in new_secondaries(self.admission.placed()) {
             self.spawn_instance(t, request, func, node, took);
@@ -846,20 +854,6 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Run `step` with the recorder a solve traces into: `rec` itself in full
-/// mode (the byte-identity path); in windowed mode a counters-only recorder
-/// whose aggregates are merged into `rec` after the solve, so the trace
-/// stays bounded.
-fn with_solver_rec<T>(full: bool, rec: &mut Recorder, step: impl FnOnce(&mut Recorder) -> T) -> T {
-    if full {
-        return step(rec);
-    }
-    let mut solver_rec = Recorder::counters_only();
-    let out = step(&mut solver_rec);
-    rec.absorb(solver_rec);
-    out
-}
-
 /// The secondaries the last admit or augment placed, in spawn order (chain
 /// position, then solution row), each with the MHz it took: its demand, or,
 /// after a clamped debit, its share of what its node paid, each instance at
@@ -868,7 +862,7 @@ fn new_secondaries(placed: Placed<'_>) -> Vec<(usize, NodeId, f64)> {
     let mut left = if placed.clamped { placed.debits.to_vec() } else { Vec::new() };
     let mut out = Vec::new();
     for (func, f) in placed.instance.functions.iter().enumerate() {
-        for &(bin, count) in placed.solution.row(func) {
+        for &(bin, count) in placed.solution.placements_of(func) {
             let node = placed.instance.bins[bin].node;
             for _ in 0..count {
                 let took = match left.iter_mut().find(|(v, _)| *v == node) {
