@@ -1,5 +1,5 @@
-//! Allocation audit of the heuristic steady-state solve path and of the
-//! stream engine around it.
+//! Allocation audit of the heuristic steady-state solve path, of the
+//! stream engine around it, and of the engine's exact (ILP) path.
 //!
 //! Pins the zero-alloc contract of [`relaug::scratch::SolveScratch`]: after a
 //! warm-up pass grows every scratch buffer to its high-water mark, running
@@ -16,7 +16,11 @@
 //! recorder and counts the allocations between consecutive records after
 //! the first 200 requests. The requests are generated up front and handed
 //! over by value, so no clone allocates. Every counted rejected request
-//! must allocate nothing, and so must the median admitted request.
+//! must allocate nothing, and so must the median admitted request. The ILP
+//! section runs the same 3,000-request ba-1k stream under
+//! `Algorithm::Ilp(IlpConfig::default())` with the same gate: every
+//! component's sub-instance, aggregated model, greedy warm start and
+//! branch-and-bound search reuse the stream's scratch.
 //!
 //! Not a criterion bench on purpose: a counting global allocator would also
 //! count criterion's own bookkeeping, so this is a plain `harness = false`
@@ -32,9 +36,10 @@ use obs::Recorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relaug::heuristic::{self, HeuristicConfig};
+use relaug::ilp::IlpConfig;
 use relaug::instance::AugmentationInstance;
 use relaug::solution::SolverInfo;
-use relaug::stream::{process_stream_seeded_sink, StreamConfig};
+use relaug::stream::{process_stream_seeded_sink, Algorithm, StreamConfig};
 use relaug::SolveScratch;
 use scen::{RequestStream, ScenarioSpec};
 
@@ -130,14 +135,15 @@ fn main() {
         );
     }
     for preset in ["sagin-1k", "ba-1k"] {
-        failed |= !engine_gate(preset);
+        failed |= !engine_gate(preset, "engine", Algorithm::default());
     }
+    failed |= !engine_gate("ba-1k", "ilp", Algorithm::Ilp(IlpConfig::default()));
     if failed {
         std::process::exit(1);
     }
     println!(
         "solve_alloc: OK — zero allocations per warm solve, per rejected request and per \
-         admitted request (median)"
+         admitted request (median), heuristic and ILP"
     );
 }
 
@@ -150,12 +156,12 @@ fn mean_median(counts: &mut [u64]) -> (f64, u64) {
     (counts.iter().sum::<u64>() as f64 / counts.len() as f64, counts[counts.len() / 2])
 }
 
-/// Run the engine over a preset stream and gate its allocations per
-/// request. Returns whether the gate holds.
-fn engine_gate(preset: &str) -> bool {
+/// Run the engine with `algorithm` over a preset stream and gate its
+/// allocations per request. Returns whether the gate holds.
+fn engine_gate(preset: &str, label: &str, algorithm: Algorithm) -> bool {
     let built = ScenarioSpec::preset(preset).expect("known preset").build();
     let requests: Vec<SfcRequest> = RequestStream::new(&built, ENGINE_REQUESTS).collect();
-    let cfg = StreamConfig::default();
+    let cfg = StreamConfig { algorithm, ..StreamConfig::default() };
     let mut admitted: Vec<u64> = Vec::with_capacity(requests.len());
     let mut rejected: Vec<u64> = Vec::with_capacity(requests.len());
     let mut seen = 0usize;
@@ -185,14 +191,14 @@ fn engine_gate(preset: &str) -> bool {
     let (admit_mean, admit_median) = mean_median(&mut admitted);
     let (reject_mean, _) = mean_median(&mut rejected);
     println!(
-        "solve_alloc[engine {preset}]: {admitted_n} admitted, allocs/request mean \
+        "solve_alloc[{label} {preset}]: {admitted_n} admitted, allocs/request mean \
          {admit_mean:.2} median {admit_median}; {rejected_n} rejected, mean {reject_mean:.2} \
          max {reject_max}"
     );
     let ok = reject_max == 0 && admit_median == 0;
     if !ok {
         eprintln!(
-            "solve_alloc[engine {preset}]: FAIL — neither a rejected request nor the median \
+            "solve_alloc[{label} {preset}]: FAIL — neither a rejected request nor the median \
              admitted request may allocate"
         );
     }

@@ -16,7 +16,7 @@ fn random_lp(vars: usize, rows: usize, seed: u64) -> Model {
     let xs: Vec<_> =
         (0..vars).map(|_| m.add_var(0.0, f64::INFINITY, rng.gen_range(0.1..5.0))).collect();
     for _ in 0..rows {
-        let terms = xs.iter().map(|&v| (v, rng.gen_range(0.1..3.0))).collect();
+        let terms: Vec<_> = xs.iter().map(|&v| (v, rng.gen_range(0.1..3.0))).collect();
         m.add_constraint(terms, Relation::Le, rng.gen_range(5.0..40.0));
     }
     m
@@ -28,7 +28,7 @@ fn random_milp(vars: usize, seed: u64) -> Model {
     let mut m = Model::new(Sense::Maximize);
     let xs: Vec<_> = (0..vars).map(|_| m.add_binary_var(rng.gen_range(1.0..10.0))).collect();
     for _ in 0..3 {
-        let terms = xs.iter().map(|&v| (v, rng.gen_range(1.0..5.0))).collect();
+        let terms: Vec<_> = xs.iter().map(|&v| (v, rng.gen_range(1.0..5.0))).collect();
         m.add_constraint(terms, Relation::Le, vars as f64);
     }
     m

@@ -12,7 +12,7 @@ use obs::Recorder;
 use crate::instance::AugmentationInstance;
 use crate::reliability;
 use crate::scratch::SolveScratch;
-use crate::solution::{Outcome, SolverInfo};
+use crate::solution::{Augmentation, Outcome, SolverInfo};
 
 /// How the next placement is scored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,10 +53,23 @@ pub fn solve_in(
     scratch: &mut SolveScratch,
 ) -> SolverInfo {
     let SolveScratch { sol, heur, .. } = scratch;
+    SolverInfo::Greedy { steps: fill(inst, cfg, rec, sol, &mut heur.residual) }
+}
+
+/// The greedy loop of [`solve_in`] into `sol`, with `residual` as its
+/// per-bin working copy; returns the committed steps. The exact solver's
+/// warm start runs it into a buffer of its own, since `scratch.sol` holds
+/// the exact solution under construction.
+pub(crate) fn fill(
+    inst: &AugmentationInstance,
+    cfg: &GreedyConfig,
+    rec: &mut Recorder,
+    sol: &mut Augmentation,
+    residual: &mut Vec<f64>,
+) -> usize {
     sol.begin(inst.chain_len());
     let mut steps = 0usize;
     if !inst.expectation_met_by_primaries() {
-        let residual = &mut heur.residual;
         residual.clear();
         residual.extend(inst.bins.iter().map(|b| b.residual));
         loop {
@@ -103,7 +116,7 @@ pub fn solve_in(
             });
         }
     }
-    SolverInfo::Greedy { steps }
+    steps
 }
 
 #[cfg(test)]

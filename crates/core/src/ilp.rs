@@ -8,7 +8,7 @@
 //!   with per-item exclusivity (constraint 8) and per-cloudlet capacity
 //!   (constraints 9/11). This is the model whose **LP relaxation** Algorithm 1
 //!   rounds, so it is kept verbatim.
-//! * [`build_aggregated`] — an exact reformulation used for the *integer*
+//! * [`AggModel::rebuild`] — an exact reformulation used for the *integer*
 //!   solve: integer counts `n_{i,u}` (secondaries of `f_i` on `u`) plus a
 //!   continuous "slot ladder" `z_{i,k} ∈ [0,1]` carrying the marginal
 //!   log-gains, linked by `Σ_k z_{i,k} = Σ_u n_{i,u}`. Because gains strictly
@@ -24,11 +24,12 @@
 
 use std::time::Instant;
 
-use milp::{BnbConfig, BnbStats, Model, Relation, Sense, SolverError, VarId};
+use milp::{BnbConfig, BnbStats, MilpSolution, Model, Relation, Sense, SolverError, VarId};
 use obs::Recorder;
 
-use crate::instance::{AugmentationInstance, Item};
-use crate::reliability;
+use crate::greedy::{self, GreedyConfig};
+use crate::instance::{AugmentationInstance, FunctionSlot, Item};
+use crate::reliability::{self, LadderTables};
 use crate::scratch::SolveScratch;
 use crate::solution::{Augmentation, Outcome, SolverInfo};
 
@@ -38,9 +39,9 @@ pub struct IlpConfig {
     /// Items whose marginal log-gain falls below this are not enumerated
     /// (lossless beyond this precision; `0.0` disables capping).
     pub gain_floor: f64,
-    /// Branch-and-bound limits. Its `warm_start` is overwritten internally:
-    /// the search is always seeded with the greedy solution (cheap, prunes
-    /// most of the tree).
+    /// Branch-and-bound limits. Every component's search is seeded with the
+    /// greedy solution (cheap, prunes most of the tree) and branches first
+    /// on the count variables that move the most capacity.
     pub bnb: BnbConfig,
     /// After solving, trim surplus secondaries so the solution augments
     /// *until the expectation is reached* (Section 4.2's budget semantics)
@@ -72,21 +73,21 @@ pub fn build_model(inst: &AugmentationInstance, gain_floor: f64) -> IlpModel {
     let mut vars = Vec::new();
     for (idx, item) in items.iter().enumerate() {
         let f = &inst.functions[item.func];
-        let row: Vec<VarId> = f
-            .eligible_bins
-            .iter()
-            .map(|&b| {
-                // Upper bound left open: the per-item row enforces x <= 1, and
-                // omitting explicit bounds keeps upper-bound rows out of the
-                // simplex standard form.
-                let v = model.add_integer_var(0.0, f64::INFINITY, item.gain);
-                vars.push((idx, b, v));
-                v
-            })
-            .collect();
-        if !row.is_empty() {
+        let first = vars.len();
+        for &b in &f.eligible_bins {
+            // Upper bound left open: the per-item row enforces x <= 1, and
+            // omitting explicit bounds keeps upper-bound rows out of the
+            // simplex standard form.
+            let v = model.add_integer_var(0.0, f64::INFINITY, item.gain);
+            vars.push((idx, b, v));
+        }
+        if vars.len() > first {
             // Constraint (8): each item placed at most once.
-            model.add_constraint(row.iter().map(|&v| (v, 1.0)).collect(), Relation::Le, 1.0);
+            model.add_constraint(
+                vars[first..].iter().map(|&(_, _, v)| (v, 1.0)),
+                Relation::Le,
+                1.0,
+            );
         }
     }
     // Constraints (9)/(11): capacity per bin.
@@ -103,6 +104,7 @@ pub fn build_model(inst: &AugmentationInstance, gain_floor: f64) -> IlpModel {
 }
 
 /// The aggregated exact formulation.
+#[derive(Debug, Clone)]
 pub struct AggModel {
     pub model: Model,
     /// `(func, bin index, variable)` for the integer count variables.
@@ -112,90 +114,128 @@ pub struct AggModel {
     pub g_vars: Vec<(usize, VarId)>,
     /// Per-function slot cap after gain-floor truncation.
     pub slot_cap: Vec<usize>,
+    /// Buffers of [`AggModel::rebuild`]: each function's table id, and one
+    /// function's count variables, gains `g_i(k)` and prefix sums.
+    table_of: Vec<usize>,
+    ns: Vec<VarId>,
+    gains: Vec<f64>,
+    prefix: Vec<f64>,
 }
 
-/// Build the aggregated model (see module docs).
-///
-/// The concave prefix-gain curve `S_i(m) = Σ_{k<=m} g_i(k)` is encoded with
-/// tangent cuts on a per-function gain variable `G_i`:
-/// `G_i <= S_i(k-1) + g_i(k)·(T_i - (k-1))` for every slot `k`, where
-/// `T_i = Σ_u n_{i,u}`. Gains decrease in `k`, so at any integer `T_i = m`
-/// the binding cut yields exactly `G_i = S_i(m)` — the model is exact at
-/// integral points and its LP relaxation is the concave envelope (the same
-/// bound as the paper's disaggregated relaxation). All rows are `<=` with
-/// non-negative right-hand sides, so the simplex never needs a phase-1.
-pub fn build_aggregated(inst: &AugmentationInstance, gain_floor: f64) -> AggModel {
-    let mut model = Model::new(Sense::Maximize);
-    let mut n_vars = Vec::new();
-    let mut g_vars = Vec::new();
-    let mut slot_cap = Vec::with_capacity(inst.functions.len());
-    for (i, f) in inst.functions.iter().enumerate() {
-        let cap = f.capped_slots(gain_floor);
-        slot_cap.push(cap);
-        if cap == 0 {
-            continue;
-        }
-        let ns: Vec<VarId> = f
-            .eligible_bins
-            .iter()
-            .filter_map(|&b| {
-                let per_bin = (inst.bins[b].residual / f.demand).floor() as usize;
-                let ub = per_bin.min(cap);
-                (ub > 0).then(|| {
-                    let v = model.add_integer_var(0.0, ub as f64, 0.0);
-                    n_vars.push((i, b, v));
-                    v
-                })
-            })
-            .collect();
-        if ns.is_empty() {
-            continue;
-        }
-        // Prefix gain sums S_i(0..=cap).
-        let mut prefix = Vec::with_capacity(cap + 1);
-        prefix.push(0.0f64);
-        for k in 1..=cap {
-            prefix
-                .push(prefix[k - 1] + reliability::log_gain(f.reliability, f.existing_backups + k));
-        }
-        let g = model.add_var(0.0, prefix[cap], 1.0);
-        g_vars.push((i, g));
-        // Tangent cuts: G - g_i(k)·T <= S_i(k-1) - g_i(k)·(k-1). The k = 1 cut
-        // has rhs 0; all rhs are >= 0 by concavity.
-        for k in 1..=cap {
-            let gain_k = reliability::log_gain(f.reliability, f.existing_backups + k);
-            let mut terms: Vec<(VarId, f64)> = vec![(g, 1.0)];
-            terms.extend(ns.iter().map(|&v| (v, -gain_k)));
-            let rhs = prefix[k - 1] - gain_k * (k as f64 - 1.0);
-            debug_assert!(rhs >= -1e-12);
-            model.add_constraint(terms, Relation::Le, rhs.max(0.0));
-        }
-        // Do not pack more instances than enumerated slots (junk placements
-        // would waste capacity without gain).
-        model.add_constraint(ns.iter().map(|&v| (v, 1.0)).collect(), Relation::Le, cap as f64);
-    }
-    // Capacity per bin.
-    let mut per_bin: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); inst.bins.len()];
-    for &(i, b, v) in &n_vars {
-        per_bin[b].push((v, inst.functions[i].demand));
-    }
-    for (b, terms) in per_bin.into_iter().enumerate() {
-        if !terms.is_empty() {
-            model.add_constraint(terms, Relation::Le, inst.bins[b].residual);
+impl Default for AggModel {
+    fn default() -> Self {
+        AggModel {
+            model: Model::new(Sense::Maximize),
+            n_vars: Vec::new(),
+            g_vars: Vec::new(),
+            slot_cap: Vec::new(),
+            table_of: Vec::new(),
+            ns: Vec::new(),
+            gains: Vec::new(),
+            prefix: Vec::new(),
         }
     }
-    AggModel { model, n_vars, g_vars, slot_cap }
 }
 
 impl AggModel {
-    /// Map an augmentation into a feasible point of this model (used for
-    /// branch-and-bound warm starts).
+    /// Refill the aggregated model of `inst` in place.
+    ///
+    /// The concave prefix-gain curve `S_i(m) = Σ_{k<=m} g_i(k)` is encoded
+    /// with tangent cuts on a per-function gain variable `G_i`:
+    /// `G_i <= S_i(k-1) + g_i(k)·(T_i - (k-1))` for every slot `k`, where
+    /// `T_i = Σ_u n_{i,u}`. Gains decrease in `k`, so at any integer
+    /// `T_i = m` the binding cut yields exactly `G_i = S_i(m)` — the model is
+    /// exact at integral points and its LP relaxation is the concave
+    /// envelope (the same bound as the paper's disaggregated relaxation).
+    /// All rows are `<=` with non-negative right-hand sides, so the simplex
+    /// never needs a phase-1. The gains come from `tables`, whose rungs give
+    /// [`reliability::log_gain`] bit for bit.
+    pub fn rebuild(
+        &mut self,
+        inst: &AugmentationInstance,
+        gain_floor: f64,
+        tables: &mut LadderTables,
+    ) {
+        self.model.clear();
+        self.n_vars.clear();
+        self.g_vars.clear();
+        self.slot_cap.clear();
+        tables.resolve(inst.functions.iter().map(|f| f.reliability), &mut self.table_of);
+        for (i, f) in inst.functions.iter().enumerate() {
+            let cap = f.capped_slots(gain_floor);
+            self.slot_cap.push(cap);
+            if cap == 0 {
+                continue;
+            }
+            self.ns.clear();
+            for &b in &f.eligible_bins {
+                let per_bin = (inst.bins[b].residual / f.demand).floor() as usize;
+                let ub = per_bin.min(cap);
+                if ub > 0 {
+                    let v = self.model.add_integer_var(0.0, ub as f64, 0.0);
+                    self.n_vars.push((i, b, v));
+                    self.ns.push(v);
+                }
+            }
+            if self.ns.is_empty() {
+                continue;
+            }
+            // Gains g_i(1..=cap) and prefix gain sums S_i(0..=cap).
+            let (id, e) = (self.table_of[i], f.existing_backups);
+            self.gains.clear();
+            self.prefix.clear();
+            self.prefix.push(0.0f64);
+            let mut ln_below = tables.rung(id, e).ln_rel;
+            for k in 1..=cap {
+                let ln_at = tables.rung(id, e + k).ln_rel;
+                let gain_k = ln_at - ln_below;
+                ln_below = ln_at;
+                self.gains.push(gain_k);
+                self.prefix.push(self.prefix[k - 1] + gain_k);
+            }
+            let g = self.model.add_var(0.0, self.prefix[cap], 1.0);
+            self.g_vars.push((i, g));
+            // Tangent cuts: G - g_i(k)·T <= S_i(k-1) - g_i(k)·(k-1). The k = 1
+            // cut has rhs 0; all rhs are >= 0 by concavity.
+            for k in 1..=cap {
+                let gain_k = self.gains[k - 1];
+                let terms = self.ns.iter().map(|&v| (v, -gain_k));
+                let rhs = self.prefix[k - 1] - gain_k * (k as f64 - 1.0);
+                debug_assert!(rhs >= -1e-12);
+                self.model.add_constraint(
+                    std::iter::once((g, 1.0)).chain(terms),
+                    Relation::Le,
+                    rhs.max(0.0),
+                );
+            }
+            // Do not pack more instances than enumerated slots (junk
+            // placements would waste capacity without gain).
+            self.model.add_constraint(self.ns.iter().map(|&v| (v, 1.0)), Relation::Le, cap as f64);
+        }
+        // Capacity per bin, its count variables in order.
+        for (b, bin) in inst.bins.iter().enumerate() {
+            let mut terms = self
+                .n_vars
+                .iter()
+                .filter(|&&(_, nb, _)| nb == b)
+                .map(|&(i, _, v)| (v, inst.functions[i].demand))
+                .peekable();
+            if terms.peek().is_some() {
+                self.model.add_constraint(terms, Relation::Le, bin.residual);
+            }
+        }
+    }
+
+    /// Map an augmentation into a feasible point of this model, into `x`
+    /// (used for branch-and-bound warm starts).
     pub fn point_from_augmentation(
         &self,
         inst: &AugmentationInstance,
         aug: &Augmentation,
-    ) -> Vec<f64> {
-        let mut x = vec![0.0; self.model.num_vars()];
+        x: &mut Vec<f64>,
+    ) {
+        x.clear();
+        x.resize(self.model.num_vars(), 0.0);
         for &(i, b, v) in &self.n_vars {
             if let Some(&(_, c)) = aug.placements_of(i).iter().find(|&&(bin, _)| bin == b) {
                 // Clamp into the variable's bound (the warm solution may have
@@ -204,101 +244,189 @@ impl AggModel {
                 x[v.index()] = (c as f64).min(ub);
             }
         }
-        // Recompute per-function totals actually representable, then set each
-        // G_i to the prefix-gain value at that total (feasible under every
-        // tangent cut by concavity).
-        let mut totals = vec![0usize; inst.functions.len()];
-        for &(i, _, v) in &self.n_vars {
-            totals[i] += x[v.index()] as usize;
-        }
-        for &(i, v) in &self.g_vars {
-            let m = totals[i].min(self.slot_cap[i]);
+        // Per-function totals actually representable; each G_i is the
+        // prefix-gain value at that total (feasible under every tangent cut
+        // by concavity).
+        for &(i, g) in &self.g_vars {
+            let total: usize = self
+                .n_vars
+                .iter()
+                .filter(|&&(f, _, _)| f == i)
+                .map(|&(_, _, v)| x[v.index()] as usize)
+                .sum();
+            let m = total.min(self.slot_cap[i]);
             let r = inst.functions[i].reliability;
             let e = inst.functions[i].existing_backups;
-            let s: f64 = (1..=m).map(|k| crate::reliability::log_gain(r, e + k)).sum();
-            x[v.index()] = s;
+            let s: f64 = (1..=m).map(|k| reliability::log_gain(r, e + k)).sum();
+            x[g.index()] = s;
         }
-        x
     }
 
-    /// Convert a solved point into an augmentation.
-    pub fn extract(&self, inst: &AugmentationInstance, x: &[f64]) -> Augmentation {
-        let mut aug = Augmentation::empty(inst.chain_len());
-        for &(i, b, v) in &self.n_vars {
-            let c = x[v.index()].round() as usize;
-            aug.add(i, b, c);
-        }
-        aug
+    /// The placements of a solved point: `(func, bin, count)` per count
+    /// variable, in variable order (zero counts included).
+    pub fn extract<'a>(&'a self, x: &'a [f64]) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+        self.n_vars.iter().map(|&(i, b, v)| (i, b, x[v.index()].round() as usize))
     }
 }
 
-/// Partition the instance into independent components: two functions are
-/// coupled iff their eligible bin sets intersect (directly or transitively).
-/// Under the paper's `l = 1` locality the coupling graph is typically a
-/// scatter of small clusters, and solving them separately turns the
-/// branch-and-bound tree from a *product* of component trees into a *sum* —
-/// often orders of magnitude fewer nodes.
-fn decompose(inst: &AugmentationInstance) -> Vec<(Vec<usize>, Vec<usize>)> {
-    // Union-find over bins.
-    let mut parent: Vec<usize> = (0..inst.bins.len()).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let root = find(parent, parent[x]);
-            parent[x] = root;
+/// Marks a bin not yet assigned to a component.
+const NONE: usize = usize::MAX;
+
+/// The independent components of an instance in CSR form: component `c`
+/// has the bins `bins[bin_start[c]..bin_start[c + 1]]` and the functions
+/// `funcs[func_start[c]..func_start[c + 1]]`, both ascending, and
+/// components are numbered by their lowest bin.
+#[derive(Debug, Clone, Default)]
+struct Components {
+    /// Union-find parent per bin.
+    parent: Vec<usize>,
+    /// Component of each union-find root, and of each bin.
+    comp_of_root: Vec<usize>,
+    comp: Vec<usize>,
+    bin_start: Vec<usize>,
+    bins: Vec<usize>,
+    func_start: Vec<usize>,
+    funcs: Vec<usize>,
+    cursor: Vec<usize>,
+}
+
+impl Components {
+    fn find(&mut self, x: usize) -> usize {
+        let mut root = x;
+        while self.parent[root] != root {
+            root = self.parent[root];
         }
-        parent[x]
+        let mut at = x;
+        while self.parent[at] != root {
+            at = std::mem::replace(&mut self.parent[at], root);
+        }
+        root
     }
-    for f in &inst.functions {
-        if let Some((&first, rest)) = f.eligible_bins.split_first() {
-            let r0 = find(&mut parent, first);
-            for &b in rest {
-                let rb = find(&mut parent, b);
-                parent[rb] = r0;
+
+    /// Partition `inst`: two functions are coupled iff their eligible bin
+    /// sets intersect (directly or transitively). Returns the number of
+    /// components, function-less ones included (see [`Self::get`]).
+    fn split(&mut self, inst: &AugmentationInstance) -> usize {
+        let nbins = inst.bins.len();
+        self.parent.clear();
+        self.parent.extend(0..nbins);
+        for f in &inst.functions {
+            if let Some((&first, rest)) = f.eligible_bins.split_first() {
+                let r0 = self.find(first);
+                for &b in rest {
+                    let rb = self.find(b);
+                    self.parent[rb] = r0;
+                }
             }
         }
-    }
-    let mut comp_of_root = std::collections::HashMap::new();
-    let mut comps: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-    for b in 0..inst.bins.len() {
-        let root = find(&mut parent, b);
-        let idx = *comp_of_root.entry(root).or_insert_with(|| {
-            comps.push((Vec::new(), Vec::new()));
-            comps.len() - 1
-        });
-        comps[idx].1.push(b);
-    }
-    for (i, f) in inst.functions.iter().enumerate() {
-        if let Some(&b) = f.eligible_bins.first() {
-            let root = find(&mut parent, b);
-            let idx = comp_of_root[&root];
-            comps[idx].0.push(i);
+        self.comp_of_root.clear();
+        self.comp_of_root.resize(nbins, NONE);
+        self.comp.clear();
+        let mut ncomp = 0;
+        for b in 0..nbins {
+            let root = self.find(b);
+            if self.comp_of_root[root] == NONE {
+                self.comp_of_root[root] = ncomp;
+                ncomp += 1;
+            }
+            self.comp.push(self.comp_of_root[root]);
         }
+        // Counting sort of the bins, then of the functions (by their first
+        // eligible bin), into their components.
+        self.bin_start.clear();
+        self.bin_start.resize(ncomp + 1, 0);
+        self.func_start.clear();
+        self.func_start.resize(ncomp + 1, 0);
+        for &c in &self.comp {
+            self.bin_start[c + 1] += 1;
+        }
+        for f in &inst.functions {
+            if let Some(&b) = f.eligible_bins.first() {
+                self.func_start[self.comp[b] + 1] += 1;
+            }
+        }
+        for c in 0..ncomp {
+            self.bin_start[c + 1] += self.bin_start[c];
+            self.func_start[c + 1] += self.func_start[c];
+        }
+        self.bins.clear();
+        self.bins.resize(nbins, 0);
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.bin_start);
+        for (b, &c) in self.comp.iter().enumerate() {
+            self.bins[self.cursor[c]] = b;
+            self.cursor[c] += 1;
+        }
+        self.funcs.clear();
+        self.funcs.resize(self.func_start[ncomp], 0);
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.func_start);
+        for (i, f) in inst.functions.iter().enumerate() {
+            if let Some(&b) = f.eligible_bins.first() {
+                let c = self.comp[b];
+                self.funcs[self.cursor[c]] = i;
+                self.cursor[c] += 1;
+            }
+        }
+        ncomp
     }
-    // Drop bin-only components (no function can use them).
-    comps.retain(|(funcs, _)| !funcs.is_empty());
-    comps
+
+    /// Functions and bins of component `c`.
+    fn get(&self, c: usize) -> (&[usize], &[usize]) {
+        (
+            &self.funcs[self.func_start[c]..self.func_start[c + 1]],
+            &self.bins[self.bin_start[c]..self.bin_start[c + 1]],
+        )
+    }
 }
 
-/// Solve one (sub-)instance to optimality, uncapped and without the
-/// early-exit check. Returns the augmentation plus the full search stats.
-fn solve_component(
+/// Buffers of the exact solve ([`solve_in`]): the component decomposition,
+/// one sub-instance rebuilt in place per component, the aggregated model,
+/// the greedy warm start, the warm point, the branching priorities and the
+/// branch-and-bound solution. [`SolveScratch`] holds one, so a warm scratch
+/// assembles and solves every component without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct IlpScratch {
+    comps: Components,
+    /// Global bin -> index in the current component.
+    local: Vec<usize>,
+    sub: AugmentationInstance,
+    /// `sub`'s pool for [`AugmentationInstance::resize_functions`].
+    spare: Vec<Vec<usize>>,
+    agg: AggModel,
+    warm: Augmentation,
+    point: Vec<f64>,
+    priority: Vec<f64>,
+    milp: MilpSolution,
+}
+
+/// Rebuild `sub` in place as the component of `inst` with functions
+/// `funcs` and bins `bins`, bins renumbered in component order.
+fn restrict(
     inst: &AugmentationInstance,
-    cfg: &IlpConfig,
-    ws: &mut milp::LpWorkspace,
-) -> Result<(Augmentation, BnbStats), SolverError> {
-    let agg = build_aggregated(inst, cfg.gain_floor);
-    let mut bnb = cfg.bnb.clone();
-    let warm = crate::greedy::solve(inst, &Default::default());
-    bnb.warm_start = Some(agg.point_from_augmentation(inst, &warm.augmentation));
-    // Branch first on the count variables that move the most capacity.
-    let mut priority = vec![0.0; agg.model.num_vars()];
-    for &(i, _, v) in &agg.n_vars {
-        priority[v.index()] = inst.functions[i].demand;
+    funcs: &[usize],
+    bins: &[usize],
+    local: &mut Vec<usize>,
+    spare: &mut Vec<Vec<usize>>,
+    sub: &mut AugmentationInstance,
+) {
+    if local.len() < inst.bins.len() {
+        local.resize(inst.bins.len(), NONE);
     }
-    bnb.branch_priority = Some(priority);
-    let sol = milp::solve_milp_with_ws(&agg.model, &bnb, ws)?;
-    debug_assert!(sol.is_optimal(), "placement ILPs are always feasible (x = 0)");
-    Ok((agg.extract(inst, &sol.x), sol.stats))
+    for (at, &b) in bins.iter().enumerate() {
+        local[b] = at;
+    }
+    sub.bins.clear();
+    sub.bins.extend(bins.iter().map(|&b| inst.bins[b].clone()));
+    sub.resize_functions(funcs.len(), spare);
+    for (slot, &i) in sub.functions.iter_mut().zip(funcs) {
+        let f = &inst.functions[i];
+        *slot = FunctionSlot { eligible_bins: std::mem::take(&mut slot.eligible_bins), ..*f };
+        slot.eligible_bins.clear();
+        slot.eligible_bins.extend(f.eligible_bins.iter().map(|&b| local[b]));
+    }
+    sub.l = inst.l;
+    sub.expectation = inst.expectation;
 }
 
 /// Solve the instance exactly on a fresh scratch, untraced. Returns the
@@ -316,10 +444,16 @@ pub fn solve(inst: &AugmentationInstance, cfg: &IlpConfig) -> Result<Outcome, So
 /// `scratch.sol` and returns the search effort. Emits one `ilp.component`
 /// event per independent component (branch-and-bound nodes, simplex
 /// iterations, incumbent updates, prune counts by reason) and accumulates
-/// the same quantities as counters. The LP workspace (factorization +
-/// eta-file buffers) is shared across the instance's independent components
-/// and across consecutive requests on the same stream, so the stream's exact
-/// path allocates nothing per request for it.
+/// the same quantities as counters.
+///
+/// Under the paper's `l = 1` locality the coupling graph of functions
+/// (shared eligible bins) is typically a scatter of small clusters, and
+/// solving them separately turns the branch-and-bound tree from a
+/// *product* of component trees into a *sum* — often orders of magnitude
+/// fewer nodes. Each component's sub-instance, aggregated model, greedy
+/// warm start and search state are rebuilt in `scratch` (`scratch.ilp`,
+/// `scratch.lp`), shared across components and consecutive requests, so a
+/// warm scratch solves without allocating.
 pub fn solve_in(
     inst: &AugmentationInstance,
     cfg: &IlpConfig,
@@ -334,30 +468,48 @@ pub fn solve_in(
         });
         return Ok(solver_info(&stats));
     }
-    let comps = decompose(inst);
-    rec.count("ilp.components", comps.len() as u64);
-    for (ci, (funcs, bins)) in comps.into_iter().enumerate() {
-        // Build the sub-instance with remapped bin indices.
-        let bin_map: std::collections::HashMap<usize, usize> =
-            bins.iter().enumerate().map(|(local, &global)| (global, local)).collect();
-        let sub = AugmentationInstance {
-            functions: funcs
-                .iter()
-                .map(|&i| {
-                    let f = &inst.functions[i];
-                    crate::instance::FunctionSlot {
-                        eligible_bins: f.eligible_bins.iter().map(|b| bin_map[b]).collect(),
-                        ..f.clone()
-                    }
-                })
-                .collect(),
-            bins: bins.iter().map(|&b| inst.bins[b].clone()).collect(),
-            l: inst.l,
-            expectation: inst.expectation,
-        };
+    let SolveScratch { sol, heur, tables, lp, ilp, .. } = scratch;
+    let IlpScratch { comps, local, sub, spare, agg, warm, point, priority, milp } = ilp;
+    let ncomp = comps.split(inst);
+    let live = (0..ncomp).filter(|&c| !comps.get(c).0.is_empty());
+    rec.count("ilp.components", live.clone().count() as u64);
+    for (ci, c) in live.enumerate() {
+        let (funcs, bins) = comps.get(c);
+        restrict(inst, funcs, bins, local, spare, sub);
         let comp_started = Instant::now();
-        let (sub_aug, s) = solve_component(&sub, cfg, &mut scratch.lp)?;
+        // The aggregated model, seeded with the greedy solution and
+        // branching first on the count variables that move the most
+        // capacity.
+        agg.rebuild(sub, cfg.gain_floor, tables);
+        greedy::fill(
+            sub,
+            &GreedyConfig::default(),
+            &mut Recorder::noop(),
+            warm,
+            &mut heur.residual,
+        );
+        agg.point_from_augmentation(sub, warm, point);
+        priority.clear();
+        priority.resize(agg.model.num_vars(), 0.0);
+        for &(i, _, v) in &agg.n_vars {
+            priority[v.index()] = sub.functions[i].demand;
+        }
+        milp::solve_milp_with_ws(
+            &agg.model,
+            &cfg.bnb,
+            Some(point.as_slice()),
+            Some(priority.as_slice()),
+            lp,
+            milp,
+        )?;
+        debug_assert!(milp.is_optimal(), "placement ILPs are always feasible (x = 0)");
         let comp_elapsed = comp_started.elapsed();
+        let s = milp.stats;
+        let mut secondaries = 0usize;
+        for (i, b, count) in agg.extract(&milp.x) {
+            sol.add(funcs[i], bins[b], count);
+            secondaries += count;
+        }
         stats.nodes += s.nodes;
         stats.lp_iterations += s.lp_iterations;
         stats.incumbent_updates += s.incumbent_updates;
@@ -379,20 +531,15 @@ pub fn solve_in(
                 .with("incumbent_updates", s.incumbent_updates)
                 .with("pruned_bound", s.pruned_bound)
                 .with("pruned_infeasible", s.pruned_infeasible)
-                .with("secondaries", sub_aug.total_secondaries())
+                .with("secondaries", secondaries)
         });
-        for (local_f, &global_f) in funcs.iter().enumerate() {
-            for &(local_b, count) in sub_aug.placements_of(local_f) {
-                scratch.sol.add(global_f, bins[local_b], count);
-            }
-        }
     }
     if cfg.stop_at_expectation {
-        let trimmed = scratch.sol.trim_to_expectation(inst);
+        let trimmed = sol.trim_to_expectation(inst);
         rec.count("ilp.trimmed_secondaries", trimmed as u64);
     }
-    debug_assert!(scratch.sol.is_capacity_feasible(inst));
-    debug_assert!(scratch.sol.respects_locality(inst));
+    debug_assert!(sol.is_capacity_feasible(inst));
+    debug_assert!(sol.respects_locality(inst));
     Ok(solver_info(&stats))
 }
 
@@ -413,6 +560,13 @@ mod tests {
     use crate::instance::{Bin, FunctionSlot};
     use mecnet::graph::NodeId;
     use mecnet::vnf::VnfTypeId;
+
+    /// The aggregated model of `inst`, on fresh tables.
+    fn build_aggregated(inst: &AugmentationInstance, gain_floor: f64) -> AggModel {
+        let mut agg = AggModel::default();
+        agg.rebuild(inst, gain_floor, &mut LadderTables::default());
+        agg
+    }
 
     fn slot(
         demand: f64,
@@ -582,8 +736,9 @@ mod tests {
         };
         let dis = build_model(&inst, 1e-12);
         let agg = build_aggregated(&inst, 1e-12);
-        let lp_d = milp::solve_lp(&dis.model.relax()).unwrap();
-        let lp_a = milp::solve_lp(&agg.model.relax()).unwrap();
+        // `solve_lp` ignores integrality: these are the LP relaxations.
+        let lp_d = milp::solve_lp(&dis.model).unwrap();
+        let lp_a = milp::solve_lp(&agg.model).unwrap();
         assert!(
             (lp_d.objective - lp_a.objective).abs() < 1e-6,
             "dis {} vs agg {}",
@@ -605,10 +760,14 @@ mod tests {
         };
         let agg = build_aggregated(&inst, 1e-12);
         let warm = crate::greedy::solve(&inst, &Default::default());
-        let point = agg.point_from_augmentation(&inst, &warm.augmentation);
+        let mut point = Vec::new();
+        agg.point_from_augmentation(&inst, &warm.augmentation, &mut point);
         assert!(agg.model.is_feasible(&point, 1e-6), "warm point must be feasible");
         // Round-trip: extracting the point reproduces the counts.
-        let back = agg.extract(&inst, &point);
+        let mut back = Augmentation::empty(inst.chain_len());
+        for (i, b, count) in agg.extract(&point) {
+            back.add(i, b, count);
+        }
         assert_eq!(back.counts(), warm.augmentation.counts());
     }
 

@@ -96,7 +96,8 @@ pub struct InstanceScratch {
     union: Vec<u64>,
     /// Node index -> index into the bins, or [`NOT_A_BIN`].
     bin_of: Vec<u32>,
-    /// Eligible-bin vectors of the slots a shorter chain dropped, kept for
+    /// The instance's pool for [`AugmentationInstance::resize_functions`]:
+    /// eligible-bin vectors of the slots a shorter chain dropped, kept for
     /// the next longer one.
     spare: Vec<Vec<usize>>,
 }
@@ -244,6 +245,30 @@ impl AugmentationInstance {
         inst
     }
 
+    /// Resize `functions` to `len` slots without dropping an eligible-bin
+    /// vector: slots past `len` hand theirs to `spare`, and new slots take
+    /// theirs from it. A new slot's other fields are placeholders that the
+    /// caller overwrites, as both in-place builders
+    /// ([`Self::rebuild_localized`] and the exact solver's per-component
+    /// sub-instance) do.
+    pub(crate) fn resize_functions(&mut self, len: usize, spare: &mut Vec<Vec<usize>>) {
+        while self.functions.len() > len {
+            let slot = self.functions.pop().expect("longer than len");
+            spare.push(slot.eligible_bins);
+        }
+        while self.functions.len() < len {
+            self.functions.push(FunctionSlot {
+                vnf: VnfTypeId(0),
+                demand: 0.0,
+                reliability: 0.0,
+                primary: NodeId(0),
+                eligible_bins: spare.pop().unwrap_or_default(),
+                max_secondaries: 0,
+                existing_backups: 0,
+            });
+        }
+    }
+
     /// Overwrite `self` with the localized instance of `request`, equal
     /// (`==`) to what [`AugmentationInstance::new_localized_with_index`]
     /// builds, reusing `self`'s vectors and `scratch`: the stream engine
@@ -304,22 +329,8 @@ impl AugmentationInstance {
                 }
             }
         }
-        while self.functions.len() > request.len() {
-            let slot = self.functions.pop().expect("longer than the chain");
-            spare.push(slot.eligible_bins);
-        }
+        self.resize_functions(request.len(), spare);
         for (i, (&vnf, &primary)) in request.sfc.iter().zip(placement).enumerate() {
-            if i == self.functions.len() {
-                self.functions.push(FunctionSlot {
-                    vnf,
-                    demand: 0.0,
-                    reliability: 0.0,
-                    primary,
-                    eligible_bins: spare.pop().unwrap_or_default(),
-                    max_secondaries: 0,
-                    existing_backups: 0,
-                });
-            }
             let demand = catalog.demand(vnf);
             let f = &mut self.functions[i];
             // Index slices are ascending by node, and so are the bins, so

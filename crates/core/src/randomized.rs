@@ -81,11 +81,12 @@ pub fn solve_in<R: Rng + ?Sized>(
 
     let ilp = build_model(inst, cfg.gain_floor);
     let lp_started = Instant::now();
-    let relaxed = ilp.model.relax();
     // Drop any basis carried over from a previous request so the solve — and
-    // its reported iteration count — stays history-independent.
+    // its reported iteration count — stays history-independent. The LP
+    // solve ignores integrality, so it solves the relaxation of the model
+    // as built.
     scratch.lp.clear();
-    let lp = milp::solve_lp_warm(&relaxed, None, &mut scratch.lp)?;
+    let lp = milp::solve_lp_warm(&ilp.model, None, &mut scratch.lp)?;
     let lp_elapsed = lp_started.elapsed();
     debug_assert!(lp.is_optimal(), "the relaxation is always feasible (x = 0)");
     rec.record_time("randomized.lp_solve", lp_elapsed);

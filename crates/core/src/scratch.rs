@@ -2,11 +2,11 @@
 //!
 //! The streaming pipelines solve one augmentation instance per admitted
 //! request; at ~µs solve times, per-request heap allocation is a first-order
-//! cost. [`SolveScratch`] owns every working buffer the heuristic and greedy
-//! solvers (and the matching layer underneath) touch, so a warm scratch makes
-//! the solve loop allocation-free — `crates/bench/benches/solve_alloc.rs`
-//! pins "0 heap allocations per request after warm-up" with a counting global
-//! allocator.
+//! cost. [`SolveScratch`] owns every working buffer the heuristic, greedy and
+//! exact solvers (and the matching and LP layers underneath) touch, so a warm
+//! scratch makes the solve loop allocation-free —
+//! `crates/bench/benches/solve_alloc.rs` pins "0 heap allocations per request
+//! after warm-up" with a counting global allocator.
 //!
 //! Ownership rules (also in DESIGN.md "Hot path"):
 //!
@@ -22,6 +22,7 @@
 //! * Growth is high-water-mark only: a buffer grows to the largest instance
 //!   seen and stays there.
 
+use crate::ilp::IlpScratch;
 use crate::reliability::LadderTables;
 use crate::solution::Augmentation;
 use matching::{LadderMatcher, Matching};
@@ -66,11 +67,15 @@ pub struct SolveScratch {
     /// `R`, `ln R` and Eq. 3 cost per instance reliability, read by the
     /// heuristic's round enumeration, stop check and trim.
     pub tables: LadderTables,
-    /// Revised-simplex workspace (factorization + eta-file buffers) reused by
-    /// the exact ILP path so branch-and-bound node re-solves allocate nothing.
-    /// [`milp::solve_milp_with_ws`] clears any carried basis at entry, so only
-    /// capacity — never state — survives across solves.
+    /// LP workspace (computational form, factorization, eta file, node
+    /// state) reused by the exact ILP path and the randomized algorithm's
+    /// relaxation. [`milp::solve_milp_with_ws`] clears any carried basis at
+    /// entry, and the randomized algorithm clears it before its solve, so
+    /// only capacity — never state — survives across solves.
     pub lp: milp::LpWorkspace,
+    /// The exact solver's component decomposition, sub-instance, aggregated
+    /// model, warm start and branch-and-bound solution.
+    pub ilp: IlpScratch,
 }
 
 impl SolveScratch {

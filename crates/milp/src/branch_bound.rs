@@ -8,19 +8,27 @@
 //! reliability-augmentation problem it prunes most of the tree immediately.
 //!
 //! Node LPs are *warm-started*: when a node is expanded, its optimal basis is
-//! snapshotted once and shared (via `Rc`) by both children, which differ from
-//! the parent by a single variable-bound change. The child re-solve then runs
+//! snapshotted once and shared by both children, which differ from the
+//! parent by a single variable-bound change. The child re-solve then runs
 //! the dual simplex from the parent basis — typically a handful of pivots —
 //! instead of a cold two-phase solve. The warm and cold paths reach the same
 //! optimal objectives, so node evaluation order, branching decisions and
 //! answers are unchanged; only the pivot count drops.
+//!
+//! A search allocates nothing once its [`LpWorkspace`] is warm: the
+//! computational form is built once per solve and each node rewrites only
+//! its structural bounds; a node is its bound, its parent and its one bound
+//! change in an arena, so its overrides are replayed from the path to the
+//! root; basis snapshots live in a pool with a count of the children still
+//! holding each; and the incumbent and rounded points are workspace
+//! buffers. Node LPs read their point and objective from the workspace and
+//! compute no duals.
 
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 
 use crate::error::SolverError;
 use crate::problem::{Model, Sense, VarId};
-use crate::simplex::{solve_lp_warm, BasisSnapshot, LpWorkspace};
+use crate::simplex::{BasisSnapshot, LpWorkspace};
 use crate::solution::{LpStatus, MilpSolution};
 use crate::INT_TOL;
 
@@ -31,20 +39,11 @@ pub struct BnbConfig {
     /// is returned with [`MilpSolution::proven`]` = false`; otherwise the
     /// solve fails with [`SolverError::NodeLimit`]. The only budget: the
     /// search never reads the clock, so its result is a pure function of
-    /// `(model, config)`.
+    /// `(model, config)` and the solve call's hints.
     pub max_nodes: usize,
     /// Absolute optimality gap at which a node is pruned against the
     /// incumbent.
     pub gap_tol: f64,
-    /// Optional feasible starting point (in model-variable space) used to
-    /// seed the incumbent; silently ignored if infeasible. A good warm start
-    /// — e.g. from a problem-specific heuristic — can prune most of the tree.
-    pub warm_start: Option<Vec<f64>>,
-    /// Optional per-variable branching priorities (higher = branch first
-    /// among fractional variables; ties broken by fractionality). Callers
-    /// that know a variable's impact — e.g. its resource demand in a packing
-    /// model — can cut the tree substantially.
-    pub branch_priority: Option<Vec<f64>>,
     /// Warm-start each child node's LP from its parent's optimal basis via
     /// the dual simplex (default). Disable to force a cold two-phase solve
     /// at every node — only useful for benchmarking the warm-start gain.
@@ -53,13 +52,7 @@ pub struct BnbConfig {
 
 impl Default for BnbConfig {
     fn default() -> Self {
-        BnbConfig {
-            max_nodes: 200_000,
-            gap_tol: 1e-7,
-            warm_start: None,
-            branch_priority: None,
-            warm_lp_nodes: true,
-        }
+        BnbConfig { max_nodes: 200_000, gap_tol: 1e-7, warm_lp_nodes: true }
     }
 }
 
@@ -84,12 +77,16 @@ pub fn solve_milp(model: &Model) -> Result<MilpSolution, SolverError> {
     solve_milp_with(model, &BnbConfig::default())
 }
 
+/// Marks a missing parent, bound change or snapshot.
+const NONE: usize = usize::MAX;
+
+/// A queued node: the heap orders by `bound` alone.
+#[derive(Debug, Clone, Copy)]
 struct Node {
     /// Bound on the achievable objective in *minimization* sense.
     bound: f64,
-    overrides: Vec<Option<(f64, f64)>>,
-    /// Optimal basis of the parent's LP relaxation, shared by both children.
-    basis: Option<Rc<BasisSnapshot>>,
+    /// Index into [`Tree::nodes`].
+    id: usize,
 }
 
 impl PartialEq for Node {
@@ -111,27 +108,149 @@ impl Ord for Node {
     }
 }
 
-/// Solve `model` to proven optimality.
-pub fn solve_milp_with(model: &Model, config: &BnbConfig) -> Result<MilpSolution, SolverError> {
-    solve_milp_with_ws(model, config, &mut LpWorkspace::new())
+/// A node of the search tree: its parent, the one bound change that made
+/// it (`var` replaces the variable's override with `bounds`), and the pool
+/// slot of its parent's basis snapshot.
+#[derive(Debug, Clone, Copy)]
+struct NodeRec {
+    parent: usize,
+    var: usize,
+    bounds: (f64, f64),
+    snap: usize,
 }
 
-/// Solve `model` to proven optimality, reusing `ws` for every node LP.
+/// Branch-and-bound state an [`LpWorkspace`] keeps between searches; every
+/// search starts by resetting it, so only capacity carries over.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tree {
+    heap: BinaryHeap<Node>,
+    nodes: Vec<NodeRec>,
+    /// Basis snapshots of expanded nodes; `refs[s]` counts the queued
+    /// children still holding slot `s`, and `free` lists the slots at 0.
+    snaps: Vec<BasisSnapshot>,
+    refs: Vec<usize>,
+    free: Vec<usize>,
+    /// The current node's bound overrides, per model variable.
+    ovr: Vec<Option<(f64, f64)>>,
+    int_vars: Vec<VarId>,
+    rounded: Vec<f64>,
+    incumbent: Vec<f64>,
+}
+
+impl Tree {
+    fn reset(&mut self) {
+        self.heap.clear();
+        self.nodes.clear();
+        self.refs.clear();
+        self.refs.resize(self.snaps.len(), 0);
+        self.free.clear();
+        self.free.extend((0..self.snaps.len()).rev());
+    }
+
+    /// Snapshot the workspace's basis into a pool slot held by `holders`
+    /// children; [`NONE`] when no basis is cached.
+    fn take_snapshot(&mut self, ws: &LpWorkspace, holders: usize) -> usize {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                if !ws.snapshot_into(&mut self.snaps[slot]) {
+                    self.free.push(slot);
+                    return NONE;
+                }
+                slot
+            }
+            None => {
+                let Some(snap) = ws.snapshot() else { return NONE };
+                self.snaps.push(snap);
+                self.refs.push(0);
+                self.snaps.len() - 1
+            }
+        };
+        self.refs[slot] = holders;
+        slot
+    }
+
+    /// A child no longer needs its snapshot slot.
+    fn release(&mut self, slot: usize) {
+        if slot != NONE {
+            self.refs[slot] -= 1;
+            if self.refs[slot] == 0 {
+                self.free.push(slot);
+            }
+        }
+    }
+
+    fn push(&mut self, parent: usize, var: VarId, bounds: (f64, f64), snap: usize, bound: f64) {
+        self.nodes.push(NodeRec { parent, var: var.index(), bounds, snap });
+        self.heap.push(Node { bound, id: self.nodes.len() - 1 });
+    }
+
+    /// Replay node `id`'s overrides: for each variable, the change nearest
+    /// the node on its path to the root.
+    fn load_overrides(&mut self, id: usize, num_vars: usize) {
+        self.ovr.clear();
+        self.ovr.resize(num_vars, None);
+        let mut at = id;
+        while at != NONE {
+            let rec = self.nodes[at];
+            if rec.var != NONE && self.ovr[rec.var].is_none() {
+                self.ovr[rec.var] = Some(rec.bounds);
+            }
+            at = rec.parent;
+        }
+    }
+}
+
+/// Solve `model` to proven optimality.
+pub fn solve_milp_with(model: &Model, config: &BnbConfig) -> Result<MilpSolution, SolverError> {
+    let mut sol = MilpSolution::default();
+    solve_milp_with_ws(model, config, None, None, &mut LpWorkspace::new(), &mut sol)?;
+    Ok(sol)
+}
+
+/// Solve `model` to proven optimality into `sol`, reusing `ws` for every
+/// node LP and the search state.
+///
+/// * `warm_start` — a feasible starting point (in model-variable space) that
+///   seeds the incumbent; silently ignored if infeasible. A good warm start
+///   — e.g. from a problem-specific heuristic — can prune most of the tree.
+/// * `branch_priority` — per-variable branching priorities (higher = branch
+///   first among fractional variables; ties broken by fractionality).
+///   Callers that know a variable's impact — e.g. its resource demand in a
+///   packing model — can cut the tree substantially.
 ///
 /// The workspace is cleared on entry, so the result is a pure function of
-/// `(model, config)` — passing a workspace only reuses its *allocations*
-/// (basis vectors, LU factors, eta file, pricing buffers) across calls.
-/// Within the solve, node LPs warm-start from their parent's basis when
-/// [`BnbConfig::warm_lp_nodes`] is set.
+/// `(model, config, warm_start, branch_priority)` — passing a workspace only
+/// reuses its *allocations* across calls, and a warm workspace and `sol`
+/// make the search allocation-free. Within the solve, node LPs warm-start
+/// from their parent's basis when [`BnbConfig::warm_lp_nodes`] is set.
 pub fn solve_milp_with_ws(
     model: &Model,
     config: &BnbConfig,
+    warm_start: Option<&[f64]>,
+    branch_priority: Option<&[f64]>,
     ws: &mut LpWorkspace,
-) -> Result<MilpSolution, SolverError> {
+    sol: &mut MilpSolution,
+) -> Result<(), SolverError> {
+    let mut tree = std::mem::take(&mut ws.tree);
+    let result = search(model, config, warm_start, branch_priority, ws, &mut tree, sol);
+    ws.tree = tree;
+    result
+}
+
+fn search(
+    model: &Model,
+    config: &BnbConfig,
+    warm_start: Option<&[f64]>,
+    branch_priority: Option<&[f64]>,
+    ws: &mut LpWorkspace,
+    tree: &mut Tree,
+    sol: &mut MilpSolution,
+) -> Result<(), SolverError> {
     ws.clear();
     model.validate()?;
-    let int_vars = model.integer_vars();
-    for &v in &int_vars {
+    tree.int_vars.clear();
+    tree.int_vars.extend(model.integer_vars());
+    for &v in &tree.int_vars {
         let (lo, hi) = model.var_bounds(v);
         if !lo.is_finite() && !hi.is_finite() {
             return Err(SolverError::NonFiniteInput {
@@ -139,41 +258,45 @@ pub fn solve_milp_with_ws(
             });
         }
     }
+    let n = model.num_vars();
     let to_min = |obj: f64| if model.sense() == Sense::Maximize { -obj } else { obj };
 
     let mut stats = BnbStats::default();
-    let mut incumbent: Option<(f64, Vec<f64>)> = None; // (min-sense obj, x)
-    if let Some(point) = &config.warm_start {
-        if point.len() == model.num_vars()
+    // Min-sense objective of `tree.incumbent`, once there is one.
+    let mut best: Option<f64> = None;
+    if let Some(point) = warm_start {
+        if point.len() == n
             && model.is_feasible(point, 1e-6)
-            && int_vars.iter().all(|&v| {
+            && tree.int_vars.iter().all(|&v| {
                 let x = point[v.index()];
                 (x - x.round()).abs() <= INT_TOL
             })
         {
-            let x = snap(point, &int_vars);
-            incumbent = Some((to_min(model.eval_objective(&x)), x));
+            round_into(point, &tree.int_vars, &mut tree.incumbent);
+            best = Some(to_min(model.eval_objective(&tree.incumbent)));
             stats.incumbent_updates += 1;
         }
     }
 
-    let root =
-        Node { bound: f64::NEG_INFINITY, overrides: vec![None; model.num_vars()], basis: None };
-    let mut heap = BinaryHeap::new();
-    heap.push(root);
+    ws.form.fill(model);
+    tree.reset();
+    tree.nodes.push(NodeRec { parent: NONE, var: NONE, bounds: (0.0, 0.0), snap: NONE });
+    tree.heap.push(Node { bound: f64::NEG_INFINITY, id: 0 });
     let mut saw_unbounded_root = false;
     let mut proven = true;
 
-    while let Some(node) = heap.pop() {
-        if let Some((best, _)) = &incumbent {
+    while let Some(node) = tree.heap.pop() {
+        let snap = tree.nodes[node.id].snap;
+        if let Some(best) = best {
             if node.bound >= best - config.gap_tol {
                 stats.pruned_bound += 1;
+                tree.release(snap);
                 continue;
             }
         }
         stats.nodes += 1;
         if stats.nodes > config.max_nodes {
-            if incumbent.is_some() {
+            if best.is_some() {
                 proven = false;
                 break;
             }
@@ -182,13 +305,17 @@ pub fn solve_milp_with_ws(
 
         // Warm-start from the parent's basis when available (one bound
         // changed, so it is still dual feasible); otherwise a cold solve.
-        match (config.warm_lp_nodes, &node.basis) {
-            (true, Some(snap)) => ws.restore(snap),
-            _ => ws.clear(),
+        if snap != NONE {
+            ws.restore(&tree.snaps[snap]);
+        } else {
+            ws.clear();
         }
-        let lp = solve_lp_warm(model, Some(&node.overrides), ws)?;
-        stats.lp_iterations += lp.iterations;
-        match lp.status {
+        tree.release(snap);
+        tree.load_overrides(node.id, n);
+        let bounds_ok = ws.form.set_bounds(model, Some(&tree.ovr));
+        let status = ws.solve_form(bounds_ok)?;
+        stats.lp_iterations += ws.iterations;
+        match status {
             LpStatus::Infeasible => {
                 stats.pruned_infeasible += 1;
                 continue;
@@ -205,8 +332,8 @@ pub fn solve_milp_with_ws(
             }
             LpStatus::Optimal => {}
         }
-        let node_bound = to_min(lp.objective);
-        if let Some((best, _)) = &incumbent {
+        let node_bound = to_min(ws.objective);
+        if let Some(best) = best {
             if node_bound >= best - config.gap_tol {
                 stats.pruned_bound += 1;
                 continue;
@@ -216,15 +343,11 @@ pub fn solve_milp_with_ws(
         // Branch variable: highest priority among fractional integer
         // variables; ties (and the default) fall back to most-fractional.
         let mut branch: Option<(VarId, f64, (f64, f64))> = None; // (var, value, (neg prio, frac dist))
-        for &v in &int_vars {
-            let val = lp.x[v.index()];
+        for &v in &tree.int_vars {
+            let val = ws.x[v.index()];
             let frac = (val - val.round()).abs();
             if frac > INT_TOL {
-                let prio = config
-                    .branch_priority
-                    .as_ref()
-                    .and_then(|p| p.get(v.index()).copied())
-                    .unwrap_or(0.0);
+                let prio = branch_priority.and_then(|p| p.get(v.index()).copied()).unwrap_or(0.0);
                 let key = (-prio, (frac - 0.5).abs());
                 if branch.is_none_or(|(_, _, k)| key < k) {
                     branch = Some((v, val, key));
@@ -232,80 +355,61 @@ pub fn solve_milp_with_ws(
             }
         }
 
-        match branch {
-            None => {
-                // Integral relaxation: candidate incumbent.
-                let x = snap(&lp.x, &int_vars);
-                let obj = to_min(model.eval_objective(&x));
-                if incumbent.as_ref().is_none_or(|(best, _)| obj < best - config.gap_tol) {
-                    incumbent = Some((obj, x));
-                    stats.incumbent_updates += 1;
-                }
+        // An integral relaxation is a candidate incumbent; otherwise try
+        // the rounded point opportunistically before branching.
+        round_into(&ws.x, &tree.int_vars, &mut tree.rounded);
+        if branch.is_none() || model.is_feasible(&tree.rounded, 1e-7) {
+            let obj = to_min(model.eval_objective(&tree.rounded));
+            if best.is_none_or(|best| obj < best - config.gap_tol) {
+                std::mem::swap(&mut tree.rounded, &mut tree.incumbent);
+                best = Some(obj);
+                stats.incumbent_updates += 1;
             }
-            Some((v, val, _)) => {
-                // Opportunistic incumbent from rounding before branching.
-                let rounded = snap(&lp.x, &int_vars);
-                if model.is_feasible(&rounded, 1e-7) {
-                    let obj = to_min(model.eval_objective(&rounded));
-                    if incumbent.as_ref().is_none_or(|(best, _)| obj < best - config.gap_tol) {
-                        incumbent = Some((obj, rounded));
-                        stats.incumbent_updates += 1;
-                    }
-                }
-                let parent_basis =
-                    if config.warm_lp_nodes { ws.snapshot().map(Rc::new) } else { None };
-                let (lo, hi) = effective_bounds(model, &node.overrides, v);
-                let floor = val.floor();
-                if floor >= lo - 1e-12 {
-                    let mut ovr = node.overrides.clone();
-                    ovr[v.index()] = Some((lo, floor));
-                    heap.push(Node {
-                        bound: node_bound,
-                        overrides: ovr,
-                        basis: parent_basis.clone(),
-                    });
-                }
-                let ceil = val.ceil();
-                if ceil <= hi + 1e-12 {
-                    let mut ovr = node.overrides.clone();
-                    ovr[v.index()] = Some((ceil, hi));
-                    heap.push(Node { bound: node_bound, overrides: ovr, basis: parent_basis });
-                }
+        }
+        if let Some((v, val, _)) = branch {
+            let (lo, hi) = effective_bounds(model, &tree.ovr, v);
+            let (floor, ceil) = (val.floor(), val.ceil());
+            let down = floor >= lo - 1e-12;
+            let up = ceil <= hi + 1e-12;
+            let holders = usize::from(down) + usize::from(up);
+            let snap = if config.warm_lp_nodes && holders > 0 {
+                tree.take_snapshot(ws, holders)
+            } else {
+                NONE
+            };
+            if down {
+                tree.push(node.id, v, (lo, floor), snap, node_bound);
+            }
+            if up {
+                tree.push(node.id, v, (ceil, hi), snap, node_bound);
             }
         }
     }
 
-    if saw_unbounded_root {
-        return Ok(MilpSolution {
-            status: LpStatus::Unbounded,
-            objective: f64::NAN,
-            x: Vec::new(),
-            stats,
-            proven: true,
-        });
-    }
-    match incumbent {
-        Some((obj_min, x)) => {
-            let objective = if model.sense() == Sense::Maximize { -obj_min } else { obj_min };
-            Ok(MilpSolution { status: LpStatus::Optimal, objective, x, stats, proven })
-        }
-        None => Ok(MilpSolution {
-            status: LpStatus::Infeasible,
-            objective: f64::NAN,
-            x: Vec::new(),
-            stats,
-            proven: true,
-        }),
-    }
+    sol.stats = stats;
+    sol.x.clear();
+    sol.proven = true;
+    sol.objective = f64::NAN;
+    sol.status = if saw_unbounded_root {
+        LpStatus::Unbounded
+    } else if let Some(obj_min) = best {
+        sol.objective = if model.sense() == Sense::Maximize { -obj_min } else { obj_min };
+        sol.x.extend_from_slice(&tree.incumbent);
+        sol.proven = proven;
+        LpStatus::Optimal
+    } else {
+        LpStatus::Infeasible
+    };
+    Ok(())
 }
 
-/// Round the integer entries of a relaxation point to the nearest integer.
-fn snap(x: &[f64], int_vars: &[VarId]) -> Vec<f64> {
-    let mut out = x.to_vec();
+/// `x` with its integer entries rounded to the nearest integer, into `out`.
+fn round_into(x: &[f64], int_vars: &[VarId], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend_from_slice(x);
     for &v in int_vars {
         out[v.index()] = out[v.index()].round();
     }
-    out
 }
 
 fn effective_bounds(model: &Model, overrides: &[Option<(f64, f64)>], v: VarId) -> (f64, f64) {
@@ -409,7 +513,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         // A knapsack with enough structure to need > 1 node.
         let vars: Vec<_> = (0..12).map(|i| m.add_binary_var(7.0 + (i as f64) * 0.3)).collect();
-        m.add_constraint(vars.iter().map(|&v| (v, 3.0)).collect(), Relation::Le, 17.0);
+        m.add_constraint(vars.iter().map(|&v| (v, 3.0)), Relation::Le, 17.0);
         let cfg = BnbConfig { max_nodes: 1, ..Default::default() };
         // With 1 node we may or may not finish; accept either Ok or NodeLimit,
         // but with max_nodes=0 we must hit the limit.
@@ -432,9 +536,9 @@ mod tests {
         // must not spend more total simplex work.
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..10).map(|i| m.add_binary_var(4.0 + (i as f64) * 0.7)).collect();
-        m.add_constraint(vars.iter().map(|&v| (v, 2.0 + 0.1)).collect(), Relation::Le, 9.0);
+        m.add_constraint(vars.iter().map(|&v| (v, 2.0 + 0.1)), Relation::Le, 9.0);
         m.add_constraint(
-            vars.iter().enumerate().map(|(i, &v)| (v, 1.0 + (i % 3) as f64)).collect(),
+            vars.iter().enumerate().map(|(i, &v)| (v, 1.0 + (i % 3) as f64)),
             Relation::Le,
             7.0,
         );
@@ -448,21 +552,76 @@ mod tests {
 
     #[test]
     fn workspace_entry_point_matches_plain_solve() {
+        // Models of different shapes, several of which branch; one
+        // workspace and one solution buffer solve them in sequence, forward
+        // and then in reverse, and every solve must equal a fresh solve
+        // (the workspace is cleared on entry; only allocations are reused).
+        let mut models = Vec::new();
         let mut m = Model::new(Sense::Maximize);
         let a = m.add_binary_var(10.0);
         let b = m.add_binary_var(13.0);
         let c = m.add_binary_var(7.0);
         m.add_constraint(vec![(a, 3.0), (b, 4.0), (c, 2.0)], Relation::Le, 6.0);
-        let mut ws = crate::simplex::LpWorkspace::new();
-        let one = solve_milp_with_ws(&m, &BnbConfig::default(), &mut ws).unwrap();
-        // Second solve through the same workspace must be identical (the
-        // workspace is cleared on entry; only allocations are reused).
-        let two = solve_milp_with_ws(&m, &BnbConfig::default(), &mut ws).unwrap();
-        let plain = solve_milp(&m).unwrap();
-        assert_eq!(one.stats, two.stats);
-        assert_eq!(one.stats, plain.stats);
-        assert!((one.objective - plain.objective).abs() < 1e-12);
-        assert_eq!(one.x, two.x);
+        models.push(m);
+        let mut m = Model::new(Sense::Maximize);
+        let vars: Vec<_> = (0..12).map(|i| m.add_binary_var(7.0 + (i as f64) * 0.3)).collect();
+        m.add_constraint(vars.iter().map(|&v| (v, 3.0)), Relation::Le, 17.0);
+        m.add_constraint(vars.iter().step_by(2).map(|&v| (v, 1.5)), Relation::Le, 4.0);
+        models.push(m);
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_integer_var(0.0, 10.0, 1.0);
+        let y = m.add_integer_var(0.0, 10.0, 1.0);
+        let z = m.add_integer_var(0.0, 10.0, 1.0);
+        m.add_constraint(vec![(x, 2.0), (y, 3.0), (z, 5.0)], Relation::Eq, 10.0);
+        models.push(m);
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_integer_var(0.0, 10.0, 2.0);
+        let y = m.add_var(0.0, 1.5, 1.0);
+        m.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 3.2);
+        models.push(m);
+        let mut m = Model::new(Sense::Maximize);
+        let _ = m.add_integer_var(0.0, 4.0, 1.0);
+        models.push(m);
+
+        let fresh: Vec<MilpSolution> = models.iter().map(|m| solve_milp(m).unwrap()).collect();
+        assert!(fresh.iter().filter(|s| s.stats.nodes > 1).count() >= 2, "searches must branch");
+        let mut ws = LpWorkspace::new();
+        let mut sol = MilpSolution::default();
+        let order: Vec<usize> = (0..models.len()).chain((0..models.len()).rev()).collect();
+        for &i in &order {
+            solve_milp_with_ws(&models[i], &BnbConfig::default(), None, None, &mut ws, &mut sol)
+                .unwrap();
+            assert_eq!(sol.status, fresh[i].status, "model {i}");
+            assert_eq!(sol.stats, fresh[i].stats, "model {i}");
+            assert_eq!(sol.objective.to_bits(), fresh[i].objective.to_bits(), "model {i}");
+            assert_eq!(sol.x, fresh[i].x, "model {i}");
+            assert_eq!(sol.proven, fresh[i].proven, "model {i}");
+        }
+
+        // Hints are arguments of the call, not workspace state: a hinted
+        // solve between two plain ones changes neither.
+        let prio: Vec<f64> = (0..12).map(|i| (i % 4) as f64).collect();
+        let start = vec![0.0; 12];
+        let hinted = |ws: &mut LpWorkspace, sol: &mut MilpSolution| {
+            solve_milp_with_ws(
+                &models[1],
+                &BnbConfig::default(),
+                Some(&start),
+                Some(&prio),
+                ws,
+                sol,
+            )
+            .unwrap();
+            (sol.stats, sol.x.clone())
+        };
+        let once = hinted(&mut LpWorkspace::new(), &mut MilpSolution::default());
+        let again = hinted(&mut ws, &mut sol);
+        assert_eq!(once, again);
+        assert!(once.0.incumbent_updates >= 1);
+        solve_milp_with_ws(&models[1], &BnbConfig::default(), None, None, &mut ws, &mut sol)
+            .unwrap();
+        assert_eq!(sol.stats, fresh[1].stats);
+        assert_eq!(sol.x, fresh[1].x);
     }
 
     #[test]

@@ -13,13 +13,16 @@
 //! * [`Model`] — a builder for LPs/MILPs with variable bounds, integrality
 //!   markers and `≤` / `≥` / `=` constraints.
 //! * [`simplex`] — a sparse revised simplex (CSC matrix, LU + eta-file basis
-//!   updates, bounded variables) over the computational form produced by
-//!   [`standard_form`], with Bland's anti-cycling rule and a dual-simplex
-//!   warm-start entry point ([`simplex::solve_lp_warm`]).
-//! * [`branch_bound`] — best-first branch and bound for the integer variables,
-//!   warm-starting each child node's LP from its parent's basis, returning
-//!   provably optimal solutions (within tolerance) together with node counts
-//!   so callers can report solver effort.
+//!   updates with FTRAN/BTRAN over the factors' nonzeros, bounded variables)
+//!   over the computational form produced by [`standard_form`], with Bland's
+//!   anti-cycling rule and a dual-simplex warm-start entry point
+//!   ([`simplex::solve_lp_warm`]).
+//! * [`branch_bound`] — best-first branch and bound for the integer variables
+//!   over one computational form per solve, warm-starting each child node's
+//!   LP from its parent's basis, returning provably optimal solutions (within
+//!   tolerance) together with node counts so callers can report solver
+//!   effort. With a warm [`LpWorkspace`] and solution buffer
+//!   ([`solve_milp_with_ws`]) a search allocates nothing.
 //!
 //! # Quick example
 //!

@@ -47,9 +47,10 @@ pub(crate) struct Variable {
     pub integer: bool,
 }
 
+/// A constraint's place in [`Model::terms`], its relation and its rhs.
 #[derive(Debug, Clone)]
-pub(crate) struct LinearConstraint {
-    pub terms: Vec<(VarId, f64)>,
+pub(crate) struct Row {
+    pub start: usize,
     pub relation: Relation,
     pub rhs: f64,
 }
@@ -60,16 +61,28 @@ pub(crate) struct LinearConstraint {
 /// [`Model::add_integer_var`] / [`Model::add_binary_var`]. All bounds may be
 /// infinite except where integrality requires branching (branch and bound
 /// rejects integer variables with two infinite bounds).
+///
+/// The constraints' terms live in one flat array, row after row, so
+/// [`Model::clear`] and a refill reuse every buffer.
 #[derive(Debug, Clone)]
 pub struct Model {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<Variable>,
-    pub(crate) constraints: Vec<LinearConstraint>,
+    pub(crate) terms: Vec<(VarId, f64)>,
+    pub(crate) rows: Vec<Row>,
 }
 
 impl Model {
     pub fn new(sense: Sense) -> Self {
-        Model { sense, vars: Vec::new(), constraints: Vec::new() }
+        Model { sense, vars: Vec::new(), terms: Vec::new(), rows: Vec::new() }
+    }
+
+    /// Remove every variable and constraint, keeping the sense and the
+    /// buffers' capacity.
+    pub fn clear(&mut self) {
+        self.vars.clear();
+        self.terms.clear();
+        self.rows.clear();
     }
 
     pub fn sense(&self) -> Sense {
@@ -103,13 +116,22 @@ impl Model {
     /// Duplicate variable entries in `terms` are allowed and summed.
     pub fn add_constraint(
         &mut self,
-        terms: Vec<(VarId, f64)>,
+        terms: impl IntoIterator<Item = (VarId, f64)>,
         relation: Relation,
         rhs: f64,
     ) -> ConstraintId {
-        let id = ConstraintId(self.constraints.len());
-        self.constraints.push(LinearConstraint { terms, relation, rhs });
+        let id = ConstraintId(self.rows.len());
+        self.rows.push(Row { start: self.terms.len(), relation, rhs });
+        self.terms.extend(terms);
         id
+    }
+
+    /// The constraints in order: terms, relation and rhs of each.
+    pub(crate) fn constraints(&self) -> impl Iterator<Item = (&[(VarId, f64)], Relation, f64)> {
+        self.rows.iter().enumerate().map(|(r, row)| {
+            let end = self.rows.get(r + 1).map_or(self.terms.len(), |next| next.start);
+            (&self.terms[row.start..end], row.relation, row.rhs)
+        })
     }
 
     pub fn num_vars(&self) -> usize {
@@ -117,25 +139,16 @@ impl Model {
     }
 
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.rows.len()
     }
 
-    /// Ids of all integer variables.
-    pub fn integer_vars(&self) -> Vec<VarId> {
-        self.vars.iter().enumerate().filter(|(_, v)| v.integer).map(|(i, _)| VarId(i)).collect()
+    /// Ids of all integer variables, in order.
+    pub fn integer_vars(&self) -> impl Iterator<Item = VarId> + '_ {
+        self.vars.iter().enumerate().filter(|(_, v)| v.integer).map(|(i, _)| VarId(i))
     }
 
     pub fn var_bounds(&self, v: VarId) -> (f64, f64) {
         (self.vars[v.0].lower, self.vars[v.0].upper)
-    }
-
-    /// Continuous relaxation: same model with all integrality dropped.
-    pub fn relax(&self) -> Model {
-        let mut m = self.clone();
-        for v in &mut m.vars {
-            v.integer = false;
-        }
-        m
     }
 
     /// Evaluate the objective at a point (no feasibility check).
@@ -149,12 +162,12 @@ impl Model {
         for (i, v) in self.vars.iter().enumerate() {
             worst = worst.max(v.lower - x[i]).max(x[i] - v.upper);
         }
-        for c in &self.constraints {
-            let lhs: f64 = c.terms.iter().map(|&(v, a)| a * x[v.0]).sum();
-            let viol = match c.relation {
-                Relation::Le => lhs - c.rhs,
-                Relation::Ge => c.rhs - lhs,
-                Relation::Eq => (lhs - c.rhs).abs(),
+        for (terms, relation, rhs) in self.constraints() {
+            let lhs: f64 = terms.iter().map(|&(v, a)| a * x[v.0]).sum();
+            let viol = match relation {
+                Relation::Le => lhs - rhs,
+                Relation::Ge => rhs - lhs,
+                Relation::Eq => (lhs - rhs).abs(),
             };
             worst = worst.max(viol);
         }
@@ -180,11 +193,11 @@ impl Model {
                 return Err(SolverError::NonFiniteInput { what: "variable bound" });
             }
         }
-        for c in &self.constraints {
-            if !c.rhs.is_finite() {
+        for (terms, _, rhs) in self.constraints() {
+            if !rhs.is_finite() {
                 return Err(SolverError::NonFiniteInput { what: "constraint rhs" });
             }
-            for &(v, a) in &c.terms {
+            for &(v, a) in terms {
                 if v.0 >= self.vars.len() {
                     return Err(SolverError::UnknownVariable {
                         var: v.0,
@@ -212,17 +225,8 @@ mod tests {
         m.add_constraint(vec![(x, 1.0), (y, 3.0)], Relation::Le, 7.0);
         assert_eq!(m.num_vars(), 2);
         assert_eq!(m.num_constraints(), 1);
-        assert_eq!(m.integer_vars(), vec![y]);
+        assert_eq!(m.integer_vars().collect::<Vec<_>>(), vec![y]);
         assert!(m.validate().is_ok());
-    }
-
-    #[test]
-    fn relax_drops_integrality() {
-        let mut m = Model::new(Sense::Minimize);
-        m.add_binary_var(1.0);
-        let r = m.relax();
-        assert!(r.integer_vars().is_empty());
-        assert_eq!(r.var_bounds(VarId(0)), (0.0, 1.0));
     }
 
     #[test]

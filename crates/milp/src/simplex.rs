@@ -1,12 +1,28 @@
 //! Sparse revised simplex over the bounded-variable form of
 //! [`SparseForm`](crate::standard_form::SparseForm).
 //!
-//! The solver keeps the basis as an LU factorization (dense, row-pivoted —
-//! the instances here have at most a few hundred rows) plus a product-form
-//! eta file that absorbs pivots between periodic refactorizations. Variable
-//! bounds live in the variable file: a nonbasic column sits at its lower or
-//! upper bound (or at zero when free), so binary bounds never become rows
-//! and branch-and-bound bound changes leave the matrix untouched.
+//! The solver keeps the basis as an LU factorization (dense partial
+//! pivoting, row-pivoted — the instances here have at most a few hundred
+//! rows) plus a product-form eta file that absorbs pivots between periodic
+//! refactorizations. Variable bounds live in the variable file: a nonbasic
+//! column sits at its lower or upper bound (or at zero when free), so binary
+//! bounds never become rows and branch-and-bound bound changes leave the
+//! matrix untouched.
+//!
+//! The factorization's elimination updates a row only at the columns where
+//! the pivot row is nonzero, and after each factorization the nonzeros of L
+//! (by column) and U (by row) are indexed, so FTRAN and BTRAN multiply only
+//! nonzero entries. Every sum still runs in the dense loops' order
+//! (ascending `k`), so a skipped term is `s − v·0`, which leaves a nonzero
+//! `s` unchanged and can at most turn a `-0.0` into `+0.0`. The LU's and
+//! FTRAN's sums never hold `-0.0`, so their results equal the dense
+//! kernels' bit for bit; BTRAN's second pass starts from quotients that can
+//! be `-0.0`, so its results equal the dense ones up to the sign of a zero.
+//! No later step tells `±0` apart — every divisor is an LU pivot, an eta
+//! pivot or a ratio-test entry, all bounded away from zero, and every
+//! comparison treats `±0` alike — so pivots and iteration counts are the
+//! dense kernels'. The dense kernels survive as the test oracle of the
+//! sparse ones.
 //!
 //! Three entry points:
 //!
@@ -19,9 +35,12 @@
 //!   any numerical trouble falls back to the cold path. This is what makes
 //!   warm-started branch-and-bound node re-solves cheap.
 //!
-//! All solver state (basis, statuses, LU, eta file, pricing buffers) lives
-//! in the caller-owned [`LpWorkspace`], extending the zero-alloc scratch
-//! discipline to the LP path.
+//! All solver state (computational form, basis, statuses, LU, eta file,
+//! pricing buffers, the last solve's point, branch-and-bound node state)
+//! lives in the caller-owned [`LpWorkspace`], so a warm workspace solves
+//! without allocating. The entry points above return owned [`LpSolution`]s
+//! built from it, duals included; branch and bound reads the point and
+//! objective from the workspace directly and never computes duals.
 
 use std::mem;
 
@@ -53,8 +72,8 @@ enum VStat {
 }
 
 /// An immutable copy of a basis (columns + statuses) that can be restored
-/// into an [`LpWorkspace`] later — branch and bound shares one snapshot per
-/// parent node between both children via `Rc`.
+/// into an [`LpWorkspace`] later — branch and bound keeps one per expanded
+/// node, shared by both children, in a pool the workspace owns.
 #[derive(Debug, Clone)]
 pub struct BasisSnapshot {
     key: (usize, usize),
@@ -62,13 +81,33 @@ pub struct BasisSnapshot {
     vstat: Vec<VStat>,
 }
 
-/// Reusable revised-simplex state: the cached basis of the last optimal
-/// solve plus every buffer the solver needs (LU factors, eta file, pricing
-/// vectors). Reusing one workspace across solves avoids per-solve
-/// allocation; reusing the *basis* (via [`solve_lp_warm`]) additionally
-/// avoids most pivots when consecutive problems differ only in bounds.
+/// Reusable LP state: the computational form of the model being solved,
+/// the cached basis of the last optimal solve with every buffer the solver
+/// needs (LU factors, eta file, pricing vectors), the last solve's point,
+/// and the branch-and-bound node state. Reusing one workspace across solves
+/// avoids per-solve allocation; reusing the *basis* (via [`solve_lp_warm`])
+/// additionally avoids most pivots when consecutive problems differ only in
+/// bounds.
 #[derive(Debug, Clone, Default)]
 pub struct LpWorkspace {
+    /// The form being solved. The `solve_lp*` entry points refill it from
+    /// their model; branch and bound fills it once per solve and rewrites
+    /// only its structural bounds per node.
+    pub(crate) form: SparseForm,
+    basis: Basis,
+    /// Structural point and objective (original sense) of the last optimal
+    /// solve.
+    pub(crate) x: Vec<f64>,
+    pub(crate) objective: f64,
+    /// Simplex iterations of the last solve.
+    pub(crate) iterations: usize,
+    /// Branch-and-bound node state, reused across searches.
+    pub(crate) tree: crate::branch_bound::Tree,
+}
+
+/// The basis, its factorization and the iteration buffers.
+#[derive(Debug, Clone, Default)]
+struct Basis {
     /// `(nrows, ncols)` of the form the cached basis belongs to; `None`
     /// when the workspace holds no usable basis.
     key: Option<(usize, usize)>,
@@ -80,6 +119,15 @@ pub struct LpWorkspace {
     /// Row permutation of the LU: `perm[i]` is the original row stored at
     /// elimination position `i`.
     perm: Vec<usize>,
+    // Nonzeros of the factors, indexed at each factorization: L's column k
+    // below the diagonal as `(row, value)` in `l_ent[l_ptr[k]..l_ptr[k+1]]`,
+    // U's row i right of the diagonal as `(column, value)` likewise, both
+    // ascending, and U's diagonal.
+    l_ptr: Vec<usize>,
+    l_ent: Vec<(usize, f64)>,
+    u_ptr: Vec<usize>,
+    u_ent: Vec<(usize, f64)>,
+    diag: Vec<f64>,
     // Product-form eta file: one entry per pivot since the last
     // refactorization (pivot row, pivot value, off-pivot nonzeros in CSR).
     eta_row: Vec<usize>,
@@ -102,33 +150,92 @@ impl LpWorkspace {
 
     /// Whether the workspace holds a basis usable for a warm start.
     pub fn has_basis(&self) -> bool {
-        self.key.is_some()
+        self.basis.key.is_some()
     }
 
     /// Forget the cached basis (buffer capacity is kept). After `clear`,
     /// [`solve_lp_warm`] behaves exactly like a cold solve — callers that
     /// must stay history-independent clear before the first solve.
     pub fn clear(&mut self) {
-        self.key = None;
+        self.basis.key = None;
     }
 
     /// Copy out the current basis, if one is cached.
     pub fn snapshot(&self) -> Option<BasisSnapshot> {
-        self.key.map(|key| BasisSnapshot {
+        self.basis.key.map(|key| BasisSnapshot {
             key,
-            basis: self.basis.clone(),
-            vstat: self.vstat.clone(),
+            basis: self.basis.basis.clone(),
+            vstat: self.basis.vstat.clone(),
         })
+    }
+
+    /// Copy the current basis into `snap`, reusing its buffers; `false`
+    /// (and `snap` untouched) when no basis is cached.
+    pub(crate) fn snapshot_into(&self, snap: &mut BasisSnapshot) -> bool {
+        let Some(key) = self.basis.key else { return false };
+        snap.key = key;
+        snap.basis.clone_from(&self.basis.basis);
+        snap.vstat.clone_from(&self.basis.vstat);
+        true
     }
 
     /// Load a snapshot back in, making it the warm-start candidate for the
     /// next [`solve_lp_warm`] on a same-shaped problem.
     pub fn restore(&mut self, snap: &BasisSnapshot) {
-        self.key = Some(snap.key);
-        self.basis.clone_from(&snap.basis);
-        self.vstat.clone_from(&snap.vstat);
+        self.basis.key = Some(snap.key);
+        self.basis.basis.clone_from(&snap.basis);
+        self.basis.vstat.clone_from(&snap.vstat);
     }
 
+    /// Solve the LP of [`Self::form`] as its bounds stand, warm from the
+    /// cached basis when its shape matches and it is still dual feasible,
+    /// otherwise cold. `bounds_ok = false` (the form's bounds are inverted,
+    /// see [`SparseForm::set_bounds`]) reports an infeasible LP without a
+    /// pivot. Leaves the iteration count, and on an optimal finish the
+    /// point and objective, in the workspace, and caches the new basis.
+    pub(crate) fn solve_form(&mut self, bounds_ok: bool) -> Result<LpStatus, SolverError> {
+        let LpWorkspace { form: f, basis: ws, x, objective, iterations, .. } = self;
+        *iterations = 0;
+        if !bounds_ok {
+            ws.key = None;
+            return Ok(LpStatus::Infeasible);
+        }
+        if f.nrows == 0 {
+            ws.key = None;
+            return Ok(no_rows_solve(f, x, objective));
+        }
+        let dims = (f.nrows, f.ncols);
+        let try_warm = ws.key == Some(dims);
+        let mut s = Rsx::new(f, ws);
+        let mut status = if try_warm { s.warm_solve() } else { None };
+        if status.is_none() {
+            s.reset_cold();
+            status = Some(s.primal()?);
+        }
+        let status = status.expect("a cold solve always ends with a status");
+        *iterations = s.iterations;
+        s.finish(status, dims, x, objective);
+        Ok(status)
+    }
+
+    /// The owned [`LpSolution`] of the last [`Self::solve_form`], duals
+    /// included.
+    fn lp_solution(&mut self, status: LpStatus) -> LpSolution {
+        match status {
+            LpStatus::Optimal => LpSolution {
+                status,
+                objective: self.objective,
+                x: self.x.clone(),
+                iterations: self.iterations,
+                duals: self.basis.duals(&self.form),
+            },
+            LpStatus::Infeasible => LpSolution::infeasible(self.iterations),
+            LpStatus::Unbounded => LpSolution::unbounded(self.iterations),
+        }
+    }
+}
+
+impl Basis {
     fn eta_len(&self) -> usize {
         self.eta_row.len()
     }
@@ -136,7 +243,8 @@ impl LpWorkspace {
     /// Refactorize: dense LU with partial pivoting of the current basis
     /// columns; clears the eta file. `Err(k)` reports the elimination step
     /// at which the basis turned out (numerically) singular — `perm[k..]`
-    /// are the rows not yet pivoted on at that point.
+    /// are the rows not yet pivoted on at that point. Either way the
+    /// nonzeros of the factors as they stand are indexed for the kernels.
     fn lu_factor(&mut self, f: &SparseForm) -> Result<(), usize> {
         let m = self.basis.len();
         self.lu.clear();
@@ -155,37 +263,83 @@ impl LpWorkspace {
                 self.lu[i * m + k] = v;
             }
         }
+        self.u_ptr.clear();
+        self.u_ent.clear();
+        let lu = &mut self.lu;
         for k in 0..m {
             let mut p = k;
-            let mut best = self.lu[k * m + k].abs();
+            let mut best = lu[k * m + k].abs();
             for i in (k + 1)..m {
-                let a = self.lu[i * m + k].abs();
+                let a = lu[i * m + k].abs();
                 if a > best {
                     best = a;
                     p = i;
                 }
             }
             if best < 1e-11 {
+                self.index_factors(m, k);
                 return Err(k);
             }
             if p != k {
                 for j in 0..m {
-                    self.lu.swap(p * m + j, k * m + j);
+                    lu.swap(p * m + j, k * m + j);
                 }
                 self.perm.swap(p, k);
             }
-            let piv = self.lu[k * m + k];
+            // Row k is U's final row k: index its nonzeros right of the
+            // diagonal, and update the rows below only there.
+            let start = self.u_ent.len();
+            self.u_ptr.push(start);
+            for j in (k + 1)..m {
+                let v = lu[k * m + j];
+                if v != 0.0 {
+                    self.u_ent.push((j, v));
+                }
+            }
+            let piv = lu[k * m + k];
             for i in (k + 1)..m {
-                let factor = self.lu[i * m + k] / piv;
-                self.lu[i * m + k] = factor;
+                let factor = lu[i * m + k] / piv;
+                lu[i * m + k] = factor;
                 if factor != 0.0 {
-                    for j in (k + 1)..m {
-                        self.lu[i * m + j] -= factor * self.lu[k * m + j];
+                    for &(j, v) in &self.u_ent[start..] {
+                        lu[i * m + j] -= factor * v;
                     }
                 }
             }
         }
+        self.index_factors(m, m);
         Ok(())
+    }
+
+    /// Index the nonzeros of the dense factors: U's rows `from..m` (rows
+    /// before `from` were indexed as the elimination finished them), L's
+    /// columns, and U's diagonal.
+    fn index_factors(&mut self, m: usize, from: usize) {
+        let lu = &self.lu;
+        for i in from..m {
+            self.u_ptr.push(self.u_ent.len());
+            for j in (i + 1)..m {
+                let v = lu[i * m + j];
+                if v != 0.0 {
+                    self.u_ent.push((j, v));
+                }
+            }
+        }
+        self.u_ptr.push(self.u_ent.len());
+        self.l_ptr.clear();
+        self.l_ent.clear();
+        self.diag.clear();
+        for k in 0..m {
+            self.l_ptr.push(self.l_ent.len());
+            self.diag.push(lu[k * m + k]);
+            for i in (k + 1)..m {
+                let v = lu[i * m + k];
+                if v != 0.0 {
+                    self.l_ent.push((i, v));
+                }
+            }
+        }
+        self.l_ptr.push(self.l_ent.len());
     }
 
     /// Factorize the current basis, swapping out linearly dependent columns
@@ -232,26 +386,29 @@ impl LpWorkspace {
         self.eta_ptr.push(self.eta_ind.len());
     }
 
-    /// `x <- B^{-1} x`: LU solve, then the eta file oldest-first.
-    #[allow(clippy::needless_range_loop)] // triangular solves couple work[k] to lu[i*m+k]
+    /// `x <- B^{-1} x`: LU solve, then the eta file oldest-first. L is
+    /// applied column by column, skipping zero entries of the running
+    /// vector, U row by row; each row's terms are subtracted in ascending
+    /// column order, as the dense solve subtracts them.
     fn ftran(&self, x: &mut [f64], work: &mut [f64]) {
         let m = x.len();
         for i in 0..m {
             work[i] = x[self.perm[i]];
         }
-        for i in 0..m {
-            let mut s = work[i];
-            for k in 0..i {
-                s -= self.lu[i * m + k] * work[k];
+        for k in 0..m {
+            let t = work[k];
+            if t != 0.0 {
+                for &(i, v) in &self.l_ent[self.l_ptr[k]..self.l_ptr[k + 1]] {
+                    work[i] -= v * t;
+                }
             }
-            work[i] = s;
         }
         for i in (0..m).rev() {
             let mut s = work[i];
-            for k in (i + 1)..m {
-                s -= self.lu[i * m + k] * work[k];
+            for &(k, v) in &self.u_ent[self.u_ptr[i]..self.u_ptr[i + 1]] {
+                s -= v * work[k];
             }
-            work[i] = s / self.lu[i * m + i];
+            work[i] = s / self.diag[i];
         }
         x.copy_from_slice(&work[..m]);
         for e in 0..self.eta_len() {
@@ -264,8 +421,10 @@ impl LpWorkspace {
         }
     }
 
-    /// `y <- B^{-T} y`: the eta file newest-first, then the LU transpose.
-    #[allow(clippy::needless_range_loop)] // triangular solves couple work[k] to lu[k*m+i]
+    /// `y <- B^{-T} y`: the eta file newest-first, then the LU transpose:
+    /// Uᵀ row by row of U, skipping zero entries of the running vector, and
+    /// Lᵀ column by column of L, each sum in ascending order as in the
+    /// dense solve.
     fn btran(&self, y: &mut [f64], work: &mut [f64]) {
         let m = y.len();
         for e in (0..self.eta_len()).rev() {
@@ -276,23 +435,47 @@ impl LpWorkspace {
             }
             y[r] = s / self.eta_piv[e];
         }
-        for i in 0..m {
-            let mut s = y[i];
-            for k in 0..i {
-                s -= self.lu[k * m + i] * work[k];
+        work[..m].copy_from_slice(y);
+        for k in 0..m {
+            let t = work[k] / self.diag[k];
+            work[k] = t;
+            if t != 0.0 {
+                for &(i, v) in &self.u_ent[self.u_ptr[k]..self.u_ptr[k + 1]] {
+                    work[i] -= v * t;
+                }
             }
-            work[i] = s / self.lu[i * m + i];
         }
         for i in (0..m).rev() {
             let mut s = work[i];
-            for k in (i + 1)..m {
-                s -= self.lu[k * m + i] * work[k];
+            for &(k, v) in &self.l_ent[self.l_ptr[i]..self.l_ptr[i + 1]] {
+                s -= v * work[k];
             }
             work[i] = s;
         }
         for i in 0..m {
             y[self.perm[i]] = work[i];
         }
+    }
+
+    /// Dual value per row of the cached optimal basis, in the original
+    /// sense (`None` on equality rows): `y = B^{-T} c_B`.
+    fn duals(&mut self, f: &SparseForm) -> Vec<Option<f64>> {
+        if f.nrows == 0 {
+            return Vec::new();
+        }
+        let (mut y, mut work) = (mem::take(&mut self.y), mem::take(&mut self.work));
+        for (yi, &b) in y.iter_mut().zip(&self.basis) {
+            *yi = f.cost[b];
+        }
+        self.btran(&mut y, &mut work);
+        let duals = f
+            .relations
+            .iter()
+            .zip(&y)
+            .map(|(rel, &yi)| (*rel != Relation::Eq).then_some(if f.maximize { -yi } else { yi }))
+            .collect();
+        (self.y, self.work) = (y, work);
+        duals
     }
 }
 
@@ -302,13 +485,13 @@ pub fn solve_lp(model: &Model) -> Result<LpSolution, SolverError> {
     solve_lp_with_bounds(model, None)
 }
 
-/// Solve the LP relaxation with per-variable bound overrides (used by branch
-/// and bound). `overrides[i] = Some((lo, hi))` intersects the model bounds.
+/// Solve the LP relaxation with per-variable bound overrides.
+/// `overrides[i] = Some((lo, hi))` intersects the model bounds.
 pub fn solve_lp_with_bounds(
     model: &Model,
     overrides: Option<&[Option<(f64, f64)>]>,
 ) -> Result<LpSolution, SolverError> {
-    solve_core(model, overrides, &mut LpWorkspace::new(), false)
+    solve_lp_warm(model, overrides, &mut LpWorkspace::new())
 }
 
 /// Solve, warm-starting from the basis cached in `ws` when its shape matches
@@ -320,48 +503,27 @@ pub fn solve_lp_warm(
     overrides: Option<&[Option<(f64, f64)>]>,
     ws: &mut LpWorkspace,
 ) -> Result<LpSolution, SolverError> {
-    solve_core(model, overrides, ws, true)
-}
-
-fn solve_core(
-    model: &Model,
-    overrides: Option<&[Option<(f64, f64)>]>,
-    ws: &mut LpWorkspace,
-    warm: bool,
-) -> Result<LpSolution, SolverError> {
-    let Some(f) = SparseForm::build(model, overrides) else {
-        ws.key = None;
-        return Ok(LpSolution::infeasible(0));
-    };
-    if f.nrows == 0 {
-        ws.key = None;
-        return Ok(no_rows_solve(&f));
-    }
-    let dims = (f.nrows, f.ncols);
-    let try_warm = warm && ws.key == Some(dims);
-    let mut s = Rsx::new(&f, ws);
-    let mut status = if try_warm { s.warm_solve() } else { None };
-    if status.is_none() {
-        s.reset_cold();
-        status = Some(s.primal()?);
-    }
-    Ok(s.into_solution(status.unwrap(), dims))
+    ws.form.fill(model);
+    let bounds_ok = ws.form.set_bounds(model, overrides);
+    let status = ws.solve_form(bounds_ok)?;
+    Ok(ws.lp_solution(status))
 }
 
 /// No constraints at all: every variable sits at its objective-best bound;
 /// a variable pushed toward a missing bound makes the problem unbounded.
-fn no_rows_solve(f: &SparseForm) -> LpSolution {
-    let mut x = vec![0.0; f.nstruct];
+fn no_rows_solve(f: &SparseForm, x: &mut Vec<f64>, objective: &mut f64) -> LpStatus {
+    x.clear();
+    x.resize(f.nstruct, 0.0);
     for (j, xj) in x.iter_mut().enumerate() {
         let c = f.cost[j];
         let v = if c > COST_TOL {
             if !f.lower[j].is_finite() {
-                return LpSolution::unbounded(0);
+                return LpStatus::Unbounded;
             }
             f.lower[j]
         } else if c < -COST_TOL {
             if !f.upper[j].is_finite() {
-                return LpSolution::unbounded(0);
+                return LpStatus::Unbounded;
             }
             f.upper[j]
         } else if f.lower[j].is_finite() {
@@ -373,14 +535,9 @@ fn no_rows_solve(f: &SparseForm) -> LpSolution {
         };
         *xj = v;
     }
-    let obj_min: f64 = f.cost[..f.nstruct].iter().zip(&x).map(|(c, v)| c * v).sum();
-    LpSolution {
-        status: LpStatus::Optimal,
-        objective: if f.maximize { -obj_min } else { obj_min },
-        x,
-        iterations: 0,
-        duals: Vec::new(),
-    }
+    let obj_min: f64 = f.cost[..f.nstruct].iter().zip(x.iter()).map(|(c, v)| c * v).sum();
+    *objective = if f.maximize { -obj_min } else { obj_min };
+    LpStatus::Optimal
 }
 
 enum PhaseEnd {
@@ -400,12 +557,12 @@ enum DualEnd {
     Trouble,
 }
 
-/// One revised-simplex solve in flight. Borrows the form and workspace;
-/// iteration buffers are taken out of the workspace on entry and returned
-/// by [`Rsx::into_solution`].
+/// One revised-simplex solve in flight. Borrows the form and the basis;
+/// iteration buffers are taken out of the basis on entry and returned by
+/// [`Rsx::finish`].
 struct Rsx<'a> {
     f: &'a SparseForm,
-    ws: &'a mut LpWorkspace,
+    ws: &'a mut Basis,
     xb: Vec<f64>,
     alpha: Vec<f64>,
     rho: Vec<f64>,
@@ -416,7 +573,7 @@ struct Rsx<'a> {
 }
 
 impl<'a> Rsx<'a> {
-    fn new(f: &'a SparseForm, ws: &'a mut LpWorkspace) -> Rsx<'a> {
+    fn new(f: &'a SparseForm, ws: &'a mut Basis) -> Rsx<'a> {
         let m = f.nrows;
         let grab = |v: &mut Vec<f64>| {
             let mut b = mem::take(v);
@@ -931,66 +1088,49 @@ impl<'a> Rsx<'a> {
         }
     }
 
-    /// Build the [`LpSolution`], cache the basis on optimality, and return
-    /// the iteration buffers to the workspace.
-    fn into_solution(mut self, status: LpStatus, dims: (usize, usize)) -> LpSolution {
-        let out = match status {
-            LpStatus::Optimal => {
-                // Fresh factorization for the most accurate x_B and duals —
-                // strict, no repair: repairing the optimal basis would
-                // change the reported solution. On (rare) failure the
-                // eta-updated iterate is reported as-is.
-                if self.ws.lu_factor(self.f).is_ok() {
-                    self.compute_xb();
-                }
-                let f = self.f;
-                let n = f.nstruct;
-                let mut x = vec![0.0; n];
-                for (j, xj) in x.iter_mut().enumerate() {
-                    if self.ws.vstat[j] != VStat::Basic {
-                        *xj = self.nonbasic_value(j);
-                    }
-                }
-                for (i, &b) in self.ws.basis.iter().enumerate() {
-                    if b < n {
-                        x[b] = self.xb[i].clamp(f.lower[b], f.upper[b]);
-                    }
-                }
-                let obj_min: f64 = f.cost[..n].iter().zip(&x).map(|(c, v)| c * v).sum();
-                self.btran_costs(false);
-                let duals = f
-                    .relations
-                    .iter()
-                    .enumerate()
-                    .map(|(i, rel)| {
-                        (*rel != Relation::Eq)
-                            .then(|| if f.maximize { -self.y[i] } else { self.y[i] })
-                    })
-                    .collect();
-                self.ws.key = Some(dims);
-                LpSolution {
-                    status: LpStatus::Optimal,
-                    objective: if f.maximize { -obj_min } else { obj_min },
-                    x,
-                    iterations: self.iterations,
-                    duals,
+    /// On an optimal finish, write the structural point and the objective
+    /// (original sense) and cache the basis; return the iteration buffers
+    /// to the basis.
+    fn finish(
+        mut self,
+        status: LpStatus,
+        dims: (usize, usize),
+        x: &mut Vec<f64>,
+        objective: &mut f64,
+    ) {
+        if status == LpStatus::Optimal {
+            // Fresh factorization for the most accurate x_B — strict, no
+            // repair: repairing the optimal basis would change the reported
+            // solution. On (rare) failure the eta-updated iterate is
+            // reported as-is.
+            if self.ws.lu_factor(self.f).is_ok() {
+                self.compute_xb();
+            }
+            let f = self.f;
+            let n = f.nstruct;
+            x.clear();
+            x.resize(n, 0.0);
+            for (j, xj) in x.iter_mut().enumerate() {
+                if self.ws.vstat[j] != VStat::Basic {
+                    *xj = self.nonbasic_value(j);
                 }
             }
-            LpStatus::Infeasible => {
-                self.ws.key = None;
-                LpSolution::infeasible(self.iterations)
+            for (i, &b) in self.ws.basis.iter().enumerate() {
+                if b < n {
+                    x[b] = self.xb[i].clamp(f.lower[b], f.upper[b]);
+                }
             }
-            LpStatus::Unbounded => {
-                self.ws.key = None;
-                LpSolution::unbounded(self.iterations)
-            }
-        };
+            let obj_min: f64 = f.cost[..n].iter().zip(x.iter()).map(|(c, v)| c * v).sum();
+            *objective = if f.maximize { -obj_min } else { obj_min };
+            self.ws.key = Some(dims);
+        } else {
+            self.ws.key = None;
+        }
         self.ws.xb = mem::take(&mut self.xb);
         self.ws.alpha = mem::take(&mut self.alpha);
         self.ws.rho = mem::take(&mut self.rho);
         self.ws.y = mem::take(&mut self.y);
         self.ws.work = mem::take(&mut self.work);
-        out
     }
 }
 
@@ -1241,5 +1381,357 @@ mod tests {
         // And back again.
         let c = solve_lp_warm(&m1, None, &mut ws).unwrap();
         assert!((c.objective - a.objective).abs() < 1e-9);
+    }
+
+    // ---- sparse kernels against the dense reference ----
+
+    /// The dense kernels the sparse ones replaced, kept as their oracle:
+    /// partial-pivot LU updating every column right of the pivot, and
+    /// triangular solves over every entry of the factors.
+    impl Basis {
+        fn lu_factor_dense(&mut self, f: &SparseForm) -> Result<(), usize> {
+            let m = self.basis.len();
+            self.lu.clear();
+            self.lu.resize(m * m, 0.0);
+            self.perm.clear();
+            self.perm.extend(0..m);
+            for (k, &j) in self.basis.iter().enumerate() {
+                let (rows, vals) = f.col(j);
+                for (&i, &v) in rows.iter().zip(vals) {
+                    self.lu[i * m + k] = v;
+                }
+            }
+            for k in 0..m {
+                let mut p = k;
+                let mut best = self.lu[k * m + k].abs();
+                for i in (k + 1)..m {
+                    let a = self.lu[i * m + k].abs();
+                    if a > best {
+                        best = a;
+                        p = i;
+                    }
+                }
+                if best < 1e-11 {
+                    return Err(k);
+                }
+                if p != k {
+                    for j in 0..m {
+                        self.lu.swap(p * m + j, k * m + j);
+                    }
+                    self.perm.swap(p, k);
+                }
+                let piv = self.lu[k * m + k];
+                for i in (k + 1)..m {
+                    let factor = self.lu[i * m + k] / piv;
+                    self.lu[i * m + k] = factor;
+                    if factor != 0.0 {
+                        for j in (k + 1)..m {
+                            self.lu[i * m + j] -= factor * self.lu[k * m + j];
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        #[allow(clippy::needless_range_loop)] // triangular solves couple work[k] to lu[i*m+k]
+        fn ftran_dense(&self, x: &mut [f64], work: &mut [f64]) {
+            let m = x.len();
+            for i in 0..m {
+                work[i] = x[self.perm[i]];
+            }
+            for i in 0..m {
+                let mut s = work[i];
+                for k in 0..i {
+                    s -= self.lu[i * m + k] * work[k];
+                }
+                work[i] = s;
+            }
+            for i in (0..m).rev() {
+                let mut s = work[i];
+                for k in (i + 1)..m {
+                    s -= self.lu[i * m + k] * work[k];
+                }
+                work[i] = s / self.lu[i * m + i];
+            }
+            x.copy_from_slice(&work[..m]);
+            for e in 0..self.eta_len() {
+                let r = self.eta_row[e];
+                let t = x[r] / self.eta_piv[e];
+                for idx in self.eta_ptr[e]..self.eta_ptr[e + 1] {
+                    x[self.eta_ind[idx]] -= self.eta_val[idx] * t;
+                }
+                x[r] = t;
+            }
+        }
+
+        #[allow(clippy::needless_range_loop)] // triangular solves couple work[k] to lu[k*m+i]
+        fn btran_dense(&self, y: &mut [f64], work: &mut [f64]) {
+            let m = y.len();
+            for e in (0..self.eta_len()).rev() {
+                let r = self.eta_row[e];
+                let mut s = y[r];
+                for idx in self.eta_ptr[e]..self.eta_ptr[e + 1] {
+                    s -= self.eta_val[idx] * y[self.eta_ind[idx]];
+                }
+                y[r] = s / self.eta_piv[e];
+            }
+            for i in 0..m {
+                let mut s = y[i];
+                for k in 0..i {
+                    s -= self.lu[k * m + i] * work[k];
+                }
+                work[i] = s / self.lu[i * m + i];
+            }
+            for i in (0..m).rev() {
+                let mut s = work[i];
+                for k in (i + 1)..m {
+                    s -= self.lu[k * m + i] * work[k];
+                }
+                work[i] = s;
+            }
+            for i in 0..m {
+                y[self.perm[i]] = work[i];
+            }
+        }
+    }
+
+    /// xorshift64*: the same cases on every run.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// Log-uniform magnitude in `[1e-12, 1e3)`, random sign.
+        fn wide(&mut self) -> f64 {
+            let mag = 10f64.powf(-12.0 + 15.0 * self.unit());
+            if self.next() & 1 == 0 {
+                mag
+            } else {
+                -mag
+            }
+        }
+    }
+
+    /// Column styles of the random forms.
+    #[derive(Clone, Copy, Debug)]
+    enum Style {
+        /// A few structural entries per row, small integer coefficients;
+        /// bases mostly slacks.
+        SlackHeavy,
+        /// Dense rows of wide coefficients; bases all structural.
+        Structural,
+        /// The aggregated ILP's shape: per function a gain column and count
+        /// columns over tangent-cut rows whose gains decay from ~1 to
+        /// ~1e-12, a slot-cap row, and capacity rows with demands near
+        /// 1e2–1e3; bases mixed.
+        Ladder,
+    }
+
+    fn random_form(rng: &mut Rng, style: Style) -> SparseForm {
+        let mut model = Model::new(Sense::Maximize);
+        match style {
+            Style::SlackHeavy | Style::Structural => {
+                let m = 2 + rng.below(15);
+                let n = m + rng.below(m + 1);
+                let vars: Vec<_> = (0..n).map(|_| model.add_var(0.0, 1.0, 1.0)).collect();
+                for _ in 0..m {
+                    let terms: Vec<_> = match style {
+                        Style::SlackHeavy => (0..1 + rng.below(3))
+                            .map(|_| (vars[rng.below(n)], 1.0 + rng.below(5) as f64))
+                            .collect(),
+                        _ => {
+                            let mut terms = Vec::new();
+                            for &v in &vars {
+                                if rng.below(10) < 7 {
+                                    terms.push((v, rng.wide()));
+                                }
+                            }
+                            terms
+                        }
+                    };
+                    model.add_constraint(terms, Relation::Le, 1.0);
+                }
+            }
+            Style::Ladder => {
+                let bins = 1 + rng.below(3);
+                let mut count_vars = Vec::new();
+                for _ in 0..1 + rng.below(3) {
+                    let r = 0.5 + 0.45 * rng.unit();
+                    let demand = 100.0 + 900.0 * rng.unit();
+                    let cap = 2 + rng.below(6);
+                    let g = model.add_var(0.0, 10.0, 1.0);
+                    let ns: Vec<_> = (0..bins)
+                        .filter(|_| rng.below(4) > 0)
+                        .map(|b| (b, model.add_integer_var(0.0, cap as f64, 0.0)))
+                        .collect();
+                    for k in 1..=cap {
+                        // Gains fall geometrically to ~1e-12 at the last slot.
+                        let gain = r * (1e-12f64 / r).powf((k - 1) as f64 / (cap - 1) as f64);
+                        let terms = ns.iter().map(|&(_, v)| (v, -gain));
+                        model.add_constraint(
+                            std::iter::once((g, 1.0)).chain(terms),
+                            Relation::Le,
+                            0.5,
+                        );
+                    }
+                    model.add_constraint(
+                        ns.iter().map(|&(_, v)| (v, 1.0)),
+                        Relation::Le,
+                        cap as f64,
+                    );
+                    count_vars.extend(ns.iter().map(|&(b, v)| (b, v, demand)));
+                }
+                for b in 0..bins {
+                    let terms = count_vars.iter().filter(|&&(nb, _, _)| nb == b);
+                    model.add_constraint(terms.map(|&(_, v, d)| (v, d)), Relation::Le, 2000.0);
+                }
+            }
+        }
+        let mut f = SparseForm::default();
+        f.fill(&model);
+        assert!(f.set_bounds(&model, None));
+        f
+    }
+
+    /// A random basis of `f`: each position is its row's slack with
+    /// probability `slack`, otherwise a random unused structural column.
+    fn random_basis(rng: &mut Rng, f: &SparseForm, slack: f64) -> Vec<usize> {
+        let mut used = vec![false; f.ncols];
+        (0..f.nrows)
+            .map(|r| {
+                let mut j = f.nstruct + r;
+                if rng.unit() >= slack {
+                    let free: Vec<usize> = (0..f.nstruct).filter(|&j| !used[j]).collect();
+                    if !free.is_empty() {
+                        j = free[rng.below(free.len())];
+                    }
+                }
+                if used[j] {
+                    j = (0..f.ncols).find(|&j| !used[j]).unwrap();
+                }
+                used[j] = true;
+                j
+            })
+            .collect()
+    }
+
+    /// A test vector: a unit vector (the dual simplex's `e_r`), a column
+    /// of the form, or wide random entries about half of them zero.
+    fn random_vector(rng: &mut Rng, f: &SparseForm) -> Vec<f64> {
+        let mut v = vec![0.0; f.nrows];
+        match rng.below(3) {
+            0 => v[rng.below(f.nrows)] = 1.0,
+            1 => {
+                let (rows, vals) = f.col(rng.below(f.ncols));
+                for (&i, &a) in rows.iter().zip(vals) {
+                    v[i] = a;
+                }
+            }
+            _ => {
+                for x in v.iter_mut() {
+                    if rng.below(2) == 0 {
+                        *x = rng.wide();
+                    }
+                }
+            }
+        }
+        v
+    }
+
+    /// Bit patterns, so a comparison tells -0.0 from +0.0.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn sparse_kernels_equal_the_dense_reference() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let (mut factored, mut with_etas, mut vectors) = (0, 0, 0);
+        for case in 0..1200 {
+            let style = [Style::SlackHeavy, Style::Structural, Style::Ladder][case % 3];
+            let f = random_form(&mut rng, style);
+            let slack = match style {
+                Style::SlackHeavy => 0.75,
+                Style::Structural => 0.0,
+                Style::Ladder => 0.4,
+            };
+            let mut sparse = Basis { basis: random_basis(&mut rng, &f, slack), ..Basis::default() };
+            let mut dense = sparse.clone();
+            let got = sparse.lu_factor(&f);
+            assert_eq!(got, dense.lu_factor_dense(&f), "case {case} ({style:?})");
+            assert_eq!(sparse.perm, dense.perm, "case {case} ({style:?})");
+            assert_eq!(bits(&sparse.lu), bits(&dense.lu), "case {case} ({style:?})");
+            if got.is_err() {
+                continue;
+            }
+            factored += 1;
+            let m = f.nrows;
+            let mut work = vec![0.0; m];
+            let etas = rng.below(6);
+            for round in 0..=etas {
+                for _ in 0..4 {
+                    let v = random_vector(&mut rng, &f);
+                    let (mut xs, mut xd) = (v.clone(), v.clone());
+                    sparse.ftran(&mut xs, &mut work);
+                    sparse.ftran_dense(&mut xd, &mut work);
+                    assert_eq!(
+                        bits(&xs),
+                        bits(&xd),
+                        "ftran, case {case} ({style:?}), {round} etas"
+                    );
+                    let (mut ys, mut yd) = (v.clone(), v);
+                    sparse.btran(&mut ys, &mut work);
+                    sparse.btran_dense(&mut yd, &mut work);
+                    // Equal values, but a zero may carry the other sign: the
+                    // L^T pass starts from U^T quotients, which can be -0.0,
+                    // and a dense `s - v·0` the sparse pass skips can turn
+                    // that into +0.0. `==` treats the two alike, as every
+                    // step of the simplex does.
+                    assert_eq!(ys, yd, "btran, case {case} ({style:?}), {round} etas");
+                    vectors += 1;
+                }
+                if round == etas {
+                    break;
+                }
+                // One product-form pivot: a random nonbasic column enters
+                // at the row of its largest FTRANed entry.
+                let q = loop {
+                    let j = rng.below(f.ncols);
+                    if !sparse.basis.contains(&j) {
+                        break j;
+                    }
+                };
+                let mut alpha = vec![0.0; m];
+                let (rows, vals) = f.col(q);
+                for (&i, &a) in rows.iter().zip(vals) {
+                    alpha[i] = a;
+                }
+                sparse.ftran(&mut alpha, &mut work);
+                let r = (0..m).max_by(|&a, &b| alpha[a].abs().total_cmp(&alpha[b].abs())).unwrap();
+                if alpha[r].abs() < 1e-9 {
+                    break;
+                }
+                sparse.push_eta(r, &alpha);
+                sparse.basis[r] = q;
+                with_etas += usize::from(round == 0);
+            }
+        }
+        assert!(factored >= 400, "only {factored} nonsingular bases");
+        assert!(with_etas >= 200, "only {with_etas} bases took eta updates");
+        assert!(vectors >= 4000, "only {vectors} vectors compared");
     }
 }

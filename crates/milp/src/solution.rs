@@ -69,6 +69,20 @@ pub struct MilpSolution {
     pub proven: bool,
 }
 
+/// The empty result a reusable solution buffer starts from: no point,
+/// infeasible, nothing searched.
+impl Default for MilpSolution {
+    fn default() -> Self {
+        MilpSolution {
+            status: LpStatus::Infeasible,
+            objective: f64::NAN,
+            x: Vec::new(),
+            stats: Default::default(),
+            proven: true,
+        }
+    }
+}
+
 impl MilpSolution {
     pub fn is_optimal(&self) -> bool {
         self.status == LpStatus::Optimal

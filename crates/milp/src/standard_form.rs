@@ -19,14 +19,17 @@
 //! matrix is stored in CSC (compressed sparse column) layout, slack columns
 //! included, so pricing and FTRAN touch only structural nonzeros.
 //!
-//! Branch and bound passes per-variable bound overrides so nodes never have
-//! to clone and mutate the model itself.
+//! Branch and bound builds the form once per solve and rewrites only the
+//! structural bounds per node ([`SparseForm::set_bounds`]), so nodes never
+//! clone the model or rebuild the matrix.
 
 use crate::problem::{Model, Relation, Sense};
 
 /// A program in bounded-variable form: CSC matrix (structural columns first,
 /// then one slack column per row), minimization costs, and bound files.
-#[derive(Debug, Clone)]
+///
+/// [`SparseForm::fill`] rebuilds it in place, reusing every buffer.
+#[derive(Debug, Clone, Default)]
 pub struct SparseForm {
     /// Number of rows (= model constraints; no synthetic rows).
     pub nrows: usize,
@@ -53,82 +56,73 @@ pub struct SparseForm {
     /// Whether the original model maximized (objective and duals are
     /// reported back in the original sense).
     pub maximize: bool,
+    /// Buffers of [`SparseForm::fill`]: a dense accumulator over the
+    /// structural columns, the columns one row touched, every row's merged
+    /// terms with their row starts, and the CSC fill cursors.
+    acc: Vec<f64>,
+    touched: Vec<usize>,
+    merged: Vec<(usize, f64)>,
+    merged_start: Vec<usize>,
+    cursor: Vec<usize>,
 }
 
 impl SparseForm {
-    /// Build the computational form of `model`, optionally overriding
-    /// variable bounds (used by branch and bound; `overrides[i] =
-    /// Some((lo, hi))` intersects with the model bounds).
-    ///
-    /// Returns `None` if some variable's effective bounds are inverted,
-    /// which branch and bound treats as an infeasible node.
-    pub fn build(model: &Model, overrides: Option<&[Option<(f64, f64)>]>) -> Option<SparseForm> {
+    /// Rebuild the form of `model` in place: matrix, costs, right-hand
+    /// sides and slack bounds. The structural bounds are left for
+    /// [`SparseForm::set_bounds`].
+    pub fn fill(&mut self, model: &Model) {
         let n = model.num_vars();
         let m = model.num_constraints();
         let ncols = n + m;
+        self.nrows = m;
+        self.nstruct = n;
+        self.ncols = ncols;
 
-        let mut lower = Vec::with_capacity(ncols);
-        let mut upper = Vec::with_capacity(ncols);
-        for i in 0..n {
-            let mut lo = model.vars[i].lower;
-            let mut hi = model.vars[i].upper;
-            if let Some(ovr) = overrides {
-                if let Some((l, h)) = ovr[i] {
-                    lo = lo.max(l);
-                    hi = hi.min(h);
-                }
-            }
-            if lo > hi + 1e-12 {
-                return None;
-            }
-            lower.push(lo);
-            upper.push(hi.max(lo));
-        }
-
-        let maximize = model.sense == Sense::Maximize;
-        let sign = if maximize { -1.0 } else { 1.0 };
-        let mut cost = Vec::with_capacity(ncols);
-        for i in 0..n {
-            cost.push(sign * model.vars[i].objective);
-        }
-        cost.resize(ncols, 0.0);
+        self.maximize = model.sense == Sense::Maximize;
+        let sign = if self.maximize { -1.0 } else { 1.0 };
+        self.cost.clear();
+        self.cost.extend(model.vars.iter().map(|v| sign * v.objective));
+        self.cost.resize(ncols, 0.0);
 
         // Merge duplicate terms per (row, col) with a dense accumulator so
         // the CSC build sees each coefficient once.
-        let mut acc = vec![0.0f64; n];
-        let mut merged: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut relations = Vec::with_capacity(m);
-        let mut rhs = Vec::with_capacity(m);
-        for con in &model.constraints {
-            let mut touched: Vec<usize> = Vec::with_capacity(con.terms.len());
-            for &(v, a) in &con.terms {
+        let acc = &mut self.acc;
+        acc.clear();
+        acc.resize(n, 0.0);
+        self.merged.clear();
+        self.merged_start.clear();
+        self.relations.clear();
+        self.rhs.clear();
+        for (terms, relation, rhs) in model.constraints() {
+            self.merged_start.push(self.merged.len());
+            self.touched.clear();
+            for &(v, a) in terms {
                 let j = v.index();
                 if acc[j] == 0.0 {
-                    touched.push(j);
+                    self.touched.push(j);
                 }
                 acc[j] += a;
             }
-            touched.sort_unstable();
-            let mut row: Vec<(usize, f64)> = Vec::with_capacity(touched.len());
-            for &j in &touched {
+            self.touched.sort_unstable();
+            for &j in &self.touched {
                 if acc[j] != 0.0 {
-                    row.push((j, acc[j]));
+                    self.merged.push((j, acc[j]));
                 }
                 acc[j] = 0.0;
             }
-            merged.push(row);
-            relations.push(con.relation);
-            rhs.push(con.rhs);
+            self.relations.push(relation);
+            self.rhs.push(rhs);
         }
+        self.merged_start.push(self.merged.len());
 
         // CSC: count nonzeros per column (+1 for each slack unit column),
         // prefix-sum, then fill in row order so row indices ascend within
         // every column.
-        let mut col_ptr = vec![0usize; ncols + 1];
-        for row in &merged {
-            for &(j, _) in row {
-                col_ptr[j + 1] += 1;
-            }
+        let col_ptr = &mut self.col_ptr;
+        col_ptr.clear();
+        col_ptr.resize(ncols + 1, 0);
+        for &(j, _) in &self.merged {
+            col_ptr[j + 1] += 1;
         }
         for r in 0..m {
             col_ptr[n + r + 1] += 1; // slack column of row r
@@ -137,54 +131,61 @@ impl SparseForm {
             col_ptr[j + 1] += col_ptr[j];
         }
         let nnz = col_ptr[ncols];
-        let mut row_ind = vec![0usize; nnz];
-        let mut val = vec![0.0f64; nnz];
-        let mut fill = col_ptr.clone();
-        for (r, row) in merged.iter().enumerate() {
-            for &(j, a) in row {
-                row_ind[fill[j]] = r;
-                val[fill[j]] = a;
-                fill[j] += 1;
+        self.row_ind.clear();
+        self.row_ind.resize(nnz, 0);
+        self.val.clear();
+        self.val.resize(nnz, 0.0);
+        let cursor = &mut self.cursor;
+        cursor.clear();
+        cursor.extend_from_slice(col_ptr);
+        for r in 0..m {
+            for &(j, a) in &self.merged[self.merged_start[r]..self.merged_start[r + 1]] {
+                self.row_ind[cursor[j]] = r;
+                self.val[cursor[j]] = a;
+                cursor[j] += 1;
             }
         }
         for r in 0..m {
-            row_ind[fill[n + r]] = r;
-            val[fill[n + r]] = 1.0;
-            fill[n + r] += 1;
+            self.row_ind[cursor[n + r]] = r;
+            self.val[cursor[n + r]] = 1.0;
+            cursor[n + r] += 1;
         }
 
         // Slack bounds encode the relation.
-        for rel in &relations {
-            match rel {
-                Relation::Le => {
-                    lower.push(0.0);
-                    upper.push(f64::INFINITY);
-                }
-                Relation::Ge => {
-                    lower.push(f64::NEG_INFINITY);
-                    upper.push(0.0);
-                }
-                Relation::Eq => {
-                    lower.push(0.0);
-                    upper.push(0.0);
-                }
-            }
+        self.lower.clear();
+        self.lower.resize(n, 0.0);
+        self.upper.clear();
+        self.upper.resize(n, 0.0);
+        for rel in &self.relations {
+            let (lo, hi) = match rel {
+                Relation::Le => (0.0, f64::INFINITY),
+                Relation::Ge => (f64::NEG_INFINITY, 0.0),
+                Relation::Eq => (0.0, 0.0),
+            };
+            self.lower.push(lo);
+            self.upper.push(hi);
         }
+    }
 
-        Some(SparseForm {
-            nrows: m,
-            nstruct: n,
-            ncols,
-            col_ptr,
-            row_ind,
-            val,
-            cost,
-            lower,
-            upper,
-            rhs,
-            relations,
-            maximize,
-        })
+    /// Write the structural bounds: `model`'s, intersected with
+    /// `overrides[i] = Some((lo, hi))` where given. Bounds inverted by less
+    /// than `1e-12` are clamped to a fixed variable; `false` means some
+    /// variable's bounds are inverted by more (an infeasible node). The
+    /// form must have been [filled](SparseForm::fill) from `model`.
+    pub fn set_bounds(&mut self, model: &Model, overrides: Option<&[Option<(f64, f64)>]>) -> bool {
+        for (i, v) in model.vars.iter().enumerate() {
+            let (mut lo, mut hi) = (v.lower, v.upper);
+            if let Some((l, h)) = overrides.and_then(|ovr| ovr[i]) {
+                lo = lo.max(l);
+                hi = hi.min(h);
+            }
+            if lo > hi + 1e-12 {
+                return false;
+            }
+            self.lower[i] = lo;
+            self.upper[i] = hi.max(lo);
+        }
+        true
     }
 
     /// The nonzeros of column `j` as parallel `(row indices, values)` slices.
@@ -200,6 +201,13 @@ mod tests {
     use super::*;
     use crate::problem::{Model, Relation, Sense};
 
+    /// The form of `model` under `overrides`; `None` for an infeasible node.
+    fn build(model: &Model, overrides: Option<&[Option<(f64, f64)>]>) -> Option<SparseForm> {
+        let mut f = SparseForm::default();
+        f.fill(model);
+        f.set_bounds(model, overrides).then_some(f)
+    }
+
     #[test]
     fn slack_bounds_encode_relations() {
         let mut m = Model::new(Sense::Minimize);
@@ -207,7 +215,7 @@ mod tests {
         m.add_constraint(vec![(x, 1.0)], Relation::Le, 5.0);
         m.add_constraint(vec![(x, 1.0)], Relation::Ge, -1.0);
         m.add_constraint(vec![(x, 1.0)], Relation::Eq, 0.5);
-        let f = SparseForm::build(&m, None).unwrap();
+        let f = build(&m, None).unwrap();
         assert_eq!((f.nrows, f.nstruct, f.ncols), (3, 1, 4));
         // Le slack [0, inf), Ge slack (-inf, 0], Eq slack [0, 0].
         assert_eq!((f.lower[1], f.upper[1]), (0.0, f64::INFINITY));
@@ -224,7 +232,7 @@ mod tests {
         let y = m.add_var(0.0, f64::INFINITY, 2.0);
         m.add_constraint(vec![(y, 3.0), (x, 1.0)], Relation::Le, 4.0);
         m.add_constraint(vec![(x, 2.0)], Relation::Ge, 1.0);
-        let f = SparseForm::build(&m, None).unwrap();
+        let f = build(&m, None).unwrap();
         let (rows, vals) = f.col(0);
         assert_eq!(rows, &[0, 1]);
         assert_eq!(vals, &[1.0, 2.0]);
@@ -243,7 +251,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var(0.0, 1.0, 1.0);
         m.add_constraint(vec![(x, 1.0), (x, 2.5)], Relation::Le, 4.0);
-        let f = SparseForm::build(&m, None).unwrap();
+        let f = build(&m, None).unwrap();
         let (rows, vals) = f.col(0);
         assert_eq!(rows, &[0]);
         assert!((vals[0] - 3.5).abs() < 1e-12);
@@ -253,7 +261,7 @@ mod tests {
     fn maximize_negates_costs() {
         let mut m = Model::new(Sense::Maximize);
         let _x = m.add_var(0.0, 1.0, 3.0);
-        let f = SparseForm::build(&m, None).unwrap();
+        let f = build(&m, None).unwrap();
         assert!(f.maximize);
         assert!((f.cost[0] + 3.0).abs() < 1e-12);
     }
@@ -263,7 +271,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_binary_var(1.0);
         let ovr = vec![Some((1.0, 1.0))];
-        let f = SparseForm::build(&m, Some(&ovr)).unwrap();
+        let f = build(&m, Some(&ovr)).unwrap();
         assert_eq!((f.lower[x.index()], f.upper[x.index()]), (1.0, 1.0));
     }
 
@@ -273,7 +281,7 @@ mod tests {
         let _x = m.add_binary_var(1.0);
         let ovr = vec![Some((2.0, 2.0))];
         // Effective bounds [2,1] -> infeasible node.
-        assert!(SparseForm::build(&m, Some(&ovr)).is_none());
+        assert!(build(&m, Some(&ovr)).is_none());
     }
 
     #[test]
@@ -283,7 +291,7 @@ mod tests {
         // Inverted by less than the 1e-12 slop: clamped to a fixed variable
         // rather than rejected.
         let ovr = vec![Some((0.5 + 5e-13, 0.5))];
-        let f = SparseForm::build(&m, Some(&ovr)).unwrap();
+        let f = build(&m, Some(&ovr)).unwrap();
         assert!(f.lower[x.index()] <= f.upper[x.index()]);
     }
 }

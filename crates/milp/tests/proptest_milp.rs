@@ -17,8 +17,7 @@ impl RandomBinaryProgram {
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = self.profits.iter().map(|&p| m.add_binary_var(p)).collect();
         for (coeffs, rhs) in &self.rows {
-            let terms = vars.iter().zip(coeffs).map(|(&v, &c)| (v, c)).collect();
-            m.add_constraint(terms, Relation::Le, *rhs);
+            m.add_constraint(vars.iter().zip(coeffs).map(|(&v, &c)| (v, c)), Relation::Le, *rhs);
         }
         m
     }
@@ -72,20 +71,21 @@ proptest! {
 
     #[test]
     fn lp_relaxation_bounds_ilp(prog in arb_program()) {
+        // `solve_lp` ignores integrality, so it solves the relaxation of
+        // the integer model itself.
         let model = prog.to_model();
-        let relaxed = model.relax();
-        let lp = solve_lp(&relaxed).unwrap();
+        let lp = solve_lp(&model).unwrap();
         prop_assert_eq!(lp.status, LpStatus::Optimal);
         let ilp = solve_milp(&model).unwrap();
         // Maximization: relaxation is an upper bound.
         prop_assert!(lp.objective >= ilp.objective - 1e-6,
             "LP {} should dominate ILP {}", lp.objective, ilp.objective);
-        prop_assert!(relaxed.is_feasible(&lp.x, 1e-6));
+        prop_assert!(model.is_feasible(&lp.x, 1e-6));
     }
 
     #[test]
     fn lp_solution_is_vertex_feasible(prog in arb_program()) {
-        let model = prog.to_model().relax();
+        let model = prog.to_model();
         let lp = solve_lp(&model).unwrap();
         prop_assert_eq!(lp.status, LpStatus::Optimal);
         for (i, &xi) in lp.x.iter().enumerate() {
@@ -138,7 +138,7 @@ fn larger_knapsack_against_dp() {
     let mut m = Model::new(Sense::Maximize);
     let vars: Vec<_> = values.iter().map(|&v| m.add_binary_var(v)).collect();
     m.add_constraint(
-        vars.iter().zip(&weights).map(|(&v, &w)| (v, w as f64)).collect(),
+        vars.iter().zip(&weights).map(|(&v, &w)| (v, w as f64)),
         Relation::Le,
         cap as f64,
     );

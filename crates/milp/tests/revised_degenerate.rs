@@ -131,7 +131,7 @@ fn degenerate_set_partitioning_milp() {
         m.add_constraint(vec![(vars[2 * p], 1.0), (vars[2 * p + 1], 1.0)], Relation::Eq, 1.0);
     }
     // Side constraint that is exactly tight for any feasible selection.
-    m.add_constraint(vars.iter().map(|&v| (v, 1.0)).collect(), Relation::Le, 3.0);
+    m.add_constraint(vars.iter().map(|&v| (v, 1.0)), Relation::Le, 3.0);
     let sol = solve_milp(&m).unwrap();
     assert_eq!(sol.status, LpStatus::Optimal);
     assert!((sol.objective - 3.0).abs() < 1e-8);

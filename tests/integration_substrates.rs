@@ -26,8 +26,8 @@ fn simplex_on_assignment_polytope_matches_hungarian() {
             }
         }
         for (i, vrow) in vars.iter().enumerate() {
-            m.add_constraint(vrow.iter().map(|&v| (v, 1.0)).collect(), Relation::Eq, 1.0);
-            m.add_constraint((0..n).map(|j| (vars[j][i], 1.0)).collect(), Relation::Eq, 1.0);
+            m.add_constraint(vrow.iter().map(|&v| (v, 1.0)), Relation::Eq, 1.0);
+            m.add_constraint((0..n).map(|j| (vars[j][i], 1.0)), Relation::Eq, 1.0);
         }
         let lp = solve_lp(&m).unwrap();
         let hung = hungarian::solve(&cost).unwrap();
