@@ -243,8 +243,10 @@ fn main() {
         built.cloudlets(),
     );
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let report = Value::Obj(vec![
         ("benchmark".into(), Value::Str("lp_warmstart".into())),
+        ("cores".into(), Value::U64(cores as u64)),
         ("quick".into(), Value::Bool(quick)),
         ("seed".into(), Value::U64(SEED)),
         ("models".into(), Value::U64(models_n as u64)),

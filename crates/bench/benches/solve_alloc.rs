@@ -1,5 +1,6 @@
 //! Allocation audit of the heuristic steady-state solve path, of the
-//! stream engine around it, and of the engine's exact (ILP) path.
+//! stream engine around it, of the engine's exact (ILP) path, and of
+//! building a recorder.
 //!
 //! Pins the zero-alloc contract of [`relaug::scratch::SolveScratch`]: after a
 //! warm-up pass grows every scratch buffer to its high-water mark, running
@@ -20,7 +21,9 @@
 //! section runs the same 3,000-request ba-1k stream under
 //! `Algorithm::Ilp(IlpConfig::default())` with the same gate: every
 //! component's sub-instance, aggregated model, greedy warm start and
-//! branch-and-bound search reuse the stream's scratch.
+//! branch-and-bound search reuse the stream's scratch. Building a no-op or
+//! counters-only [`obs::Recorder`] must allocate nothing either: its
+//! metrics registry is inline arrays.
 //!
 //! Not a criterion bench on purpose: a counting global allocator would also
 //! count criterion's own bookkeeping, so this is a plain `harness = false`
@@ -134,6 +137,18 @@ fn main() {
             "solve_alloc[heuristic]: FAIL — the heuristic steady-state path must not allocate"
         );
     }
+    let before = ALLOCS.load(Relaxed);
+    std::hint::black_box(Recorder::noop());
+    std::hint::black_box(Recorder::counters_only());
+    let recorder_allocs = ALLOCS.load(Relaxed) - before;
+    println!(
+        "solve_alloc[recorder]: {recorder_allocs} heap allocations to build a no-op and a \
+         counters-only recorder"
+    );
+    if recorder_allocs > 0 {
+        failed = true;
+        eprintln!("solve_alloc[recorder]: FAIL — building a recorder must not allocate");
+    }
     for preset in ["sagin-1k", "ba-1k"] {
         failed |= !engine_gate(preset, "engine", Algorithm::default());
     }
@@ -142,8 +157,8 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "solve_alloc: OK — zero allocations per warm solve, per rejected request and per \
-         admitted request (median), heuristic and ILP"
+        "solve_alloc: OK — zero allocations per warm solve, per recorder built, per rejected \
+         request and per admitted request (median), heuristic and ILP"
     );
 }
 

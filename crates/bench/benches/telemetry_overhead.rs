@@ -3,9 +3,10 @@
 //! Runs one fixed request stream through the stream engine two ways —
 //! fully untraced, and with windowed telemetry (`stream.window` summaries to
 //! a JSONL sink) — and records both throughputs plus their ratio into
-//! `BENCH_obs.json` at the workspace root. The engine's metric set records
-//! on both sides. CI gates `ratio >= 0.9` (traced throughput at least 90%
-//! of untraced) and uploads the JSON, which also carries the final
+//! `BENCH_obs.json` at the workspace root, with the machine's core count.
+//! Both sides count every engine and solver metric into a recorder's
+//! registry. CI gates `ratio >= 0.9` (traced throughput at least 90% of
+//! untraced) and uploads the JSON, which also carries the final
 //! [`obs::MetricsReport`] snapshot, as an artifact. A timed sample runs the
 //! stream several times per side, the two sides alternating stream by
 //! stream, so that drifts in the machine's speed hit both sides alike: 12
@@ -132,8 +133,10 @@ fn main() {
         observation.windows
     );
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let report = Value::Obj(vec![
         ("benchmark".into(), Value::Str("telemetry_overhead".into())),
+        ("cores".into(), Value::U64(cores as u64)),
         ("quick".into(), Value::Bool(quick)),
         ("requests".into(), Value::U64(requests_n as u64)),
         ("seed".into(), Value::U64(SEED)),

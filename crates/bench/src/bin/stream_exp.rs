@@ -184,17 +184,16 @@ fn main() {
             "## Stream experiment — {requests_per_stream} requests per stream, {trials} streams\n"
         ),
     }
-    // Telemetry sink: the first stream of each algorithm runs traced — into
-    // the JSONL file when `--trace` is given, into a counters-only recorder
-    // otherwise, which keeps no event — so the end-of-run summary table
-    // always has data. Remaining trials run with the no-op recorder (zero
-    // overhead).
+    // Telemetry sink: the first stream of each algorithm is traced into the
+    // JSONL file when `--trace` is given. Remaining trials run with a no-op
+    // recorder, so the trace holds one stream per algorithm. The summary
+    // tables read each first stream's own metrics.
     let mut rec = match &args.trace {
         Some(path) => Recorder::jsonl_file(std::path::Path::new(path)).unwrap_or_else(|e| {
             eprintln!("stream_exp: cannot open trace file {path}: {e}");
             std::process::exit(2);
         }),
-        None => Recorder::counters_only(),
+        None => Recorder::noop(),
     };
 
     // Metrics of each algorithm's first (observed) stream.
@@ -232,7 +231,7 @@ fn main() {
         let mut rate = Accumulator::new();
         let mut elapsed_s = 0.0;
         let mut hash = RECORD_HASH_SEED;
-        let effort_base = rec.summary();
+        let events_base = rec.events_emitted();
         for t in 0..trials {
             let cfg = StreamConfig { algorithm: algorithm.clone(), ..Default::default() };
             let mut stats = StreamStats::new();
@@ -308,16 +307,15 @@ fn main() {
             row.push(format!("{hash:016x}"));
         }
         table.add_row(row);
-        // Events (written only with `--trace`) and solver counters: the delta
-        // of the cumulative telemetry, which is this algorithm's traced
-        // stream. Counts and solve times: that stream's own metrics.
-        let now = rec.summary();
+        // Events (written only with `--trace`): the delta of the cumulative
+        // count, which is this algorithm's traced stream. Counts, solve times
+        // and solver counters: that stream's own metrics.
         let ob = &observations.last().expect("first stream observed").1;
         let solve_ns = ob.pipeline.hist("solve_ns").map_or(0, |h| h.sum());
         effort.add_row(vec![
             name.to_string(),
             match args.trace {
-                Some(_) => format!("{}", now.events_emitted - effort_base.events_emitted),
+                Some(_) => format!("{}", rec.events_emitted() - events_base),
                 None => "-".into(),
             },
             format!("{}", ob.pipeline.counter("admitted")),
@@ -328,10 +326,10 @@ fn main() {
             solve_quantile(ob, 0.95),
             solve_quantile(ob, 0.99),
         ]);
-        let delta = |key: &str| now.counter(key) - effort_base.counter(key);
-        let rounds = delta("heuristic.rounds");
+        let count = |name: &str| ob.pipeline.counter(name);
+        let rounds = count("heuristic.rounds");
         if rounds > 0 {
-            let (edges, classes) = (delta("matching.edges.full"), delta("matching.classes"));
+            let (edges, classes) = (count("matching.edges.full"), count("matching.classes"));
             matchplane.add_row(vec![
                 name.to_string(),
                 format!("{rounds}"),

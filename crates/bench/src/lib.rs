@@ -82,13 +82,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get().saturating_sub(1).max(1)).unwrap_or(1)
 }
 
-/// Resolution of `--workers auto`: the machine's effective parallelism with
-/// one core left free for the driver. On a single-core (or unknown) machine
-/// this is `1`.
-pub fn auto_workers() -> usize {
-    default_threads()
-}
-
 /// Per-algorithm aggregate over a point's trials.
 #[derive(Debug, Clone, Serialize)]
 pub struct AlgoStats {
@@ -400,7 +393,7 @@ pub struct HarnessArgs {
     pub threads: usize,
     /// Worker threads for the per-policy fan-out (`sim_exp`). `1` =
     /// sequential; `stream_exp` accepts only `1`. The flag also accepts
-    /// `auto`, which resolves via [`auto_workers`] at parse time.
+    /// `auto`, which resolves via [`default_threads`] at parse time.
     pub workers: usize,
     pub json: Option<String>,
     pub greedy: bool,
@@ -468,7 +461,7 @@ impl HarnessArgs {
                 "--workers" => {
                     let v = value("--workers")?;
                     out.workers = if v == "auto" {
-                        auto_workers()
+                        default_threads()
                     } else {
                         v.parse().map_err(|e| format!("{e}"))?
                     };
@@ -741,7 +734,7 @@ mod tests {
             );
         }
         let auto = HarnessArgs::parse(["--workers", "auto"].iter().map(|s| s.to_string())).unwrap();
-        assert_eq!(auto.workers, auto_workers());
+        assert_eq!(auto.workers, default_threads());
         assert!(auto.workers >= 1);
         assert!(HarnessArgs::parse(["--workers".to_string(), "0".to_string()].into_iter()).is_err());
         assert!(

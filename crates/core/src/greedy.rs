@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use obs::Recorder;
+use obs::{metrics, Recorder, Telemetry};
 
 use crate::instance::AugmentationInstance;
 use crate::reliability;
@@ -38,7 +38,7 @@ pub fn solve(inst: &AugmentationInstance, cfg: &GreedyConfig) -> Outcome {
     let (mut rec, mut scratch) = (Recorder::noop(), SolveScratch::new());
     let started = Instant::now();
     let info = solve_in(inst, cfg, &mut rec, &mut scratch);
-    Outcome::from_solution(inst, &scratch.sol, info, started.elapsed(), rec.summary())
+    Outcome::from_solution(inst, &scratch.sol, info, started.elapsed(), Telemetry::default())
 }
 
 /// The greedy baseline on caller-owned scratch: builds the solution in
@@ -53,17 +53,20 @@ pub fn solve_in(
     scratch: &mut SolveScratch,
 ) -> SolverInfo {
     let SolveScratch { sol, heur, .. } = scratch;
-    SolverInfo::Greedy { steps: fill(inst, cfg, rec, sol, &mut heur.residual) }
+    let steps = fill(inst, cfg, Some(&mut *rec), sol, &mut heur.residual);
+    rec.count(metrics::GREEDY_STEPS, steps as u64);
+    SolverInfo::Greedy { steps }
 }
 
 /// The greedy loop of [`solve_in`] into `sol`, with `residual` as its
-/// per-bin working copy; returns the committed steps. The exact solver's
-/// warm start runs it into a buffer of its own, since `scratch.sol` holds
-/// the exact solution under construction.
+/// per-bin working copy, emitting its `greedy.step` events into `events`;
+/// returns the committed steps. The exact solver's warm start runs it
+/// without events into a buffer of its own, since `scratch.sol` holds the
+/// exact solution under construction.
 pub(crate) fn fill(
     inst: &AugmentationInstance,
     cfg: &GreedyConfig,
-    rec: &mut Recorder,
+    mut events: Option<&mut Recorder>,
     sol: &mut Augmentation,
     residual: &mut Vec<f64>,
 ) -> usize {
@@ -106,14 +109,15 @@ pub(crate) fn fill(
             residual[b] -= inst.functions[i].demand;
             sol.add(i, b, 1);
             steps += 1;
-            rec.count("greedy.steps", 1);
-            rec.emit_with(|| {
-                obs::Event::new("greedy.step")
-                    .with("step", steps)
-                    .with("function", i)
-                    .with("bin", b)
-                    .with("score", score)
-            });
+            if let Some(rec) = events.as_deref_mut() {
+                rec.emit_with(|| {
+                    obs::Event::new("greedy.step")
+                        .with("step", steps)
+                        .with("function", i)
+                        .with("bin", b)
+                        .with("score", score)
+                });
+            }
         }
     }
     steps

@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use obs::Recorder;
+use obs::{metrics, Recorder, Telemetry};
 
 use crate::instance::AugmentationInstance;
 use crate::reliability::LadderTables;
@@ -58,7 +58,7 @@ pub fn solve(inst: &AugmentationInstance, cfg: &HeuristicConfig) -> Outcome {
     let (mut rec, mut scratch) = (Recorder::noop(), SolveScratch::new());
     let started = Instant::now();
     let info = solve_in(inst, cfg, &mut rec, &mut scratch);
-    Outcome::from_solution(inst, &scratch.sol, info, started.elapsed(), rec.summary())
+    Outcome::from_solution(inst, &scratch.sol, info, started.elapsed(), Telemetry::default())
 }
 
 /// Algorithm 2 on caller-owned scratch: builds the solution in
@@ -241,18 +241,16 @@ pub fn solve_in(
         }
     }
 
-    if counted > 0 {
-        rec.count("heuristic.rounds", counted);
-        rec.count("heuristic.committed", committed_total as u64);
-        // The size of the paper's `G_l` (stream_exp's matching table).
-        rec.count("matching.edges.full", edges_total as u64);
-        rec.count("matching.classes", classes_total as u64);
-    }
+    rec.count(metrics::HEURISTIC_ROUNDS, counted);
+    rec.count(metrics::HEURISTIC_COMMITTED, committed_total as u64);
+    // The size of the paper's `G_l` (stream_exp's matching table).
+    rec.count(metrics::MATCHING_EDGES_FULL, edges_total as u64);
+    rec.count(metrics::MATCHING_CLASSES, classes_total as u64);
     if cfg.stop == StopRule::Expectation {
         // The final matching round may overshoot the expectation; trim the
         // surplus like the other algorithms do.
         let trimmed = trimmed.unwrap_or_else(|| sol.trim_to_expectation(inst));
-        rec.count("heuristic.trimmed_secondaries", trimmed as u64);
+        rec.count(metrics::HEURISTIC_TRIMMED, trimmed as u64);
     }
     SolverInfo::Heuristic { matching_rounds: rounds }
 }

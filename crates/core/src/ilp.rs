@@ -25,7 +25,7 @@
 use std::time::Instant;
 
 use milp::{BnbConfig, BnbStats, MilpSolution, Model, Relation, Sense, SolverError, VarId};
-use obs::Recorder;
+use obs::{metrics, Recorder, Telemetry};
 
 use crate::greedy::{self, GreedyConfig};
 use crate::instance::{AugmentationInstance, FunctionSlot, Item};
@@ -437,7 +437,7 @@ pub fn solve(inst: &AugmentationInstance, cfg: &IlpConfig) -> Result<Outcome, So
     let (mut rec, mut scratch) = (Recorder::noop(), SolveScratch::new());
     let started = Instant::now();
     let info = solve_in(inst, cfg, &mut rec, &mut scratch)?;
-    Ok(Outcome::from_solution(inst, &scratch.sol, info, started.elapsed(), rec.summary()))
+    Ok(Outcome::from_solution(inst, &scratch.sol, info, started.elapsed(), Telemetry::default()))
 }
 
 /// The exact solve on caller-owned scratch: leaves the solution in
@@ -472,7 +472,7 @@ pub fn solve_in(
     let IlpScratch { comps, local, sub, spare, agg, warm, point, priority, milp } = ilp;
     let ncomp = comps.split(inst);
     let live = (0..ncomp).filter(|&c| !comps.get(c).0.is_empty());
-    rec.count("ilp.components", live.clone().count() as u64);
+    rec.count(metrics::ILP_COMPONENTS, live.clone().count() as u64);
     for (ci, c) in live.enumerate() {
         let (funcs, bins) = comps.get(c);
         restrict(inst, funcs, bins, local, spare, sub);
@@ -481,13 +481,7 @@ pub fn solve_in(
         // branching first on the count variables that move the most
         // capacity.
         agg.rebuild(sub, cfg.gain_floor, tables);
-        greedy::fill(
-            sub,
-            &GreedyConfig::default(),
-            &mut Recorder::noop(),
-            warm,
-            &mut heur.residual,
-        );
+        greedy::fill(sub, &GreedyConfig::default(), None, warm, &mut heur.residual);
         agg.point_from_augmentation(sub, warm, point);
         priority.clear();
         priority.resize(agg.model.num_vars(), 0.0);
@@ -515,12 +509,12 @@ pub fn solve_in(
         stats.incumbent_updates += s.incumbent_updates;
         stats.pruned_bound += s.pruned_bound;
         stats.pruned_infeasible += s.pruned_infeasible;
-        rec.count("ilp.nodes", s.nodes as u64);
-        rec.count("ilp.lp_iterations", s.lp_iterations as u64);
-        rec.count("ilp.incumbent_updates", s.incumbent_updates as u64);
-        rec.count("ilp.pruned_bound", s.pruned_bound as u64);
-        rec.count("ilp.pruned_infeasible", s.pruned_infeasible as u64);
-        rec.record_time("ilp.component_solve", comp_elapsed);
+        rec.count(metrics::ILP_NODES, s.nodes as u64);
+        rec.count(metrics::ILP_LP_ITERATIONS, s.lp_iterations as u64);
+        rec.count(metrics::ILP_INCUMBENT_UPDATES, s.incumbent_updates as u64);
+        rec.count(metrics::ILP_PRUNED_BOUND, s.pruned_bound as u64);
+        rec.count(metrics::ILP_PRUNED_INFEASIBLE, s.pruned_infeasible as u64);
+        rec.record(metrics::ILP_COMPONENT_SOLVE, comp_elapsed);
         rec.emit_with(|| {
             obs::Event::new("ilp.component")
                 .with("component", ci)
@@ -536,7 +530,7 @@ pub fn solve_in(
     }
     if cfg.stop_at_expectation {
         let trimmed = sol.trim_to_expectation(inst);
-        rec.count("ilp.trimmed_secondaries", trimmed as u64);
+        rec.count(metrics::ILP_TRIMMED, trimmed as u64);
     }
     debug_assert!(sol.is_capacity_feasible(inst));
     debug_assert!(sol.respects_locality(inst));
@@ -644,7 +638,7 @@ mod tests {
             rec.events().iter().filter(|e| e.kind == "ilp.component").collect();
         assert_eq!(comp_events.len(), 1);
         assert_eq!(comp_events[0].field("nodes").unwrap().as_u64(), Some(nodes as u64));
-        assert!(rec.summary().timing_s("ilp.component_solve") > 0.0);
+        assert_eq!(rec.snapshot().hist("ilp.component_solve").map(|h| h.count()), Some(1));
     }
 
     #[test]

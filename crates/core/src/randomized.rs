@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use milp::SolverError;
-use obs::Recorder;
+use obs::{metrics, Recorder, Telemetry};
 use rand::Rng;
 
 use crate::ilp::build_model;
@@ -50,7 +50,7 @@ pub fn solve<R: Rng + ?Sized>(
     let (mut rec, mut scratch) = (Recorder::noop(), SolveScratch::new());
     let started = Instant::now();
     let info = solve_in(inst, cfg, rng, &mut rec, &mut scratch)?;
-    Ok(Outcome::from_solution(inst, &scratch.sol, info, started.elapsed(), rec.summary()))
+    Ok(Outcome::from_solution(inst, &scratch.sol, info, started.elapsed(), Telemetry::default()))
 }
 
 /// Algorithm 1 on caller-owned scratch: leaves the kept draw, trimmed, in
@@ -89,8 +89,8 @@ pub fn solve_in<R: Rng + ?Sized>(
     let lp = milp::solve_lp_warm(&ilp.model, None, &mut scratch.lp)?;
     let lp_elapsed = lp_started.elapsed();
     debug_assert!(lp.is_optimal(), "the relaxation is always feasible (x = 0)");
-    rec.record_time("randomized.lp_solve", lp_elapsed);
-    rec.count("randomized.lp_iterations", lp.iterations as u64);
+    rec.record(metrics::RANDOMIZED_LP_SOLVE, lp_elapsed);
+    rec.count(metrics::RANDOMIZED_LP_ITERATIONS, lp.iterations as u64);
     rec.emit_with(|| {
         obs::Event::new("randomized.lp_relaxation")
             .with("items", ilp.items.len())
@@ -130,7 +130,7 @@ pub fn solve_in<R: Rng + ?Sized>(
             }
         }
         let rel = sol.reliability(inst);
-        rec.count("randomized.draws", 1);
+        rec.count(metrics::RANDOMIZED_DRAWS, 1);
         rec.emit_with(|| {
             obs::Event::new("randomized.draw")
                 .with("round", round)
@@ -150,7 +150,7 @@ pub fn solve_in<R: Rng + ?Sized>(
     let mut repairs = 0;
     if cfg.stop_at_expectation {
         repairs = sol.trim_to_expectation(inst);
-        rec.count("randomized.repairs", repairs as u64);
+        rec.count(metrics::RANDOMIZED_REPAIRS, repairs as u64);
         if repairs > 0 {
             rec.emit_with(|| {
                 obs::Event::new("randomized.repair")
@@ -210,7 +210,7 @@ mod tests {
         let draws: Vec<_> = rec.events().iter().filter(|e| e.kind == "randomized.draw").collect();
         assert_eq!(draws.len(), 4);
         assert!(rec.events().iter().any(|e| e.kind == "randomized.lp_relaxation"));
-        assert!(rec.summary().timing_s("randomized.lp_solve") > 0.0);
+        assert_eq!(rec.snapshot().hist("randomized.lp_solve").map(|h| h.count()), Some(1));
         let SolverInfo::Randomized { lp_iterations, rounds, .. } = info else {
             panic!("wrong solver info")
         };

@@ -60,30 +60,6 @@ pub fn budget_from_expectation(rho: f64) -> f64 {
     -rho.ln()
 }
 
-/// Number of secondaries needed for one function to push `R(f, k)` to at
-/// least `target` (`None` if `target` is 1.0 and `r < 1`, which is
-/// unreachable with finitely many instances).
-pub fn secondaries_needed(r: f64, target: f64) -> Option<usize> {
-    debug_assert!((0.0..=1.0).contains(&r) && (0.0..=1.0).contains(&target));
-    if function_reliability(r, 0) >= target {
-        return Some(0);
-    }
-    if r >= 1.0 {
-        return Some(0);
-    }
-    if target >= 1.0 {
-        return None;
-    }
-    // (1-r)^{k+1} <= 1 - target  =>  k >= ln(1-target)/ln(1-r) - 1
-    let k = ((1.0 - target).ln() / (1.0 - r).ln() - 1.0).ceil();
-    let mut k = k.max(0.0) as usize;
-    // Guard against floating-point edge cases.
-    while function_reliability(r, k) < target {
-        k += 1;
-    }
-    Some(k)
-}
-
 /// Smallest `k` beyond which marginal gains fall below `floor` — used to cap
 /// item enumeration without changing optima beyond `floor` precision.
 pub fn slots_above_gain_floor(r: f64, max_k: usize, floor: f64) -> usize {
@@ -277,25 +253,6 @@ mod tests {
         let c = budget_from_expectation(0.99);
         assert!((c - (-(0.99f64.ln()))).abs() < 1e-15);
         assert_eq!(budget_from_expectation(1.0), 0.0);
-    }
-
-    #[test]
-    fn secondaries_needed_exact() {
-        // r = 0.8, target 0.99: R(1) = 0.96 < 0.99, R(2) = 0.992 >= 0.99.
-        assert_eq!(secondaries_needed(0.8, 0.99), Some(2));
-        assert_eq!(secondaries_needed(0.8, 0.5), Some(0));
-        assert_eq!(secondaries_needed(0.8, 1.0), None);
-        assert_eq!(secondaries_needed(1.0, 1.0), Some(0));
-        // Verify minimality on a sweep.
-        for &r in &[0.6, 0.85] {
-            for &t in &[0.9, 0.99, 0.9999] {
-                let k = secondaries_needed(r, t).unwrap();
-                assert!(function_reliability(r, k) >= t);
-                if k > 0 {
-                    assert!(function_reliability(r, k - 1) < t);
-                }
-            }
-        }
     }
 
     #[test]

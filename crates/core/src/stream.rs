@@ -27,7 +27,8 @@ use mecnet::neighborhood::NeighborhoodIndex;
 use mecnet::network::MecNetwork;
 use mecnet::request::SfcRequest;
 use mecnet::vnf::VnfCatalog;
-use obs::{MetricSet, MetricsInterval, MetricsSnapshot, Recorder};
+use obs::metrics::{self, Counter};
+use obs::{MetricsInterval, MetricsSnapshot, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -152,7 +153,7 @@ pub enum MetricsMode {
     Full,
     /// No per-request events: one `stream.window` summary per interval (plus
     /// the final partial window), so a 10^6-request run emits O(windows)
-    /// JSONL. Solver *counters* still accumulate (B&B pivots per window);
+    /// JSONL. Solver *counters* still accumulate (B&B nodes per window);
     /// solver events are dropped.
     Windowed(MetricsInterval),
 }
@@ -243,74 +244,74 @@ fn request_rng(seed: u64, k: usize, salt: u64) -> StdRng {
     StdRng::seed_from_u64(splitmix64(splitmix64(seed ^ salt).wrapping_add(k as u64)))
 }
 
-/// Index registry for the engine's [`MetricSet`]: recording is an array
-/// index plus an add, so these run on the hot path in every mode.
-pub mod pipeline_metrics {
-    pub const COUNTERS: &[&str] = &[
-        "requests",
-        "admitted",
-        "rejected.no_primary_placement",
-        "rejected.capacity_gate",
-        "commit.overcommit_clamped",
-        "solves",
-    ];
-    pub const C_REQUESTS: usize = 0;
-    pub const C_ADMITTED: usize = 1;
-    pub const C_REJECTED: usize = 2;
-    /// Subset of the rejects: those the capacity gate decided without a
-    /// placement scan (a chain demand above the largest cloudlet residual).
-    pub const C_GATED: usize = 3;
-    pub const C_OVERCOMMIT: usize = 4;
-    /// Solves: one per admitted request and one per re-augmentation.
-    pub const C_SOLVES: usize = 5;
+/// The `stream.window` fields that carry the engine's counters, in event
+/// order. Every other counter of the namespace that moved in a window is
+/// listed in the window's `solver` object.
+const WINDOW_FIELDS: [(&str, Counter); 6] = [
+    ("requests", metrics::REQUESTS),
+    ("admitted", metrics::ADMITTED),
+    ("rejected", metrics::REJECTED),
+    ("rejected_gated", metrics::GATED),
+    ("inline_resolves", metrics::SOLVES),
+    ("overcommit_clamped", metrics::OVERCOMMIT_CLAMPED),
+];
 
-    pub const HISTS: &[&str] = &["solve_ns", "debit_ns"];
-    /// Per-request solve time.
-    pub const H_SOLVE_NS: usize = 0;
-    /// Latency of the one-pass debit of the secondaries' per-node loads.
-    pub const H_DEBIT_NS: usize = 1;
-}
-
-/// Windowed-aggregation cursor: per-window bases to diff snapshots against,
-/// and the stream's solver recorder.
+/// Windowed-aggregation cursor: the stream's own recorder and the registry
+/// at window start, to diff snapshots against.
 struct WindowTracker {
     interval: MetricsInterval,
     index: u64,
     window_started: Instant,
-    /// `requests` counter at window start, cached as a plain integer so the
-    /// per-request boundary check is one indexed load and a compare (no
-    /// name-keyed snapshot lookup on the hot path).
+    /// The stream's event-less recorder: the engine and the solvers count
+    /// here for the whole run, so solver events are dropped and the trace
+    /// stays bounded. It is absorbed into the caller's recorder at the end.
+    rec: Recorder,
+    /// `requests` at window start, so the per-request boundary check is
+    /// one indexed load and a compare.
     base_requests: u64,
-    /// Metrics at window start (counts, solve/commit latencies).
+    /// The registry at window start.
     base: MetricsSnapshot,
-    /// The solvers' counters-only recorder, folded into the caller's
-    /// recorder at every window cut, so the trace stays bounded. What it
-    /// holds at a cut is the window's solver effort.
-    solver: Recorder,
 }
 
 /// What the stream loop observes around [`Admission::admit`]: the
 /// `stream.request` events (full mode) or the windows. The counts and
-/// latencies themselves are the admission's [`Admission::metrics`].
+/// latencies themselves are in the registry of the recorder the stream
+/// counts into ([`StreamObs::counting`]).
 struct StreamObs {
+    /// The counting recorder's registry when the stream started.
+    start: MetricsSnapshot,
     /// `None` in full mode (`MetricsMode::Full`): per-request events.
     window: Option<WindowTracker>,
 }
 
 impl StreamObs {
-    fn new(cfg: &StreamConfig, metrics: &MetricSet) -> StreamObs {
-        let window = match cfg.metrics {
-            MetricsMode::Full => None,
-            MetricsMode::Windowed(interval) => Some(WindowTracker {
-                interval,
-                index: 0,
-                window_started: Instant::now(),
-                base_requests: 0,
-                base: metrics.snapshot(),
-                solver: Recorder::counters_only(),
-            }),
-        };
-        StreamObs { window }
+    fn new(cfg: &StreamConfig, rec: &Recorder) -> StreamObs {
+        match cfg.metrics {
+            MetricsMode::Full => StreamObs { start: rec.snapshot(), window: None },
+            MetricsMode::Windowed(interval) => {
+                let own = Recorder::noop();
+                let start = own.snapshot();
+                let window = WindowTracker {
+                    interval,
+                    index: 0,
+                    window_started: Instant::now(),
+                    rec: own,
+                    base_requests: 0,
+                    base: start.clone(),
+                };
+                StreamObs { start, window: Some(window) }
+            }
+        }
+    }
+
+    /// The recorder the engine and the solvers count into: the caller's in
+    /// full mode (solver events are traced into it), the stream's own
+    /// event-less one in windowed mode.
+    fn counting<'a>(&'a mut self, rec: &'a mut Recorder) -> &'a mut Recorder {
+        match &mut self.window {
+            Some(w) => &mut w.rec,
+            None => rec,
+        }
     }
 
     /// Observe one finished request: its `stream.request` event in full mode
@@ -319,8 +320,8 @@ impl StreamObs {
     fn finish_request(&mut self, rec: &mut Recorder, admission: &Admission<'_>, r: &RequestRecord) {
         let Some(w) = &self.window else {
             rec.emit_with(|| {
-                let e =
-                    stream_request_event(r.id, admission.residual()).with("admitted", r.admitted);
+                let e = stream_request_event(r.id, admission.network, admission.residual())
+                    .with("admitted", r.admitted);
                 if r.admitted {
                     e.with("base_reliability", r.base_reliability)
                         .with("achieved_reliability", r.achieved_reliability)
@@ -333,30 +334,20 @@ impl StreamObs {
             return;
         };
         let due = match w.interval {
-            MetricsInterval::Requests(n) => {
-                admission.metrics().counter(pipeline_metrics::C_REQUESTS) - w.base_requests >= n
-            }
+            MetricsInterval::Requests(n) => w.rec.get(metrics::REQUESTS) - w.base_requests >= n,
             // Wall-clock windows: cadence is nondeterministic by nature, but
             // window *contents* are still exact counter deltas.
             MetricsInterval::Seconds(s) => w.window_started.elapsed().as_secs_f64() >= s,
         };
         if due {
-            self.emit_window(rec, admission.metrics(), false);
+            self.emit_window(rec, false);
         }
     }
 
     /// Cut the current window and emit its `stream.window` summary.
-    fn emit_window(&mut self, rec: &mut Recorder, metrics: &MetricSet, final_window: bool) {
+    fn emit_window(&mut self, rec: &mut Recorder, final_window: bool) {
         let Some(w) = self.window.as_mut() else { return };
-        let solver = std::mem::replace(&mut w.solver, Recorder::counters_only());
-        let solver_delta: Vec<(String, serde::Value)> = solver
-            .summary()
-            .counters
-            .into_iter()
-            .map(|(name, v)| (name, serde::Value::U64(v)))
-            .collect();
-        rec.absorb(solver);
-        let snap = metrics.snapshot();
+        let snap = w.rec.snapshot();
         let d = snap.diff(&w.base);
         let requests = d.counter("requests");
         if !(requests > 0 || (final_window && w.index == 0)) {
@@ -370,16 +361,18 @@ impl StreamObs {
         let solve = d.hist("solve_ns");
         let index = w.index;
         rec.emit_with(|| {
-            obs::Event::new("stream.window")
-                .with("window", index)
-                .with("final", final_window)
-                .with("requests", requests)
-                .with("admitted", d.counter("admitted"))
-                .with("rejected", d.counter("rejected.no_primary_placement"))
-                .with("rejected_gated", d.counter("rejected.capacity_gate"))
-                .with("inline_resolves", d.counter("solves"))
-                .with("overcommit_clamped", d.counter("commit.overcommit_clamped"))
-                .with("elapsed_s", elapsed_s)
+            let mut e =
+                obs::Event::new("stream.window").with("window", index).with("final", final_window);
+            for (field, counter) in WINDOW_FIELDS {
+                e = e.with(field, d.counter(counter.name()));
+            }
+            let solver = d
+                .counters
+                .iter()
+                .filter(|&&(name, v)| v > 0 && WINDOW_FIELDS.iter().all(|(_, c)| c.name() != name))
+                .map(|&(name, v)| (name.to_string(), serde::Value::U64(v)))
+                .collect();
+            e.with("elapsed_s", elapsed_s)
                 .with(
                     "throughput_rps",
                     if elapsed_s > 0.0 { requests as f64 / elapsed_s } else { 0.0 },
@@ -389,27 +382,31 @@ impl StreamObs {
                 .with("solve_p90_us", q_us("solve_ns", 0.90))
                 .with("solve_p99_us", q_us("solve_ns", 0.99))
                 .with("debit_p99_us", q_us("debit_ns", 0.99))
-                .with("solver", serde::Value::Obj(solver_delta))
+                .with("solver", serde::Value::Obj(solver))
         });
-        w.base_requests = snap.counter("requests");
+        w.base_requests = w.rec.get(metrics::REQUESTS);
         w.base = snap;
         w.window_started = Instant::now();
         w.index += 1;
     }
 
-    /// End of stream: emit the final partial window and snapshot the
-    /// metrics for the caller.
-    fn finish(mut self, rec: &mut Recorder, metrics: &MetricSet) -> StreamObservation {
-        self.emit_window(rec, metrics, true);
-        StreamObservation {
-            pipeline: metrics.snapshot(),
-            windows: self.window.as_ref().map(|w| w.index).unwrap_or(0),
+    /// End of stream: emit the final partial window, diff the counting
+    /// registry for the caller and, in windowed mode, absorb the stream's
+    /// own recorder into the caller's.
+    fn finish(mut self, rec: &mut Recorder) -> StreamObservation {
+        self.emit_window(rec, true);
+        let pipeline = self.counting(rec).snapshot().diff(&self.start);
+        let windows = self.window.as_ref().map_or(0, |w| w.index);
+        if let Some(w) = self.window {
+            rec.absorb(w.rec);
         }
+        StreamObservation { pipeline, windows }
     }
 }
 
-/// Metrics of a processed stream: the per-request counts and the solve and
-/// debit latency histograms ([`pipeline_metrics`]).
+/// Metrics of a processed stream: what it added to the registry it counted
+/// into, that is the engine's counts and solve and debit latency histograms
+/// and the solvers' counters and timings ([`obs::metrics`]).
 #[derive(Debug, Clone)]
 pub struct StreamObservation {
     pub pipeline: MetricsSnapshot,
@@ -590,8 +587,9 @@ impl MaxResidual {
 
 /// The stream engine's per-request state and step: the network residual,
 /// its cloudlet-ordered copy and its maximum (the reject gate), (when
-/// sharing is on) the deployed-instance ledger, the metrics, and the reused
-/// instance, solver scratch and buffers of the steps around the solve.
+/// sharing is on) the deployed-instance ledger, and the reused instance,
+/// solver scratch and buffers of the steps around the solve. Each step
+/// counts into the recorder it is handed ([`obs::metrics`]).
 ///
 /// [`Admission::admit`] is one request of the paper's Section 4.1 framework:
 /// admit the primaries, augment the chain against the current residual, debit
@@ -609,7 +607,6 @@ pub struct Admission<'n> {
     max_residual: MaxResidual,
     /// `Some` iff `share_backups`; `(VNF type, node) -> instances`.
     deployed: Option<HashMap<(usize, usize), usize>>,
-    metrics: MetricSet,
     /// The last solved request's instance, rebuilt in place.
     inst: AugmentationInstance,
     build: InstanceScratch,
@@ -653,7 +650,6 @@ impl<'n> Admission<'n> {
             cloudlets,
             residual,
             deployed: cfg.share_backups.then(HashMap::new),
-            metrics: MetricSet::new(pipeline_metrics::COUNTERS, pipeline_metrics::HISTS),
             inst: AugmentationInstance::default(),
             build: InstanceScratch::default(),
             buf: CommitScratch::default(),
@@ -665,12 +661,6 @@ impl<'n> Admission<'n> {
     /// Residual capacity per network node.
     pub fn residual(&self) -> &[f64] {
         &self.residual
-    }
-
-    /// The counts and latency histograms of every step so far
-    /// ([`pipeline_metrics`]).
-    pub fn metrics(&self) -> &MetricSet {
-        &self.metrics
     }
 
     /// The last admitted or re-augmented request's placement.
@@ -697,22 +687,22 @@ impl<'n> Admission<'n> {
     /// debited in one all-or-nothing pass. Only the randomized algorithm can
     /// overcommit, in which case each node is clamped at zero instead. The
     /// record, the loads, the debits and the sharing ledger's rows are read
-    /// from `scratch.sol`. Solver events and counters go to `solver_rec`.
+    /// from `scratch.sol`. The step's counts and latencies and the solver's
+    /// events and counters go to `rec`.
     pub fn admit(
         &mut self,
         seed: u64,
         k: usize,
         req: &SfcRequest,
-        solver_rec: &mut Recorder,
+        rec: &mut Recorder,
     ) -> RequestRecord {
-        use pipeline_metrics::*;
-        self.metrics.incr(C_REQUESTS);
+        rec.count(metrics::REQUESTS, 1);
         let CommitScratch { demands, locations, .. } = &mut self.buf;
         demands.clear();
         demands.extend(req.sfc.iter().map(|&f| self.catalog.demand(f)));
         if demands.iter().copied().fold(f64::NEG_INFINITY, f64::max) > self.max_residual.value {
-            self.metrics.incr(C_GATED);
-            self.metrics.incr(C_REJECTED);
+            rec.count(metrics::GATED, 1);
+            rec.count(metrics::REJECTED, 1);
             return RequestRecord::rejected(req.id);
         }
         let mut admit_rng = request_rng(seed, k, ADMIT_SALT);
@@ -723,7 +713,7 @@ impl<'n> Admission<'n> {
             &mut admit_rng,
             locations,
         ) {
-            self.metrics.incr(C_REJECTED);
+            rec.count(metrics::REJECTED, 1);
             self.check_gate();
             return RequestRecord::rejected(req.id);
         }
@@ -743,8 +733,7 @@ impl<'n> Admission<'n> {
                     .sum();
             }
         }
-        let record =
-            self.solve_and_debit(req.id, &mut request_rng(seed, k, SOLVE_SALT), solver_rec);
+        let record = self.solve_and_debit(req.id, &mut request_rng(seed, k, SOLVE_SALT), rec);
         if let Some(deployed) = self.deployed.as_mut() {
             apply_deployed_updates(
                 deployed,
@@ -754,7 +743,7 @@ impl<'n> Admission<'n> {
                 &self.scratch.sol,
             );
         }
-        self.metrics.incr(C_ADMITTED);
+        rec.count(metrics::ADMITTED, 1);
         record
     }
 
@@ -769,7 +758,7 @@ impl<'n> Admission<'n> {
         locations: &[NodeId],
         existing: &[usize],
         rng: &mut R,
-        solver_rec: &mut Recorder,
+        rec: &mut Recorder,
     ) -> RequestRecord {
         assert!(self.deployed.is_none(), "augment does not track shared backups");
         assert_eq!(existing.len(), req.len(), "one existing count per function");
@@ -779,7 +768,7 @@ impl<'n> Admission<'n> {
         for (f, &n) in self.inst.functions.iter_mut().zip(existing) {
             f.existing_backups = n;
         }
-        self.solve_and_debit(req.id, rng, solver_rec)
+        self.solve_and_debit(req.id, rng, rec)
     }
 
     /// Return `mhz` of capacity that node `v` released (a departure or a
@@ -813,13 +802,12 @@ impl<'n> Admission<'n> {
         &mut self,
         id: usize,
         rng: &mut R,
-        solver_rec: &mut Recorder,
+        rec: &mut Recorder,
     ) -> RequestRecord {
-        use pipeline_metrics::*;
-        self.metrics.incr(C_SOLVES);
+        rec.count(metrics::SOLVES, 1);
         let solve_started = Instant::now();
-        self.algorithm.solve_in(&self.inst, rng, solver_rec, &mut self.scratch);
-        self.metrics.record_duration(H_SOLVE_NS, solve_started.elapsed());
+        self.algorithm.solve_in(&self.inst, rng, rec, &mut self.scratch);
+        rec.record(metrics::SOLVE_NS, solve_started.elapsed());
         let (inst, sol) = (&self.inst, &self.scratch.sol);
         let CommitScratch { loads, debits, .. } = &mut self.buf;
         sol.bin_loads_into(inst, loads);
@@ -833,9 +821,9 @@ impl<'n> Admission<'n> {
         );
         let debit_started = Instant::now();
         self.clamped = debit_loads(&mut self.residual, &mut self.cloudlets, debits);
-        self.metrics.record_duration(H_DEBIT_NS, debit_started.elapsed());
+        rec.record(metrics::DEBIT_NS, debit_started.elapsed());
         if self.clamped {
-            self.metrics.incr(C_OVERCOMMIT);
+            rec.count(metrics::OVERCOMMIT_CLAMPED, 1);
         }
         self.max_residual.refresh(self.cloudlets.values());
         self.check_gate();
@@ -942,7 +930,9 @@ pub fn process_stream_seeded(
 /// primary placement (all-or-nothing), augmentation with the configured
 /// algorithm against the current residual capacities, and the debit of its
 /// secondaries before the next request is considered. Returns the final
-/// residuals and the run's metrics.
+/// residuals and the run's metrics. The engine and the solvers count into
+/// `rec` in full mode; in windowed mode they count into the stream's own
+/// event-less recorder, which `rec` absorbs at the end.
 ///
 /// # Determinism
 ///
@@ -971,28 +961,24 @@ pub fn process_stream_seeded_sink(
     on_record: &mut dyn FnMut(RequestRecord),
 ) -> (Vec<f64>, StreamObservation) {
     let mut admission = Admission::new(network, catalog, cfg);
-    let mut obs = StreamObs::new(cfg, admission.metrics());
+    let mut obs = StreamObs::new(cfg, rec);
     for (k, req) in requests.into_iter().enumerate() {
-        // Full mode traces solver events straight into `rec`; windowed mode
-        // keeps solver counters only, in the stream's own recorder.
-        let solver_rec = match obs.window.as_mut() {
-            Some(w) if rec.enabled() => &mut w.solver,
-            _ => &mut *rec,
-        };
-        let record = admission.admit(seed, k, &req, solver_rec);
+        let record = admission.admit(seed, k, &req, obs.counting(rec));
         obs.finish_request(rec, &admission, &record);
         on_record(record);
     }
-    let observation = obs.finish(rec, admission.metrics());
+    let observation = obs.finish(rec);
     (admission.residual, observation)
 }
 
-/// Common prefix of a `stream.request` event: the request id plus a snapshot
-/// of the residual capacity *after* this request was processed.
-fn stream_request_event(id: usize, residual: &[f64]) -> obs::Event {
-    let total: f64 = residual.iter().sum();
-    let min = residual.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = residual.iter().copied().fold(0.0f64, f64::max);
+/// Common prefix of a `stream.request` event: the request id plus the total,
+/// minimum and maximum of the cloudlets' residual capacity *after* this
+/// request was processed. (A plain access point's residual is always 0.0.)
+fn stream_request_event(id: usize, network: &MecNetwork, residual: &[f64]) -> obs::Event {
+    let cloudlets = network.cloudlet_ids().iter().map(|c| residual[c.index()]);
+    let total: f64 = cloudlets.clone().sum();
+    let min = cloudlets.clone().fold(f64::INFINITY, f64::min);
+    let max = cloudlets.fold(0.0f64, f64::max);
     obs::Event::new("stream.request")
         .with("id", id)
         .with("residual_total", total)
@@ -1163,59 +1149,85 @@ mod tests {
             }
             assert!(e.field("residual_total").unwrap().as_f64().unwrap() >= 0.0);
         }
+        let last = req_events.last().unwrap().field("residual_min").unwrap().as_f64();
+        let cloudlets = net.cloudlet_ids().iter().map(|c| out.final_residual[c.index()]);
+        assert_eq!(last, Some(cloudlets.fold(f64::INFINITY, f64::min)));
     }
 
     #[test]
     fn windowed_mode_emits_bounded_summaries() {
         // 120 chains of one or two functions saturate the ~10 GHz network
-        // within the first window, so the windows see admissions, placement
-        // rejects and gated rejects.
+        // within the first window, so the windows see admissions and gated
+        // rejects, and under the heuristic placement rejects too.
         let (net, cat) = setup();
         let mut rng = StdRng::seed_from_u64(16);
         let reqs: Vec<SfcRequest> = (0..120)
             .map(|i| SfcRequest::random(i, &cat, (1, 2), 0.99, net.num_nodes(), &mut rng))
             .collect();
-        let cfg = StreamConfig {
-            metrics: MetricsMode::Windowed(MetricsInterval::Requests(25)),
-            ..Default::default()
-        };
-        let mut rec = Recorder::memory();
-        let (out, ob) = process_stream_seeded(&net, &cat, &reqs, &cfg, 17, &mut rec);
-        assert!(
-            rec.events().iter().all(|e| e.kind == "stream.window"),
-            "windowed mode must suppress per-request events"
-        );
-        let windows = rec.events();
-        // 4 full windows of 25 plus the final partial window of 20.
-        assert_eq!(windows.len(), 5);
-        assert_eq!(ob.windows, 5);
-        let sum = |field: &str| -> u64 {
-            windows.iter().map(|e| e.field(field).unwrap().as_u64().unwrap()).sum()
-        };
-        let total = |name: &str| ob.pipeline.counter(name);
-        let gated = total("rejected.capacity_gate");
-        assert!(0 < gated && gated < out.rejected() as u64, "{gated} of {} gated", out.rejected());
-        assert_eq!(sum("requests"), reqs.len() as u64);
-        assert_eq!(sum("admitted"), out.admitted() as u64);
-        assert_eq!(sum("rejected"), out.rejected() as u64);
-        assert_eq!(sum("rejected_gated"), gated);
-        assert_eq!(sum("inline_resolves"), total("solves"));
-        assert_eq!(sum("overcommit_clamped"), total("commit.overcommit_clamped"));
-        for (i, e) in windows.iter().enumerate() {
-            assert_eq!(e.field("window").unwrap().as_u64(), Some(i as u64));
-            assert_eq!(e.field("final").unwrap().as_bool(), Some(i == windows.len() - 1));
+        for (algorithm, effort, placement_rejects) in [
+            (Algorithm::Heuristic(Default::default()), "heuristic.rounds", true),
+            (Algorithm::Ilp(Default::default()), "ilp.nodes", false),
+        ] {
+            let cfg = StreamConfig {
+                algorithm,
+                metrics: MetricsMode::Windowed(MetricsInterval::Requests(25)),
+                ..Default::default()
+            };
+            let mut rec = Recorder::memory();
+            let (out, ob) = process_stream_seeded(&net, &cat, &reqs, &cfg, 17, &mut rec);
+            assert!(
+                rec.events().iter().all(|e| e.kind == "stream.window"),
+                "windowed mode must suppress per-request events"
+            );
+            let windows = rec.events();
+            // 4 full windows of 25 plus the final partial window of 20.
+            assert_eq!(windows.len(), 5);
+            assert_eq!(ob.windows, 5);
+            let sum = |field: &str| -> u64 {
+                windows.iter().map(|e| e.field(field).unwrap().as_u64().unwrap()).sum()
+            };
+            let total = |name: &str| ob.pipeline.counter(name);
+            let gated = total("rejected.capacity_gate");
+            assert!(0 < gated && gated <= out.rejected() as u64, "{gated} of {}", out.rejected());
+            if placement_rejects {
+                assert!(gated < out.rejected() as u64, "{gated} of {}", out.rejected());
+            }
+            assert_eq!(sum("requests"), reqs.len() as u64);
+            assert_eq!(sum("admitted"), out.admitted() as u64);
+            assert_eq!(sum("rejected"), out.rejected() as u64);
+            for (i, e) in windows.iter().enumerate() {
+                assert_eq!(e.field("window").unwrap().as_u64(), Some(i as u64));
+                assert_eq!(e.field("final").unwrap().as_bool(), Some(i == windows.len() - 1));
+            }
+            // Every counter of the namespace: its windowed deltas (an engine
+            // field or a `solver` entry) sum to its total.
+            for &name in obs::metrics::COUNTERS {
+                let field = WINDOW_FIELDS.iter().find(|(_, c)| c.name() == name);
+                let windowed: u64 = windows
+                    .iter()
+                    .map(|e| match field {
+                        Some((field, _)) => e.field(field).unwrap().as_u64().unwrap(),
+                        None => e.field("solver").unwrap().get(name).map_or(0, |v| {
+                            v.as_u64().filter(|&v| v > 0).expect("nonzero solver entry")
+                        }),
+                    })
+                    .sum();
+                assert_eq!(windowed, total(name), "{name}");
+                assert_eq!(rec.counter(name), total(name), "{name} absorbed at the end");
+            }
+            assert!(total(effort) > 0, "{effort}");
+            assert_eq!(total("requests"), reqs.len() as u64);
+            assert_eq!(total("admitted"), out.admitted() as u64);
+            assert_eq!(total("solves"), out.admitted() as u64);
+            let solve_ns = ob.pipeline.hist("solve_ns").expect("solve_ns histogram");
+            assert_eq!(solve_ns.count(), out.admitted() as u64);
+            let solve_s: f64 =
+                windows.iter().map(|e| e.field("solve_total_s").unwrap().as_f64().unwrap()).sum();
+            assert!(
+                (solve_s - solve_ns.sum() as f64 / 1e9).abs() < 1e-9,
+                "window solve time {solve_s}"
+            );
         }
-        assert_eq!(total("requests"), reqs.len() as u64);
-        assert_eq!(total("admitted"), out.admitted() as u64);
-        assert_eq!(total("solves"), out.admitted() as u64);
-        let solve_ns = ob.pipeline.hist("solve_ns").expect("solve_ns histogram");
-        assert_eq!(solve_ns.count(), out.admitted() as u64);
-        let solve_s: f64 =
-            windows.iter().map(|e| e.field("solve_total_s").unwrap().as_f64().unwrap()).sum();
-        assert!(
-            (solve_s - solve_ns.sum() as f64 / 1e9).abs() < 1e-9,
-            "window solve time {solve_s}"
-        );
     }
 
     #[test]

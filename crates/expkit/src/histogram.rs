@@ -32,10 +32,6 @@ impl Histogram {
         self.total
     }
 
-    pub fn bin_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// `(lower edge, upper edge, count)` per bin.
     pub fn bins(&self) -> Vec<(f64, f64, u64)> {
         let w = (self.hi - self.lo) / self.counts.len() as f64;
@@ -231,8 +227,8 @@ mod tests {
         }
         assert_eq!(h.count(), 6);
         // -3.0 clamps into bin 0 (with 0.5 and 1.5); 42.0 into the last.
-        assert_eq!(h.bin_counts(), &[3, 1, 0, 0, 2]);
         let bins = h.bins();
+        assert_eq!(bins.iter().map(|b| b.2).collect::<Vec<_>>(), [3, 1, 0, 0, 2]);
         assert_eq!(bins[0].0, 0.0);
         assert_eq!(bins[4].1, 10.0);
     }

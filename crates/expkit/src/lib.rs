@@ -1,6 +1,6 @@
 //! Experiment toolkit shared by the figure-regeneration harness and the
 //! benches: summary statistics with confidence intervals, histograms,
-//! markdown/CSV table rendering, deterministic per-trial seed derivation,
+//! markdown table rendering, deterministic per-trial seed derivation,
 //! and the process's peak resident memory.
 
 pub mod histogram;

@@ -32,14 +32,6 @@ impl Summary {
             max: sample.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         }
     }
-
-    /// Half-width of the normal-approximation 95% CI for the mean.
-    pub fn ci95(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        1.96 * self.std / (self.n as f64).sqrt()
-    }
 }
 
 /// Streaming mean/variance accumulator (Welford), for loops that do not want
@@ -121,14 +113,12 @@ mod tests {
         assert!((s.std - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 4.0);
-        assert!(s.ci95() > 0.0);
     }
 
     #[test]
     fn singleton_sample() {
         let s = Summary::of(&[7.0]);
         assert_eq!(s.std, 0.0);
-        assert_eq!(s.ci95(), 0.0);
         assert_eq!(s.mean, 7.0);
     }
 

@@ -1,4 +1,4 @@
-//! Minimal table rendering for harness output: GitHub markdown and CSV.
+//! Minimal table rendering for harness output: GitHub markdown.
 
 /// A rectangular table of strings with a header row.
 #[derive(Debug, Clone)]
@@ -17,10 +17,6 @@ impl Table {
         let row: Vec<String> = row.into_iter().map(Into::into).collect();
         assert_eq!(row.len(), self.headers.len(), "row width must match headers");
         self.rows.push(row);
-    }
-
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// Render as a GitHub-flavoured markdown table with aligned columns.
@@ -42,26 +38,6 @@ impl Table {
         out.push_str(&format!("| {} |\n", sep.join(" | ")));
         for row in &self.rows {
             out.push_str(&fmt_row(row, &widths));
-        }
-        out
-    }
-
-    /// Render as CSV (naive quoting: fields containing commas or quotes are
-    /// double-quoted).
-    pub fn to_csv(&self) -> String {
-        let quote = |s: &String| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(&self.headers.iter().map(quote).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(quote).collect::<Vec<_>>().join(","));
-            out.push('\n');
         }
         out
     }
@@ -90,17 +66,6 @@ mod tests {
         assert!(md.starts_with("| a | long-header |\n"));
         assert!(md.contains("| - | ----------- |"));
         assert!(md.contains("| 1 | 2           |"));
-        assert_eq!(t.num_rows(), 1);
-    }
-
-    #[test]
-    fn csv_quoting() {
-        let mut t = Table::new(vec!["x", "y"]);
-        t.add_row(vec!["plain", "with,comma"]);
-        t.add_row(vec!["has\"quote", "b"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("plain,\"with,comma\""));
-        assert!(csv.contains("\"has\"\"quote\",b"));
     }
 
     #[test]

@@ -32,14 +32,6 @@ impl PrimaryPlacement {
     pub fn is_empty(&self) -> bool {
         self.locations.is_empty()
     }
-
-    /// Distinct cloudlets used.
-    pub fn distinct_cloudlets(&self) -> Vec<NodeId> {
-        let mut v = self.locations.clone();
-        v.sort();
-        v.dedup();
-        v
-    }
 }
 
 /// Place each primary on an independently, uniformly random cloudlet.
@@ -351,7 +343,6 @@ mod tests {
         req.destination = NodeId(2);
         let p = dag_placement(&net, &req, 0.9).unwrap();
         assert_eq!(p.locations, vec![NodeId(1), NodeId(1)]);
-        assert_eq!(p.distinct_cloudlets(), vec![NodeId(1)]);
     }
 
     #[test]

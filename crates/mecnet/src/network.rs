@@ -189,11 +189,6 @@ impl MecNetwork {
             .collect()
     }
 
-    /// Largest cloudlet capacity (`C_max` in the paper's complexity bounds).
-    pub fn max_capacity(&self) -> f64 {
-        self.capacity.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Return `amount` MHz of previously-debited capacity to node `v`'s
     /// residual — the inverse of an admission/augmentation debit, used when a
     /// request departs or an instance is permanently lost. Only ever hand
@@ -307,7 +302,6 @@ mod tests {
             assert!((4000.0..=8000.0).contains(&net.capacity(v)));
         }
         assert!(net.total_capacity() >= 6.0 * 4000.0);
-        assert!(net.max_capacity() <= 8000.0);
     }
 
     #[test]

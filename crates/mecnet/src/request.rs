@@ -49,17 +49,6 @@ impl SfcRequest {
         self.sfc.iter().map(|&f| catalog.reliability(f)).product()
     }
 
-    /// Whether the primaries alone already meet the expectation (the early
-    /// EXIT of Algorithms 1 and 2).
-    pub fn met_by_primaries(&self, catalog: &VnfCatalog) -> bool {
-        self.base_reliability(catalog) >= self.expectation
-    }
-
-    /// Total computing demand of one full copy of the chain.
-    pub fn chain_demand(&self, catalog: &VnfCatalog) -> f64 {
-        self.sfc.iter().map(|&f| catalog.demand(f)).sum()
-    }
-
     /// Generate a random request: chain length uniform in `len_range`,
     /// functions sampled from the catalog without replacement (falling back
     /// to with-replacement if the chain is longer than the catalog).
@@ -105,16 +94,7 @@ mod tests {
         let cat = small_catalog();
         let req = SfcRequest::new(0, vec![VnfTypeId(0), VnfTypeId(1)], 0.9, NodeId(0), NodeId(1));
         assert!((req.base_reliability(&cat) - 0.72).abs() < 1e-12);
-        assert!(!req.met_by_primaries(&cat));
-        assert!((req.chain_demand(&cat) - 300.0).abs() < 1e-12);
         assert_eq!(req.len(), 2);
-    }
-
-    #[test]
-    fn expectation_met_when_base_high() {
-        let cat = small_catalog();
-        let req = SfcRequest::new(0, vec![VnfTypeId(0)], 0.85, NodeId(0), NodeId(0));
-        assert!(req.met_by_primaries(&cat));
     }
 
     #[test]

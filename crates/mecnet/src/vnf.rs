@@ -77,11 +77,6 @@ impl VnfCatalog {
         self.types.iter().enumerate().map(|(i, t)| (VnfTypeId(i), t))
     }
 
-    /// Smallest per-instance demand in the catalog (`c_min` of Theorem 6.2).
-    pub fn min_demand(&self) -> Option<f64> {
-        self.types.iter().map(|t| t.demand_mhz).min_by(|a, b| a.total_cmp(b))
-    }
-
     /// Random catalog per the paper's Section 7.1: `count` types with demands
     /// uniform in `demand_range` MHz and reliabilities uniform in
     /// `reliability_range`.
@@ -163,9 +158,6 @@ mod tests {
             assert!((200.0..=400.0).contains(&t.demand_mhz));
             assert!((0.8..=0.9).contains(&t.reliability));
         }
-        let min = cat.min_demand().unwrap();
-        assert!(min >= 200.0);
-        assert!(cat.iter().all(|(_, t)| t.demand_mhz >= min));
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! snapshotted once and shared by both children, which differ from the
 //! parent by a single variable-bound change. The child re-solve then runs
 //! the dual simplex from the parent basis — typically a handful of pivots —
-//! instead of a cold two-phase solve. The warm and cold paths reach the same
-//! optimal objectives, so node evaluation order, branching decisions and
-//! answers are unchanged; only the pivot count drops.
+//! instead of a cold two-phase solve. The warm and cold paths reach equal
+//! optimal objectives, but where a node LP has alternate optima the dual
+//! and the primal pivots can stop at different optimal vertices, so the
+//! branching decisions, the tree and the optimal solution returned can
+//! differ between the two paths.
 //!
 //! A search allocates nothing once its [`LpWorkspace`] is warm: the
 //! computational form is built once per solve and each node rewrites only

@@ -26,7 +26,7 @@
 //!
 //! Three entry points:
 //!
-//! * [`solve_lp`] / [`solve_lp_with_bounds`] — cold two-phase primal solve
+//! * [`solve_lp`] — cold two-phase primal solve
 //!   (composite phase 1 minimizing the sum of bound infeasibilities, then
 //!   Dantzig pricing with Bland's rule after a degenerate streak).
 //! * [`solve_lp_warm`] — restart from the basis cached in an
@@ -146,11 +146,6 @@ struct Basis {
 impl LpWorkspace {
     pub fn new() -> LpWorkspace {
         LpWorkspace::default()
-    }
-
-    /// Whether the workspace holds a basis usable for a warm start.
-    pub fn has_basis(&self) -> bool {
-        self.basis.key.is_some()
     }
 
     /// Forget the cached basis (buffer capacity is kept). After `clear`,
@@ -482,22 +477,14 @@ impl Basis {
 /// Solve the continuous relaxation of `model` (integrality is ignored).
 pub fn solve_lp(model: &Model) -> Result<LpSolution, SolverError> {
     model.validate()?;
-    solve_lp_with_bounds(model, None)
-}
-
-/// Solve the LP relaxation with per-variable bound overrides.
-/// `overrides[i] = Some((lo, hi))` intersects the model bounds.
-pub fn solve_lp_with_bounds(
-    model: &Model,
-    overrides: Option<&[Option<(f64, f64)>]>,
-) -> Result<LpSolution, SolverError> {
-    solve_lp_warm(model, overrides, &mut LpWorkspace::new())
+    solve_lp_warm(model, None, &mut LpWorkspace::new())
 }
 
 /// Solve, warm-starting from the basis cached in `ws` when its shape matches
-/// and it is still dual feasible; otherwise a cold solve. On an optimal
-/// finish the workspace caches the new basis for the next call. Does not
-/// call `model.validate()` (mirrors [`solve_lp_with_bounds`]).
+/// and it is still dual feasible; otherwise a cold solve (a fresh workspace
+/// always solves cold). `overrides[i] = Some((lo, hi))` intersects the model
+/// bounds. On an optimal finish the workspace caches the new basis for the
+/// next call. Does not call `model.validate()`.
 pub fn solve_lp_warm(
     model: &Model,
     overrides: Option<&[Option<(f64, f64)>]>,
@@ -1319,12 +1306,12 @@ mod tests {
         let mut ws = LpWorkspace::new();
         let root = solve_lp_warm(&m, None, &mut ws).unwrap();
         assert_eq!(root.status, LpStatus::Optimal);
-        assert!(ws.has_basis());
+        assert!(ws.snapshot().is_some());
         // Tighten one variable's bounds (a branch-and-bound child) and
         // re-solve warm; must match a cold solve.
         let ovr = vec![Some((0.0, 1.0)), None, None];
         let warm = solve_lp_warm(&m, Some(&ovr), &mut ws).unwrap();
-        let cold = solve_lp_with_bounds(&m, Some(&ovr)).unwrap();
+        let cold = solve_lp_warm(&m, Some(&ovr), &mut LpWorkspace::new()).unwrap();
         assert_eq!(warm.status, cold.status);
         assert!((warm.objective - cold.objective).abs() < 1e-9);
         for (a, b) in warm.x.iter().zip(&cold.x) {
@@ -1356,10 +1343,9 @@ mod tests {
         solve_lp_warm(&m, None, &mut ws).unwrap();
         let snap = ws.snapshot().expect("optimal solve caches a basis");
         ws.clear();
-        assert!(!ws.has_basis());
         assert!(ws.snapshot().is_none());
         ws.restore(&snap);
-        assert!(ws.has_basis());
+        assert!(ws.snapshot().is_some());
         let warm = solve_lp_warm(&m, None, &mut ws).unwrap();
         let cold = solve_lp(&m).unwrap();
         assert!((warm.objective - cold.objective).abs() < 1e-9);

@@ -1,7 +1,8 @@
 //! Structured telemetry for the solver crates: a `Recorder` that sinks
-//! events to memory or a JSONL writer and keeps named counters and timings,
-//! a fixed-index metric set for the stream engine, a windowed-aggregation
-//! interval spec, and a flight-recorder ring for postmortems.
+//! events to memory or a JSONL writer and holds the registry of the one
+//! metrics namespace (the stream engine's and the solvers' counters and
+//! log2 histograms), a windowed-aggregation interval spec, and a
+//! flight-recorder ring for postmortems.
 
 pub mod event;
 pub mod flight;
@@ -11,7 +12,7 @@ pub mod window;
 
 pub use event::Event;
 pub use flight::FlightRecorder;
-pub use metrics::{HistogramReport, MetricSet, MetricsReport, MetricsSnapshot};
+pub use metrics::{Counter, Hist, HistogramReport, MetricsReport, MetricsSnapshot};
 pub use recorder::{Recorder, Sink, Telemetry};
 pub use window::MetricsInterval;
 

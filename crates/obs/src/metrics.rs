@@ -1,71 +1,120 @@
-//! A fixed set of named metrics for a single-threaded engine.
+//! The one metrics namespace and its snapshots.
 //!
-//! Metric identity is an index into a `&'static` name table fixed at
-//! construction, so recording is a bounds-checked array index plus an add —
-//! no map lookups, no allocation. Construction allocates everything up
-//! front. [`MetricSet::snapshot`] copies the current values into a
-//! [`MetricsSnapshot`], which diffs across window boundaries and serializes
-//! as a [`MetricsReport`].
-
-use std::time::Duration;
+//! Every counter and histogram the workspace records is a slot of one static
+//! namespace: [`COUNTERS`] and [`HISTS`], each sorted by name. Code records
+//! through a [`Counter`] or [`Hist`] index constant, so recording is an array
+//! index plus an add, with no map lookup and no allocation, and a
+//! [`crate::Recorder`] keeps the values in inline arrays.
+//! [`crate::Recorder::snapshot`] copies them into a [`MetricsSnapshot`], which
+//! diffs across window boundaries and serializes as a [`MetricsReport`].
 
 use expkit::Log2Histogram;
 use serde::{Deserialize, Serialize};
 
-/// Counters and log2 histograms addressed by the indices of the name tables
-/// the set was built with.
-#[derive(Debug)]
-pub struct MetricSet {
-    counter_names: &'static [&'static str],
-    hist_names: &'static [&'static str],
-    counters: Box<[u64]>,
-    hists: Box<[Log2Histogram]>,
-}
+/// A counter slot of the namespace: an index into [`COUNTERS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counter(pub(crate) usize);
 
-impl MetricSet {
-    pub fn new(
-        counter_names: &'static [&'static str],
-        hist_names: &'static [&'static str],
-    ) -> MetricSet {
-        MetricSet {
-            counter_names,
-            hist_names,
-            counters: vec![0; counter_names.len()].into(),
-            hists: vec![Log2Histogram::new(); hist_names.len()].into(),
-        }
-    }
+/// A histogram slot of the namespace: an index into [`HISTS`]. Histograms
+/// record durations in nanoseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hist(pub(crate) usize);
 
-    #[inline]
-    pub fn incr(&mut self, counter: usize) {
-        self.counters[counter] += 1;
-    }
-
-    pub fn counter(&self, counter: usize) -> u64 {
-        self.counters[counter]
-    }
-
-    /// Record a duration as nanoseconds (saturating at `u64::MAX`).
-    #[inline]
-    pub fn record_duration(&mut self, hist: usize, d: Duration) {
-        self.hists[hist].record_duration(d);
-    }
-
-    /// The current values, by name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counter_names
-                .iter()
-                .copied()
-                .zip(self.counters.iter().copied())
-                .collect(),
-            hists: self.hist_names.iter().copied().zip(self.hists.iter().cloned()).collect(),
-        }
+impl Counter {
+    pub fn name(self) -> &'static str {
+        COUNTERS[self.0]
     }
 }
 
-/// Point-in-time scalar view of a [`MetricSet`]: plain counters plus
-/// mergeable histograms. Cheap to diff across window boundaries.
+impl Hist {
+    pub fn name(self) -> &'static str {
+        HISTS[self.0]
+    }
+}
+
+/// The position of `name` in `table`, found at compile time; a name outside
+/// the table fails the build.
+const fn slot(table: &[&str], name: &str) -> usize {
+    let mut i = 0;
+    while i < table.len() {
+        let (a, b) = (table[i].as_bytes(), name.as_bytes());
+        let mut j = 0;
+        while j < a.len() && j < b.len() && a[j] == b[j] {
+            j += 1;
+        }
+        if j == a.len() && j == b.len() {
+            return i;
+        }
+        i += 1;
+    }
+    panic!("metric name outside the namespace")
+}
+
+/// Declares a name table, listed sorted, and one index constant per name,
+/// so that each name is written once.
+macro_rules! slots {
+    ($slot:ident, $table:ident, $all:ident: $($(#[$doc:meta])* $konst:ident = $name:literal,)*) => {
+        /// The slots' names, sorted.
+        pub const $table: &[&str] = &[$($name),*];
+        $($(#[$doc])* pub const $konst: $slot = $slot(slot($table, $name));)*
+        /// Every index constant with the name it was declared with.
+        #[cfg(test)]
+        const $all: &[($slot, &str)] = &[$(($konst, $name)),*];
+    };
+}
+
+// Recorded by the stream engine's step (`relaug::stream::Admission`):
+// `requests`, `admitted`, both rejects, `commit.overcommit_clamped`,
+// `solves`, `solve_ns` and `debit_ns`. Every other slot is a solver's.
+slots!(Counter, COUNTERS, ALL_COUNTERS:
+    ADMITTED = "admitted",
+    /// Secondary debits that overcommitted and were clamped at zero.
+    OVERCOMMIT_CLAMPED = "commit.overcommit_clamped",
+    GREEDY_STEPS = "greedy.steps",
+    HEURISTIC_COMMITTED = "heuristic.committed",
+    /// Matching rounds that committed placements.
+    HEURISTIC_ROUNDS = "heuristic.rounds",
+    HEURISTIC_TRIMMED = "heuristic.trimmed_secondaries",
+    /// Independent components the exact ILP solved.
+    ILP_COMPONENTS = "ilp.components",
+    ILP_INCUMBENT_UPDATES = "ilp.incumbent_updates",
+    ILP_LP_ITERATIONS = "ilp.lp_iterations",
+    /// Branch-and-bound nodes.
+    ILP_NODES = "ilp.nodes",
+    ILP_PRUNED_BOUND = "ilp.pruned_bound",
+    ILP_PRUNED_INFEASIBLE = "ilp.pruned_infeasible",
+    ILP_TRIMMED = "ilp.trimmed_secondaries",
+    /// Signature classes of the committing rounds' ladders.
+    MATCHING_CLASSES = "matching.classes",
+    /// Edges of the committing rounds' graphs `G_l`.
+    MATCHING_EDGES_FULL = "matching.edges.full",
+    RANDOMIZED_DRAWS = "randomized.draws",
+    RANDOMIZED_LP_ITERATIONS = "randomized.lp_iterations",
+    RANDOMIZED_REPAIRS = "randomized.repairs",
+    /// The subset of the rejects the capacity gate decided without a
+    /// placement scan (a chain demand above the largest cloudlet residual).
+    GATED = "rejected.capacity_gate",
+    /// Every reject: no feasible primary placement.
+    REJECTED = "rejected.no_primary_placement",
+    REQUESTS = "requests",
+    /// Solves: one per admitted request and one per re-augmentation.
+    SOLVES = "solves",
+);
+
+slots!(Hist, HISTS, ALL_HISTS:
+    /// The one-pass debit of the secondaries' per-node loads.
+    DEBIT_NS = "debit_ns",
+    /// Branch and bound, per independent component.
+    ILP_COMPONENT_SOLVE = "ilp.component_solve",
+    /// The randomized rounding's LP relaxation.
+    RANDOMIZED_LP_SOLVE = "randomized.lp_solve",
+    /// The solver, per request.
+    SOLVE_NS = "solve_ns",
+);
+
+/// Point-in-time scalar view of a recorder's registry: plain counters plus
+/// mergeable histograms, in namespace order. Cheap to diff across window
+/// boundaries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: Vec<(&'static str, u64)>,
@@ -144,20 +193,37 @@ pub struct HistogramReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Recorder;
+    use std::time::Duration;
 
-    const COUNTERS: &[&str] = &["requests", "admitted"];
-    const HISTS: &[&str] = &["solve_ns"];
+    #[test]
+    fn names_are_unique_and_sorted() {
+        assert!(COUNTERS.windows(2).all(|w| w[0] < w[1]), "{COUNTERS:?}");
+        assert!(HISTS.windows(2).all(|w| w[0] < w[1]), "{HISTS:?}");
+        assert!(COUNTERS.iter().all(|c| !HISTS.contains(c)), "a name is both kinds");
+    }
+
+    #[test]
+    fn each_index_constant_names_its_own_slot() {
+        assert_eq!(ALL_COUNTERS.len(), COUNTERS.len());
+        for (i, &(c, name)) in ALL_COUNTERS.iter().enumerate() {
+            assert_eq!((c, c.name()), (Counter(i), name));
+        }
+        assert_eq!(ALL_HISTS.len(), HISTS.len());
+        for (i, &(h, name)) in ALL_HISTS.iter().enumerate() {
+            assert_eq!((h, h.name()), (Hist(i), name));
+        }
+    }
 
     #[test]
     fn snapshot_reads_by_name() {
-        let mut m = MetricSet::new(COUNTERS, HISTS);
-        m.incr(0);
-        m.incr(0);
-        m.incr(1);
-        m.record_duration(0, Duration::from_nanos(100));
-        m.record_duration(0, Duration::from_nanos(900));
-        assert_eq!(m.counter(0), 2);
-        let snap = m.snapshot();
+        let mut rec = Recorder::noop();
+        rec.count(REQUESTS, 2);
+        rec.count(ADMITTED, 1);
+        rec.record(SOLVE_NS, Duration::from_nanos(100));
+        rec.record(SOLVE_NS, Duration::from_nanos(900));
+        let snap = rec.snapshot();
+        assert_eq!(snap.counters.len(), COUNTERS.len());
         assert_eq!(snap.counter("requests"), 2);
         assert_eq!(snap.counter("admitted"), 1);
         assert_eq!(snap.counter("missing"), 0);
@@ -168,14 +234,13 @@ mod tests {
 
     #[test]
     fn snapshot_diff_is_window_delta() {
-        let mut m = MetricSet::new(COUNTERS, HISTS);
-        m.incr(0);
-        m.record_duration(0, Duration::from_nanos(10));
-        let base = m.snapshot();
-        m.incr(0);
-        m.incr(0);
-        m.record_duration(0, Duration::from_nanos(1000));
-        let delta = m.snapshot().diff(&base);
+        let mut rec = Recorder::noop();
+        rec.count(REQUESTS, 1);
+        rec.record(SOLVE_NS, Duration::from_nanos(10));
+        let base = rec.snapshot();
+        rec.count(REQUESTS, 2);
+        rec.record(SOLVE_NS, Duration::from_nanos(1000));
+        let delta = rec.snapshot().diff(&base);
         assert_eq!(delta.counter("requests"), 2);
         assert_eq!(delta.hist("solve_ns").unwrap().count(), 1);
         assert_eq!(delta.hist("solve_ns").unwrap().sum(), 1000);
@@ -183,14 +248,14 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let mut m = MetricSet::new(COUNTERS, HISTS);
-        m.incr(0);
-        m.record_duration(0, Duration::from_micros(3));
-        let report = m.snapshot().report();
+        let mut rec = Recorder::noop();
+        rec.count(REQUESTS, 1);
+        rec.record(DEBIT_NS, Duration::from_micros(3));
+        let report = rec.snapshot().report();
         let json = serde_json::to_string(&report).unwrap();
         let back: MetricsReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
-        assert_eq!(back.histograms[0].count, 1);
-        assert!(back.histograms[0].p99 >= 3000);
+        assert_eq!(back.histograms[DEBIT_NS.0].count, 1);
+        assert!(back.histograms[DEBIT_NS.0].p99 >= 3000);
     }
 }

@@ -1,9 +1,13 @@
-//! The `Recorder` threads through solver hot loops, so the disabled path must
+//! The `Recorder` threads through solver hot loops, so its disabled path must
 //! be as close to free as possible: `enabled()` is a single enum-discriminant
 //! check and [`Recorder::emit_with`] never constructs the event when disabled.
+//! Counting does not depend on the sink: every recorder holds the registry of
+//! the one metrics namespace ([`crate::metrics`]) in inline arrays, so a count
+//! is an indexed add and building a recorder allocates nothing.
 
 use crate::event::Event;
-use std::collections::BTreeMap;
+use crate::metrics::{Counter, Hist, MetricsSnapshot, COUNTERS, HISTS};
+use expkit::Log2Histogram;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -11,29 +15,23 @@ use std::time::Duration;
 
 /// Where emitted events go.
 pub enum Sink {
-    /// Discard everything. `enabled()` is false, so callers skip event
+    /// Discard every event. `enabled()` is false, so callers skip event
     /// construction entirely.
     Noop,
-    /// Keep counters/timings but discard events. `enabled()` is
-    /// true — instrumented code still bumps counters (solver node counts,
-    /// pivot totals) — yet no per-event memory or I/O is paid. This is the
-    /// sink behind windowed metrics mode, where aggregates matter but a
-    /// per-request event stream would be unbounded.
-    Counters,
     /// Keep events in memory for inspection (tests, `Outcome::telemetry`).
     Memory(Vec<Event>),
     /// Stream one JSON object per line to a writer.
     Jsonl(BufWriter<Box<dyn Write + Send>>),
 }
 
-/// Collects structured events plus named counters/timings that summarize a
-/// solve. Pass `&mut Recorder::noop()` (or use the untraced entry points)
-/// when telemetry is not wanted.
+/// The metrics registry (one counter or histogram per namespace slot) plus
+/// an event sink. Pass `&mut Recorder::noop()` (or use the untraced entry
+/// points) when events are not wanted; counts are kept either way.
 pub struct Recorder {
     sink: Sink,
     events_emitted: u64,
-    counters: BTreeMap<&'static str, u64>,
-    timings: BTreeMap<&'static str, Duration>,
+    counters: [u64; COUNTERS.len()],
+    hists: [Log2Histogram; HISTS.len()],
 }
 
 impl Default for Recorder {
@@ -44,17 +42,23 @@ impl Default for Recorder {
 
 impl Recorder {
     fn with_sink(sink: Sink) -> Recorder {
-        Recorder { sink, events_emitted: 0, counters: BTreeMap::new(), timings: BTreeMap::new() }
+        Recorder {
+            sink,
+            events_emitted: 0,
+            counters: [0; COUNTERS.len()],
+            hists: std::array::from_fn(|_| Log2Histogram::new()),
+        }
     }
 
+    /// Counts only: every event is discarded.
     pub fn noop() -> Recorder {
         Recorder::with_sink(Sink::Noop)
     }
 
-    /// Aggregates-only recorder: counters and timings accumulate,
-    /// but emitted events are discarded (see [`Sink::Counters`]).
+    /// The same as [`Recorder::noop`]: every recorder counts, and this one
+    /// keeps no event.
     pub fn counters_only() -> Recorder {
-        Recorder::with_sink(Sink::Counters)
+        Recorder::noop()
     }
 
     pub fn memory() -> Recorder {
@@ -72,8 +76,8 @@ impl Recorder {
         Recorder::with_sink(Sink::Jsonl(BufWriter::new(writer)))
     }
 
-    /// Whether emitted events are observed. Hot loops gate all telemetry
-    /// work on this. True when any sink other than no-op is active.
+    /// Whether emitted events are observed. Hot loops gate all event work on
+    /// this. True for every sink but the no-op one.
     #[inline]
     pub fn enabled(&self) -> bool {
         !matches!(self.sink, Sink::Noop)
@@ -81,7 +85,7 @@ impl Recorder {
 
     pub fn emit(&mut self, event: Event) {
         match &mut self.sink {
-            Sink::Noop | Sink::Counters => return,
+            Sink::Noop => return,
             Sink::Memory(buf) => buf.push(event),
             Sink::Jsonl(w) => {
                 let _ = writeln!(w, "{}", event.to_json());
@@ -90,31 +94,27 @@ impl Recorder {
         self.events_emitted += 1;
     }
 
-    /// Emit an event built lazily: when nothing would keep the event — a
-    /// no-op or counters-only sink — the closure is never invoked, so
-    /// callers can put formatting and snapshotting work inside it without
-    /// paying for it when events are off.
+    /// Emit an event built lazily: when nothing would keep the event (a
+    /// no-op sink) the closure is never invoked, so callers can put
+    /// formatting and snapshotting work inside it without paying for it
+    /// when events are off.
     #[inline]
     pub fn emit_with<F: FnOnce() -> Event>(&mut self, build: F) {
-        if !matches!(self.sink, Sink::Noop | Sink::Counters) {
+        if self.enabled() {
             self.emit(build());
         }
     }
 
-    /// Bump a named counter (no-op when disabled).
+    /// Add `delta` to a counter.
     #[inline]
-    pub fn count(&mut self, name: &'static str, delta: u64) {
-        if self.enabled() {
-            *self.counters.entry(name).or_insert(0) += delta;
-        }
+    pub fn count(&mut self, counter: Counter, delta: u64) {
+        self.counters[counter.0] += delta;
     }
 
-    /// Accumulate a named duration (no-op when disabled).
+    /// Record a duration, in nanoseconds, into a histogram.
     #[inline]
-    pub fn record_time(&mut self, name: &'static str, elapsed: Duration) {
-        if self.enabled() {
-            *self.timings.entry(name).or_insert(Duration::ZERO) += elapsed;
-        }
+    pub fn record(&mut self, hist: Hist, elapsed: Duration) {
+        self.hists[hist.0].record_duration(elapsed);
     }
 
     /// Events captured by a memory sink (empty for other sinks).
@@ -129,8 +129,23 @@ impl Recorder {
         self.events_emitted
     }
 
+    /// A counter's value.
+    #[inline]
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter.0]
+    }
+
+    /// The counter named `name`; 0 for a name outside the namespace.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        COUNTERS.binary_search(&name).map_or(0, |i| self.counters[i])
+    }
+
+    /// Every counter and histogram, by name, in namespace order.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: COUNTERS.iter().copied().zip(self.counters.iter().copied()).collect(),
+            hists: HISTS.iter().copied().zip(self.hists.iter().cloned()).collect(),
+        }
     }
 
     pub fn flush(&mut self) -> std::io::Result<()> {
@@ -141,39 +156,51 @@ impl Recorder {
     }
 
     /// Fold another recorder into this one: its memory-captured events are
-    /// re-emitted here *in their original order*, and its counters and
-    /// timings are added onto this recorder's. Callers that record into a
-    /// private recorder (the simulator's per-policy threads, the stream
-    /// engine's counters-only solver recorder in windowed mode) merge through
-    /// this, so the result does not depend on when the merge happens. Events
-    /// of a non-memory sink cannot be replayed (they were already written
-    /// elsewhere); only its counters/timings are merged.
+    /// re-emitted here *in their original order*, its counters are added onto
+    /// this recorder's and its histograms merged into them. Callers that
+    /// record into a private recorder (the simulator's per-policy threads, a
+    /// windowed stream's event-less recorder) merge through this, so the
+    /// result does not depend on when the merge happens. Events of a
+    /// non-memory sink cannot be replayed (they were already written
+    /// elsewhere); only its metrics are merged.
     pub fn absorb(&mut self, other: Recorder) {
         if let Sink::Memory(events) = other.sink {
             for event in events {
                 self.emit(event);
             }
         }
-        for (name, delta) in other.counters {
-            *self.counters.entry(name).or_insert(0) += delta;
+        for (mine, theirs) in self.counters.iter_mut().zip(other.counters) {
+            *mine += theirs;
         }
-        for (name, elapsed) in other.timings {
-            *self.timings.entry(name).or_insert(Duration::ZERO) += elapsed;
+        for (mine, theirs) in self.hists.iter_mut().zip(&other.hists) {
+            mine.merge(theirs);
         }
     }
 
-    /// Snapshot counters and timings into a portable summary.
+    /// The nonzero counters and the non-empty histograms' totals, in name
+    /// order, as a portable summary.
     pub fn summary(&self) -> Telemetry {
         Telemetry {
             events_emitted: self.events_emitted,
-            counters: self.counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            timings_s: self.timings.iter().map(|(k, v)| (k.to_string(), v.as_secs_f64())).collect(),
+            counters: COUNTERS
+                .iter()
+                .zip(self.counters)
+                .filter(|&(_, v)| v > 0)
+                .map(|(name, v)| (name.to_string(), v))
+                .collect(),
+            timings_s: HISTS
+                .iter()
+                .zip(&self.hists)
+                .filter(|(_, h)| !h.is_empty())
+                .map(|(name, h)| (name.to_string(), h.sum() as f64 / 1e9))
+                .collect(),
         }
     }
 }
 
-/// Portable summary of a recorder's counters and accumulated timings,
-/// attached to `relaug::solution::Outcome` and serialized by `--json` output.
+/// Portable summary of a recorder's nonzero counters and accumulated
+/// timings, attached to `relaug::solution::Outcome` and serialized by
+/// `--json` output.
 #[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct Telemetry {
     pub events_emitted: u64,
@@ -182,14 +209,6 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v).unwrap_or(0)
-    }
-
-    pub fn timing_s(&self, name: &str) -> f64 {
-        self.timings_s.iter().find(|(k, _)| k == name).map(|(_, v)| *v).unwrap_or(0.0)
-    }
-
     pub fn is_empty(&self) -> bool {
         self.events_emitted == 0 && self.counters.is_empty() && self.timings_s.is_empty()
     }
@@ -198,6 +217,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::*;
 
     #[test]
     fn noop_never_builds_events() {
@@ -227,34 +247,62 @@ mod tests {
     #[test]
     fn counters_and_timings_summarize() {
         let mut rec = Recorder::memory();
-        rec.count("nodes", 3);
-        rec.count("nodes", 4);
-        rec.record_time("lp", Duration::from_millis(10));
-        rec.record_time("lp", Duration::from_millis(5));
+        rec.count(ILP_NODES, 3);
+        rec.count(ILP_NODES, 4);
+        rec.count(ILP_PRUNED_INFEASIBLE, 0);
+        rec.record(ILP_COMPONENT_SOLVE, Duration::from_millis(10));
+        rec.record(ILP_COMPONENT_SOLVE, Duration::from_millis(5));
+        assert_eq!(rec.get(ILP_NODES), 7);
+        // Only nonzero counters and non-empty histograms are listed.
         let t = rec.summary();
-        assert_eq!(t.counter("nodes"), 7);
-        assert!((t.timing_s("lp") - 0.015).abs() < 1e-9);
-        assert_eq!(t.counter("missing"), 0);
+        assert_eq!(t.counters, vec![("ilp.nodes".to_string(), 7)]);
+        assert_eq!(t.timings_s, vec![("ilp.component_solve".to_string(), 0.015)]);
     }
 
     #[test]
-    fn absorb_replays_events_and_merges_counters() {
+    fn names_outside_the_namespace_read_zero() {
+        let mut rec = Recorder::noop();
+        for c in 0..COUNTERS.len() {
+            rec.count(Counter(c), 1);
+        }
+        for name in COUNTERS {
+            assert_eq!(rec.counter(name), 1, "{name}");
+        }
+        for retired in [
+            "missing",
+            "matching.edges.materialized",
+            "matching.passes",
+            "matching.relaxations",
+            "matching.rounds.fallback",
+        ] {
+            assert_eq!(rec.counter(retired), 0, "{retired}");
+        }
+    }
+
+    #[test]
+    fn absorb_replays_events_and_merges_metrics() {
         let mut main = Recorder::memory();
         main.emit(Event::new("before"));
-        main.count("shared", 1);
+        main.count(HEURISTIC_ROUNDS, 1);
+        main.record(SOLVE_NS, Duration::from_nanos(100));
         let mut worker = Recorder::memory();
         worker.emit(Event::new("w.a").with("i", 1u64));
         worker.emit(Event::new("w.b").with("i", 2u64));
-        worker.count("shared", 2);
-        worker.count("worker_only", 5);
-        worker.record_time("solve", Duration::from_millis(4));
+        worker.count(HEURISTIC_ROUNDS, 2);
+        worker.count(GREEDY_STEPS, 5);
+        worker.record(SOLVE_NS, Duration::from_nanos(3000));
+        worker.record(ILP_COMPONENT_SOLVE, Duration::from_millis(4));
         main.absorb(worker);
         let kinds: Vec<&str> = main.events().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["before", "w.a", "w.b"], "order preserved");
         assert_eq!(main.events_emitted(), 3);
-        assert_eq!(main.counter("shared"), 3);
-        assert_eq!(main.counter("worker_only"), 5);
-        assert!((main.summary().timing_s("solve") - 0.004).abs() < 1e-9);
+        assert_eq!(main.counter("heuristic.rounds"), 3);
+        assert_eq!(main.counter("greedy.steps"), 5);
+        let snap = main.snapshot();
+        let solve = snap.hist("solve_ns").unwrap();
+        assert_eq!((solve.count(), solve.sum()), (2, 3100));
+        assert_eq!(solve.max_bound(), Some(4095), "buckets merged");
+        assert_eq!(snap.hist("ilp.component_solve").unwrap().sum(), 4_000_000);
     }
 
     #[test]
@@ -288,16 +336,16 @@ mod tests {
     }
 
     #[test]
-    fn counters_only_accumulates_but_discards_events() {
+    fn counters_only_counts_and_discards_events() {
         let mut rec = Recorder::counters_only();
-        assert!(rec.enabled(), "instrumentation must still run");
+        assert!(!rec.enabled(), "no event is kept");
         rec.emit(Event::new("solver.node").with("i", 1u64));
-        rec.count("solver.pivots", 9);
-        rec.record_time("lp", Duration::from_millis(2));
+        rec.count(RANDOMIZED_LP_ITERATIONS, 9);
+        rec.record(RANDOMIZED_LP_SOLVE, Duration::from_millis(2));
         assert_eq!(rec.events_emitted(), 0, "events are dropped");
         assert!(rec.events().is_empty());
-        assert_eq!(rec.summary().counter("solver.pivots"), 9);
-        assert!((rec.summary().timing_s("lp") - 0.002).abs() < 1e-9);
+        assert_eq!(rec.counter("randomized.lp_iterations"), 9);
+        assert_eq!(rec.summary().timings_s, vec![("randomized.lp_solve".to_string(), 0.002)]);
         // A lazily built event would be dropped, so it is never built.
         let mut calls = 0u32;
         rec.emit_with(|| {

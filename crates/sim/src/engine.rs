@@ -300,9 +300,11 @@ struct Engine<'a> {
     repair_rng: StdRng,
     clock_master: u64,
     /// `true` (default mode): emit every `sim.*` event through `rec` and
-    /// trace the solves into it. In windowed mode the solves get a no-op
-    /// recorder: `sim.window` carries no solver counters.
+    /// trace the solves into it. In windowed mode the admission steps count
+    /// into `quiet` instead: `sim.window` carries no solver counters.
     full_events: bool,
+    /// The run's event-less recorder for windowed mode.
+    quiet: Recorder,
     window: Option<SimWindow>,
     flight: Option<FlightRecorder>,
     flight_path: Option<PathBuf>,
@@ -349,6 +351,7 @@ impl<'a> Engine<'a> {
             repair_rng: StdRng::seed_from_u64(expkit::fan_out(cfg.seed, 3)),
             clock_master: expkit::fan_out(cfg.seed, 2),
             full_events: cfg.metrics_interval.is_none(),
+            quiet: Recorder::noop(),
             window: cfg.metrics_interval.map(|interval| SimWindow {
                 interval,
                 index: 0,
@@ -551,9 +554,8 @@ impl<'a> Engine<'a> {
             req.sfc.iter().map(|&f| self.catalog.reliability(f)).collect();
         let chain_len = req.len();
         self.counts.arrivals += 1;
-        let mut noop = Recorder::noop();
-        let solver_rec = if self.full_events { &mut *rec } else { &mut noop };
-        let record = self.admission.admit(self.admit_seed, id, &req, solver_rec);
+        let step_rec = if self.full_events { &mut *rec } else { &mut self.quiet };
+        let record = self.admission.admit(self.admit_seed, id, &req, step_rec);
         // A rejected request keeps no per-position state.
         let positions = if record.admitted { chain_len } else { 0 };
         self.requests.push(ActiveRequest {
@@ -755,15 +757,9 @@ impl<'a> Engine<'a> {
     fn reaugment(&mut self, t: f64, request: usize, trigger: &'static str, rec: &mut Recorder) {
         let r = &self.requests[request];
         let existing: Vec<usize> = r.live.iter().map(|&n| n.saturating_sub(1)).collect();
-        let mut noop = Recorder::noop();
-        let solver_rec = if self.full_events { &mut *rec } else { &mut noop };
-        let record = self.admission.augment(
-            &r.req,
-            &r.placement,
-            &existing,
-            &mut self.repair_rng,
-            solver_rec,
-        );
+        let step_rec = if self.full_events { &mut *rec } else { &mut self.quiet };
+        let record =
+            self.admission.augment(&r.req, &r.placement, &existing, &mut self.repair_rng, step_rec);
         let placed = record.secondaries;
         for (func, node, took) in new_secondaries(self.admission.placed()) {
             self.spawn_instance(t, request, func, node, took);
@@ -933,7 +929,6 @@ mod tests {
 
     #[test]
     fn capacity_is_conserved_and_released() {
-        use relaug::stream::pipeline_metrics::C_OVERCOMMIT;
         let (net, cat) = setup(2);
         // The randomized rounding overcommits under load, so its run
         // exercises the clamped debits and their shared-out credits.
@@ -974,7 +969,7 @@ mod tests {
                 }
             }
             if matches!(cfg.algorithm, Algorithm::Randomized(_)) {
-                let clamped = engine.admission.metrics().counter(C_OVERCOMMIT);
+                let clamped = rec.get(obs::metrics::OVERCOMMIT_CLAMPED);
                 assert!(clamped > 0, "the randomized run must overcommit");
             }
             // Force-depart everything and verify the exact round trip.

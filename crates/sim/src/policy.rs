@@ -40,13 +40,6 @@ impl RequestView<'_> {
         self.chain_reliability(self.live)
     }
 
-    /// Long-run `u_j` counting every provisioned instance (down-but-repairing
-    /// instances contribute their steady-state `r_i`). Only permanent losses
-    /// lower this.
-    pub fn alive_reliability(&self) -> f64 {
-        self.chain_reliability(self.alive)
-    }
-
     /// Whether some chain position has no live instance (the request is in
     /// outage right now).
     pub fn has_dead_function(&self) -> bool {
@@ -160,8 +153,6 @@ mod tests {
         let v = view(&[2, 1], &[3, 1], &rel);
         // f0: 1 - 0.2^2 = 0.96; f1: 0.9.
         assert!((v.live_reliability() - 0.96 * 0.9).abs() < 1e-12);
-        // alive adds one more f0 instance: 1 - 0.2^3 = 0.992.
-        assert!((v.alive_reliability() - 0.992 * 0.9).abs() < 1e-12);
         assert!(!v.has_dead_function());
     }
 
@@ -171,7 +162,6 @@ mod tests {
         let v = view(&[0, 3], &[1, 3], &rel);
         assert!(v.has_dead_function());
         assert_eq!(v.live_reliability(), 0.0);
-        assert!(v.alive_reliability() > 0.0);
     }
 
     #[test]
