@@ -5,7 +5,7 @@
 //! warm-started re-solve needs a handful of dual pivots where a cold
 //! two-phase solve pays the full pivot bill again.
 //!
-//! Two parts:
+//! Three parts:
 //!
 //! 1. **Node solves** — deterministic random BMCGAP placement MILPs (the
 //!    shape of the paper's augmentation ILP) solved with `warm_lp_nodes`
@@ -17,7 +17,9 @@
 //! 3. **Scenario stream** — the same cold-vs-warm ILP stream on the
 //!    `ba-1k` zoo preset (1,000 cloudlets; the neighborhood index keeps
 //!    per-request instances small enough for exact solves), lazily
-//!    synthesized and fed through the sink driver.
+//!    synthesized and fed through the sink driver. About 98% of its
+//!    components hold one function and are solved in closed form, without
+//!    branch and bound, so warm and cold differ only on the rest.
 //!
 //! Results go to `BENCH_ilp.json` at the workspace root (the CI artifact;
 //! CI gates `warm.total_pivots <= cold.total_pivots`). `QUICK=1` shrinks

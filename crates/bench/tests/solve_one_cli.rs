@@ -21,8 +21,8 @@ const PINNED: [(&str, &str, &str, &str); 4] = [
             r#""max_usage":0.9762065273907803,"max_violation_ratio":0.9762065273907803,"#,
             r#""paper_cost":44.86062087897177}"#,
         ),
-        r#"{"Ilp":{"nodes":67,"lp_iterations":267,"incumbent_updates":6,"pruned_bound":41,"pruned_infeasible":10}}"#,
-        "ILP — 67 B&B nodes, 267 LP iterations, 6 incumbent updates, pruned 41 by bound / 10 \
+        r#"{"Ilp":{"nodes":65,"lp_iterations":245,"incumbent_updates":2,"pruned_bound":41,"pruned_infeasible":10}}"#,
+        "ILP — 65 B&B nodes, 245 LP iterations, 2 incumbent updates, pruned 41 by bound / 10 \
          infeasible",
     ),
     (

@@ -9,13 +9,20 @@
 //!   (constraints 9/11). This is the model whose **LP relaxation** Algorithm 1
 //!   rounds, so it is kept verbatim.
 //! * [`AggModel::rebuild`] — an exact reformulation used for the *integer*
-//!   solve: integer counts `n_{i,u}` (secondaries of `f_i` on `u`) plus a
-//!   continuous "slot ladder" `z_{i,k} ∈ [0,1]` carrying the marginal
-//!   log-gains, linked by `Σ_k z_{i,k} = Σ_u n_{i,u}`. Because gains strictly
-//!   decrease in `k`, the LP always fills the ladder as a prefix, so at any
-//!   integer `n` the objective equals the true log-reliability gain — and the
-//!   formulation removes the item-permutation symmetry that makes the
-//!   disaggregated branch-and-bound blow up on tight instances.
+//!   solve: integer counts `n_{i,u}` (secondaries of `f_i` on `u`) plus one
+//!   continuous gain variable `G_i` per function, bounded above by the
+//!   tangent cuts of the concave prefix-gain curve `S_i(T_i)`, where
+//!   `T_i = Σ_u n_{i,u}`. Because gains decrease in `k`, at any integer `n`
+//!   the binding cut gives exactly `G_i = S_i(T_i)`, the true
+//!   log-reliability gain — and the formulation removes the
+//!   item-permutation symmetry that makes the disaggregated
+//!   branch-and-bound blow up on tight instances.
+//!
+//! [`solve_in`] splits the instance into independent components (functions
+//! that share an eligible bin, directly or transitively). A component of one
+//! function has a closed-form optimum, `min(cap_i, Σ_u ⌊r_u/d_i⌋)`
+//! secondaries spread over its bins (`closed_form` gives the argument);
+//! only components of two or more functions run branch and bound.
 //!
 //! The objective is the marginal log-gain linearization of Eq. 5 —
 //! mathematically equivalent to minimizing `-log u_j` at integral optima
@@ -169,8 +176,7 @@ impl AggModel {
             }
             self.ns.clear();
             for &b in &f.eligible_bins {
-                let per_bin = (inst.bins[b].residual / f.demand).floor() as usize;
-                let ub = per_bin.min(cap);
+                let ub = count_bound(inst.bins[b].residual, f.demand, cap);
                 if ub > 0 {
                     let v = self.model.add_integer_var(0.0, ub as f64, 0.0);
                     self.n_vars.push((i, b, v));
@@ -267,6 +273,84 @@ impl AggModel {
     pub fn extract<'a>(&'a self, x: &'a [f64]) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
         self.n_vars.iter().map(|&(i, b, v)| (i, b, x[v.index()].round() as usize))
     }
+}
+
+/// The bound of the count variable `n_{i,b}`: how many secondaries of
+/// demand `demand` a bin with `residual` left fits, at most `cap`.
+fn count_bound(residual: f64, demand: f64, cap: usize) -> usize {
+    ((residual / demand).floor() as usize).min(cap)
+}
+
+/// Place the optimum of a one-function component, `f_i` alone on its
+/// eligible bins, into `sol`, and return its count.
+///
+/// The component's aggregated model maximizes `G_i` subject to
+/// `G_i <= S_i(T)` (the tangent cuts) with `T = Σ_b n_{i,b}`,
+/// `0 <= n_{i,b} <= min(⌊r_b/d_i⌋, cap_i)` and `T <= cap_i`; its bin rows
+/// are implied by these bounds. `S_i` does not decrease in `T`, so
+/// `T* = min(cap_i, Σ_b ⌊r_b/d_i⌋)` is optimal, and so is every placement
+/// of `T*` secondaries within the bounds. They go one at a time to the bin
+/// with the most room left, `r_b − c_b·d_i` among the bins with `c_b` under
+/// their bound (the lowest bin on ties), tracked as counts so that the
+/// fill reaches `T*` exactly. `fill` holds each eligible bin's
+/// `(bound, count)`.
+fn closed_form(
+    inst: &AugmentationInstance,
+    i: usize,
+    gain_floor: f64,
+    fill: &mut Vec<(usize, usize)>,
+    sol: &mut Augmentation,
+) -> usize {
+    let f = &inst.functions[i];
+    let cap = f.capped_slots(gain_floor);
+    fill.clear();
+    fill.extend(
+        f.eligible_bins.iter().map(|&b| (count_bound(inst.bins[b].residual, f.demand, cap), 0)),
+    );
+    let target = cap.min(fill.iter().map(|&(ub, _)| ub).sum());
+    for _ in 0..target {
+        let mut best: Option<(f64, usize)> = None; // (room, position)
+        for (at, &(ub, c)) in fill.iter().enumerate() {
+            // A bin at its bound has less room than one under it in exact
+            // arithmetic; the check keeps `c_b <= ⌊r_b/d_i⌋` under rounding.
+            if c == ub {
+                continue;
+            }
+            let b = f.eligible_bins[at];
+            let room = inst.bins[b].residual - c as f64 * f.demand;
+            if best.is_none_or(|(r, p)| room > r || (room == r && b < f.eligible_bins[p])) {
+                best = Some((room, at));
+            }
+        }
+        let (_, at) = best.expect("T* is at most the sum of the bounds");
+        fill[at].1 += 1;
+    }
+    for (&b, &(_, c)) in f.eligible_bins.iter().zip(fill.iter()) {
+        sol.add(i, b, c);
+    }
+    target
+}
+
+/// The `ilp.component` event of component `ci`.
+fn component_event(
+    ci: usize,
+    funcs: &[usize],
+    bins: &[usize],
+    closed_form: bool,
+    s: &BnbStats,
+    secondaries: usize,
+) -> obs::Event {
+    obs::Event::new("ilp.component")
+        .with("component", ci)
+        .with("functions", funcs.len())
+        .with("bins", bins.len())
+        .with("closed_form", closed_form)
+        .with("nodes", s.nodes)
+        .with("lp_iterations", s.lp_iterations)
+        .with("incumbent_updates", s.incumbent_updates)
+        .with("pruned_bound", s.pruned_bound)
+        .with("pruned_infeasible", s.pruned_infeasible)
+        .with("secondaries", secondaries)
 }
 
 /// Marks a bin not yet assigned to a component.
@@ -381,13 +465,17 @@ impl Components {
 }
 
 /// Buffers of the exact solve ([`solve_in`]): the component decomposition,
-/// one sub-instance rebuilt in place per component, the aggregated model,
-/// the greedy warm start, the warm point, the branching priorities and the
-/// branch-and-bound solution. [`SolveScratch`] holds one, so a warm scratch
-/// assembles and solves every component without allocating.
+/// the closed form's per-bin fill, and, for components of two or more
+/// functions, one sub-instance rebuilt in place per component, the
+/// aggregated model, the greedy warm start, the warm point, the branching
+/// priorities and the branch-and-bound solution. [`SolveScratch`] holds
+/// one, so a warm scratch assembles and solves every component without
+/// allocating.
 #[derive(Debug, Clone, Default)]
 pub struct IlpScratch {
     comps: Components,
+    /// [`closed_form`]'s `(bound, count)` per eligible bin.
+    fill: Vec<(usize, usize)>,
     /// Global bin -> index in the current component.
     local: Vec<usize>,
     sub: AugmentationInstance,
@@ -442,18 +530,20 @@ pub fn solve(inst: &AugmentationInstance, cfg: &IlpConfig) -> Result<Outcome, So
 
 /// The exact solve on caller-owned scratch: leaves the solution in
 /// `scratch.sol` and returns the search effort. Emits one `ilp.component`
-/// event per independent component (branch-and-bound nodes, simplex
-/// iterations, incumbent updates, prune counts by reason) and accumulates
-/// the same quantities as counters.
+/// event per independent component (whether it was solved in closed form,
+/// branch-and-bound nodes, simplex iterations, incumbent updates, prune
+/// counts by reason) and accumulates the same quantities as counters.
 ///
 /// Under the paper's `l = 1` locality the coupling graph of functions
 /// (shared eligible bins) is typically a scatter of small clusters, and
 /// solving them separately turns the branch-and-bound tree from a
 /// *product* of component trees into a *sum* — often orders of magnitude
-/// fewer nodes. Each component's sub-instance, aggregated model, greedy
-/// warm start and search state are rebuilt in `scratch` (`scratch.ilp`,
-/// `scratch.lp`), shared across components and consecutive requests, so a
-/// warm scratch solves without allocating.
+/// fewer nodes. Most components hold one function, and those are solved
+/// in closed form (`closed_form`: 0 nodes, no model, no LP). Each larger
+/// component's sub-instance, aggregated model, greedy warm start and
+/// search state are rebuilt in `scratch` (`scratch.ilp`, `scratch.lp`),
+/// shared across components and consecutive requests, so a warm scratch
+/// solves without allocating.
 pub fn solve_in(
     inst: &AugmentationInstance,
     cfg: &IlpConfig,
@@ -469,12 +559,20 @@ pub fn solve_in(
         return Ok(solver_info(&stats));
     }
     let SolveScratch { sol, heur, tables, lp, ilp, .. } = scratch;
-    let IlpScratch { comps, local, sub, spare, agg, warm, point, priority, milp } = ilp;
+    let IlpScratch { comps, fill, local, sub, spare, agg, warm, point, priority, milp } = ilp;
     let ncomp = comps.split(inst);
     let live = (0..ncomp).filter(|&c| !comps.get(c).0.is_empty());
     rec.count(metrics::ILP_COMPONENTS, live.clone().count() as u64);
     for (ci, c) in live.enumerate() {
         let (funcs, bins) = comps.get(c);
+        if let &[i] = funcs {
+            let secondaries = closed_form(inst, i, cfg.gain_floor, fill, sol);
+            rec.count(metrics::ILP_CLOSED_FORM, 1);
+            rec.emit_with(|| {
+                component_event(ci, funcs, bins, true, &BnbStats::default(), secondaries)
+            });
+            continue;
+        }
         restrict(inst, funcs, bins, local, spare, sub);
         let comp_started = Instant::now();
         // The aggregated model, seeded with the greedy solution and
@@ -515,18 +613,7 @@ pub fn solve_in(
         rec.count(metrics::ILP_PRUNED_BOUND, s.pruned_bound as u64);
         rec.count(metrics::ILP_PRUNED_INFEASIBLE, s.pruned_infeasible as u64);
         rec.record(metrics::ILP_COMPONENT_SOLVE, comp_elapsed);
-        rec.emit_with(|| {
-            obs::Event::new("ilp.component")
-                .with("component", ci)
-                .with("functions", funcs.len())
-                .with("bins", bins.len())
-                .with("nodes", s.nodes)
-                .with("lp_iterations", s.lp_iterations)
-                .with("incumbent_updates", s.incumbent_updates)
-                .with("pruned_bound", s.pruned_bound)
-                .with("pruned_infeasible", s.pruned_infeasible)
-                .with("secondaries", secondaries)
-        });
+        rec.emit_with(|| component_event(ci, funcs, bins, false, &s, secondaries));
     }
     if cfg.stop_at_expectation {
         let trimmed = sol.trim_to_expectation(inst);
@@ -589,6 +676,20 @@ mod tests {
         }
     }
 
+    /// Two functions coupled through bin 1: one component, which branch and
+    /// bound solves.
+    fn coupled_instance() -> AugmentationInstance {
+        AugmentationInstance {
+            functions: vec![slot(150.0, 0.7, vec![0, 1], 3), slot(250.0, 0.8, vec![1], 1)],
+            bins: vec![
+                Bin { node: NodeId(0), residual: 300.0 },
+                Bin { node: NodeId(1), residual: 400.0 },
+            ],
+            l: 1,
+            expectation: 0.99999,
+        }
+    }
+
     #[test]
     fn fills_available_capacity() {
         let inst = single_function_instance();
@@ -621,13 +722,14 @@ mod tests {
 
     #[test]
     fn traced_solve_reports_effort() {
-        let inst = single_function_instance();
+        let inst = coupled_instance();
         let mut rec = Recorder::memory();
         let info =
             solve_in(&inst, &IlpConfig::default(), &mut rec, &mut SolveScratch::new()).unwrap();
         // One coupled component, at least one B&B node explored and recorded
         // identically in the counters, the events and the SolverInfo.
         assert_eq!(rec.counter("ilp.components"), 1);
+        assert_eq!(rec.counter("ilp.closed_form"), 0);
         let SolverInfo::Ilp { nodes, lp_iterations, .. } = info else {
             panic!("wrong solver info")
         };
@@ -637,8 +739,60 @@ mod tests {
         let comp_events: Vec<_> =
             rec.events().iter().filter(|e| e.kind == "ilp.component").collect();
         assert_eq!(comp_events.len(), 1);
+        assert_eq!(comp_events[0].field("closed_form").unwrap().as_bool(), Some(false));
         assert_eq!(comp_events[0].field("nodes").unwrap().as_u64(), Some(nodes as u64));
         assert_eq!(rec.snapshot().hist("ilp.component_solve").map(|h| h.count()), Some(1));
+    }
+
+    #[test]
+    fn one_function_component_is_solved_in_closed_form() {
+        let inst = single_function_instance();
+        let mut rec = Recorder::memory();
+        let mut scratch = SolveScratch::new();
+        let info = solve_in(&inst, &IlpConfig::default(), &mut rec, &mut scratch).unwrap();
+        assert_eq!(
+            info,
+            SolverInfo::Ilp {
+                nodes: 0,
+                lp_iterations: 0,
+                incumbent_updates: 0,
+                pruned_bound: 0,
+                pruned_infeasible: 0,
+            }
+        );
+        assert_eq!(scratch.sol.counts(), vec![2]);
+        assert_eq!(rec.counter("ilp.components"), 1);
+        assert_eq!(rec.counter("ilp.closed_form"), 1);
+        assert_eq!(rec.counter("ilp.nodes"), 0);
+        let comp_events: Vec<_> =
+            rec.events().iter().filter(|e| e.kind == "ilp.component").collect();
+        assert_eq!(comp_events.len(), 1);
+        assert_eq!(comp_events[0].field("closed_form").unwrap().as_bool(), Some(true));
+        assert_eq!(comp_events[0].field("nodes").unwrap().as_u64(), Some(0));
+        assert_eq!(comp_events[0].field("secondaries").unwrap().as_u64(), Some(2));
+        // The component-solve histogram times branch and bound only.
+        assert_eq!(rec.snapshot().hist("ilp.component_solve").map(|h| h.count()), Some(0));
+    }
+
+    #[test]
+    fn closed_form_spreads_to_the_bin_with_most_room() {
+        // Bounds ⌊r/d⌋ = 3, 1, 3 and a cap of 5. Rooms 350, 150, 350: the
+        // first secondary goes to bin 0 (the lowest of the tied bins), then
+        // bins 2, 0 and 2 leave 150 of room everywhere, and the fifth goes
+        // to bin 0 again.
+        let inst = AugmentationInstance {
+            functions: vec![slot(100.0, 0.7, vec![0, 1, 2], 5)],
+            bins: vec![
+                Bin { node: NodeId(0), residual: 350.0 },
+                Bin { node: NodeId(1), residual: 150.0 },
+                Bin { node: NodeId(2), residual: 350.0 },
+            ],
+            l: 1,
+            expectation: 0.0,
+        };
+        let (mut fill, mut sol) = (Vec::new(), Augmentation::empty(1));
+        assert_eq!(closed_form(&inst, 0, 0.0, &mut fill, &mut sol), 5);
+        assert_eq!(sol.placements_of(0), &[(0, 3), (2, 2)]);
     }
 
     #[test]
@@ -659,15 +813,7 @@ mod tests {
     #[test]
     fn optimum_is_brute_force_on_small_instance() {
         // 2 functions x 2 bins; enumerate all secondary-count allocations.
-        let inst = AugmentationInstance {
-            functions: vec![slot(150.0, 0.7, vec![0, 1], 3), slot(250.0, 0.8, vec![1], 1)],
-            bins: vec![
-                Bin { node: NodeId(0), residual: 300.0 },
-                Bin { node: NodeId(1), residual: 400.0 },
-            ],
-            l: 1,
-            expectation: 0.99999,
-        };
+        let inst = coupled_instance();
         let out = solve(&inst, &IlpConfig::default()).unwrap();
         // Brute force over (a0, a1) = secondaries of f0 on bins 0/1 and b =
         // secondaries of f1 on bin 1.
@@ -719,15 +865,7 @@ mod tests {
 
     #[test]
     fn aggregated_and_disaggregated_lp_bounds_agree() {
-        let inst = AugmentationInstance {
-            functions: vec![slot(150.0, 0.7, vec![0, 1], 3), slot(250.0, 0.8, vec![1], 1)],
-            bins: vec![
-                Bin { node: NodeId(0), residual: 300.0 },
-                Bin { node: NodeId(1), residual: 400.0 },
-            ],
-            l: 1,
-            expectation: 0.99999,
-        };
+        let inst = coupled_instance();
         let dis = build_model(&inst, 1e-12);
         let agg = build_aggregated(&inst, 1e-12);
         // `solve_lp` ignores integrality: these are the LP relaxations.
@@ -743,15 +881,7 @@ mod tests {
 
     #[test]
     fn warm_start_point_is_feasible() {
-        let inst = AugmentationInstance {
-            functions: vec![slot(150.0, 0.7, vec![0, 1], 3), slot(250.0, 0.8, vec![1], 1)],
-            bins: vec![
-                Bin { node: NodeId(0), residual: 300.0 },
-                Bin { node: NodeId(1), residual: 400.0 },
-            ],
-            l: 1,
-            expectation: 0.99999,
-        };
+        let inst = coupled_instance();
         let agg = build_aggregated(&inst, 1e-12);
         let warm = crate::greedy::solve(&inst, &Default::default());
         let mut point = Vec::new();

@@ -141,16 +141,20 @@ mod tests {
 
     #[test]
     fn traced_report_includes_timing_lines() {
+        // Two functions that share bin 0: one coupled component, which
+        // branch and bound solves (a lone function is solved in closed form
+        // and not timed).
+        let function = |reliability| FunctionSlot {
+            vnf: VnfTypeId(0),
+            demand: 100.0,
+            reliability,
+            primary: NodeId(0),
+            eligible_bins: vec![0],
+            max_secondaries: 3,
+            existing_backups: 0,
+        };
         let inst = AugmentationInstance {
-            functions: vec![FunctionSlot {
-                vnf: VnfTypeId(0),
-                demand: 100.0,
-                reliability: 0.8,
-                primary: NodeId(0),
-                eligible_bins: vec![0],
-                max_secondaries: 3,
-                existing_backups: 0,
-            }],
+            functions: vec![function(0.8), function(0.9)],
             bins: vec![Bin { node: NodeId(0), residual: 400.0 }],
             l: 1,
             expectation: 0.999,

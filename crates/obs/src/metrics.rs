@@ -75,6 +75,9 @@ slots!(Counter, COUNTERS, ALL_COUNTERS:
     /// Matching rounds that committed placements.
     HEURISTIC_ROUNDS = "heuristic.rounds",
     HEURISTIC_TRIMMED = "heuristic.trimmed_secondaries",
+    /// The subset of the ILP's components solved in closed form (one
+    /// function each, no branch and bound).
+    ILP_CLOSED_FORM = "ilp.closed_form",
     /// Independent components the exact ILP solved.
     ILP_COMPONENTS = "ilp.components",
     ILP_INCUMBENT_UPDATES = "ilp.incumbent_updates",

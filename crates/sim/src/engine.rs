@@ -138,9 +138,8 @@ struct ActiveRequest {
     placement: Vec<NodeId>,
     /// Instance ids owned by this request (for release on departure).
     instances: Vec<usize>,
-    /// Per chain position: instances currently up / provisioned-and-alive.
+    /// Per chain position: instances currently up.
     live: Vec<usize>,
-    alive: Vec<usize>,
     reliabilities: Vec<f64>,
     admitted: bool,
     arrived_at: f64,
@@ -511,7 +510,6 @@ impl<'a> Engine<'a> {
         self.instances.push(inst);
         self.requests[request].instances.push(id);
         self.requests[request].live[func] += 1;
-        self.requests[request].alive[func] += 1;
     }
 
     /// Release an instance's capacity and invalidate its pending clocks.
@@ -533,7 +531,6 @@ impl<'a> Engine<'a> {
             expectation: r.req.expectation,
             reliabilities: &r.reliabilities,
             live: &r.live,
-            alive: &r.alive,
         }
     }
 
@@ -563,7 +560,6 @@ impl<'a> Engine<'a> {
             placement: self.admission.placed().primaries[..positions].to_vec(),
             instances: Vec::new(),
             live: vec![0; positions],
-            alive: vec![0; positions],
             reliabilities,
             admitted: record.admitted,
             arrived_at: t,
@@ -661,7 +657,6 @@ impl<'a> Engine<'a> {
         self.requests[request].live[func] -= 1;
         if permanent {
             self.counts.permanent_failures += 1;
-            self.requests[request].alive[func] -= 1;
             self.requests[request].instances.retain(|&i| i != instance);
             self.release_instance(instance);
         }

@@ -18,9 +18,6 @@ pub struct RequestView<'a> {
     pub reliabilities: &'a [f64],
     /// Per chain position: instances currently **up**.
     pub live: &'a [usize],
-    /// Per chain position: instances provisioned and not permanently lost
-    /// (up, or down and being repaired).
-    pub alive: &'a [usize],
 }
 
 impl RequestView<'_> {
@@ -143,14 +140,14 @@ pub fn from_name(name: &str, audit_interval: f64) -> Result<Box<dyn RepairPolicy
 mod tests {
     use super::*;
 
-    fn view<'a>(live: &'a [usize], alive: &'a [usize], rel: &'a [f64]) -> RequestView<'a> {
-        RequestView { id: 0, expectation: 0.99, reliabilities: rel, live, alive }
+    fn view<'a>(live: &'a [usize], rel: &'a [f64]) -> RequestView<'a> {
+        RequestView { id: 0, expectation: 0.99, reliabilities: rel, live }
     }
 
     #[test]
     fn live_reliability_counts_up_instances() {
         let rel = [0.8, 0.9];
-        let v = view(&[2, 1], &[3, 1], &rel);
+        let v = view(&[2, 1], &rel);
         // f0: 1 - 0.2^2 = 0.96; f1: 0.9.
         assert!((v.live_reliability() - 0.96 * 0.9).abs() < 1e-12);
         assert!(!v.has_dead_function());
@@ -159,7 +156,7 @@ mod tests {
     #[test]
     fn dead_function_zeroes_reliability() {
         let rel = [0.8, 0.9];
-        let v = view(&[0, 3], &[1, 3], &rel);
+        let v = view(&[0, 3], &rel);
         assert!(v.has_dead_function());
         assert_eq!(v.live_reliability(), 0.0);
     }
@@ -168,11 +165,11 @@ mod tests {
     fn reactive_triggers_below_expectation() {
         let rel = [0.8, 0.9];
         // Healthy: plenty of redundancy, no trigger.
-        let healthy = view(&[4, 3], &[4, 3], &rel);
+        let healthy = view(&[4, 3], &rel);
         assert!(healthy.live_reliability() >= 0.99);
         assert!(!Reactive.repair_on_failure(&healthy));
         // Degraded: a failure took f1 to one live instance.
-        let degraded = view(&[4, 1], &[4, 2], &rel);
+        let degraded = view(&[4, 1], &rel);
         assert!(Reactive.repair_on_failure(&degraded));
         // NoRepair never triggers.
         assert!(!NoRepair.repair_on_failure(&degraded));
@@ -184,7 +181,7 @@ mod tests {
         let p = PeriodicAudit::new(5.0);
         assert_eq!(p.audit_interval(), Some(5.0));
         let rel = [0.8];
-        let degraded = view(&[1], &[1], &rel);
+        let degraded = view(&[1], &rel);
         assert!(p.repair_on_audit(&degraded));
         assert!(!p.repair_on_failure(&degraded), "audit policy stays out of the failure path");
     }
