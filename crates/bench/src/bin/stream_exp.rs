@@ -222,6 +222,9 @@ fn main() {
     // matching rounds populate them).
     let mut matchplane = Table::new(vec!["algorithm", "rounds", "G_l edges", "classes"]);
     let mut matchplane_lines: Vec<String> = Vec::new();
+    // The ILP's components, closed-form solves and branch-and-bound nodes
+    // (first stream): how much of the run still searched.
+    let mut ilp_line: Option<String> = None;
     for (name, algorithm) in algorithms {
         let mut admitted = Accumulator::new();
         let mut rel = Accumulator::new();
@@ -341,6 +344,14 @@ fn main() {
                 "{name} matching: {rounds} rounds, {edges} G_l edges, {classes} classes"
             ));
         }
+        if matches!(algorithm, Algorithm::Ilp(_)) {
+            ilp_line = Some(format!(
+                "{name} components: {}, closed form {}, branch-and-bound nodes {}",
+                count("ilp.components"),
+                count("ilp.closed_form"),
+                count("ilp.nodes")
+            ));
+        }
     }
     println!("{}", table.to_markdown());
     println!("\n### telemetry (first stream per algorithm)\n");
@@ -353,6 +364,9 @@ fn main() {
         for line in &matchplane_lines {
             println!("{line}");
         }
+    }
+    if let Some(line) = &ilp_line {
+        println!("\n{line}");
     }
     if args.metrics_interval.is_some() {
         let windows: u64 = observations.iter().map(|(_, ob)| ob.windows).sum();

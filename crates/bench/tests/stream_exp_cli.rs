@@ -64,6 +64,13 @@ fn events_column_counts_trace_events_only() {
             assert!(if traced { counted } else { events == "-" }, "traced {traced}: {row}");
         }
         assert!(stdout.lines().any(|l| l.starts_with("Heuristic matching: ")), "{stdout}");
+        let ilp = stdout.lines().find(|l| l.starts_with("ILP components: ")).expect("ILP line");
+        let fields: Vec<u64> = ilp
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|w| !w.is_empty())
+            .map(|w| w.parse().unwrap())
+            .collect();
+        assert!(fields.len() == 3 && fields[1] <= fields[0], "{ilp}");
     }
     std::fs::remove_file(&path).ok();
 }

@@ -249,7 +249,7 @@ pub fn solve_in(
     if cfg.stop == StopRule::Expectation {
         // The final matching round may overshoot the expectation; trim the
         // surplus like the other algorithms do.
-        let trimmed = trimmed.unwrap_or_else(|| sol.trim_to_expectation(inst));
+        let trimmed = trimmed.unwrap_or_else(|| sol.trim_to_expectation(inst, tables));
         rec.count(metrics::HEURISTIC_TRIMMED, trimmed as u64);
     }
     SolverInfo::Heuristic { matching_rounds: rounds }

@@ -19,10 +19,14 @@
 //!   branch-and-bound blow up on tight instances.
 //!
 //! [`solve_in`] splits the instance into independent components (functions
-//! that share an eligible bin, directly or transitively). A component of one
-//! function has a closed-form optimum, `min(cap_i, Σ_u ⌊r_u/d_i⌋)`
-//! secondaries spread over its bins (`closed_form` gives the argument);
-//! only components of two or more functions run branch and bound.
+//! that share an eligible bin, directly or transitively). No function of a
+//! component can place more than its target `T*_i = min(cap_i,
+//! Σ_u ⌊r_u/d_i⌋)`, so a placement that puts every function at its target
+//! within the bin rows is the component's optimum. One fill tries it,
+//! largest demand first, each secondary on the eligible bin with the most
+//! room left (`fill_component` gives the argument); it always succeeds on a
+//! one-function component, and only the components where it falls short
+//! run branch and bound.
 //!
 //! The objective is the marginal log-gain linearization of Eq. 5 —
 //! mathematically equivalent to minimizing `-log u_j` at integral optima
@@ -281,54 +285,101 @@ fn count_bound(residual: f64, demand: f64, cap: usize) -> usize {
     ((residual / demand).floor() as usize).min(cap)
 }
 
-/// Place the optimum of a one-function component, `f_i` alone on its
-/// eligible bins, into `sol`, and return its count.
+/// Buffers of [`fill_component`]: the component's functions in fill order,
+/// each function's `(bound, count)` per eligible bin (concatenated in that
+/// order), and per global bin the load of the functions already filled.
+#[derive(Debug, Clone, Default)]
+struct Fill {
+    order: Vec<usize>,
+    cells: Vec<(usize, usize)>,
+    load: Vec<f64>,
+}
+
+/// Place every function of a component at its target
+/// `T*_i = min(cap_i, Σ_b ⌊r_b/d_i⌋)`, the most its aggregated model lets
+/// it reach, and return the secondaries placed; `None`, with `sol`
+/// untouched, when some function cannot reach its target.
 ///
-/// The component's aggregated model maximizes `G_i` subject to
-/// `G_i <= S_i(T)` (the tangent cuts) with `T = Σ_b n_{i,b}`,
-/// `0 <= n_{i,b} <= min(⌊r_b/d_i⌋, cap_i)` and `T <= cap_i`; its bin rows
-/// are implied by these bounds. `S_i` does not decrease in `T`, so
-/// `T* = min(cap_i, Σ_b ⌊r_b/d_i⌋)` is optimal, and so is every placement
-/// of `T*` secondaries within the bounds. They go one at a time to the bin
-/// with the most room left, `r_b − c_b·d_i` among the bins with `c_b` under
-/// their bound (the lowest bin on ties), tracked as counts so that the
-/// fill reaches `T*` exactly. `fill` holds each eligible bin's
-/// `(bound, count)`.
-fn closed_form(
+/// In the component's aggregated model `n_{i,b} <= min(⌊r_b/d_i⌋, cap_i)`,
+/// `T_i = Σ_b n_{i,b} <= cap_i` and `G_i <= S_i(T_i)`, with `S_i`
+/// non-decreasing, so `Σ_i S_i(T*_i)` bounds every feasible objective, and
+/// an integral placement with every `T_i = T*_i` that keeps the bin rows
+/// `Σ_i d_i·n_{i,b} <= r_b` attains it: it is optimal, exactly, where
+/// branch and bound stops within its gap tolerance. The functions go
+/// largest demand first (the lower index on ties), each secondary to the
+/// eligible bin with the most room left, `r_b − Σ_i c_{i,b}·d_i` among the
+/// bins under the function's bound (the lowest bin on ties), tracked as
+/// counts so that a function reaches `T*_i` exactly. A bin that holds none
+/// of the earlier functions' load has room for one more whenever the
+/// count is under its bound; a bin that does must also show room for
+/// `d_i`. For one function this is the plain closed form: its bins hold no
+/// other load.
+fn fill_component(
     inst: &AugmentationInstance,
-    i: usize,
+    funcs: &[usize],
+    bins: &[usize],
     gain_floor: f64,
-    fill: &mut Vec<(usize, usize)>,
+    fill: &mut Fill,
     sol: &mut Augmentation,
-) -> usize {
-    let f = &inst.functions[i];
-    let cap = f.capped_slots(gain_floor);
-    fill.clear();
-    fill.extend(
-        f.eligible_bins.iter().map(|&b| (count_bound(inst.bins[b].residual, f.demand, cap), 0)),
-    );
-    let target = cap.min(fill.iter().map(|&(ub, _)| ub).sum());
-    for _ in 0..target {
-        let mut best: Option<(f64, usize)> = None; // (room, position)
-        for (at, &(ub, c)) in fill.iter().enumerate() {
-            // A bin at its bound has less room than one under it in exact
-            // arithmetic; the check keeps `c_b <= ⌊r_b/d_i⌋` under rounding.
-            if c == ub {
-                continue;
+) -> Option<usize> {
+    let Fill { order, cells, load } = fill;
+    if load.len() < inst.bins.len() {
+        load.resize(inst.bins.len(), 0.0);
+    }
+    for &b in bins {
+        load[b] = 0.0;
+    }
+    order.clear();
+    order.extend_from_slice(funcs);
+    let demand = |i: usize| inst.functions[i].demand;
+    order.sort_unstable_by(|&a, &b| demand(b).total_cmp(&demand(a)).then(a.cmp(&b)));
+    cells.clear();
+    let mut placed = 0;
+    for &i in order.iter() {
+        let f = &inst.functions[i];
+        let cap = f.capped_slots(gain_floor);
+        let first = cells.len();
+        cells.extend(
+            f.eligible_bins.iter().map(|&b| (count_bound(inst.bins[b].residual, f.demand, cap), 0)),
+        );
+        let row = &mut cells[first..];
+        let target = cap.min(row.iter().map(|&(ub, _)| ub).sum());
+        for _ in 0..target {
+            let mut best: Option<(f64, usize)> = None; // (room, position)
+            for (at, &(ub, c)) in row.iter().enumerate() {
+                // A bin at its bound has less room than one under it in exact
+                // arithmetic; the check keeps `c_b <= ⌊r_b/d_i⌋` under rounding.
+                if c == ub {
+                    continue;
+                }
+                let b = f.eligible_bins[at];
+                let room = inst.bins[b].residual - (load[b] + c as f64 * f.demand);
+                if load[b] > 0.0 && room < f.demand {
+                    continue;
+                }
+                if best.is_none_or(|(r, p)| room > r || (room == r && b < f.eligible_bins[p])) {
+                    best = Some((room, at));
+                }
             }
-            let b = f.eligible_bins[at];
-            let room = inst.bins[b].residual - c as f64 * f.demand;
-            if best.is_none_or(|(r, p)| room > r || (room == r && b < f.eligible_bins[p])) {
-                best = Some((room, at));
-            }
+            let (_, at) = best?;
+            row[at].1 += 1;
         }
-        let (_, at) = best.expect("T* is at most the sum of the bounds");
-        fill[at].1 += 1;
+        for (&b, &(_, c)) in f.eligible_bins.iter().zip(row.iter()) {
+            load[b] += c as f64 * f.demand;
+        }
+        placed += target;
     }
-    for (&b, &(_, c)) in f.eligible_bins.iter().zip(fill.iter()) {
-        sol.add(i, b, c);
+    // Each function's row in eligible-bin order, as branch and bound's
+    // placements are written (the trim breaks ties on row order).
+    let mut first = 0;
+    for &i in order.iter() {
+        let eligible = &inst.functions[i].eligible_bins;
+        for (&b, &(_, c)) in eligible.iter().zip(&cells[first..]) {
+            sol.add(i, b, c);
+        }
+        first += eligible.len();
     }
-    target
+    Some(placed)
 }
 
 /// The `ilp.component` event of component `ci`.
@@ -465,17 +516,15 @@ impl Components {
 }
 
 /// Buffers of the exact solve ([`solve_in`]): the component decomposition,
-/// the closed form's per-bin fill, and, for components of two or more
-/// functions, one sub-instance rebuilt in place per component, the
-/// aggregated model, the greedy warm start, the warm point, the branching
-/// priorities and the branch-and-bound solution. [`SolveScratch`] holds
-/// one, so a warm scratch assembles and solves every component without
-/// allocating.
+/// the fill's buffers, and, for components the fill cannot serve, one
+/// sub-instance rebuilt in place per component, the aggregated model, the
+/// greedy warm start, the warm point, the branching priorities and the
+/// branch-and-bound solution. [`SolveScratch`] holds one, so a warm
+/// scratch assembles and solves every component without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct IlpScratch {
     comps: Components,
-    /// [`closed_form`]'s `(bound, count)` per eligible bin.
-    fill: Vec<(usize, usize)>,
+    fill: Fill,
     /// Global bin -> index in the current component.
     local: Vec<usize>,
     sub: AugmentationInstance,
@@ -538,12 +587,13 @@ pub fn solve(inst: &AugmentationInstance, cfg: &IlpConfig) -> Result<Outcome, So
 /// (shared eligible bins) is typically a scatter of small clusters, and
 /// solving them separately turns the branch-and-bound tree from a
 /// *product* of component trees into a *sum* — often orders of magnitude
-/// fewer nodes. Most components hold one function, and those are solved
-/// in closed form (`closed_form`: 0 nodes, no model, no LP). Each larger
-/// component's sub-instance, aggregated model, greedy warm start and
-/// search state are rebuilt in `scratch` (`scratch.ilp`, `scratch.lp`),
-/// shared across components and consecutive requests, so a warm scratch
-/// solves without allocating.
+/// fewer nodes. A component whose functions all fit at their targets is
+/// solved in closed form (`fill_component`: 0 nodes, no model, no LP); that
+/// is every one-function component and most coupled ones. Each remaining
+/// component's sub-instance, aggregated model, greedy warm start and search
+/// state are rebuilt in `scratch` (`scratch.ilp`, `scratch.lp`), shared
+/// across components and consecutive requests, so a warm scratch solves
+/// without allocating.
 pub fn solve_in(
     inst: &AugmentationInstance,
     cfg: &IlpConfig,
@@ -565,8 +615,7 @@ pub fn solve_in(
     rec.count(metrics::ILP_COMPONENTS, live.clone().count() as u64);
     for (ci, c) in live.enumerate() {
         let (funcs, bins) = comps.get(c);
-        if let &[i] = funcs {
-            let secondaries = closed_form(inst, i, cfg.gain_floor, fill, sol);
+        if let Some(secondaries) = fill_component(inst, funcs, bins, cfg.gain_floor, fill, sol) {
             rec.count(metrics::ILP_CLOSED_FORM, 1);
             rec.emit_with(|| {
                 component_event(ci, funcs, bins, true, &BnbStats::default(), secondaries)
@@ -616,7 +665,7 @@ pub fn solve_in(
         rec.emit_with(|| component_event(ci, funcs, bins, false, &s, secondaries));
     }
     if cfg.stop_at_expectation {
-        let trimmed = sol.trim_to_expectation(inst);
+        let trimmed = sol.trim_to_expectation(inst, tables);
         rec.count(metrics::ILP_TRIMMED, trimmed as u64);
     }
     debug_assert!(sol.is_capacity_feasible(inst));
@@ -676,8 +725,8 @@ mod tests {
         }
     }
 
-    /// Two functions coupled through bin 1: one component, which branch and
-    /// bound solves.
+    /// Two functions coupled through bin 1: one component, whose targets
+    /// (3 and 1 secondaries) fit, so the fill solves it.
     fn coupled_instance() -> AugmentationInstance {
         AugmentationInstance {
             functions: vec![slot(150.0, 0.7, vec![0, 1], 3), slot(250.0, 0.8, vec![1], 1)],
@@ -687,6 +736,17 @@ mod tests {
             ],
             l: 1,
             expectation: 0.99999,
+        }
+    }
+
+    /// Two functions sharing one bin with room for 4 of their 6 targeted
+    /// secondaries: one component, which branch and bound solves.
+    fn tight_coupled_instance() -> AugmentationInstance {
+        AugmentationInstance {
+            functions: vec![slot(100.0, 0.8, vec![0], 3), slot(100.0, 0.9, vec![0], 3)],
+            bins: vec![Bin { node: NodeId(0), residual: 400.0 }],
+            l: 1,
+            expectation: 0.999,
         }
     }
 
@@ -722,7 +782,7 @@ mod tests {
 
     #[test]
     fn traced_solve_reports_effort() {
-        let inst = coupled_instance();
+        let inst = tight_coupled_instance();
         let mut rec = Recorder::memory();
         let info =
             solve_in(&inst, &IlpConfig::default(), &mut rec, &mut SolveScratch::new()).unwrap();
@@ -775,6 +835,62 @@ mod tests {
     }
 
     #[test]
+    fn coupled_component_that_fits_skips_branch_and_bound() {
+        let inst = coupled_instance();
+        let mut rec = Recorder::memory();
+        let mut scratch = SolveScratch::new();
+        let cfg = IlpConfig { stop_at_expectation: false, ..IlpConfig::default() };
+        let info = solve_in(&inst, &cfg, &mut rec, &mut scratch).unwrap();
+        let SolverInfo::Ilp { nodes, lp_iterations, .. } = info else {
+            panic!("wrong solver info")
+        };
+        assert_eq!((nodes, lp_iterations), (0, 0));
+        // f1 (the larger demand) goes first and takes 250 of bin 1; f0 then
+        // fills bin 0 to its bound of 2 (ties to the lower bin) and puts its
+        // third secondary in the 150 left on the shared bin 1.
+        assert_eq!(scratch.sol.placements_of(0), &[(0, 2), (1, 1)]);
+        assert_eq!(scratch.sol.placements_of(1), &[(1, 1)]);
+        assert!(scratch.sol.is_capacity_feasible(&inst));
+        assert_eq!(rec.counter("ilp.components"), 1);
+        assert_eq!(rec.counter("ilp.closed_form"), 1);
+        assert_eq!(rec.counter("ilp.nodes"), 0);
+        let comp_events: Vec<_> =
+            rec.events().iter().filter(|e| e.kind == "ilp.component").collect();
+        assert_eq!(comp_events.len(), 1);
+        assert_eq!(comp_events[0].field("closed_form").unwrap().as_bool(), Some(true));
+        assert_eq!(comp_events[0].field("functions").unwrap().as_u64(), Some(2));
+        assert_eq!(comp_events[0].field("nodes").unwrap().as_u64(), Some(0));
+        assert_eq!(comp_events[0].field("secondaries").unwrap().as_u64(), Some(4));
+        assert_eq!(rec.snapshot().hist("ilp.component_solve").map(|h| h.count()), Some(0));
+    }
+
+    #[test]
+    fn fill_checks_room_where_earlier_functions_placed() {
+        // f0 (demand 300) takes bin 1's 300 first; f1 (demand 100, bound 3
+        // on each bin) then finds no room on bin 1 although its count there
+        // is under its bound, and so falls short of its target of 4: the
+        // fill leaves the component to branch and bound.
+        let inst = AugmentationInstance {
+            functions: vec![slot(300.0, 0.7, vec![1], 1), slot(100.0, 0.7, vec![0, 1], 4)],
+            bins: vec![
+                Bin { node: NodeId(0), residual: 300.0 },
+                Bin { node: NodeId(1), residual: 300.0 },
+            ],
+            l: 1,
+            expectation: 0.0,
+        };
+        let (mut fill, mut sol) = (Fill::default(), Augmentation::empty(2));
+        assert_eq!(fill_component(&inst, &[0, 1], &[0, 1], 0.0, &mut fill, &mut sol), None);
+        assert_eq!(sol.total_secondaries(), 0, "a failed fill writes nothing");
+        // With one secondary fewer targeted, f1 fits on bin 0 alone.
+        let mut fits = inst.clone();
+        fits.functions[1].max_secondaries = 3;
+        assert_eq!(fill_component(&fits, &[0, 1], &[0, 1], 0.0, &mut fill, &mut sol), Some(4));
+        assert_eq!(sol.placements_of(0), &[(1, 1)]);
+        assert_eq!(sol.placements_of(1), &[(0, 3)]);
+    }
+
+    #[test]
     fn closed_form_spreads_to_the_bin_with_most_room() {
         // Bounds ⌊r/d⌋ = 3, 1, 3 and a cap of 5. Rooms 350, 150, 350: the
         // first secondary goes to bin 0 (the lowest of the tied bins), then
@@ -790,8 +906,8 @@ mod tests {
             l: 1,
             expectation: 0.0,
         };
-        let (mut fill, mut sol) = (Vec::new(), Augmentation::empty(1));
-        assert_eq!(closed_form(&inst, 0, 0.0, &mut fill, &mut sol), 5);
+        let (mut fill, mut sol) = (Fill::default(), Augmentation::empty(1));
+        assert_eq!(fill_component(&inst, &[0], &[0, 1, 2], 0.0, &mut fill, &mut sol), Some(5));
         assert_eq!(sol.placements_of(0), &[(0, 3), (2, 2)]);
     }
 

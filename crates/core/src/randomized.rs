@@ -149,7 +149,7 @@ pub fn solve_in<R: Rng + ?Sized>(
     let sol = &mut scratch.sol;
     let mut repairs = 0;
     if cfg.stop_at_expectation {
-        repairs = sol.trim_to_expectation(inst);
+        repairs = sol.trim_to_expectation(inst, &mut scratch.tables);
         rec.count(metrics::RANDOMIZED_REPAIRS, repairs as u64);
         if repairs > 0 {
             rec.emit_with(|| {

@@ -141,8 +141,9 @@ mod tests {
 
     #[test]
     fn traced_report_includes_timing_lines() {
-        // Two functions that share bin 0: one coupled component, which
-        // branch and bound solves (a lone function is solved in closed form
+        // Two functions that share bin 0: one coupled component whose
+        // targets (3 secondaries each) do not fit its 400, so branch and
+        // bound solves it (a component that fits is solved in closed form
         // and not timed).
         let function = |reliability| FunctionSlot {
             vnf: VnfTypeId(0),

@@ -65,7 +65,8 @@ pub struct SolveScratch {
     /// The heuristic's round matcher; its input is rebuilt every round.
     pub ladder: LadderMatcher,
     /// `R`, `ln R` and Eq. 3 cost per instance reliability, read by the
-    /// heuristic's round enumeration, stop check and trim.
+    /// heuristic's round enumeration and stop check, every solver's trim and
+    /// the exact solver's aggregated model.
     pub tables: LadderTables,
     /// LP workspace (computational form, factorization, eta file, node
     /// state) reused by the exact ILP path and the randomized algorithm's

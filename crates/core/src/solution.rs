@@ -41,6 +41,8 @@ pub struct Augmentation {
     rel_now: Vec<f64>,
     rel_less: Vec<f64>,
     last_gain: Vec<f64>,
+    /// [`Self::trim_to_expectation`]'s table id per function.
+    table_of: Vec<usize>,
     /// [`Self::commit_one_round_trimmed`]'s view of one function's round
     /// placements: `(load/residual, bin)` per entry in row order, and the
     /// [`FreeLargest`] buffers.
@@ -170,28 +172,46 @@ impl Augmentation {
     /// Each removal costs `O(L + row)` and no allocation with warm buffers:
     /// the bin loads are computed once and the freed bin's load is updated,
     /// and each function's `R(m)`, `R(m − 1)` and last-secondary gain are
-    /// cached.
-    pub fn trim_to_expectation(&mut self, inst: &AugmentationInstance) -> usize {
+    /// read from `tables`, which give `function_reliability` and
+    /// `log_gain` bit for bit.
+    pub fn trim_to_expectation(
+        &mut self,
+        inst: &AugmentationInstance,
+        tables: &mut LadderTables,
+    ) -> usize {
         let mut loads = std::mem::take(&mut self.loads);
         self.bin_loads_into(inst, &mut loads);
         self.loads = loads;
-        self.trim_loop(
-            inst.expectation,
-            |this, i| this.refresh_trim_terms(inst, i),
-            |this, func| this.free_one(inst, func),
-        )
+        let mut table_of = std::mem::take(&mut self.table_of);
+        tables.resolve(inst.functions.iter().map(|f| f.reliability), &mut table_of);
+        let removed =
+            self.trim_loop(inst, tables, &table_of, |this, func| this.free_one(inst, func));
+        self.table_of = table_of;
+        removed
     }
 
-    /// The loop of both trims: fill every live function's terms with
-    /// `refresh`, then, while [`Self::trim_choice`] picks a function, let
-    /// `remove_one` take one of its secondaries and refresh its terms.
-    /// Returns the number of removals.
+    /// The loop of both trims: read every live function's terms from
+    /// `tables` (`table_of[i]` is function `i`'s table), then, while
+    /// [`Self::trim_choice`] picks a function, let `remove_one` take one of
+    /// its secondaries and read its terms again. Returns the number of
+    /// removals.
     fn trim_loop(
         &mut self,
-        expectation: f64,
-        mut refresh: impl FnMut(&mut Self, usize),
+        inst: &AugmentationInstance,
+        tables: &mut LadderTables,
+        table_of: &[usize],
         mut remove_one: impl FnMut(&mut Self, usize),
     ) -> usize {
+        let mut refresh = |this: &mut Self, i: usize| {
+            let (m, id) = (this.counts[i], table_of[i]);
+            let now = tables.rung(id, inst.functions[i].existing_backups + m);
+            this.rel_now[i] = now.rel;
+            if m > 0 {
+                let less = tables.rung(id, inst.functions[i].existing_backups + m - 1);
+                this.rel_less[i] = less.rel;
+                this.last_gain[i] = now.ln_rel - less.ln_rel;
+            }
+        };
         for v in [&mut self.rel_now, &mut self.rel_less, &mut self.last_gain] {
             v.clear();
             v.resize(self.active, 0.0);
@@ -200,23 +220,12 @@ impl Augmentation {
             refresh(self, i);
         }
         let mut removed = 0;
-        while let Some(func) = self.trim_choice(expectation) {
+        while let Some(func) = self.trim_choice(inst.expectation) {
             remove_one(self, func);
             refresh(self, func);
             removed += 1;
         }
         removed
-    }
-
-    /// Refresh function `i`'s cached trim terms from its current count.
-    fn refresh_trim_terms(&mut self, inst: &AugmentationInstance, i: usize) {
-        let (r, e, m) =
-            (inst.functions[i].reliability, inst.functions[i].existing_backups, self.counts[i]);
-        self.rel_now[i] = reliability::function_reliability(r, e + m);
-        if m > 0 {
-            self.rel_less[i] = reliability::function_reliability(r, e + m - 1);
-            self.last_gain[i] = reliability::log_gain(r, e + m);
-        }
     }
 
     /// The trim's next removal, from the cached terms: among the functions
@@ -287,7 +296,8 @@ impl Augmentation {
         for (func, _) in placements.clone() {
             self.counts[func] += 1;
         }
-        let removed = self.trim_counts(inst, tables, table_of);
+        // The trim's function choice on the counts alone.
+        let removed = self.trim_loop(inst, tables, table_of, |this, func| this.counts[func] -= 1);
         let mut placements = placements.peekable();
         while let Some(&(func, _)) = placements.peek() {
             let demand = inst.functions[func].demand;
@@ -301,28 +311,6 @@ impl Augmentation {
             self.rows[func].extend(kept.iter().map(|&e| (self.run[e].1, 1)));
         }
         removed
-    }
-
-    /// The trim's function choice on the counts alone, its `R` terms read
-    /// from `tables`: decrements `counts` and returns how many secondaries it
-    /// removed. Leaves the rows alone.
-    fn trim_counts(
-        &mut self,
-        inst: &AugmentationInstance,
-        tables: &mut LadderTables,
-        table_of: &[usize],
-    ) -> usize {
-        let refresh = |this: &mut Self, i: usize| {
-            let (m, id) = (this.counts[i], table_of[i]);
-            let now = tables.rung(id, inst.functions[i].existing_backups + m);
-            this.rel_now[i] = now.rel;
-            if m > 0 {
-                let less = tables.rung(id, inst.functions[i].existing_backups + m - 1);
-                this.rel_less[i] = less.rel;
-                this.last_gain[i] = now.ln_rel - less.ln_rel;
-            }
-        };
-        self.trim_loop(inst.expectation, refresh, |this, func| this.counts[func] -= 1)
     }
 
     /// Total paper cost of the solution under the prefix interpretation
@@ -715,23 +703,18 @@ mod tests {
     /// to remove and never end below `ρ_j` when it started at or above it,
     /// and its tracked loads must stay within rounding of a recomputation.
     fn assert_trim_follows_the_rule(inst: &AugmentationInstance, aug: &Augmentation) {
+        let mut tables = LadderTables::default();
+        let mut table_of = Vec::new();
+        tables.resolve(inst.functions.iter().map(|f| f.reliability), &mut table_of);
         let mut stepped = aug.clone();
         stepped.loads = aug.bin_loads(inst);
-        let steps = stepped.trim_loop(
-            inst.expectation,
-            |this, i| this.refresh_trim_terms(inst, i),
-            |this, func| {
-                assert_eq!(
-                    reference_choice(inst, this.counts()),
-                    Some(func),
-                    "trim order diverges"
-                );
-                this.free_one(inst, func);
-            },
-        );
+        let steps = stepped.trim_loop(inst, &mut tables, &table_of, |this, func| {
+            assert_eq!(reference_choice(inst, this.counts()), Some(func), "trim order diverges");
+            this.free_one(inst, func);
+        });
         assert_eq!(reference_choice(inst, stepped.counts()), None, "trim stopped early");
         let mut trimmed = aug.clone();
-        assert_eq!(trimmed.trim_to_expectation(inst), steps);
+        assert_eq!(trimmed.trim_to_expectation(inst, &mut tables), steps);
         assert_eq!(trimmed, stepped);
         if aug.reliability(inst) >= inst.expectation {
             assert!(
@@ -758,7 +741,8 @@ mod tests {
         }
         assert_trim_follows_the_rule(&inst, &aug);
         let mut trimmed = aug.clone();
-        assert!(trimmed.trim_to_expectation(&inst) > 0, "the overshoot is trimmed");
+        let mut tables = LadderTables::default();
+        assert!(trimmed.trim_to_expectation(&inst, &mut tables) > 0, "the overshoot is trimmed");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use relaug::heuristic::{HeuristicConfig, StopRule};
 use relaug::ilp::IlpConfig;
 use relaug::instance::{AugmentationInstance, Bin, FunctionSlot};
+use relaug::reliability::LadderTables;
 use relaug::{greedy, heuristic, ilp, randomized};
 
 /// Strategy: random small instances with consistent eligibility and K_i.
@@ -113,7 +114,7 @@ proptest! {
         );
         let mut aug = full.augmentation.clone();
         let before = aug.reliability(&inst);
-        let removed = aug.trim_to_expectation(&inst);
+        let removed = aug.trim_to_expectation(&inst, &mut LadderTables::default());
         let after = aug.reliability(&inst);
         if before >= inst.expectation {
             prop_assert!(after >= inst.expectation - 1e-12,
@@ -146,7 +147,7 @@ proptest! {
             // Removing the cheapest remaining secondary must drop below rho
             // (minimal-overshoot property of the trim).
             let mut probe = heur.augmentation.clone();
-            let more = probe.trim_to_expectation(&inst);
+            let more = probe.trim_to_expectation(&inst, &mut LadderTables::default());
             prop_assert_eq!(more, 0, "trim left removable surplus");
         }
     }

@@ -85,7 +85,7 @@ proptest! {
             for &(i, b) in &placements {
                 reference.add(i, b, 1);
             }
-            let want = reference.trim_to_expectation(&inst);
+            let want = reference.trim_to_expectation(&inst, &mut LadderTables::default());
 
             fast.begin(chain);
             tables.resolve(inst.functions.iter().map(|f| f.reliability), &mut table_of);
